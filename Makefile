@@ -108,14 +108,17 @@ loadtest-cluster:
 fuzz-corpus:
 	$(GO) test -run=Fuzz -short ./...
 
-# A short pass over every native fuzz target (regression corpora under
-# testdata/fuzz always replay blockingly via `make fuzz-corpus`).
+# A short pass over every native fuzz target, found package by package
+# as the `func Fuzz*` declarations of its test files (regression corpora
+# under testdata/fuzz always replay blockingly via `make fuzz-corpus`).
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=NONE -fuzz=FuzzPackBitsRoundTrip -fuzztime=$(FUZZTIME) ./internal/bitslice/
-	$(GO) test -run=NONE -fuzz=FuzzPackWordsRoundTrip -fuzztime=$(FUZZTIME) ./internal/bitslice/
-	$(GO) test -run=NONE -fuzz=FuzzTransposeVec -fuzztime=$(FUZZTIME) ./internal/bitslice/
-	$(GO) test -run=NONE -fuzz=FuzzSlicedMatchesRef -fuzztime=$(FUZZTIME) ./internal/xorgens/
+	@for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go 2>/dev/null); do \
+			echo "fuzz: $$fn ($$dir)"; \
+			$(GO) test -run=NONE -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$dir || exit 1; \
+		done; \
+	done
 
 # Whole-repo coverage profile plus hard floors on the packages whose
 # correctness the chaos harness leans on (mirrors the CI coverage job).

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -186,10 +187,10 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.installRing(cfg.Ring)
 	rt.ring.Store(cfg.Ring)
 
-	rt.mux.HandleFunc("GET /bytes", rt.proxy("bytes"))
-	rt.mux.HandleFunc("GET /stream", rt.proxy("stream"))
-	rt.mux.HandleFunc("POST /lease", rt.proxy("lease"))
-	rt.mux.HandleFunc("GET /lease/{id}", rt.proxy("lease"))
+	rt.mux.HandleFunc("GET /bytes", rt.proxy(server.EndpointBytes))
+	rt.mux.HandleFunc("GET /stream", rt.proxy(server.EndpointStream))
+	rt.mux.HandleFunc("POST /lease", rt.proxy(server.EndpointLease))
+	rt.mux.HandleFunc("GET /lease/{id}", rt.proxy(server.EndpointLease))
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	return rt, nil
@@ -339,24 +340,18 @@ func (rt *Router) probeAll() {
 	}
 }
 
-// routeKey extracts the ownership key of a request; nil means the
-// request names no deterministic address (pooled /bytes or /stream) and
-// is spread instead of ring-routed. Unparseable addressing params also
-// return nil — the serving node produces the canonical 400.
-func (rt *Router) routeKey(r *http.Request, ring *Ring) *Key {
-	q := r.URL.Query()
-	algName := q.Get("alg")
-	if algName == "" {
-		algName = "mickey"
-	}
+// routeLimits let the router's parse accept every algorithm and size:
+// the serving node enforces its own limits, the router only needs the
+// request's address.
+var routeLimits = server.Limits{MaxBytes: math.MaxInt64, MaxLeaseSegments: math.MaxInt}
 
-	if r.Method == http.MethodPost && r.URL.Path == "/lease" {
-		// Lease allocation anchors on a per-algorithm key so one node's
-		// counter serializes all allocations for that algorithm — no two
-		// nodes ever hand out overlapping lease domains (DESIGN.md §13).
-		k := ring.Key(algName, 0, 0)
-		return &k
-	}
+// routeKey extracts the ownership key of a request. Queries go through
+// the serving layer's own parser and key on the canonical algorithm
+// name, so every spelling of one algorithm has one owner. nil means the
+// request names no deterministic address (pooled /bytes or /stream) and
+// is spread instead of ring-routed. Unparseable requests also return
+// nil — the serving node produces the canonical error.
+func (rt *Router) routeKey(r *http.Request, endpoint string, ring *Ring) *Key {
 	if id := r.PathValue("id"); id != "" { // GET /lease/{id}
 		l, err := server.DecodeLeaseToken(id)
 		if err != nil {
@@ -365,36 +360,20 @@ func (rt *Router) routeKey(r *http.Request, ring *Ring) *Key {
 		k := ring.Key(l.Alg.String(), l.Domain, l.StartSegment)
 		return &k
 	}
-	if r.URL.Path != "/stream" {
-		return nil // pooled /bytes
-	}
-
-	off, err := strconv.ParseUint(q.Get("off"), 10, 64)
-	if err != nil {
-		off = 0
-	}
-	if tok := q.Get("lease"); tok != "" {
-		l, err := server.DecodeLeaseToken(tok)
-		if err != nil {
-			return nil
-		}
-		abs := l.StartSegment*core.SegmentBytes + off
-		k := ring.Key(l.Alg.String(), l.Domain, abs/core.SegmentBytes)
+	q, herr := server.ParseQuery(r, endpoint, routeLimits)
+	switch {
+	case herr != nil:
+		return nil
+	case endpoint == server.EndpointLease:
+		// Lease allocation anchors on a per-algorithm key so one node's
+		// counter serializes all allocations for that algorithm — no two
+		// nodes ever hand out overlapping lease domains (DESIGN.md §13).
+		k := ring.Key(q.Alg.String(), 0, 0)
 		return &k
+	case q.Mode == server.ModePooled:
+		return nil
 	}
-	if !(q.Has("segment") || q.Has("domain") || q.Has("off") || q.Has("lanes")) {
-		return nil // pooled /stream
-	}
-	domain, err := strconv.ParseUint(q.Get("domain"), 10, 64)
-	if err != nil {
-		domain = 0
-	}
-	seg, err := strconv.ParseUint(q.Get("segment"), 10, 64)
-	if err != nil {
-		seg = 0
-	}
-	abs := seg*core.SegmentBytes + off
-	k := ring.Key(algName, domain, abs/core.SegmentBytes)
+	k := ring.Key(q.Alg.String(), q.Domain, q.Offset/core.SegmentBytes)
 	return &k
 }
 
@@ -439,7 +418,7 @@ func retryableStatus(code int) bool {
 func (rt *Router) proxy(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		ring := rt.ring.Load()
-		key := rt.routeKey(r, ring)
+		key := rt.routeKey(r, endpoint, ring)
 		cands := rt.candidates(ring, key)
 		owner := cands[0].Name
 		if key != nil {

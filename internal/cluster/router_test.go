@@ -501,3 +501,64 @@ func TestCloseCancelsInflightProbe(t *testing.T) {
 		t.Fatal("Close did not cancel the in-flight probe (stuck behind ProbeTimeout)")
 	}
 }
+
+// Every accepted spelling of an algorithm routes as its canonical name.
+// Regression: the router once keyed the ring on the raw alg= string, so
+// POST /lease?alg=aes and POST /lease?alg=aes-ctr anchored on different
+// nodes, and each node's counter handed out the same first domain — two
+// clients holding the same "private" window. Leases must all be
+// distinct, each algorithm must anchor on one node whatever its
+// spelling, and addressed traffic must follow the same canonical key.
+func TestAlgorithmSpellingsShareOneAnchor(t *testing.T) {
+	cfg := nodeCfg(3)
+	cfg.Algorithms = []core.Algorithm{core.AESCTR, core.GRAIN}
+	_, nodes := bootNodes(t, 3, cfg)
+	_, rts := bootRouter(t, nodes, nil)
+
+	spellings := []struct{ alg, canonical string }{
+		{"aes-ctr", "aes-ctr"}, {"aes", "aes-ctr"}, {"AES", "aes-ctr"}, {"Aes-Ctr", "aes-ctr"},
+		{"grain", "grain"}, {"GRAIN", "grain"},
+	}
+	ids := map[string]string{}    // lease id → spelling that received it
+	anchor := map[string]string{} // canonical alg → node of its first lease
+	for _, sp := range spellings {
+		resp, err := http.Post(rts.URL+"/lease?segments=2&alg="+sp.alg, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("alg=%s: lease status %d err %v", sp.alg, resp.StatusCode, err)
+		}
+		var doc leaseDoc
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Algorithm != sp.canonical {
+			t.Errorf("alg=%s: lease names %q, want %q", sp.alg, doc.Algorithm, sp.canonical)
+		}
+		if prev, dup := ids[doc.ID]; dup {
+			t.Errorf("alg=%s was issued the same lease as alg=%s (domain %d)", sp.alg, prev, doc.Domain)
+		}
+		ids[doc.ID] = sp.alg
+		node := resp.Header.Get("X-Bsrng-Cluster-Node")
+		if first, ok := anchor[sp.canonical]; !ok {
+			anchor[sp.canonical] = node
+		} else if node != first {
+			t.Errorf("alg=%s anchored on %s, but %s anchors on %s", sp.alg, node, sp.canonical, first)
+		}
+	}
+
+	var served []string
+	for _, alg := range []string{"aes", "aes-ctr"} {
+		status, _, hdr := get(t, rts.URL+"/stream?segment=5&n=64&alg="+alg)
+		if status != http.StatusOK {
+			t.Fatalf("alg=%s: stream status %d", alg, status)
+		}
+		served = append(served, hdr.Get("X-Bsrng-Cluster-Node"))
+	}
+	if served[0] != served[1] {
+		t.Errorf("segment 5 of aes served by %s, of aes-ctr by %s; want one owner", served[0], served[1])
+	}
+}

@@ -44,19 +44,11 @@ const (
 // maxAddressableBytes bounds client-supplied byte offsets.
 const maxAddressableBytes = uint64(1) << 52
 
-// lease is the decoded form of a lease token.
-type lease struct {
-	Alg          core.Algorithm
-	Domain       uint64
-	StartSegment uint64
-	Segments     uint64
-}
-
-// Lease is the exported view of a decoded lease token. Tokens are pure
-// capabilities over the deterministic (alg, domain, segment) address
-// space — no server state — so any tier holding a token can derive
-// where its window lives; internal/cluster's router uses this to route
-// lease traffic to the owning node.
+// Lease is a decoded lease token. Tokens are pure capabilities over the
+// deterministic (alg, domain, segment) address space — no server state —
+// so any tier holding a token can derive where its window lives;
+// internal/cluster's router uses this to route lease traffic to the
+// owning node.
 type Lease struct {
 	Alg          core.Algorithm
 	Domain       uint64
@@ -67,53 +59,41 @@ type Lease struct {
 // Bytes is the lease window size in bytes.
 func (l Lease) Bytes() uint64 { return l.Segments * core.SegmentBytes }
 
-// DecodeLeaseToken parses and validates a lease token without touching
-// any server: the inverse of the encoding POST /lease hands out.
-func DecodeLeaseToken(id string) (Lease, error) {
-	l, err := decodeLease(id)
-	if err != nil {
-		return Lease{}, err
-	}
-	return Lease{Alg: l.Alg, Domain: l.Domain, StartSegment: l.StartSegment, Segments: l.Segments}, nil
-}
-
-// bytes is the lease window size.
-func (l lease) bytes() uint64 { return l.Segments * core.SegmentBytes }
-
 // id encodes the lease as a URL-safe, self-describing token.
-func (l lease) id() string {
+func (l Lease) id() string {
 	raw := fmt.Sprintf("%s|%s|%d|%d|%d",
 		leaseTokenVersion, l.Alg, l.Domain, l.StartSegment, l.Segments)
 	return base64.RawURLEncoding.EncodeToString([]byte(raw))
 }
 
-// decodeLease parses and validates a lease token.
-func decodeLease(id string) (lease, error) {
+// DecodeLeaseToken parses and validates a lease token without touching
+// any server: the inverse of the encoding POST /lease hands out.
+func DecodeLeaseToken(id string) (Lease, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(id)
 	if err != nil {
-		return lease{}, fmt.Errorf("not base64url: %w", err)
+		return Lease{}, fmt.Errorf("not base64url: %w", err)
 	}
 	parts := strings.Split(string(raw), "|")
 	if len(parts) != 5 || parts[0] != leaseTokenVersion {
-		return lease{}, fmt.Errorf("want 5 fields of version %s", leaseTokenVersion)
+		return Lease{}, fmt.Errorf("want 5 fields of version %s", leaseTokenVersion)
 	}
 	alg, err := core.ParseAlgorithm(parts[1])
 	if err != nil {
-		return lease{}, err
+		return Lease{}, err
 	}
 	domain, err := strconv.ParseUint(parts[2], 10, 64)
 	if err != nil {
-		return lease{}, fmt.Errorf("bad domain: %w", err)
+		return Lease{}, fmt.Errorf("bad domain: %w", err)
 	}
 	start, err := strconv.ParseUint(parts[3], 10, 64)
 	if err != nil || start >= maxLeaseStartSegment {
-		return lease{}, fmt.Errorf("bad start segment %q", parts[3])
+		return Lease{}, fmt.Errorf("bad start segment %q", parts[3])
 	}
 	segs, err := strconv.ParseUint(parts[4], 10, 64)
 	if err != nil || segs == 0 || segs > maxLeaseSegmentsHard {
-		return lease{}, fmt.Errorf("bad segment count %q", parts[4])
+		return Lease{}, fmt.Errorf("bad segment count %q", parts[4])
 	}
-	return lease{Alg: alg, Domain: domain, StartSegment: start, Segments: segs}, nil
+	return Lease{Alg: alg, Domain: domain, StartSegment: start, Segments: segs}, nil
 }
 
 // leaseDoc is the JSON view of a lease returned by the lease endpoints.
@@ -130,7 +110,7 @@ type leaseDoc struct {
 	StreamPath string `json:"stream_path"`
 }
 
-func (s *Server) leaseDoc(l lease) leaseDoc {
+func (s *Server) leaseDoc(l Lease) leaseDoc {
 	id := l.id()
 	return leaseDoc{
 		ID:           id,
@@ -139,7 +119,7 @@ func (s *Server) leaseDoc(l lease) leaseDoc {
 		StartSegment: l.StartSegment,
 		Segments:     l.Segments,
 		SegmentBytes: core.SegmentBytes,
-		Bytes:        l.bytes(),
+		Bytes:        l.Bytes(),
 		StreamPath:   "/stream?lease=" + url.QueryEscape(id),
 	}
 }
@@ -154,36 +134,18 @@ func writeLease(w http.ResponseWriter, status int, doc leaseDoc) {
 
 // handleLeaseCreate allocates a fresh lease: POST /lease?alg=&segments=.
 func (s *Server) handleLeaseCreate(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	alg, herr := s.parseAlg(q.Get("alg"))
+	q, herr := ParseQuery(r, EndpointLease, s.limits)
 	if herr != nil {
-		s.leaseRequests.With("invalid", strconv.Itoa(herr.status)).Inc()
-		http.Error(w, herr.msg, herr.status)
+		s.fail(w, EndpointLease, &q, herr)
 		return
 	}
-	segs := uint64(s.cfg.MaxLeaseSegments)
-	if v := q.Get("segments"); v != "" {
-		var err error
-		segs, err = strconv.ParseUint(v, 10, 64)
-		if err != nil || segs == 0 {
-			s.leaseRequests.With(alg.String(), strconv.Itoa(http.StatusBadRequest)).Inc()
-			http.Error(w, "segments must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		if segs > uint64(s.cfg.MaxLeaseSegments) {
-			s.leaseRequests.With(alg.String(), strconv.Itoa(http.StatusRequestEntityTooLarge)).Inc()
-			http.Error(w, fmt.Sprintf("segments exceeds per-lease cap %d", s.cfg.MaxLeaseSegments),
-				http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
-	l := lease{
-		Alg:      alg,
+	l := Lease{
+		Alg:      q.Alg,
 		Domain:   leaseDomainBase + s.leaseCounter.Add(1),
-		Segments: segs,
+		Segments: uint64(q.N),
 	}
 	s.leasesIssued.Inc()
-	s.leaseRequests.With(alg.String(), strconv.Itoa(http.StatusCreated)).Inc()
+	s.record(EndpointLease, &q, http.StatusCreated)
 	writeLease(w, http.StatusCreated, s.leaseDoc(l))
 }
 
@@ -191,7 +153,7 @@ func (s *Server) handleLeaseCreate(w http.ResponseWriter, r *http.Request) {
 // stateless, so any structurally valid token naming a served algorithm
 // resolves — including tokens issued before a restart.
 func (s *Server) handleLeaseGet(w http.ResponseWriter, r *http.Request) {
-	l, err := decodeLease(r.PathValue("id"))
+	l, err := DecodeLeaseToken(r.PathValue("id"))
 	if err != nil {
 		s.leaseRequests.With("invalid", strconv.Itoa(http.StatusBadRequest)).Inc()
 		http.Error(w, fmt.Sprintf("invalid lease token: %v", err), http.StatusBadRequest)

@@ -103,7 +103,7 @@ func TestLeaseAPI(t *testing.T) {
 	if status, _, _ := get(t, ts.URL+"/lease/garbage!"); status != http.StatusBadRequest {
 		t.Error("garbage token did not 400")
 	}
-	unserved := lease{Alg: core.TRIVIUM, Domain: leaseDomainBase + 1, Segments: 2}.id()
+	unserved := Lease{Alg: core.TRIVIUM, Domain: leaseDomainBase + 1, Segments: 2}.id()
 	if status, _, _ := get(t, ts.URL+"/lease/"+unserved); status != http.StatusNotFound {
 		t.Error("token for an unserved algorithm did not 404")
 	}

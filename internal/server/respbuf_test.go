@@ -10,22 +10,23 @@ import (
 	"repro/internal/core"
 )
 
-// TestResponseBufferPoolReuse pins the hex path's buffer pooling: the
-// first request warms the pool, later ones reuse it, and the reuse
-// counter is exported on /metrics.
+// TestResponseBufferPoolReuse pins the chunk buffer pooling of the
+// addressed /stream path, the pool's only user: the first request warms
+// the pool, later ones reuse it, and the reuse counter is exported on
+// /metrics.
 func TestResponseBufferPoolReuse(t *testing.T) {
 	cfg := Config{Seed: 3, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
 	s, ts := newTestServer(t, cfg)
 
 	for i := 0; i < 3; i++ {
-		if status, _, _ := get(t, ts.URL+"/bytes?alg=grain&n=64&hex=1"); status != http.StatusOK {
+		if status, _, _ := get(t, ts.URL+"/stream?alg=grain&segment=1&n=64"); status != http.StatusOK {
 			t.Fatalf("request %d status %d", i, status)
 		}
 	}
 	// sync.Pool may drop buffers under GC pressure, so require only that
 	// reuse happened, not an exact count.
 	if got := s.respBufReused.Value(); got < 1 {
-		t.Fatalf("response buffer reuse counter = %d after 3 hex requests, want ≥ 1", got)
+		t.Fatalf("response buffer reuse counter = %d after 3 addressed streams, want ≥ 1", got)
 	}
 	status, body, _ := get(t, ts.URL+"/metrics")
 	if status != http.StatusOK {
@@ -38,8 +39,8 @@ func TestResponseBufferPoolReuse(t *testing.T) {
 
 // TestMixedHexBinaryContinuation alternates hex and binary requests on
 // one shard and checks the concatenated payloads are the canonical
-// stream — the binary WriteTo path and the buffered hex path share the
-// shard's cursor, including mid-chunk handoffs (n is never
+// stream — the hex writer wrapper advances the shard's cursor by exactly
+// n, like the binary path, including mid-chunk handoffs (n is never
 // chunk-aligned here).
 func TestMixedHexBinaryContinuation(t *testing.T) {
 	cfg := Config{Seed: 11, ShardsPerAlg: 1, WorkersPerShard: 2, StagingBytes: 2048}

@@ -33,14 +33,10 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,10 +51,10 @@ type Config struct {
 	// Seed is the deterministic base seed. Shard 0 of every algorithm
 	// serves exactly the byte stream of core.NewStream(alg, Seed, ...).
 	Seed uint64
-	// Algorithms to serve; nil means all four engines.
+	// Algorithms to serve; nil means core.ServedAlgorithms.
 	Algorithms []core.Algorithm
 	// ShardsPerAlg is the number of independent streams per algorithm
-	// (default 2). More shards = more concurrent /bytes requests per
+	// (default 2). More shards = more concurrent pooled requests per
 	// algorithm before checkout blocks.
 	ShardsPerAlg int
 	// WorkersPerShard is the core.Stream worker count per shard
@@ -70,7 +66,8 @@ type Config struct {
 	// core.DefaultLanes; see core.SupportedLanes). The served bytes are
 	// identical at every width.
 	Lanes int
-	// MaxRequestBytes caps n on /bytes (default 16 MiB).
+	// MaxRequestBytes caps n on /bytes and /stream, and is a /stream's
+	// default n (default 16 MiB).
 	MaxRequestBytes int64
 	// RequestTimeout bounds shard checkout + generation (default 30s).
 	RequestTimeout time.Duration
@@ -103,10 +100,11 @@ type Config struct {
 
 // Server owns the shard pools, the metrics registry and the HTTP mux.
 type Server struct {
-	cfg   Config
-	pools map[core.Algorithm]*pool
-	reg   *metrics.Registry
-	mux   *http.ServeMux
+	cfg    Config
+	limits Limits // the bounds ParseQuery enforces for this server
+	pools  map[core.Algorithm]*pool
+	reg    *metrics.Registry
+	mux    *http.ServeMux
 
 	mu       sync.RWMutex // guards draining against inflight.Add
 	draining bool
@@ -136,13 +134,14 @@ type Server struct {
 	healthQuarantined *metrics.LabeledGauge
 	admissionRejected *metrics.Counter
 
-	// respBufs recycles the per-request staging buffer of the hex
-	// response path (the binary path streams shard chunks zero-copy via
-	// WriteTo and needs no buffer). Get returns nil on a cold pool.
+	// respBufs recycles the per-request chunk buffer of addressed and
+	// lease /stream responses (pooled responses stream shard chunks
+	// zero-copy via WriteTo and need no buffer). Get returns nil on a
+	// cold pool.
 	respBufs      sync.Pool
 	respBufReused *metrics.Counter
 
-	// testHookServing, when set, runs while a /bytes request holds its
+	// testHookServing, when set, runs while a pooled request holds its
 	// shard — it lets tests freeze a request in flight.
 	testHookServing func()
 }
@@ -204,6 +203,14 @@ func New(cfg Config) (*Server, error) {
 		reg:   metrics.NewRegistry(),
 		mux:   http.NewServeMux(),
 	}
+	s.limits = Limits{
+		MaxBytes:         cfg.MaxRequestBytes,
+		MaxLeaseSegments: cfg.MaxLeaseSegments,
+		Served: func(alg core.Algorithm) bool {
+			_, ok := s.pools[alg]
+			return ok
+		},
+	}
 	s.bytesServed = s.reg.NewCounter("bsrngd_bytes_served_total",
 		"Random bytes delivered to clients.")
 	s.requests = s.reg.NewLabeledCounter("bsrngd_requests_total",
@@ -248,7 +255,7 @@ func New(cfg Config) (*Server, error) {
 	s.respBufReused = s.reg.NewCounter("bsrngd_response_buffers_reused_total",
 		"Per-request response buffers reused from the pool instead of freshly allocated.")
 	s.reg.NewGaugeFunc("bsrngd_inflight_requests",
-		"Concurrent /bytes requests currently being served.",
+		"Concurrent /bytes and /stream requests currently being served.",
 		func() float64 { return float64(s.inflightNow.Load()) })
 
 	for _, alg := range cfg.Algorithms {
@@ -309,8 +316,8 @@ func New(cfg Config) (*Server, error) {
 		"In-stream engine reseeds triggered by condemned segments, summed over shards.",
 		func() float64 { return float64(s.poolStats().EngineReseeds) })
 
-	s.mux.HandleFunc("GET /bytes", s.handleBytes)
-	s.mux.HandleFunc("GET /stream", s.handleStream)
+	s.mux.HandleFunc("GET /bytes", s.serve(EndpointBytes))
+	s.mux.HandleFunc("GET /stream", s.serve(EndpointStream))
 	s.mux.HandleFunc("POST /lease", s.handleLeaseCreate)
 	s.mux.HandleFunc("GET /lease/{id}", s.handleLeaseGet)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -343,8 +350,9 @@ func (s *Server) enter() bool {
 	return true
 }
 
-// Shutdown drains the service: new /bytes and /healthz requests get
-// 503, in-flight requests run to completion, then the stream pools are
+// Shutdown drains the service: new /bytes, /stream and /healthz
+// requests get 503, in-flight requests run to completion (an open
+// /stream ends at its next chunk boundary), then the stream pools are
 // closed. If ctx expires first the pools are closed anyway, cutting
 // stragglers short (their stream reads return core.ErrClosed), and the
 // context error is returned. Shutdown is idempotent.
@@ -416,175 +424,4 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.reg.WriteText(w)
-}
-
-// fail records and writes an error response for /bytes.
-func (s *Server) fail(w http.ResponseWriter, algLabel string, status int, msg string) {
-	s.requests.With(algLabel, strconv.Itoa(status)).Inc()
-	http.Error(w, msg, status)
-}
-
-func (s *Server) handleBytes(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	algName := q.Get("alg")
-	if algName == "" {
-		algName = "mickey"
-	}
-	alg, err := core.ParseAlgorithm(algName)
-	if err != nil {
-		s.fail(w, "invalid", http.StatusBadRequest, err.Error())
-		return
-	}
-	p, ok := s.pools[alg]
-	if !ok {
-		s.fail(w, alg.String(), http.StatusBadRequest,
-			fmt.Sprintf("algorithm %v not served", alg))
-		return
-	}
-	n := int64(32)
-	if v := q.Get("n"); v != "" {
-		n, err = strconv.ParseInt(v, 10, 64)
-		if err != nil || n <= 0 {
-			s.fail(w, alg.String(), http.StatusBadRequest, "n must be a positive integer")
-			return
-		}
-	}
-	if n > s.cfg.MaxRequestBytes {
-		s.fail(w, alg.String(), http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("n exceeds per-request cap %d", s.cfg.MaxRequestBytes))
-		return
-	}
-	useHex := false
-	if v := q.Get("hex"); v != "" && v != "0" && v != "false" {
-		useHex = true
-	}
-
-	if !s.enter() {
-		s.fail(w, alg.String(), http.StatusServiceUnavailable, "draining")
-		return
-	}
-	defer s.inflight.Done()
-
-	// Admission control: when the configured in-flight budget is spent
-	// (e.g. a quarantine shrank the pool under sustained load), shed the
-	// request immediately instead of piling it onto checkout.
-	n2 := s.inflightNow.Add(1)
-	defer s.inflightNow.Add(-1)
-	if s.cfg.MaxInflight > 0 && n2 > int64(s.cfg.MaxInflight) {
-		s.admissionRejected.Inc()
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, alg.String(), http.StatusTooManyRequests,
-			fmt.Sprintf("server at max in-flight requests (%d)", s.cfg.MaxInflight))
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	t0 := time.Now()
-	sh, err := p.checkout(ctx)
-	s.checkoutLat.Observe(time.Since(t0).Seconds())
-	if err != nil {
-		s.fail(w, alg.String(), http.StatusServiceUnavailable, "all shards busy")
-		return
-	}
-	st := sh.stream.Load()
-	s.shardsBusy.Add(1)
-	defer func() {
-		p.handback(sh)
-		s.shardsBusy.Add(-1)
-	}()
-	if s.testHookServing != nil {
-		s.testHookServing()
-	}
-
-	if useHex {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
-	}
-	w.Header().Set("X-Bsrng-Algorithm", alg.String())
-	w.Header().Set("X-Bsrng-Shard", strconv.Itoa(sh.id))
-
-	var served int64
-	if useHex {
-		served = s.serveHex(w, st, n)
-		fmt.Fprintln(w)
-	} else {
-		// Bulk path: the shard stream writes its staging chunks straight
-		// to the response — no per-request buffer, each byte copied once
-		// (chunk → ResponseWriter). The limit writer truncates the final
-		// chunk so the shard's stream cursor advances by exactly n and
-		// the next request resumes the deterministic stream mid-chunk.
-		lw := &limitedWriter{w: w, n: n}
-		served, err = st.WriteTo(lw)
-		_ = err // budget spent, client gone, or stream closed: served says how far we got
-	}
-	s.bytesServed.Add(uint64(served))
-	s.requests.With(alg.String(), strconv.Itoa(http.StatusOK)).Inc()
-}
-
-// respBufBytes is the hex path's per-request staging buffer size.
-const respBufBytes = 64 << 10
-
-// getRespBuf checks a response buffer out of the pool, counting reuse.
-func (s *Server) getRespBuf() []byte {
-	if b, ok := s.respBufs.Get().(*[]byte); ok {
-		s.respBufReused.Inc()
-		return *b
-	}
-	return make([]byte, respBufBytes)
-}
-
-// serveHex streams n bytes hex-encoded through a pooled buffer.
-func (s *Server) serveHex(w http.ResponseWriter, st *core.Stream, n int64) int64 {
-	buf := s.getRespBuf()
-	defer s.respBufs.Put(&buf)
-	enc := hex.NewEncoder(w)
-	var served int64
-	for served < n {
-		k := int64(len(buf))
-		if k > n-served {
-			k = n - served
-		}
-		if _, err := st.Read(buf[:k]); err != nil {
-			break // stream closed under us (forced shutdown); stop short
-		}
-		if _, err := enc.Write(buf[:k]); err != nil {
-			break // client went away
-		}
-		served += k
-	}
-	return served
-}
-
-// errResponseFull marks a response whose byte budget has been spent; it
-// stops Stream.WriteTo after exactly the requested count.
-var errResponseFull = errors.New("server: response budget spent")
-
-// limitedWriter forwards to w until n bytes have been written, then
-// fails with errResponseFull. An oversized write is truncated to the
-// remaining budget, so the source's cursor advances by exactly the
-// bytes the response consumed.
-type limitedWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (lw *limitedWriter) Write(p []byte) (int, error) {
-	if lw.n <= 0 {
-		return 0, errResponseFull
-	}
-	trunc := false
-	if int64(len(p)) > lw.n {
-		p = p[:lw.n]
-		trunc = true
-	}
-	k, err := lw.w.Write(p)
-	lw.n -= int64(k)
-	if err == nil && (trunc || lw.n == 0) {
-		err = errResponseFull
-	}
-	return k, err
 }

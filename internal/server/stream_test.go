@@ -285,7 +285,7 @@ func TestByteCapsAndAdmissionAcrossEndpoints(t *testing.T) {
 	}
 	ts := newHTTPTestServer(t, s)
 
-	leaseID := lease{Alg: core.GRAIN, Domain: leaseDomainBase + 9, Segments: 4}.id()
+	leaseID := Lease{Alg: core.GRAIN, Domain: leaseDomainBase + 9, Segments: 4}.id()
 	paths := []struct {
 		name string
 		path string // without n
@@ -372,7 +372,7 @@ func TestStreamParamValidation(t *testing.T) {
 		MaxRequestBytes: 8192,
 	}
 	_, ts := newTestServer(t, cfg)
-	lease2 := lease{Alg: core.GRAIN, Domain: leaseDomainBase + 1, Segments: 2}.id()
+	lease2 := Lease{Alg: core.GRAIN, Domain: leaseDomainBase + 1, Segments: 2}.id()
 
 	cases := []struct {
 		name string
