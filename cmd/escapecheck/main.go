@@ -61,9 +61,11 @@ var hotFuncs = map[string][]string{
 		// Stream steady state: the chunk pipeline and its workers.
 		"Read", "WriteTo", "NextChunk", "Recycle", "advance", "run", "checkSegment",
 		// Generator/engine steady state.
-		"fillPass", "advancePass", "nextBlock", "nextBlocks", "blockBytes", "seek",
+		"fillPass", "advancePass", "rekey", "nextBlock", "nextBlocks", "blockBytes",
+		// Gathered-pass window source steady state.
+		"ReadWindow", "lead", "gather", "runPass", "key", "pass",
 		// Per-segment-window material derivation (in place by design).
-		"derive", "next", "fill", "deriveChaoticX0s",
+		"derive", "deriveLane", "keyPass", "next", "fill", "deriveChaoticX0s", "chaoticX0",
 	},
 	"internal/bitslice": {
 		// PackBits/UnpackBits/PackWords/UnpackWords/ExtractLane allocate

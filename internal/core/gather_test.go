@@ -1,0 +1,262 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// segmentReaderWindow is the reference for every gathered window: the
+// same bytes read through a freshly positioned NewSegmentReader.
+func segmentReaderWindow(t testing.TB, alg Algorithm, seed, domain, offset uint64, n int) []byte {
+	t.Helper()
+	r, err := NewSegmentReader(alg, seed, domain, 0, offset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, n)
+	if _, err := io.ReadFull(r, want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// A gathered window is byte-identical to the SegmentReader window at the
+// same address, for every served algorithm and for windows that start
+// and end mid-segment, span more than one pass, or share a segment.
+func TestWindowSourceMatchesSegmentReader(t *testing.T) {
+	windows := []struct {
+		domain, offset uint64
+		n              int
+	}{
+		{0, 0, 1},
+		{1, 777, 4096},
+		{1, 777, 100},                       // same segment as the window above
+		{3, 5 * SegmentBytes, SegmentBytes}, // one whole segment, filled in place
+		{2, 1000*SegmentBytes + 2047, 2},    // straddles a segment boundary
+		{9, 12345, 70 * SegmentBytes},       // more than one pass of demands
+	}
+	for _, alg := range ServedAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			ws, err := NewWindowSource(alg, 21, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			got := make([][]byte, len(windows))
+			errs := make([]error, len(windows))
+			for i, w := range windows {
+				got[i] = make([]byte, w.n)
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = ws.ReadWindow(got[i], windows[i].domain, windows[i].offset)
+				}(i)
+			}
+			wg.Wait()
+			for i, w := range windows {
+				if errs[i] != nil {
+					t.Fatalf("window %d: %v", i, errs[i])
+				}
+				if want := segmentReaderWindow(t, alg, 21, w.domain, w.offset, w.n); !bytes.Equal(got[i], want) {
+					t.Errorf("window %d (domain %d, offset %d, n %d) diverges from NewSegmentReader", i, w.domain, w.offset, w.n)
+				}
+			}
+		})
+	}
+}
+
+func TestWindowSourceRejectsOutOfRange(t *testing.T) {
+	ws, err := NewWindowSource(GRAIN, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ws.ReadWindow(make([]byte, 8), 0, maxSegmentIndex*SegmentBytes-4); err == nil {
+		t.Error("window past the last addressable segment accepted")
+	}
+	if err := ws.ReadWindow(make([]byte, 8), 0, ^uint64(0)-3); err == nil {
+		t.Error("wrapping window accepted")
+	}
+	if err := ws.ReadWindow(nil, 0, ^uint64(0)); err != nil {
+		t.Errorf("empty window: %v", err)
+	}
+	if _, err := NewWindowSource(Algorithm(99), 1, nil); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+}
+
+// Concurrent windows share passes: with the first pass held until all
+// eight callers are queued, eight 8 KiB windows (four or five segments
+// each) take one pass instead of eight — and each caller still gets its
+// own bytes.
+func TestWindowSourceSharesPasses(t *testing.T) {
+	const callers = 8
+	var passes, lanes atomic.Int64
+	ws, err := NewWindowSource(TRIVIUM, 4, func(n int) {
+		passes.Add(1)
+		lanes.Add(int64(n))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	ws.testHookPass = func() {
+		once.Do(func() {
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				ws.mu.Lock()
+				queued := len(ws.pending)
+				ws.mu.Unlock()
+				if queued == callers || time.Now().After(deadline) {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+
+	var wg sync.WaitGroup
+	got := make([][]byte, callers)
+	for i := range got {
+		got[i] = make([]byte, 8<<10)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := ws.ReadWindow(got[i], uint64(i), uint64(i)*1000); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if p := passes.Load(); p >= callers {
+		t.Fatalf("%d concurrent windows ran %d passes, want fewer than %d", callers, p, callers)
+	}
+	if l := lanes.Load(); l < callers*4 || l > callers*5 {
+		t.Errorf("passes served %d lanes, want one per touched segment (%d..%d)", l, callers*4, callers*5)
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], segmentReaderWindow(t, TRIVIUM, 4, uint64(i), uint64(i)*1000, len(got[i]))) {
+			t.Errorf("caller %d got the wrong window", i)
+		}
+	}
+	if ws.leading || len(ws.pending) != 0 {
+		t.Error("source left a leader or pending demands behind")
+	}
+}
+
+// A warm 8 KiB window read allocates nothing: the request record and the
+// pass scratch come from free lists, and keying a lane derives its material
+// in place.
+func TestWindowSourceReadAllocs(t *testing.T) {
+	for _, alg := range ServedAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			ws, err := NewWindowSource(alg, 8, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 8<<10)
+			off := uint64(3*SegmentBytes + 5)
+			if err := ws.ReadWindow(buf, 1, off); err != nil {
+				t.Fatal(err)
+			}
+			if avg := testing.AllocsPerRun(10, func() {
+				off += uint64(len(buf))
+				ws.ReadWindow(buf, 1, off)
+			}); avg != 0 {
+				t.Fatalf("warm 8 KiB window read allocates %.1f times, want 0", avg)
+			}
+		})
+	}
+}
+
+// FuzzGatheredWindows reads a fuzzer-chosen set of windows concurrently
+// through gathered sources and checks each against NewSegmentReader.
+// Each 12-byte record of raw is one window: algorithm, domain, offset
+// and length.
+func FuzzGatheredWindows(f *testing.F) {
+	rec := func(alg, domain byte, offset uint64, n uint16) []byte {
+		b := []byte{alg, domain}
+		b = binary.LittleEndian.AppendUint64(b, offset)
+		return binary.LittleEndian.AppendUint16(b, n)
+	}
+	cat := func(rs ...[]byte) []byte { return bytes.Join(rs, nil) }
+	f.Add(uint64(1), cat(rec(1, 0, 0, 4096)))
+	f.Add(uint64(2), cat(rec(3, 1, 777, 8192), rec(3, 1, 2047, 3), rec(3, 2, 777, 8192)))
+	f.Add(uint64(3), cat(rec(2, 0, 64*SegmentBytes-1, 4000), rec(5, 7, 1<<40, 2048), rec(4, 3, 0, 1)))
+
+	f.Fuzz(func(t *testing.T, seed uint64, raw []byte) {
+		type window struct {
+			alg            Algorithm
+			domain, offset uint64
+			p              []byte
+		}
+		var windows []window
+		for len(raw) >= 12 && len(windows) < 8 {
+			n := int(binary.LittleEndian.Uint16(raw[10:]))%(16<<10) + 1
+			windows = append(windows, window{
+				alg:    ServedAlgorithms[int(raw[0])%len(ServedAlgorithms)],
+				domain: uint64(raw[1] % 4),
+				offset: binary.LittleEndian.Uint64(raw[2:]) % (maxSegmentIndex*SegmentBytes - uint64(n)),
+				p:      make([]byte, n),
+			})
+			raw = raw[12:]
+		}
+		sources := map[Algorithm]*WindowSource{}
+		for _, w := range windows {
+			if sources[w.alg] == nil {
+				ws, err := NewWindowSource(w.alg, seed, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sources[w.alg] = ws
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, len(windows))
+		for i := range windows {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				w := windows[i]
+				errs[i] = sources[w.alg].ReadWindow(w.p, w.domain, w.offset)
+			}(i)
+		}
+		wg.Wait()
+		for i, w := range windows {
+			if errs[i] != nil {
+				t.Fatalf("window %d: %v", i, errs[i])
+			}
+			if !bytes.Equal(w.p, segmentReaderWindow(t, w.alg, seed, w.domain, w.offset, len(w.p))) {
+				t.Fatalf("window %d (%v, domain %d, offset %d, n %d) diverges from NewSegmentReader",
+					i, w.alg, w.domain, w.offset, len(w.p))
+			}
+		}
+	})
+}
+
+// FuzzParseAlgorithm: any name ParseAlgorithm accepts renders through
+// String to a canonical name that parses back to the same algorithm and
+// is its own canonical form; no input panics.
+func FuzzParseAlgorithm(f *testing.F) {
+	for _, s := range []string{"mickey", " AES ", "aes-ctr", "Chaotic(Trivium)", "chaotic(chaotic(grain))", "chaotic(", "xorgens)", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		alg, err := ParseAlgorithm(s)
+		if err != nil {
+			return
+		}
+		name := alg.String()
+		back, err := ParseAlgorithm(name)
+		if err != nil {
+			t.Fatalf("%q parses to %v, whose name %q does not parse: %v", s, alg, name, err)
+		}
+		if back != alg || back.String() != name {
+			t.Fatalf("%q → %v → %q → %v: round trip changed the algorithm", s, alg, name, back)
+		}
+	})
+}

@@ -174,7 +174,7 @@ type engine interface {
 // segmented drives a wide-lane cipher through the segment stream: one
 // lock-step pass fills `lanes` segment buffers (lane l = segment base+l),
 // nextBlock hands them out in order, and an exhausted pass rekeys the
-// cipher for the next `lanes` segment indices via the rekey hook.
+// cipher for the next `lanes` segment indices.
 //
 // The pass destination is chosen per fill: nextBlocks aims as many lane
 // buffers as fit directly at the caller's destination (the cipher then
@@ -183,29 +183,57 @@ type engine interface {
 // later copy-out. The private buffers also carry every health-reseed
 // regeneration — see reseed.
 type segmented struct {
-	lanes  int
-	priv   [][]byte // lanes × SegmentBytes private buffers, one backing array
-	cur    [][]byte // current pass destination per lane: priv[l] or a dst subslice
-	emit   int      // next segment slot to hand out
-	filled bool     // cur[emit..lanes-1] hold generated segments
-	base   uint64   // absolute segment index of the current pass's slot 0
-	epoch  uint64   // reseed generation; 0 = canonical stream
-	rekey  func(base, epoch uint64) error
-	fill   func(bufs [][]byte) error
+	lanes        int
+	priv         [][]byte // lanes × SegmentBytes private buffers, one backing array
+	cur          [][]byte // current pass destination per lane: priv[l] or a dst subslice
+	emit         int      // next segment slot to hand out
+	filled       bool     // cur[emit..lanes-1] hold generated segments
+	base         uint64   // absolute segment index of the current pass's slot 0
+	epoch        uint64   // reseed generation; 0 = canonical stream
+	seed, domain uint64
+	c            *laneCipher
 }
 
-func newSegmented(lanes int, rekey func(base, epoch uint64) error, fill func([][]byte) error) *segmented {
-	e := &segmented{lanes: lanes, rekey: rekey, fill: fill}
+// newSegmented builds the engine of one (seed, domain) pair at the given
+// lane width (0 = DefaultLanes), keyed once, directly for the pass whose
+// slot 0 is absolute segment index base. The emitted byte stream is
+// identical at every supported width.
+func newSegmented(alg Algorithm, seed, domain uint64, lanes int, base uint64) (*segmented, error) {
+	if lanes == 0 {
+		lanes = DefaultLanes
+	}
+	c, err := newLaneCipher(alg, lanes, seed, domain, base)
+	if err != nil {
+		return nil, err
+	}
+	e := &segmented{lanes: lanes, base: base, seed: seed, domain: domain, c: c}
 	backing := make([]byte, lanes*SegmentBytes)
 	e.priv = make([][]byte, lanes)
 	e.cur = make([][]byte, lanes)
 	for l := range e.priv {
 		e.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
-	// The engine arrives keyed for pass 0 (base 0, epoch 0); the pass is
-	// generated lazily on the first emit so it can land directly in the
-	// first caller's destination.
-	return e
+	// The pass is generated lazily on the first emit so it can land
+	// directly in the first caller's destination.
+	return e, nil
+}
+
+// newEngine builds a fully-seeded engine for one (seed, domain) pair,
+// positioned at segment 0.
+func newEngine(alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
+	e, err := newSegmented(alg, seed, domain, lanes, 0)
+	if err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// rekey keys every lane for the pass at e.base under e.epoch.
+func (e *segmented) rekey() {
+	e.c.keyPass(e.seed, e.domain, e.base, e.epoch)
+	if err := e.c.reseed(); err != nil {
+		panic("core: segment rekey failed: " + err.Error())
+	}
 }
 
 // fillPass generates the current pass. Lanes whose segment slots land
@@ -222,7 +250,7 @@ func (e *segmented) fillPass(dst []byte) {
 		e.cur[l] = dst[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
 	copy(e.cur[direct:], e.priv[direct:])
-	if err := e.fill(e.cur); err != nil {
+	if err := e.c.pass(e.cur); err != nil {
 		panic("core: segment fill failed: " + err.Error())
 	}
 	e.filled = true
@@ -231,9 +259,7 @@ func (e *segmented) fillPass(dst []byte) {
 // advancePass rekeys the cipher for the next `lanes` segment indices.
 func (e *segmented) advancePass() {
 	e.base += uint64(e.lanes)
-	if err := e.rekey(e.base, e.epoch); err != nil {
-		panic("core: segment rekey failed: " + err.Error())
-	}
+	e.rekey()
 	e.emit = 0
 	e.filled = false
 }
@@ -298,135 +324,134 @@ func (e *segmented) reseed() {
 		e.emit--
 	}
 	copy(e.cur, e.priv)
-	if err := e.rekey(e.base, e.epoch); err != nil {
-		panic("core: segment rekey failed: " + err.Error())
-	}
-	if err := e.fill(e.cur); err != nil {
+	e.rekey()
+	if err := e.c.pass(e.cur); err != nil {
 		panic("core: segment fill failed: " + err.Error())
 	}
 	e.filled = true
 }
 
-// newEngine builds a fully-seeded engine for one (seed, domain) pair at
-// the given lane width (0 = DefaultLanes). The emitted byte stream is
-// identical at every supported width.
-func newEngine(alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
+// laneCipher is one keyed lock-step cipher: its per-lane key/IV
+// material, the reseed that loads that material into every lane, and
+// the pass that fills one segment buffer per lane. Lanes are independent
+// cipher instances, so each may be keyed for any (domain, segment) — the
+// segmented engine keys them for consecutive segments of one stream, a
+// WindowSource for whatever segments its callers are waiting on.
+// Chaotic modes carry a per-lane orbit start x0 and post-process every
+// lane's segment after the fill.
+type laneCipher struct {
+	mat    *laneMaterial
+	x0s    []uint64 // chaotic modes only
+	reseed func() error
+	fill   func(bufs [][]byte) error
+}
+
+// key derives lane l's material for segment seg of (seed, domain).
+func (c *laneCipher) key(l int, seed, domain, seg, epoch uint64) {
+	c.mat.deriveLane(l, seed, domain, seg, epoch)
+	if c.x0s != nil {
+		c.x0s[l] = chaoticX0(seed, domain, seg, epoch)
 	}
+}
+
+// keyPass derives the material of segments base..base+lanes-1, lane l
+// for segment base+l.
+func (c *laneCipher) keyPass(seed, domain, base, epoch uint64) {
+	c.mat.derive(seed, domain, base, epoch)
+	deriveChaoticX0s(c.x0s, seed, domain, base, epoch)
+}
+
+// pass fills one SegmentBytes buffer per lane.
+func (c *laneCipher) pass(bufs [][]byte) error {
+	if err := c.fill(bufs); err != nil {
+		return err
+	}
+	for l, x0 := range c.x0s {
+		chaotic.Post(bufs[l], x0)
+	}
+	return nil
+}
+
+// newLaneCipher builds the cipher of alg at a supported lane width,
+// keyed for segments base..base+lanes-1 of (seed, domain): construction
+// is the only keying an engine pays for its first pass.
+func newLaneCipher(alg Algorithm, lanes int, seed, domain, base uint64) (*laneCipher, error) {
 	switch lanes {
 	case 64:
-		return newEngineWidth[bitslice.V64](alg, seed, domain, lanes)
+		return newCipherWidth[bitslice.V64](alg, lanes, seed, domain, base)
 	case 256:
-		return newEngineWidth[bitslice.V256](alg, seed, domain, lanes)
+		return newCipherWidth[bitslice.V256](alg, lanes, seed, domain, base)
 	case 512:
-		return newEngineWidth[bitslice.V512](alg, seed, domain, lanes)
+		return newCipherWidth[bitslice.V512](alg, lanes, seed, domain, base)
 	}
 	return nil, fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
 }
 
-func newEngineWidth[V bitslice.Vec](alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
-	rekey, fill, err := newCipherWidth[V](alg.Base(), seed, domain, lanes)
-	if err != nil {
+// cipherRow is one base engine's entry in the cipher table: its key and
+// IV sizes, and the constructor that keys a cipher from mat and returns
+// its reseed and fill hooks. The ciphers copy the material into their
+// own state and never retain the slices, so one laneMaterial scratch
+// serves every rekey and the steady state allocates nothing.
+type cipherRow struct {
+	keyLen, ivLen int
+	build         func(mat *laneMaterial) (reseed func() error, fill func([][]byte) error, err error)
+}
+
+// newCipherWidth builds alg's cipher at vector width V from its row of
+// the cipher table, keyed as newLaneCipher describes.
+func newCipherWidth[V bitslice.Vec](alg Algorithm, lanes int, seed, domain, base uint64) (*laneCipher, error) {
+	table := [...]cipherRow{
+		MICKEY: {mickey.KeySize, mickey.MaxIVBits / 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
+			c, err := mickey.NewSlicedVec[V](m.keys, m.ivs, mickey.MaxIVBits)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error { return c.Reseed(m.keys, m.ivs, mickey.MaxIVBits) }, c.Keystream, nil
+		}},
+		GRAIN: {grain.KeySize, grain.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
+			c, err := grain.NewSlicedVec[V](m.keys, m.ivs)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
+		}},
+		AESCTR: {16, 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
+			c, err := aes.NewSlicedCTRVec[V](m.keys, m.ivs)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
+		}},
+		TRIVIUM: {trivium.KeySize, trivium.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
+			c, err := trivium.NewSlicedVec[V](m.keys, m.ivs)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
+		}},
+		XORGENS: {xorgens.KeySize, xorgens.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
+			c, err := xorgens.NewSlicedVec[V](m.keys, m.ivs)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
+		}},
+	}
+	baseAlg := alg.Base()
+	if baseAlg < 0 || int(baseAlg) >= len(table) {
+		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	}
+	row := table[baseAlg]
+	c := &laneCipher{mat: newLaneMaterial(lanes, row.keyLen, row.ivLen)}
+	if alg.IsChaotic() {
+		c.x0s = make([]uint64, lanes)
+	}
+	c.keyPass(seed, domain, base, 0)
+	var err error
+	if c.reseed, c.fill, err = row.build(c.mat); err != nil {
 		return nil, err
 	}
-	if alg.IsChaotic() {
-		rekey, fill = chaoticWrap(seed, domain, lanes, rekey, fill)
-	}
-	return newSegmented(lanes, rekey, fill), nil
-}
-
-// chaoticWrap layers the chaotic-iterations post-processing mode over a
-// cipher's rekey/fill pair: after every lock-step fill, each lane's
-// segment is passed through chaotic.Post with a per-(segment, epoch)
-// initial word x_0 drawn from the seed schedule under its own domain
-// tweak (so the orbit start is decorrelated from the inner key
-// material). x_0 depends on the absolute segment index base+l, never on
-// the lane count, preserving the canonical-stream property.
-func chaoticWrap(seed, domain uint64, lanes int, rekey func(base, epoch uint64) error, fill func([][]byte) error) (func(base, epoch uint64) error, func([][]byte) error) {
-	x0s := make([]uint64, lanes)
-	deriveChaoticX0s(x0s, seed, domain, 0, 0)
-	wrappedRekey := func(base, epoch uint64) error {
-		deriveChaoticX0s(x0s, seed, domain, base, epoch)
-		return rekey(base, epoch)
-	}
-	wrappedFill := func(bufs [][]byte) error {
-		if err := fill(bufs); err != nil {
-			return err
-		}
-		for l, b := range bufs {
-			chaotic.Post(b, x0s[l])
-		}
-		return nil
-	}
-	return wrappedRekey, wrappedFill
-}
-
-// newCipherWidth builds the keyed cipher for one base engine and returns
-// its segment-pass (rekey, fill) hooks.
-func newCipherWidth[V bitslice.Vec](alg Algorithm, seed, domain uint64, lanes int) (func(base, epoch uint64) error, func([][]byte) error, error) {
-	// Each engine owns one laneMaterial scratch: every rekey at a segment
-	// pass boundary rederives key/IV material in place, so the steady
-	// state allocates nothing. The cipher Reseed implementations copy the
-	// material into their own state and never retain the slices.
-	switch alg {
-	case MICKEY:
-		mat := newLaneMaterial(lanes, mickey.KeySize, 10)
-		mat.derive(seed, domain, 0, 0)
-		m, err := mickey.NewSlicedVec[V](mat.keys, mat.ivs, mickey.MaxIVBits)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(base, epoch uint64) error {
-			mat.derive(seed, domain, base, epoch)
-			return m.Reseed(mat.keys, mat.ivs, mickey.MaxIVBits)
-		}, m.Keystream, nil
-	case GRAIN:
-		mat := newLaneMaterial(lanes, grain.KeySize, grain.IVSize)
-		mat.derive(seed, domain, 0, 0)
-		g, err := grain.NewSlicedVec[V](mat.keys, mat.ivs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(base, epoch uint64) error {
-			mat.derive(seed, domain, base, epoch)
-			return g.Reseed(mat.keys, mat.ivs)
-		}, g.Keystream, nil
-	case AESCTR:
-		mat := newLaneMaterial(lanes, 16, 8)
-		mat.derive(seed, domain, 0, 0)
-		g, err := aes.NewSlicedCTRVec[V](mat.keys, mat.ivs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(base, epoch uint64) error {
-			mat.derive(seed, domain, base, epoch)
-			return g.Reseed(mat.keys, mat.ivs)
-		}, g.Keystream, nil
-	case TRIVIUM:
-		mat := newLaneMaterial(lanes, trivium.KeySize, trivium.IVSize)
-		mat.derive(seed, domain, 0, 0)
-		t, err := trivium.NewSlicedVec[V](mat.keys, mat.ivs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(base, epoch uint64) error {
-			mat.derive(seed, domain, base, epoch)
-			return t.Reseed(mat.keys, mat.ivs)
-		}, t.Keystream, nil
-	case XORGENS:
-		mat := newLaneMaterial(lanes, xorgens.KeySize, xorgens.IVSize)
-		mat.derive(seed, domain, 0, 0)
-		x, err := xorgens.NewSlicedVec[V](mat.keys, mat.ivs)
-		if err != nil {
-			return nil, nil, err
-		}
-		return func(base, epoch uint64) error {
-			mat.derive(seed, domain, base, epoch)
-			return x.Reseed(mat.keys, mat.ivs)
-		}, x.Keystream, nil
-	}
-	return nil, nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	return c, nil
 }
 
 // Generator is a deterministic single-engine BSRNG byte stream: one

@@ -17,28 +17,17 @@ import "fmt"
 // arithmetic (index * SegmentBytes) can never wrap a uint64.
 const maxSegmentIndex = uint64(1) << 52
 
-// seek repositions the engine at the start of the pass whose first slot
-// is absolute segment index base, discarding any partially-emitted
-// pass. The epoch is preserved (0 on the canonical stream).
-func (e *segmented) seek(base uint64) {
-	e.base = base
-	if err := e.rekey(base, e.epoch); err != nil {
-		panic("core: segment rekey failed: " + err.Error())
-	}
-	e.emit = 0
-	e.filled = false
-}
-
 // NewSegmentReader returns a Generator positioned at absolute byte
 // offset `offset` of the canonical (seed, domain) stream: the first
 // byte it reads is byte `offset` of the stream a zero-offset reader
 // would produce. domain 0 with lanes DefaultLanes is exactly the
 // NewGenerator stream; worker w of a Stream serves domain w+1.
 //
-// The reader is keyed directly for segment offset/SegmentBytes — no
-// bytes before the offset are generated — so positioning cost is one
-// rekey plus, for a mid-segment offset, one segment of keystream. The
-// returned bytes are identical at every supported lane width.
+// The reader's engine is keyed once, directly for the pass starting at
+// segment offset/SegmentBytes — no bytes before the offset are generated
+// — so positioning costs one keying plus, for a mid-segment offset, one
+// segment of keystream. The returned bytes are identical at every
+// supported lane width.
 func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
 	if lanes == 0 {
 		lanes = DefaultLanes
@@ -47,16 +36,9 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 	if seg >= maxSegmentIndex {
 		return nil, fmt.Errorf("core: segment index %d out of range (max %d)", seg, maxSegmentIndex)
 	}
-	eng, err := newEngine(alg, seed, domain, lanes)
+	eng, err := newSegmented(alg, seed, domain, lanes, seg)
 	if err != nil {
 		return nil, err
-	}
-	if seg != 0 {
-		se, ok := eng.(*segmented)
-		if !ok {
-			return nil, fmt.Errorf("core: engine for %v does not support positioning", alg)
-		}
-		se.seek(seg)
 	}
 	g := &Generator{alg: alg, lanes: lanes, eng: eng}
 	g.buf = make([]byte, eng.blockBytes())

@@ -87,15 +87,20 @@ func newLaneMaterial(lanes, keyLen, ivLen int) *laneMaterial {
 const chaoticSeedTweak = 0x6A09E667F3BCC908 // frac(sqrt(2)), SHA-512 IV word
 
 // deriveChaoticX0s fills x0s with the chaotic-mode initial words of
-// segments base..base+len(x0s)-1. Like segmentMaterial, the value of
-// lane l depends only on (seed, domain, base+l, epoch) — never the lane
-// count — so chaotic modes keep the canonical-stream property.
+// segments base..base+len(x0s)-1.
 func deriveChaoticX0s(x0s []uint64, seed, domain, base, epoch uint64) {
 	for l := range x0s {
-		sm := splitMix64{s: seed ^ chaoticSeedTweak ^ 0xA5A5A5A55A5A5A5A*domain ^ 0xD1342543DE82EF95*(base+uint64(l)) ^ 0x8CB92BA72F3D8DD7*epoch}
-		sm.next()
-		x0s[l] = sm.next()
+		x0s[l] = chaoticX0(seed, domain, base+uint64(l), epoch)
 	}
+}
+
+// chaoticX0 is the chaotic-mode initial word of segment seg. Like the
+// key/IV material, it depends only on (seed, domain, seg, epoch) — never
+// the lane count — so chaotic modes keep the canonical-stream property.
+func chaoticX0(seed, domain, seg, epoch uint64) uint64 {
+	sm := splitMix64{s: seed ^ chaoticSeedTweak ^ 0xA5A5A5A55A5A5A5A*domain ^ 0xD1342543DE82EF95*seg ^ 0x8CB92BA72F3D8DD7*epoch}
+	sm.next()
+	return sm.next()
 }
 
 // derive overwrites the scratch with the material of segments
@@ -103,10 +108,16 @@ func deriveChaoticX0s(x0s []uint64, seed, domain, base, epoch uint64) {
 // same arguments.
 func (m *laneMaterial) derive(seed, domain, base, epoch uint64) {
 	for l := range m.keys {
-		sm := splitMix64{s: seed ^ 0xA5A5A5A55A5A5A5A*domain ^ 0xD1342543DE82EF95*(base+uint64(l)) ^ 0x8CB92BA72F3D8DD7*epoch}
-		// One warm-up draw decorrelates small seed/domain/segment tuples.
-		sm.next()
-		sm.fill(m.keys[l])
-		sm.fill(m.ivs[l])
+		m.deriveLane(l, seed, domain, base+uint64(l), epoch)
 	}
+}
+
+// deriveLane overwrites lane l's key and IV with the material of segment
+// seg of (seed, domain): the one definition of the per-segment PRF.
+func (m *laneMaterial) deriveLane(l int, seed, domain, seg, epoch uint64) {
+	sm := splitMix64{s: seed ^ 0xA5A5A5A55A5A5A5A*domain ^ 0xD1342543DE82EF95*seg ^ 0x8CB92BA72F3D8DD7*epoch}
+	// One warm-up draw decorrelates small seed/domain/segment tuples.
+	sm.next()
+	sm.fill(m.keys[l])
+	sm.fill(m.ivs[l])
 }

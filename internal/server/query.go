@@ -41,8 +41,6 @@ type Query struct {
 	// N is the byte count to serve, or the lease size in segments on
 	// POST /lease.
 	N int64
-	// Lanes is the requested datapath width (0 = default).
-	Lanes int
 	// Hex selects hex-encoded output (/bytes only).
 	Hex bool
 
@@ -112,8 +110,14 @@ func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError
 			if err != nil {
 				return q, badRequest("invalid lease token: %v", err)
 			}
-			if a := v.Get("alg"); a != "" && a != l.Alg.String() {
-				return q, badRequest("alg=%s contradicts the lease's algorithm %s", a, l.Alg)
+			if a := v.Get("alg"); a != "" {
+				alg, err := core.ParseAlgorithm(a)
+				if err != nil {
+					return q, badRequest("%v", err)
+				}
+				if alg != l.Alg {
+					return q, badRequest("alg=%s contradicts the lease's algorithm %s", a, l.Alg)
+				}
 			}
 			if off >= l.Bytes() {
 				return q, &httpError{http.StatusRequestedRangeNotSatisfiable,
@@ -168,11 +172,12 @@ func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError
 		q.Offset = seg*core.SegmentBytes + off
 	}
 	if s := v.Get("lanes"); s != "" && q.Mode != ModePooled {
-		lanes, err := strconv.Atoi(s)
-		if err != nil || core.ValidateLanes(lanes) != nil {
+		// Still validated, but no longer a choice: windows are served by
+		// 64-lane gathered passes, and the bytes are identical at every
+		// width.
+		if lanes, err := strconv.Atoi(s); err != nil || core.ValidateLanes(lanes) != nil {
 			return q, badRequest("lanes must be one of %v", core.SupportedLanes)
 		}
-		q.Lanes = lanes
 	}
 
 	q.N = 32

@@ -27,14 +27,21 @@ import (
 //
 //   - addressed (/stream with segment=, domain=, off= or lanes=): the
 //     request names a window of the deterministic (seed, domain,
-//     segment) address space and is served by a per-request
-//     core.SegmentReader — no shard is held, the response is
-//     byte-reproducible by anyone holding the seed, and lanes= selects
-//     the datapath width (the bytes are identical at every width).
+//     segment) address space and reads it through the algorithm's
+//     core.WindowSource — no shard is held, and the response is
+//     byte-reproducible by anyone holding the seed. The source packs the
+//     segments of every concurrent addressed and lease request into
+//     shared 64-lane passes (DESIGN.md §12.5). lanes= is validated but
+//     picks nothing: the bytes are identical at every width.
 //
 //   - lease (/stream?lease=<id>): like addressed, but the window comes
 //     from a lease token issued by POST /lease; off= resumes mid-window
 //     after a disconnect (absolute resume position = lease start + off).
+//
+// Addressed and lease responses are copied in chunks of at most one
+// pass (64 segments) through a buffer sized to the response; chunks
+// after the first are segment-aligned, so a long window fills whole
+// passes.
 //
 // The source writes into one writer stack. limitedWriter stops it after
 // exactly n bytes, so a shard stream's cursor advances by exactly what
@@ -127,15 +134,15 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 			// a closed stream; served says how far the response got.
 			served, _ = sh.stream.Load().WriteTo(lw)
 		} else {
-			src, err := core.NewSegmentReader(q.Alg, s.cfg.Seed, q.Domain, q.Lanes, q.Offset)
+			src, err := s.windowSource(q.Alg)
 			if err != nil {
 				s.fail(w, endpoint, &q, badRequest("%v", err))
 				return
 			}
 			h.Set("X-Bsrng-Domain", strconv.FormatUint(q.Domain, 10))
 			h.Set("X-Bsrng-Offset", strconv.FormatUint(q.Offset, 10))
-			buf := s.getRespBuf()
-			served, _ = streamCopy(lw, src, buf, q.N)
+			buf := s.getRespBuf(int(min(q.N, respBufBytes)))
+			served, _ = streamWindow(lw, src, q.Domain, q.Offset, buf, q.N)
 			s.respBufs.Put(&buf)
 		}
 
@@ -176,16 +183,19 @@ func (s *Server) record(endpoint string, q *Query, status int) {
 	}
 }
 
-// respBufBytes is the chunk size of the addressed and lease paths.
-const respBufBytes = 64 << 10
+// respBufBytes caps the chunk buffer of the addressed and lease paths:
+// one 64-lane pass of segments.
+const respBufBytes = 64 * core.SegmentBytes
 
-// getRespBuf checks a chunk buffer out of the pool, counting reuse.
-func (s *Server) getRespBuf() []byte {
-	if b, ok := s.respBufs.Get().(*[]byte); ok {
+// getRespBuf checks a chunk buffer of n bytes out of the pool, counting
+// reuse. A pooled buffer too small for n is dropped for a new one, so
+// the pool settles on the sizes the traffic asks for.
+func (s *Server) getRespBuf(n int) []byte {
+	if b, ok := s.respBufs.Get().(*[]byte); ok && cap(*b) >= n {
 		s.respBufReused.Inc()
-		return *b
+		return (*b)[:n]
 	}
-	return make([]byte, respBufBytes)
+	return make([]byte, n)
 }
 
 // errResponseFull marks a response whose byte budget has been spent; it
@@ -218,17 +228,20 @@ func (lw *limitedWriter) Write(p []byte) (int, error) {
 	return k, err
 }
 
-// streamCopy pumps n bytes from src (an infallible reader: a
-// SegmentReader) to w in len(buf)-sized chunks. It stops at w's first
-// error — disconnect, drain — and reports how far it got.
-func streamCopy(w io.Writer, src io.Reader, buf []byte, n int64) (int64, error) {
+// streamWindow pumps the n bytes at (domain, offset) from src to w in
+// chunks of at most len(buf). A chunk that does not finish the response
+// ends on a segment boundary, so a long window's chunks after the first
+// are whole 64-segment passes. It stops at w's first error — disconnect,
+// drain — and reports how far it got.
+func streamWindow(w io.Writer, src *core.WindowSource, domain, offset uint64, buf []byte, n int64) (int64, error) {
 	var served int64
 	for served < n {
-		k := int64(len(buf))
-		if k > n-served {
-			k = n - served
+		pos := offset + uint64(served)
+		k := n - served
+		if k > int64(len(buf)) {
+			k = int64(len(buf)) - int64(pos%core.SegmentBytes)
 		}
-		if _, err := src.Read(buf[:k]); err != nil {
+		if err := src.ReadWindow(buf[:k], domain, pos); err != nil {
 			return served, err
 		}
 		wk, err := w.Write(buf[:k])

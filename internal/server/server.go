@@ -103,8 +103,13 @@ type Server struct {
 	cfg    Config
 	limits Limits // the bounds ParseQuery enforces for this server
 	pools  map[core.Algorithm]*pool
-	reg    *metrics.Registry
-	mux    *http.ServeMux
+	// windows serve the bytes of addressed and lease /stream requests:
+	// one gathered-pass source per algorithm, shared by every request
+	// and built on first use (see windowSource).
+	windowsMu sync.Mutex
+	windows   map[core.Algorithm]*core.WindowSource
+	reg       *metrics.Registry
+	mux       *http.ServeMux
 
 	mu       sync.RWMutex // guards draining against inflight.Add
 	draining bool
@@ -133,6 +138,9 @@ type Server struct {
 	healthReadmits    *metrics.LabeledCounter
 	healthQuarantined *metrics.LabeledGauge
 	admissionRejected *metrics.Counter
+
+	windowPasses *metrics.LabeledCounter
+	windowLanes  *metrics.LabeledCounter
 
 	// respBufs recycles the per-request chunk buffer of addressed and
 	// lease /stream responses (pooled responses stream shard chunks
@@ -198,10 +206,11 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:   cfg,
-		pools: make(map[core.Algorithm]*pool, len(cfg.Algorithms)),
-		reg:   metrics.NewRegistry(),
-		mux:   http.NewServeMux(),
+		cfg:     cfg,
+		pools:   make(map[core.Algorithm]*pool, len(cfg.Algorithms)),
+		windows: make(map[core.Algorithm]*core.WindowSource, len(cfg.Algorithms)),
+		reg:     metrics.NewRegistry(),
+		mux:     http.NewServeMux(),
 	}
 	s.limits = Limits{
 		MaxBytes:         cfg.MaxRequestBytes,
@@ -254,6 +263,10 @@ func New(cfg Config) (*Server, error) {
 		"Stream requests addressed through a lease token.")
 	s.respBufReused = s.reg.NewCounter("bsrngd_response_buffers_reused_total",
 		"Per-request response buffers reused from the pool instead of freshly allocated.")
+	s.windowPasses = s.reg.NewLabeledCounter("bsrngd_window_passes_total",
+		"Gathered 64-lane passes run for addressed and lease /stream windows, by algorithm.", "alg")
+	s.windowLanes = s.reg.NewLabeledCounter("bsrngd_window_lanes_total",
+		"Lanes of gathered passes that served a window segment, by algorithm; lanes / (64 × passes) is the lane occupancy.", "alg")
 	s.reg.NewGaugeFunc("bsrngd_inflight_requests",
 		"Concurrent /bytes and /stream requests currently being served.",
 		func() float64 { return float64(s.inflightNow.Load()) })
@@ -323,6 +336,28 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
+}
+
+// windowSource returns alg's gathered-pass window source, building it on
+// first use: a lease token may name any algorithm, served or not, and
+// only the algorithms requests actually name pay for a keyed cipher.
+func (s *Server) windowSource(alg core.Algorithm) (*core.WindowSource, error) {
+	s.windowsMu.Lock()
+	defer s.windowsMu.Unlock()
+	if ws := s.windows[alg]; ws != nil {
+		return ws, nil
+	}
+	algL := alg.String()
+	passes, lanes := s.windowPasses.With(algL), s.windowLanes.With(algL)
+	ws, err := core.NewWindowSource(alg, s.cfg.Seed, func(n int) {
+		passes.Inc()
+		lanes.Add(uint64(n))
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.windows[alg] = ws
+	return ws, nil
 }
 
 // Handler returns the service's HTTP handler.

@@ -373,6 +373,7 @@ func TestStreamParamValidation(t *testing.T) {
 	}
 	_, ts := newTestServer(t, cfg)
 	lease2 := Lease{Alg: core.GRAIN, Domain: leaseDomainBase + 1, Segments: 2}.id()
+	leaseAES := Lease{Alg: core.AESCTR, Domain: leaseDomainBase + 2, Segments: 2}.id()
 
 	cases := []struct {
 		name string
@@ -391,6 +392,9 @@ func TestStreamParamValidation(t *testing.T) {
 		{"off too big", "/stream?alg=grain&segment=0&off=4503599627370496", http.StatusBadRequest},
 		{"garbage lease token", "/stream?lease=%40%40%40", http.StatusBadRequest},
 		{"lease alg contradiction", "/stream?lease=" + lease2 + "&alg=mickey", http.StatusBadRequest},
+		{"lease alg alias", "/stream?lease=" + leaseAES + "&alg=aes", http.StatusOK},
+		{"lease alg contradicts alias", "/stream?lease=" + leaseAES + "&alg=mickey", http.StatusBadRequest},
+		{"lease alg unparseable", "/stream?lease=" + leaseAES + "&alg=chaotic(", http.StatusBadRequest},
 		{"lease off past window", "/stream?lease=" + lease2 + "&off=4096", http.StatusRequestedRangeNotSatisfiable},
 	}
 	for _, tc := range cases {
@@ -404,8 +408,8 @@ func TestStreamParamValidation(t *testing.T) {
 }
 
 // Acceptance: the steady-state /stream binary path allocates ~0 per
-// chunk — the SegmentReader's aligned path fills the pooled chunk buffer
-// in place and the chunk writer adds only atomic bookkeeping.
+// chunk — the gathered window source fills the pooled chunk buffer in
+// place and the chunk writer adds only atomic bookkeeping.
 func TestStreamChunkSteadyStateAllocs(t *testing.T) {
 	s, err := New(Config{
 		Seed:         8,
@@ -417,18 +421,20 @@ func TestStreamChunkSteadyStateAllocs(t *testing.T) {
 	}
 	defer s.Shutdown(context.Background())
 
-	src, err := core.NewSegmentReader(core.GRAIN, 8, 0, 0, 0)
+	src, err := s.windowSource(core.GRAIN)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, respBufBytes)
 	cw := &chunkWriter{s: s, w: io.Discard, ctx: context.Background()}
-	if _, err := streamCopy(cw, src, buf, int64(len(buf))); err != nil {
+	var off uint64
+	if _, err := streamWindow(cw, src, 0, off, buf, int64(len(buf))); err != nil {
 		t.Fatal(err)
 	}
-	// Each run serves one full 64 KiB chunk of the stream.
+	// Each run serves the next full chunk (one 64-segment pass) of the stream.
 	if avg := testing.AllocsPerRun(20, func() {
-		streamCopy(cw, src, buf, int64(len(buf)))
+		off += uint64(len(buf))
+		streamWindow(cw, src, 0, off, buf, int64(len(buf)))
 	}); avg > 0.5 {
 		t.Fatalf("steady-state stream chunk allocates %.1f per chunk, want ~0", avg)
 	}
