@@ -8,7 +8,8 @@
 //     "naive" row-major implementation (one instance per thread).
 //   - Sliced: the bitsliced 64-lane engine of paper §4.4/Fig. 9 — 200
 //     word-planes, one per state bit, with the irregular clocking folded
-//     into branch-free per-lane masks.
+//     into branch-free per-lane masks and the clock step generated as
+//     straight-line code from the tables below (clockkg_gen.go).
 //
 // Cipher constants: the R tap set RTAPS is transcribed from the
 // specification and cross-checked against the packed masks of the eSTREAM

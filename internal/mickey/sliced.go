@@ -18,8 +18,9 @@ import (
 //
 //   - the per-lane control bits (irregular clocking) turn into full-width
 //     AND masks,
-//   - the COMP0/COMP1/FB0/FB1 constants broadcast to all-zero/all-one
-//     planes at construction time,
+//   - the RTAPS/COMP0/COMP1/FB0/FB1 constants are folded into the
+//     generated straight-line clock (clockkg_gen.go), so a constant costs
+//     an operand form, not a selector plane,
 //   - the register shift is realized by ping-pong buffer swapping — the
 //     paper's "register reference swapping" — rather than bit shifts.
 //
@@ -32,18 +33,7 @@ type SlicedVec[V bitslice.Vec] struct {
 	r, s   *[regBits]V // current planes
 	nr, ns *[regBits]V // scratch planes (swapped in after every clock)
 	lanes  int
-
-	// broadcast constants, one plane per state bit; the per-index selector
-	// planes turn every data-dependent choice in the spec into straight-line
-	// AND/XOR so the clock loop is branch-free.
-	c0, c1 [regBits]V
-	tapB   [regBits]V // all-ones where i ∈ RTAPS
-	// S feedback selectors, folded to two planes per index so the clock
-	// loop computes the feedback term as fbS & (selX ^ selD & ctrlS):
-	// selX is the (FB0,FB1)-selector mask when the control bit is 0 and
-	// selX^selD the mask when it is 1.
-	selX [regBits]V // FB0=1 (applies at ctrlS=0), plus FB1=FB0=1 (always)
-	selD [regBits]V // flips the mask where exactly one of FB0/FB1 is set
+	words  []uint64 // Reseed scratch: one 64-bit input word per lane
 }
 
 // Sliced is the native 64-lane engine (the uint64 datapath).
@@ -65,20 +55,7 @@ func NewSlicedVec[V bitslice.Vec](keys [][]byte, ivs [][]byte, ivBits int) (*Sli
 	m := &SlicedVec[V]{
 		r: new([regBits]V), s: new([regBits]V),
 		nr: new([regBits]V), ns: new([regBits]V),
-		lanes: lanes,
-	}
-	for i := 0; i < regBits; i++ {
-		m.c0[i] = bitslice.BroadcastVec[V](maskBit(&comp0, i))
-		m.c1[i] = bitslice.BroadcastVec[V](maskBit(&comp1, i))
-		f0, f1 := maskBit(&sMask0, i), maskBit(&sMask1, i)
-		// Masks at ctrlS=0 (FB0 or both set) and ctrlS=1 (FB1 or both);
-		// selD is their XOR, so mask(ctrlS) = selX ^ selD&ctrlS.
-		m.selX[i] = bitslice.BroadcastVec[V](f0)
-		m.selD[i] = bitslice.BroadcastVec[V](f0 ^ f1)
-	}
-	allOnes := bitslice.BroadcastVec[V](1)
-	for _, t := range rtaps {
-		m.tapB[t] = allOnes
+		lanes: lanes, words: make([]uint64, lanes),
 	}
 	if err := m.Reseed(keys, ivs, ivBits); err != nil {
 		return nil, err
@@ -107,69 +84,43 @@ func (m *SlicedVec[V]) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
 		m.s[i] = zero
 	}
 
-	// Load IV, key, preclock — the same schedule as the reference, with
-	// the input bit gathered across lanes into one plane per step.
-	gather := func(src [][]byte, i int) V {
-		var w V
-		for l := 0; l < m.lanes; l++ {
-			w[l>>6] |= uint64(ivBit(src[l], i)) << uint(l&63)
+	// Load IV, key, preclock — the same schedule as the reference. Each
+	// lane's input string is read as big-endian 64-bit words and one
+	// PackWordsVec per word turns bit 63-j of every lane's word into plane
+	// j, so the MSB-first input bit i is plane 63-i%64 of word i/64.
+	for _, in := range [...]struct {
+		src  [][]byte
+		bits int
+	}{{ivs, ivBits}, {keys, 8 * KeySize}} {
+		for w := 0; 64*w < in.bits; w++ {
+			for l, p := range in.src {
+				m.words[l] = beWord(p, 8*w)
+			}
+			planes := bitslice.PackWordsVec[V](m.words)
+			for i := 64 * w; i < min(in.bits, 64*w+64); i++ {
+				m.clockKG(true, planes[63-i%64])
+			}
 		}
-		return w
-	}
-	var zeroIn V
-	for i := 0; i < ivBits; i++ {
-		m.clockKG(true, gather(ivs, i))
-	}
-	for i := 0; i < 8*KeySize; i++ {
-		m.clockKG(true, gather(keys, i))
 	}
 	for i := 0; i < regBits; i++ {
-		m.clockKG(true, zeroIn)
+		m.clockKG(true, zero)
 	}
 	return nil
 }
 
-// clockKG advances all lanes one generator step. input carries one input
-// bit per lane.
-func (m *SlicedVec[V]) clockKG(mixing bool, input V) {
-	r, s, nr, ns := m.r, m.s, m.nr, m.ns
-
-	var ctrlR, ctrlS, fbR, fbS V
-	for k := 0; k < len(input); k++ {
-		ctrlR[k] = s[34][k] ^ r[67][k]
-		ctrlS[k] = s[67][k] ^ r[33][k]
-		inR := input[k]
-		if mixing {
-			inR ^= s[50][k]
-		}
-		// CLOCK_R feedback: fbR = r[99] ^ inputR; CLOCK_S: fbS = s[99] ^ input.
-		fbR[k] = r[99][k] ^ inR
-		fbS[k] = s[99][k] ^ input[k]
+// beWord reads p[off:off+8] as a big-endian word, zero past the end of p.
+func beWord(p []byte, off int) uint64 {
+	if len(p) >= off+8 {
+		return binary.BigEndian.Uint64(p[off:])
 	}
-
-	// CLOCK_R: nr[i] = r[i-1] ^ (i∈RTAPS ? fbR : 0) ^ (r[i] & ctrlR)
-	// S feedback term at index i: fbS & (selX[i] ^ selD[i] & ctrlS).
-	for k := 0; k < len(input); k++ {
-		nr[0][k] = (fbR[k] & m.tapB[0][k]) ^ (r[0][k] & ctrlR[k])
-		ns[0][k] = fbS[k] & (m.selX[0][k] ^ m.selD[0][k]&ctrlS[k])
-		ns[99][k] = s[98][k] ^ fbS[k]&(m.selX[99][k]^m.selD[99][k]&ctrlS[k])
-	}
-	for i := 1; i < regBits; i++ {
-		for k := 0; k < len(input); k++ {
-			nr[i][k] = r[i-1][k] ^ (r[i][k] & ctrlR[k]) ^ (fbR[k] & m.tapB[i][k])
+	var w uint64
+	for i := 0; i < 8; i++ {
+		w <<= 8
+		if off+i < len(p) {
+			w |= uint64(p[off+i])
 		}
 	}
-
-	// CLOCK_S
-	for i := 1; i < 99; i++ {
-		for k := 0; k < len(input); k++ {
-			ns[i][k] = s[i-1][k] ^ ((s[i][k] ^ m.c0[i][k]) & (s[i+1][k] ^ m.c1[i][k])) ^
-				fbS[k]&(m.selX[i][k]^m.selD[i][k]&ctrlS[k])
-		}
-	}
-
-	m.r, m.nr = nr, r
-	m.s, m.ns = ns, s
+	return w
 }
 
 // ClockVec emits one keystream plane (lane L = lane L's next keystream
