@@ -54,7 +54,7 @@ nofaultinject:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Measured CPU throughput (alg × lanes × workers) as machine-readable
+# Measured CPU throughput (alg × workers, 64 lanes) as machine-readable
 # JSON. BENCH_MINTIME trades accuracy for runtime.
 BENCH_MINTIME ?= 1s
 bench:

@@ -177,25 +177,22 @@ func BenchmarkCRCNaiveVsBitsliced(b *testing.B) {
 }
 
 // E9 — measured CPU throughput of every generator (the honest CPU-port
-// numbers; cmd/experiments -exp cpu prints them as a table). Every
-// engine runs at each supported lane width; the bytes are identical, so
-// the spread is pure datapath-width effect.
+// numbers; cmd/experiments -exp cpu prints them as a table), each
+// engine on the 64-lane datapath.
 func BenchmarkCPUThroughput(b *testing.B) {
 	for _, alg := range Algorithms {
-		for _, lanes := range SupportedLanes {
-			b.Run(alg.String()+"-bitsliced-"+benchName("lanes", lanes), func(b *testing.B) {
-				g, err := NewWithLanes(alg, 1, lanes)
-				if err != nil {
-					b.Fatal(err)
-				}
-				buf := make([]byte, 64<<10)
-				b.SetBytes(int64(len(buf)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g.Read(buf)
-				}
-			})
-		}
+		b.Run(alg.String()+"-bitsliced", func(b *testing.B) {
+			g, err := New(alg, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]byte, 64<<10)
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Read(buf)
+			}
+		})
 	}
 	b.Run("mickey-naive", func(b *testing.B) {
 		key := make([]byte, mickey.KeySize)
@@ -249,42 +246,33 @@ func BenchmarkStagingAblation(b *testing.B) {
 	}
 }
 
-// benchGrainVec measures the raw Grain datapath at one Vec width: a
-// lock-step keystream block with no segment rekeying, so the number is
-// the pure cost of widening the plane words.
-func benchGrainVec[V bitslice.Vec](b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
-	lanes := bitslice.VecLanes[V]()
-	keys := make([][]byte, lanes)
-	ivs := make([][]byte, lanes)
-	for l := range keys {
-		keys[l] = make([]byte, grain.KeySize)
-		ivs[l] = make([]byte, grain.IVSize)
-		rng.Read(keys[l])
-		rng.Read(ivs[l])
-	}
-	g, err := grain.NewSlicedVec[V](keys, ivs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var blk [64]V
-	b.SetBytes(int64(64 * 8 * bitslice.VecWords[V]())) // 64 rows of K words
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KeystreamBlockVec(&blk)
-	}
-}
-
-// Ablation — lane width. Part one: the generalized Vec datapath at
-// 64/256/512 lanes on the Grain engine (wider planes amortize loop
-// overhead; the acceptance bar is 256 lanes ≥ the 64-lane baseline in
-// bytes/s). Part two: the original degree-64 LFSR comparison of 64-lane
-// uint64 planes vs 32-lane uint32 planes (the paper's single-precision
-// registers).
+// Ablation — lane width: the 64-lane uint64 planes of the engines
+// against the 32-lane uint32 planes of the paper's single-precision CUDA
+// registers. grain-64-lanes is the raw Grain datapath, a lock-step
+// keystream block with no segment rekeying; the two LFSR cells compare
+// the plane widths on one degree-64 LFSR at equal bit volume.
 func BenchmarkLaneWidth(b *testing.B) {
-	b.Run("grain-64-lanes", benchGrainVec[bitslice.V64])
-	b.Run("grain-256-lanes", benchGrainVec[bitslice.V256])
-	b.Run("grain-512-lanes", benchGrainVec[bitslice.V512])
+	b.Run("grain-64-lanes", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(9))
+		keys := make([][]byte, bitslice.W)
+		ivs := make([][]byte, bitslice.W)
+		for l := range keys {
+			keys[l] = make([]byte, grain.KeySize)
+			ivs[l] = make([]byte, grain.IVSize)
+			rng.Read(keys[l])
+			rng.Read(ivs[l])
+		}
+		g, err := grain.NewSlicedVec[bitslice.V64](keys, ivs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var blk [64]bitslice.V64
+		b.SetBytes(64 * 8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			g.KeystreamBlockVec(&blk)
+		}
+	})
 
 	exps, _ := lfsr.Primitive(64)
 	rng := rand.New(rand.NewSource(7))

@@ -81,13 +81,11 @@ func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s)
 // the native 64-lane uint64 datapath.
 const DefaultLanes = core.DefaultLanes
 
-// SupportedLanes lists the valid engine lane widths (64, 256 and 512).
-// The emitted byte stream is identical at every width — lane count only
-// trades memory and per-pass batch size for instruction-level
-// parallelism.
+// SupportedLanes lists the accepted lane widths (64, 256 and 512). Every
+// width runs the 64-lane datapath, so the emitted bytes are identical.
 var SupportedLanes = core.SupportedLanes
 
-// Generator is a deterministic single-engine generator (a wide-lane
+// Generator is a deterministic single-engine generator (a 64-lane
 // bitsliced cipher bank behind an io.Reader).
 type Generator = core.Generator
 

@@ -1,5 +1,5 @@
 // Command benchcpu measures the sustained CPU throughput of every
-// bitsliced engine at every supported lane width and worker count, and
+// bitsliced engine at every worker count on the 64-lane datapath, and
 // writes the result as machine-readable JSON (the committed
 // BENCH_cpu.json; `make bench` regenerates it and CI uploads it as an
 // artifact).
@@ -22,7 +22,9 @@ import (
 	"repro/internal/core"
 )
 
-// result is one measured cell of the alg × lanes × workers grid.
+// result is one measured cell of the alg × workers grid. Lanes is always
+// core.DefaultLanes; the field keeps benchcompare's alg/lanes/workers
+// cell keys.
 type result struct {
 	Alg         string  `json:"alg"`
 	Lanes       int     `json:"lanes"`
@@ -86,16 +88,14 @@ func measure(minTime time.Duration, log io.Writer) (*report, error) {
 	}
 	workerSet := workerSweep(runtime.NumCPU())
 	for _, alg := range core.ServedAlgorithms {
-		for _, lanes := range core.SupportedLanes {
-			for _, workers := range workerSet {
-				r, err := measureCell(alg, lanes, workers, minTime)
-				if err != nil {
-					return nil, err
-				}
-				fmt.Fprintf(log, "benchcpu: %-8s lanes=%-4d workers=%-3d %8.1f MB/s %6.2f allocs/MiB\n",
-					r.Alg, r.Lanes, r.Workers, r.BytesPerSec/1e6, r.AllocsPerMiB)
-				rep.Results = append(rep.Results, r)
+		for _, workers := range workerSet {
+			r, err := measureCell(alg, workers, minTime)
+			if err != nil {
+				return nil, err
 			}
+			fmt.Fprintf(log, "benchcpu: %-8s workers=%-3d %8.1f MB/s %6.2f allocs/MiB\n",
+				r.Alg, r.Workers, r.BytesPerSec/1e6, r.AllocsPerMiB)
+			rep.Results = append(rep.Results, r)
 		}
 	}
 	return rep, nil
@@ -138,8 +138,8 @@ func (b *benchSink) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func measureCell(alg core.Algorithm, lanes, workers int, minTime time.Duration) (result, error) {
-	s, err := core.NewStream(alg, 1, core.StreamConfig{Workers: workers, Lanes: lanes})
+func measureCell(alg core.Algorithm, workers int, minTime time.Duration) (result, error) {
+	s, err := core.NewStream(alg, 1, core.StreamConfig{Workers: workers})
 	if err != nil {
 		return result{}, err
 	}
@@ -162,7 +162,7 @@ func measureCell(alg core.Algorithm, lanes, workers int, minTime time.Duration) 
 	allocs := float64(m1.Mallocs - m0.Mallocs)
 	return result{
 		Alg:          alg.String(),
-		Lanes:        lanes,
+		Lanes:        core.DefaultLanes,
 		Workers:      workers,
 		Bytes:        sink.total,
 		Seconds:      elapsed,

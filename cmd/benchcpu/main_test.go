@@ -8,8 +8,8 @@ import (
 	"repro/internal/core"
 )
 
-// A fast measurement pass must cover the whole alg × lanes × workers
-// grid and report sane numbers — this is the shape contract for the
+// A fast measurement pass must cover the whole alg × workers grid at 64
+// lanes and report sane numbers — this is the shape contract for the
 // committed BENCH_cpu.json.
 func TestMeasureGrid(t *testing.T) {
 	if testing.Short() {
@@ -19,7 +19,7 @@ func TestMeasureGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCells := len(core.ServedAlgorithms) * len(core.SupportedLanes) * len(workerSweep(rep.NumCPU))
+	wantCells := len(core.ServedAlgorithms) * len(workerSweep(rep.NumCPU))
 	if len(rep.Results) != wantCells {
 		t.Fatalf("got %d cells, want %d", len(rep.Results), wantCells)
 	}
@@ -28,6 +28,9 @@ func TestMeasureGrid(t *testing.T) {
 		if r.BytesPerSec <= 0 || r.Bytes <= 0 || r.Seconds <= 0 {
 			t.Errorf("%s lanes=%d workers=%d: non-positive measurement %+v",
 				r.Alg, r.Lanes, r.Workers, r)
+		}
+		if r.Lanes != core.DefaultLanes {
+			t.Errorf("%s workers=%d: lanes=%d, want %d", r.Alg, r.Workers, r.Lanes, core.DefaultLanes)
 		}
 		if r.AllocsPerMiB < 0 {
 			t.Errorf("%s lanes=%d workers=%d: negative allocs_per_mib %+v",

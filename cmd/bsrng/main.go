@@ -23,7 +23,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	n := flag.Int64("n", 1<<20, "number of bytes to generate")
 	workers := flag.Int("workers", 1, "worker engines (>1 uses the parallel stream)")
-	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 (0 = 64); output is identical at every width")
+	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the output is identical")
 	useHex := flag.Bool("hex", false, "emit lowercase hex instead of raw bytes")
 	flag.Parse()
 

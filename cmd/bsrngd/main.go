@@ -69,7 +69,7 @@ func main() {
 	shards := flag.Int("shards", 0, "stream shards per algorithm (0 = default 2)")
 	workers := flag.Int("workers", 0, "stream workers per shard (0 = spread CPUs)")
 	staging := flag.Int("staging", 0, "per-worker staging bytes (0 = 64 KiB)")
-	lanes := flag.Int("lanes", 0, "lane width of the pooled shard streams: 64, 256 or 512 (0 = 64); addressed and lease windows use shared 64-lane passes; served bytes are identical at every width")
+	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the served bytes are identical")
 	maxBytes := flag.Int64("max-bytes", 0, "per-request byte cap (0 = 16 MiB)")
 	reqTimeout := flag.Duration("timeout", 0, "per-request timeout (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")

@@ -49,14 +49,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseURL      = fs.String("url", "", "dial an existing bsrngd instead of booting one (e.g. http://127.0.0.1:8080)")
 		seed         = fs.Uint64("seed", 1, "deterministic base seed (must match the dialed server's -seed)")
 		algs         = fs.String("algs", "", "comma-separated algorithms to certify (default: every served algorithm)")
-		lanesSpec    = fs.String("lanes", "", "comma-separated lane widths for boot mode (default: 64,256,512)")
+		lanesSpec    = fs.String("lanes", "", "comma-separated lane widths for boot mode, each of 64, 256 or 512 (default: 64); every width runs the 64-lane datapath and serves identical bytes")
 		segments     = fs.Int("segments", 0, "segments pulled per cell (default 64)")
 		reqSegments  = fs.Int("req-segments", 0, "segments per GET /bytes request (default 16)")
 		streams      = fs.Int("streams", 0, "battery bit streams per cell (default 16)")
 		workers      = fs.Int("workers", 0, "stream workers per shard (default 2)")
 		staging      = fs.Int("staging", 0, "per-worker staging bytes (default 65536)")
 		fast         = fs.Bool("fast", false, "skip the slow linear-complexity test")
-		short        = fs.Bool("short", false, "smoke mode: one lane width, 8 segments, 4 streams, -fast")
+		short        = fs.Bool("short", false, "smoke mode: 8 segments, 4 streams, -fast")
 		noCrossCheck = fs.Bool("no-crosscheck", false, "skip the byte-for-byte library comparison (foreign-seed servers)")
 		outPath      = fs.String("out", "CERTIFY.json", "JSON report path (\"-\" = stdout)")
 		mdPath       = fs.String("md", "", "also render a markdown summary to this path (\"-\" = stdout)")
@@ -105,9 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if cfg.Streams == 0 {
 			cfg.Streams = 4
-		}
-		if cfg.LaneWidths == nil {
-			cfg.LaneWidths = []int{core.DefaultLanes}
 		}
 		cfg.SkipExpensive = true
 	}

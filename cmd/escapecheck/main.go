@@ -68,31 +68,25 @@ var hotFuncs = map[string][]string{
 		"derive", "deriveLane", "keyPass", "next", "fill", "deriveChaoticX0s", "chaoticX0",
 	},
 	"internal/bitslice": {
-		// PackBits/UnpackBits/PackWords/UnpackWords/ExtractLane allocate
-		// their result by contract and are deliberately absent: the
-		// steady-state kernels use the *Vec / *Into variants, which
-		// return fixed-size arrays by value or write into caller-owned
-		// storage.
-		"Transpose32", "Transpose64", "TransposeVec",
-		"PackBitsVec", "UnpackBitsVec", "PackWordsVec", "UnpackWordsVecInto",
-		"Broadcast", "BroadcastVec", "SetLaneBit", "SetLaneBitVec",
-		"LaneBit", "LaneBitVec", "ExtractLaneVec",
-		"VecWords", "VecLanes",
+		// PackBits/UnpackBits/UnpackWords/ExtractLane allocate their
+		// result by contract and are deliberately absent: the
+		// steady-state kernels use Transpose64 in place and PackWords,
+		// which returns a fixed-size array by value.
+		"Transpose32", "Transpose64", "TransposeVec", "PackWords",
+		"Broadcast", "SetLaneBit", "LaneBit",
 	},
 	"internal/mickey": {
-		"Keystream", "KeystreamWords", "KeystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "ClockWord", "clockKG", "Reseed",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "clockKG", "Reseed",
 	},
 	"internal/grain": {
-		"Keystream", "KeystreamWords", "KeystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "ClockWord", "clock", "outputVec", "packPlanes", "Reseed",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec",
+		"ClockVec", "clock", "output", "push", "packPlanes", "Reseed",
 	},
 	"internal/trivium": {
-		"Keystream", "KeystreamWords", "KeystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "ClockWord", "Reseed",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "Reseed",
 	},
 	"internal/aes": {
-		// PackBlocksVec allocates by contract and only serves the
+		// PackBlocks allocates by contract and only serves the
 		// reference/test path; Keystream's steady state goes through
 		// nextBlockPlanes → the fused Boyar–Peralta round kernels and
 		// the in-plane counter increment, none of which may allocate.
@@ -101,7 +95,7 @@ var hotFuncs = map[string][]string{
 		"addRoundKeyFromP", "bpSbox", "Reseed", "loadNonces",
 	},
 	"internal/xorgens": {
-		"Keystream", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
 	},
 	"internal/chaotic": {
 		"Post", "Unpost",

@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fchaos   = fs.Int("cluster-chaos", 0, "fire N pulsed forward-failure faults inside the router during a -cluster run")
 		fchaosSd = fs.Uint64("cluster-chaos-seed", 1, "failpoint trigger seed for -cluster-chaos")
 		shards   = fs.Int("shards", 0, "boot mode: shards per algorithm (default 2)")
-		lanes    = fs.Int("lanes", 0, "boot mode: engine lane width (default 256)")
+		lanes    = fs.Int("lanes", 0, "boot mode: engine lane width: 64, 256 or 512 are accepted (0 = 64); the served bytes are identical at every width")
 		inflight = fs.Int("max-inflight", 0, "boot mode: admission-control cap (default off)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		outPath  = fs.String("out", "LOAD.json", "JSON report path (\"-\" = stdout)")

@@ -235,7 +235,7 @@ func TestSlicedCTRMatchesScalar(t *testing.T) {
 		rng.Read(keys[l])
 		rng.Read(nonces[l])
 	}
-	g, err := NewSlicedCTR(keys, nonces)
+	g, err := NewSlicedCTRVec[bitslice.V64](keys, nonces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +259,10 @@ func TestSlicedCTRMatchesScalar(t *testing.T) {
 
 func TestSlicedCTRValidation(t *testing.T) {
 	keys := [][]byte{make([]byte, 16)}
-	if _, err := NewSlicedCTR(keys, nil); err == nil {
+	if _, err := NewSlicedCTRVec[bitslice.V64](keys, nil); err == nil {
 		t.Error("nonce count mismatch accepted")
 	}
-	if _, err := NewSlicedCTR(keys, [][]byte{make([]byte, 7)}); err == nil {
+	if _, err := NewSlicedCTRVec[bitslice.V64](keys, [][]byte{make([]byte, 7)}); err == nil {
 		t.Error("bad nonce accepted")
 	}
 }
@@ -300,7 +300,7 @@ func BenchmarkSlicedEncrypt64Lanes(b *testing.B) {
 		rng.Read(keys[l])
 	}
 	sl, _ := NewSliced(keys)
-	var st [128]bitslice.V64
+	var st [128]uint64
 	b.SetBytes(64 * 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -318,7 +318,7 @@ func BenchmarkSlicedCTR(b *testing.B) {
 		rng.Read(keys[l])
 		rng.Read(nonces[l])
 	}
-	g, _ := NewSlicedCTR(keys, nonces)
+	g, _ := NewSlicedCTRVec[bitslice.V64](keys, nonces)
 	dst := make([]byte, BatchSize)
 	b.SetBytes(BatchSize)
 	b.ResetTimer()

@@ -9,21 +9,20 @@ import (
 	"repro/internal/bitslice"
 )
 
-// ctrMaterial builds a W-lane generator with deterministic key/nonce
+// ctrMaterial builds a 64-lane generator with deterministic key/nonce
 // material for the counter-plane tests.
-func ctrMaterial[V bitslice.Vec](t *testing.T, seed int64) *SlicedCTRVec[V] {
+func ctrMaterial(t *testing.T, seed int64) *SlicedCTR {
 	t.Helper()
-	lanes := bitslice.VecLanes[V]()
 	rng := rand.New(rand.NewSource(seed))
-	keys := make([][]byte, lanes)
-	nonces := make([][]byte, lanes)
+	keys := make([][]byte, bitslice.W)
+	nonces := make([][]byte, bitslice.W)
 	for l := range keys {
 		keys[l] = make([]byte, 16)
 		nonces[l] = make([]byte, 8)
 		rng.Read(keys[l])
 		rng.Read(nonces[l])
 	}
-	g, err := NewSlicedCTRVec[V](keys, nonces)
+	g, err := NewSlicedCTRVec[bitslice.V64](keys, nonces)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,41 +32,46 @@ func ctrMaterial[V bitslice.Vec](t *testing.T, seed int64) *SlicedCTRVec[V] {
 // setCtrPlanes loads one explicit counter value per lane into the
 // generator's counter planes, mirroring the big-endian block encoding
 // the packing path used to produce per batch.
-func setCtrPlanes[V bitslice.Vec](g *SlicedCTRVec[V], vals []uint64) {
+func setCtrPlanes(g *SlicedCTR, vals []uint64) {
 	words := make([]uint64, len(vals))
 	for l, v := range vals {
 		// Block bytes 8..15 hold the counter big-endian; the plane
 		// layout reads them as a little-endian word.
 		words[l] = bits.ReverseBytes64(v)
 	}
-	g.ctrPl = bitslice.PackWordsVec[V](words)
+	g.ctrPl = bitslice.PackWords(words)
 }
 
 // ctrPlaneValues reads every lane's counter value back out of the
 // counter planes.
-func ctrPlaneValues[V bitslice.Vec](g *SlicedCTRVec[V]) []uint64 {
-	lanes := g.aes.lanes
-	out := make([]uint64, lanes)
-	bitslice.UnpackWordsVecInto(out, g.ctrPl[:], lanes)
+func ctrPlaneValues(g *SlicedCTR) []uint64 {
+	out := bitslice.UnpackWords(&g.ctrPl, g.aes.lanes)
 	for l := range out {
 		out[l] = bits.ReverseBytes64(out[l])
 	}
 	return out
 }
 
+// widths are the public lane widths. Every width runs the 64-lane
+// generator, so wN covers N lanes' counters in ⌈N/64⌉ passes.
+var widths = []struct {
+	name      string
+	instances int
+}{{"w64", 64}, {"w256", 256}, {"w512", 512}}
+
 // The in-plane ripple-carry increment must agree with scalar big-endian
-// uint64 counter arithmetic at every lane width, across carry chains of
-// every length: byte boundaries, 32-bit word boundaries, and the full
-// 2^64 wraparound.
+// uint64 counter arithmetic across carry chains of every length: byte
+// boundaries, 32-bit word boundaries, and the full 2^64 wraparound.
+// Instance i starts at start + i mod 4 + i/64, so every pass of a wide
+// width moves the carry boundaries to other counter values.
 func TestCounterIncrementPlanes(t *testing.T) {
-	t.Run("w64", func(t *testing.T) { ctrIncrementWidth[bitslice.V64](t) })
-	t.Run("w256", func(t *testing.T) { ctrIncrementWidth[bitslice.V256](t) })
-	t.Run("w512", func(t *testing.T) { ctrIncrementWidth[bitslice.V512](t) })
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) { ctrIncrement(t, w.instances) })
+	}
 }
 
-func ctrIncrementWidth[V bitslice.Vec](t *testing.T) {
-	g := ctrMaterial[V](t, 61)
-	lanes := g.Lanes()
+func ctrIncrement(t *testing.T, instances int) {
+	g := ctrMaterial(t, 61)
 	starts := []uint64{
 		0, 1, 0xFE, 0xFF, // carry into the second byte
 		0xFFFE, 0x1FFFE, // carry across two and three bytes
@@ -78,24 +82,24 @@ func ctrIncrementWidth[V bitslice.Vec](t *testing.T) {
 		0x8000_0000_0000_0000 - 1, // carry into the top bit
 	}
 	const steps = 5
-	for _, start := range starts {
-		// All lanes share the stride the core stream uses (identical
-		// counters), offset by lane so differing carry chains coexist.
-		want := make([]uint64, lanes)
-		for l := range want {
-			want[l] = start + uint64(l&3)
-		}
-		setCtrPlanes(g, want)
-		for step := 0; step < steps; step++ {
-			g.incCounterPlanes()
+	for pass := 0; pass < instances/bitslice.W; pass++ {
+		for _, start := range starts {
+			want := make([]uint64, bitslice.W)
 			for l := range want {
-				want[l]++
+				want[l] = start + uint64(l&3) + uint64(pass)
 			}
-			got := ctrPlaneValues(g)
-			for l := range want {
-				if got[l] != want[l] {
-					t.Fatalf("start %#x step %d lane %d: planes hold %#x, scalar counter %#x",
-						start, step, l, got[l], want[l])
+			setCtrPlanes(g, want)
+			for step := 0; step < steps; step++ {
+				g.incCounterPlanes()
+				for l := range want {
+					want[l]++
+				}
+				got := ctrPlaneValues(g)
+				for l := range want {
+					if got[l] != want[l] {
+						t.Fatalf("pass %d start %#x step %d lane %d: planes hold %#x, scalar counter %#x",
+							pass, start, step, l, got[l], want[l])
+					}
 				}
 			}
 		}
@@ -106,7 +110,7 @@ func ctrIncrementWidth[V bitslice.Vec](t *testing.T) {
 // scalar CTR reference feeds its cipher: plane 8i+j of the high half is
 // bit j of block byte 8+i.
 func TestCounterPlaneLayout(t *testing.T) {
-	g := ctrMaterial[bitslice.V64](t, 62)
+	g := ctrMaterial(t, 62)
 	lanes := g.Lanes()
 	vals := make([]uint64, lanes)
 	rng := rand.New(rand.NewSource(63))
@@ -120,7 +124,7 @@ func TestCounterPlaneLayout(t *testing.T) {
 		binary.BigEndian.PutUint64(blk[:], vals[l]+1)
 		for i := 0; i < 8; i++ {
 			for j := 0; j < 8; j++ {
-				got := bitslice.LaneBitVec(g.ctrPl[:], 8*i+j, l)
+				got := bitslice.LaneBit(g.ctrPl[:], 8*i+j, l)
 				want := uint8(blk[i]>>uint(j)) & 1
 				if got != want {
 					t.Fatalf("lane %d block byte %d bit %d: plane %d, big-endian %d", l, 8+i, j, got, want)
@@ -132,62 +136,68 @@ func TestCounterPlaneLayout(t *testing.T) {
 
 // Reseed must re-derive the plane state from scalars: counters return
 // to zero and the nonce planes match the new nonce material, so the
-// post-Reseed stream restarts exactly like a fresh generator.
+// post-Reseed stream restarts exactly like a fresh generator. wN reseeds
+// the one generator once per pass, ⌈N/64⌉ times in a row.
 func TestCounterReseedResetsPlanes(t *testing.T) {
-	t.Run("w64", func(t *testing.T) { ctrReseedWidth[bitslice.V64](t) })
-	t.Run("w256", func(t *testing.T) { ctrReseedWidth[bitslice.V256](t) })
-	t.Run("w512", func(t *testing.T) { ctrReseedWidth[bitslice.V512](t) })
+	for _, w := range widths {
+		t.Run(w.name, func(t *testing.T) { ctrReseed(t, w.instances) })
+	}
 }
 
-func ctrReseedWidth[V bitslice.Vec](t *testing.T) {
-	g := ctrMaterial[V](t, 64)
+func ctrReseed(t *testing.T, instances int) {
+	g := ctrMaterial(t, 64)
 	lanes := g.Lanes()
 	dst := make([]byte, lanes*BlockSize)
-	for i := 0; i < 7; i++ {
-		g.NextBatch(dst)
-	}
-	for _, v := range ctrPlaneValues(g) {
-		if v != 7 {
-			t.Fatalf("counter planes hold %d after 7 batches", v)
+	rng := rand.New(rand.NewSource(int64(65 + instances)))
+	// since counts the batches since the last (re)key: the post-Reseed
+	// check below runs one, and the next pass tops it up to seven.
+	since := 0
+	for pass := 0; pass < instances/bitslice.W; pass++ {
+		for ; since < 7; since++ {
+			g.NextBatch(dst)
 		}
-	}
-	rng := rand.New(rand.NewSource(65))
-	keys := make([][]byte, lanes)
-	nonces := make([][]byte, lanes)
-	nonceWords := make([]uint64, lanes)
-	for l := range keys {
-		keys[l] = make([]byte, 16)
-		nonces[l] = make([]byte, 8)
-		rng.Read(keys[l])
-		rng.Read(nonces[l])
-		nonceWords[l] = binary.LittleEndian.Uint64(nonces[l])
-	}
-	if err := g.Reseed(keys, nonces); err != nil {
-		t.Fatal(err)
-	}
-	for l, v := range ctrPlaneValues(g) {
-		if v != 0 {
-			t.Fatalf("lane %d counter %d after Reseed, want 0", l, v)
+		for _, v := range ctrPlaneValues(g) {
+			if v != 7 {
+				t.Fatalf("pass %d: counter planes hold %d after 7 batches", pass, v)
+			}
 		}
-	}
-	gotNonces := make([]uint64, lanes)
-	bitslice.UnpackWordsVecInto(gotNonces, g.noncePl[:], lanes)
-	for l := range gotNonces {
-		if gotNonces[l] != nonceWords[l] {
-			t.Fatalf("lane %d nonce planes %#x, material %#x", l, gotNonces[l], nonceWords[l])
+		keys := make([][]byte, lanes)
+		nonces := make([][]byte, lanes)
+		nonceWords := make([]uint64, lanes)
+		for l := range keys {
+			keys[l] = make([]byte, 16)
+			nonces[l] = make([]byte, 8)
+			rng.Read(keys[l])
+			rng.Read(nonces[l])
+			nonceWords[l] = binary.LittleEndian.Uint64(nonces[l])
 		}
-	}
-	// And the post-Reseed stream is the fresh scalar stream.
-	g.NextBatch(dst)
-	for l := 0; l < lanes; l++ {
-		ref, err := NewCTR(keys[l], nonces[l])
-		if err != nil {
+		if err := g.Reseed(keys, nonces); err != nil {
 			t.Fatal(err)
 		}
-		want := make([]byte, BlockSize)
-		ref.Read(want)
-		if got := dst[BlockSize*l : BlockSize*(l+1)]; string(got) != string(want) {
-			t.Fatalf("lane %d post-Reseed stream diverges", l)
+		for l, v := range ctrPlaneValues(g) {
+			if v != 0 {
+				t.Fatalf("pass %d: lane %d counter %d after Reseed, want 0", pass, l, v)
+			}
 		}
+		gotNonces := bitslice.UnpackWords(&g.noncePl, lanes)
+		for l := range gotNonces {
+			if gotNonces[l] != nonceWords[l] {
+				t.Fatalf("pass %d: lane %d nonce planes %#x, material %#x", pass, l, gotNonces[l], nonceWords[l])
+			}
+		}
+		// And the post-Reseed stream is the fresh scalar stream.
+		g.NextBatch(dst)
+		for l := 0; l < lanes; l++ {
+			ref, err := NewCTR(keys[l], nonces[l])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, BlockSize)
+			ref.Read(want)
+			if got := dst[BlockSize*l : BlockSize*(l+1)]; string(got) != string(want) {
+				t.Fatalf("pass %d: lane %d post-Reseed stream diverges", pass, l)
+			}
+		}
+		since = 1
 	}
 }

@@ -1,11 +1,9 @@
 package aes
 
-import "repro/internal/bitslice"
-
-// Bitsliced AES round circuits. A byte position is eight V-planes (plane
-// k = bit k of that byte across the lanes); all functions below are
-// straight-line word operations, so one call performs 64·K byte
-// operations at once (K = words per plane).
+// Bitsliced AES round circuits. A byte position is eight uint64 planes
+// (plane k = bit k of that byte across the lanes); all functions below
+// are straight-line word operations, so one call performs 64 byte
+// operations at once.
 //
 // The S-box is the fixed Boyar–Peralta forward circuit (their depth-16
 // construction: 128 gates — 34 AND, 94 XOR/XNOR — shared GF(2^4)
@@ -178,16 +176,13 @@ func bpSbox(u0, u1, u2, u3, u4, u5, u6, u7 uint64) (s0, s1, s2, s3, s4, s5, s6, 
 // planes of source byte shiftSrc[b] land at byte position b of dst, so
 // the row rotation costs nothing but the write index. dst must not alias
 // src.
-func subShiftP[V bitslice.Vec](dst, src *[128]V) {
+func subShiftP(dst, src *[128]uint64) {
 	for b := 0; b < 16; b++ {
 		s := 8 * shiftSrc[b]
-		sp := (*[8]V)(src[s : s+8])
-		dp := (*[8]V)(dst[8*b : 8*b+8])
-		for k := 0; k < len(sp[0]); k++ {
-			dp[0][k], dp[1][k], dp[2][k], dp[3][k], dp[4][k], dp[5][k], dp[6][k], dp[7][k] = bpSbox(
-				sp[0][k], sp[1][k], sp[2][k], sp[3][k],
-				sp[4][k], sp[5][k], sp[6][k], sp[7][k])
-		}
+		sp := (*[8]uint64)(src[s : s+8])
+		dp := (*[8]uint64)(dst[8*b : 8*b+8])
+		dp[0], dp[1], dp[2], dp[3], dp[4], dp[5], dp[6], dp[7] = bpSbox(
+			sp[0], sp[1], sp[2], sp[3], sp[4], sp[5], sp[6], sp[7])
 	}
 }
 
@@ -195,17 +190,15 @@ func subShiftP[V bitslice.Vec](dst, src *[128]V) {
 // S-box input load: dst[b] = sbox(src[shiftSrc[b]] ^ rk[shiftSrc[b]]),
 // saving the separate 128-plane whitening sweep at the top of the
 // cipher. dst must not alias src.
-func subShiftXorP[V bitslice.Vec](dst, src, rk *[128]V) {
+func subShiftXorP(dst, src, rk *[128]uint64) {
 	for b := 0; b < 16; b++ {
 		s := 8 * shiftSrc[b]
-		sp := (*[8]V)(src[s : s+8])
-		kp := (*[8]V)(rk[s : s+8])
-		dp := (*[8]V)(dst[8*b : 8*b+8])
-		for k := 0; k < len(sp[0]); k++ {
-			dp[0][k], dp[1][k], dp[2][k], dp[3][k], dp[4][k], dp[5][k], dp[6][k], dp[7][k] = bpSbox(
-				sp[0][k]^kp[0][k], sp[1][k]^kp[1][k], sp[2][k]^kp[2][k], sp[3][k]^kp[3][k],
-				sp[4][k]^kp[4][k], sp[5][k]^kp[5][k], sp[6][k]^kp[6][k], sp[7][k]^kp[7][k])
-		}
+		sp := (*[8]uint64)(src[s : s+8])
+		kp := (*[8]uint64)(rk[s : s+8])
+		dp := (*[8]uint64)(dst[8*b : 8*b+8])
+		dp[0], dp[1], dp[2], dp[3], dp[4], dp[5], dp[6], dp[7] = bpSbox(
+			sp[0]^kp[0], sp[1]^kp[1], sp[2]^kp[2], sp[3]^kp[3],
+			sp[4]^kp[4], sp[5]^kp[5], sp[6]^kp[6], sp[7]^kp[7])
 	}
 }
 
@@ -219,58 +212,54 @@ func subShiftXorP[V bitslice.Vec](dst, src, rk *[128]V) {
 // so every {02}-multiple is taken of an already-needed XOR and the
 // column sum t is computed once and reused by all four rows. dst must
 // not alias src.
-func mixColumnsARKP[V bitslice.Vec](dst, src, rk *[128]V) {
+func mixColumnsARKP(dst, src, rk *[128]uint64) {
 	for c := 0; c < 4; c++ {
 		base := 32 * c
-		srows := [4]*[8]V{
-			(*[8]V)(src[base : base+8]), (*[8]V)(src[base+8 : base+16]),
-			(*[8]V)(src[base+16 : base+24]), (*[8]V)(src[base+24 : base+32]),
+		srows := [4]*[8]uint64{
+			(*[8]uint64)(src[base : base+8]), (*[8]uint64)(src[base+8 : base+16]),
+			(*[8]uint64)(src[base+16 : base+24]), (*[8]uint64)(src[base+24 : base+32]),
 		}
-		drows := [4]*[8]V{
-			(*[8]V)(dst[base : base+8]), (*[8]V)(dst[base+8 : base+16]),
-			(*[8]V)(dst[base+16 : base+24]), (*[8]V)(dst[base+24 : base+32]),
+		drows := [4]*[8]uint64{
+			(*[8]uint64)(dst[base : base+8]), (*[8]uint64)(dst[base+8 : base+16]),
+			(*[8]uint64)(dst[base+16 : base+24]), (*[8]uint64)(dst[base+24 : base+32]),
 		}
-		krows := [4]*[8]V{
-			(*[8]V)(rk[base : base+8]), (*[8]V)(rk[base+8 : base+16]),
-			(*[8]V)(rk[base+16 : base+24]), (*[8]V)(rk[base+24 : base+32]),
+		krows := [4]*[8]uint64{
+			(*[8]uint64)(rk[base : base+8]), (*[8]uint64)(rk[base+8 : base+16]),
+			(*[8]uint64)(rk[base+16 : base+24]), (*[8]uint64)(rk[base+24 : base+32]),
 		}
 		s0, s1, s2, s3 := srows[0], srows[1], srows[2], srows[3]
-		for w := 0; w < len(s0[0]); w++ {
-			var t [8]uint64
-			for j := 0; j < 8; j++ {
-				t[j] = s0[j][w] ^ s1[j][w] ^ s2[j][w] ^ s3[j][w]
-			}
-			for r := 0; r < 4; r++ {
-				a, n, d, k := srows[r], srows[(r+1)&3], drows[r], krows[r]
-				u0 := a[0][w] ^ n[0][w]
-				u1 := a[1][w] ^ n[1][w]
-				u2 := a[2][w] ^ n[2][w]
-				u3 := a[3][w] ^ n[3][w]
-				u4 := a[4][w] ^ n[4][w]
-				u5 := a[5][w] ^ n[5][w]
-				u6 := a[6][w] ^ n[6][w]
-				u7 := a[7][w] ^ n[7][w]
-				// xtime(u) plane map: bit j takes u_{j-1}, with u7 folded
-				// into bits 0,1,3,4 (the AES polynomial 0x1B).
-				d[0][w] = a[0][w] ^ t[0] ^ u7 ^ k[0][w]
-				d[1][w] = a[1][w] ^ t[1] ^ u0 ^ u7 ^ k[1][w]
-				d[2][w] = a[2][w] ^ t[2] ^ u1 ^ k[2][w]
-				d[3][w] = a[3][w] ^ t[3] ^ u2 ^ u7 ^ k[3][w]
-				d[4][w] = a[4][w] ^ t[4] ^ u3 ^ u7 ^ k[4][w]
-				d[5][w] = a[5][w] ^ t[5] ^ u4 ^ k[5][w]
-				d[6][w] = a[6][w] ^ t[6] ^ u5 ^ k[6][w]
-				d[7][w] = a[7][w] ^ t[7] ^ u6 ^ k[7][w]
-			}
+		var t [8]uint64
+		for j := 0; j < 8; j++ {
+			t[j] = s0[j] ^ s1[j] ^ s2[j] ^ s3[j]
+		}
+		for r := 0; r < 4; r++ {
+			a, n, d, k := srows[r], srows[(r+1)&3], drows[r], krows[r]
+			u0 := a[0] ^ n[0]
+			u1 := a[1] ^ n[1]
+			u2 := a[2] ^ n[2]
+			u3 := a[3] ^ n[3]
+			u4 := a[4] ^ n[4]
+			u5 := a[5] ^ n[5]
+			u6 := a[6] ^ n[6]
+			u7 := a[7] ^ n[7]
+			// xtime(u) plane map: bit j takes u_{j-1}, with u7 folded
+			// into bits 0,1,3,4 (the AES polynomial 0x1B).
+			d[0] = a[0] ^ t[0] ^ u7 ^ k[0]
+			d[1] = a[1] ^ t[1] ^ u0 ^ u7 ^ k[1]
+			d[2] = a[2] ^ t[2] ^ u1 ^ k[2]
+			d[3] = a[3] ^ t[3] ^ u2 ^ u7 ^ k[3]
+			d[4] = a[4] ^ t[4] ^ u3 ^ u7 ^ k[4]
+			d[5] = a[5] ^ t[5] ^ u4 ^ k[5]
+			d[6] = a[6] ^ t[6] ^ u5 ^ k[6]
+			d[7] = a[7] ^ t[7] ^ u6 ^ k[7]
 		}
 	}
 }
 
 // addRoundKeyFromP writes dst = src ^ rk over all 128 planes — the final
 // round's AddRoundKey fused with the copy-back from the S-box scratch.
-func addRoundKeyFromP[V bitslice.Vec](dst, src, rk *[128]V) {
+func addRoundKeyFromP(dst, src, rk *[128]uint64) {
 	for i := range dst {
-		for k := 0; k < len(dst[i]); k++ {
-			dst[i][k] = src[i][k] ^ rk[i][k]
-		}
+		dst[i] = src[i] ^ rk[i]
 	}
 }

@@ -7,83 +7,74 @@ import (
 	"repro/internal/bitslice"
 )
 
-// packBytesPlanesVec packs one byte per lane into 8 bit planes (plane k
-// = bit k of the lane byte).
-func packBytesPlanesVec[V bitslice.Vec](vals []byte) [8]V {
-	var p [8]V
+// packBytePlanes packs one byte per lane into 8 bit planes (plane k =
+// bit k of the lane byte).
+func packBytePlanes(vals []byte) [8]uint64 {
+	var p [8]uint64
 	for l, v := range vals {
 		for k := 0; k < 8; k++ {
-			bitslice.SetLaneBitVec(p[:], k, l, uint8(v>>uint(k))&1)
+			bitslice.SetLaneBit(p[:], k, l, uint8(v>>uint(k))&1)
 		}
 	}
 	return p
 }
 
-// unpackBytePlaneVec reads one lane's byte back out of 8 bit planes.
-func unpackBytePlaneVec[V bitslice.Vec](p *[8]V, lane int) byte {
+// unpackBytePlane reads one lane's byte back out of 8 bit planes.
+func unpackBytePlane(p *[8]uint64, lane int) byte {
 	var v byte
 	for k := 0; k < 8; k++ {
-		v |= byte(bitslice.LaneBitVec(p[:], k, lane)) << uint(k)
+		v |= byte(bitslice.LaneBit(p[:], k, lane)) << uint(k)
 	}
 	return v
 }
 
-// bpSboxPlanes applies the Boyar–Peralta circuit to an 8-plane byte
-// group, word column by word column (test-only wrapper around bpSbox).
-func bpSboxPlanes[V bitslice.Vec](p *[8]V) {
-	for k := 0; k < len(p[0]); k++ {
-		p[0][k], p[1][k], p[2][k], p[3][k], p[4][k], p[5][k], p[6][k], p[7][k] = bpSbox(
-			p[0][k], p[1][k], p[2][k], p[3][k], p[4][k], p[5][k], p[6][k], p[7][k])
-	}
-}
-
 // The Boyar–Peralta circuit must reproduce the generated scalar sbox
-// table on every one of the 256 inputs, at every lane width, with every
-// lane substituted independently.
+// table on every one of the 256 inputs, with every lane substituted
+// independently, at every public lane width. Every width runs 64-lane
+// planes, so wN substitutes N instances in ⌈N/64⌉ passes: instance i
+// carries byte i·mult mod 256, an odd multiplier that is a different
+// permutation per width, so every value is also checked in lanes other
+// than the ones w64 puts it in.
 func TestSboxCircuitExhaustive(t *testing.T) {
-	t.Run("w64", func(t *testing.T) { sboxExhaustive[bitslice.V64](t) })
-	t.Run("w256", func(t *testing.T) { sboxExhaustive[bitslice.V256](t) })
-	t.Run("w512", func(t *testing.T) { sboxExhaustive[bitslice.V512](t) })
-}
-
-func sboxExhaustive[V bitslice.Vec](t *testing.T) {
-	lanes := bitslice.VecLanes[V]()
-	// Cover all 256 inputs: lane l of batch b carries byte (64b+l) mod
-	// 256, so narrow widths sweep the table across batches and wide
-	// widths substitute every value in several lanes at once.
-	for base := 0; base < 256; base += lanes {
-		vals := make([]byte, lanes)
-		for l := range vals {
-			vals[l] = byte((base + l) % 256)
-		}
-		p := packBytesPlanesVec[V](vals)
-		bpSboxPlanes(&p)
-		for l := 0; l < lanes; l++ {
-			if got := unpackBytePlaneVec(&p, l); got != sbox[vals[l]] {
-				t.Fatalf("lane %d: circuit(%#02x) = %#02x, want %#02x", l, vals[l], got, sbox[vals[l]])
+	for _, w := range []struct {
+		name            string
+		instances, mult int
+	}{{"w64", 256, 1}, {"w256", 256, 167}, {"w512", 512, 77}} {
+		t.Run(w.name, func(t *testing.T) {
+			for base := 0; base < w.instances; base += bitslice.W {
+				vals := make([]byte, bitslice.W)
+				for l := range vals {
+					vals[l] = byte((base + l) * w.mult)
+				}
+				p := packBytePlanes(vals)
+				p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = bpSbox(p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7])
+				for l, v := range vals {
+					if got := unpackBytePlane(&p, l); got != sbox[v] {
+						t.Fatalf("lane %d: circuit(%#02x) = %#02x, want %#02x", l, v, got, sbox[v])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
-// stateBytes is one random 16-byte block per lane, plus its plane form.
-func randomState[V bitslice.Vec](rng *rand.Rand) ([][16]byte, [128]V) {
-	lanes := bitslice.VecLanes[V]()
-	blocks := make([][16]byte, lanes)
+// randomState is one random 16-byte block per lane, plus its plane form.
+func randomState(rng *rand.Rand) ([][16]byte, [128]uint64) {
+	blocks := make([][16]byte, bitslice.W)
 	for l := range blocks {
 		rng.Read(blocks[l][:])
 	}
-	return blocks, PackBlocksVec[V](blocks)
+	return blocks, PackBlocks(blocks)
 }
 
 // subShiftP must equal scalar SubBytes followed by scalar ShiftRows:
 // byte b of the output is sbox[input byte shiftSrc[b]] in every lane.
 func TestSubShiftRenaming(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	blocks, st := randomState[bitslice.V256](rng)
-	var dst [128]bitslice.V256
+	blocks, st := randomState(rng)
+	var dst [128]uint64
 	subShiftP(&dst, &st)
-	out := UnpackBlocksVec(&dst, len(blocks))
+	out := UnpackBlocks(&dst, len(blocks))
 	for l, blk := range blocks {
 		var want [16]byte
 		copy(want[:], blk[:])
@@ -99,11 +90,11 @@ func TestSubShiftRenaming(t *testing.T) {
 // output is sbox[input ^ rk at shiftSrc[b]].
 func TestSubShiftXorWhitening(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	blocks, st := randomState[bitslice.V64](rng)
-	rkBlocks, rk := randomState[bitslice.V64](rng)
-	var dst [128]bitslice.V64
+	blocks, st := randomState(rng)
+	rkBlocks, rk := randomState(rng)
+	var dst [128]uint64
 	subShiftXorP(&dst, &st, &rk)
-	out := UnpackBlocksVec(&dst, len(blocks))
+	out := UnpackBlocks(&dst, len(blocks))
 	for l, blk := range blocks {
 		var want [16]byte
 		for i := range want {
@@ -120,11 +111,11 @@ func TestSubShiftXorWhitening(t *testing.T) {
 // mixColumnsARKP must equal scalar MixColumns followed by AddRoundKey.
 func TestMixColumnsARK(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	blocks, st := randomState[bitslice.V512](rng)
-	rkBlocks, rk := randomState[bitslice.V512](rng)
-	var dst [128]bitslice.V512
+	blocks, st := randomState(rng)
+	rkBlocks, rk := randomState(rng)
+	var dst [128]uint64
 	mixColumnsARKP(&dst, &st, &rk)
-	out := UnpackBlocksVec(&dst, len(blocks))
+	out := UnpackBlocks(&dst, len(blocks))
 	for l, blk := range blocks {
 		var want [16]byte
 		copy(want[:], blk[:])

@@ -21,6 +21,12 @@ const W = 64
 // paper's single-precision CUDA registers.
 const W32 = 32
 
+// V64 is one 64-lane plane wrapped in a one-word array. It survives only
+// because the bench/ module declares its block buffers as [64]V64 and
+// instantiates the engine constructors with it; every engine runs on
+// plain uint64 planes.
+type V64 [1]uint64
+
 // Transpose64 performs an in-place 64x64 bit-matrix transposition:
 // afterwards, bit j of a[k] is the former bit k of a[j].
 //
@@ -37,6 +43,18 @@ func Transpose64(a *[64]uint64) {
 		}
 		j >>= 1
 		m ^= m << j
+	}
+}
+
+// TransposeVec is Transpose64 on V64 planes, kept for the bench/ module.
+func TransposeVec(a *[64]V64) {
+	var t [64]uint64
+	for i := range a {
+		t[i] = a[i][0]
+	}
+	Transpose64(&t)
+	for i := range a {
+		a[i][0] = t[i]
 	}
 }
 

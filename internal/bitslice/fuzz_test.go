@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// Native fuzz targets for the representation-change kernels: wide-lane
+// Native fuzz targets for the representation-change kernels: layout
 // rewrites are exactly where silent keystream corruption sneaks in, so
 // the pack/unpack/transpose round-trip laws are pinned by fuzzing in
 // addition to the unit tests. Seed corpora live under testdata/fuzz; CI
@@ -71,7 +71,7 @@ func FuzzPackBitsRoundTrip(f *testing.F) {
 }
 
 // FuzzPackWordsRoundTrip checks UnpackWords ∘ PackWords = id for every
-// lane count, in both the scalar and the Vec form.
+// lane count.
 func FuzzPackWordsRoundTrip(f *testing.F) {
 	f.Add([]byte{0x01}, uint8(64))
 	f.Add([]byte("pack words"), uint8(3))
@@ -79,65 +79,40 @@ func FuzzPackWordsRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, lanesRaw uint8) {
 		lanes := int(lanesRaw)%W + 1
 		vals := fuzzWords(data, lanes)
-
 		planes := PackWords(vals)
 		back := UnpackWords(&planes, lanes)
 		for l := range vals {
 			if back[l] != vals[l] {
-				t.Fatalf("scalar lane %d: %x != %x", l, back[l], vals[l])
-			}
-		}
-
-		wide := fuzzWords(data, 8*lanes)
-		vp := PackWordsVec[V256](wide[:min(len(wide), 256)])
-		vb := UnpackWordsVec(&vp, min(len(wide), 256))
-		for l := range vb {
-			if vb[l] != wide[l] {
-				t.Fatalf("vec lane %d: %x != %x", l, vb[l], wide[l])
+				t.Fatalf("lane %d: %x != %x", l, back[l], vals[l])
 			}
 		}
 	})
 }
 
-// FuzzTransposeVec checks that TransposeVec is an involution at every
-// width and that the V64 instantiation matches Transpose64.
+// FuzzTransposeVec checks that TransposeVec is an involution and that it
+// matches Transpose64.
 func FuzzTransposeVec(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0xFF, 0x00, 0xFF, 0x00})
 	f.Add([]byte("transpose involution seed"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		words := fuzzWords(data, 64*8)
-		fuzzTransposeWidth[V64](t, words)
-		fuzzTransposeWidth[V256](t, words)
-		fuzzTransposeWidth[V512](t, words)
-
 		var a64 [64]uint64
-		copy(a64[:], words)
-		var av [64]V64
+		copy(a64[:], fuzzWords(data, 64))
+		var av, orig [64]V64
 		for i := range av {
 			av[i][0] = a64[i]
 		}
+		orig = av
 		Transpose64(&a64)
 		TransposeVec(&av)
 		for i := range a64 {
 			if a64[i] != av[i][0] {
-				t.Fatalf("plane %d: TransposeVec[V64] diverges from Transpose64", i)
+				t.Fatalf("plane %d: TransposeVec diverges from Transpose64", i)
 			}
 		}
-	})
-}
-
-func fuzzTransposeWidth[V Vec](t *testing.T, words []uint64) {
-	var a, orig [64]V
-	for i := range a {
-		for k := 0; k < len(a[i]); k++ {
-			a[i][k] = words[(i*len(a[i])+k)%len(words)]
+		TransposeVec(&av)
+		if av != orig {
+			t.Fatal("TransposeVec is not an involution")
 		}
-	}
-	orig = a
-	TransposeVec(&a)
-	TransposeVec(&a)
-	if a != orig {
-		t.Fatalf("TransposeVec not an involution at %d lanes", VecLanes[V]())
-	}
+	})
 }

@@ -1,196 +1,153 @@
 package bitslice
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// runWidths runs a generic subtest at every supported vector width.
-func runWidths(t *testing.T, name string, f64, f256, f512 func(t *testing.T)) {
-	t.Run(name+"/64", f64)
-	t.Run(name+"/256", f256)
-	t.Run(name+"/512", f512)
-}
-
-func testVecWidths[V Vec](t *testing.T) {
-	var v V
-	if got := VecWords[V](); got != len(v) {
-		t.Fatalf("VecWords = %d, want %d", got, len(v))
-	}
-	if got := VecLanes[V](); got != 64*len(v) {
-		t.Fatalf("VecLanes = %d, want %d", got, 64*len(v))
-	}
-}
-
-func TestVecWidths(t *testing.T) {
-	runWidths(t, "widths", testVecWidths[V64], testVecWidths[V256], testVecWidths[V512])
-}
-
-func testBroadcastVec[V Vec](t *testing.T) {
-	ones := BroadcastVec[V](1)
-	zeros := BroadcastVec[V](0)
-	for k := 0; k < len(ones); k++ {
-		if ones[k] != ^uint64(0) {
-			t.Fatalf("BroadcastVec(1) word %d = %x", k, ones[k])
-		}
-		if zeros[k] != 0 {
-			t.Fatalf("BroadcastVec(0) word %d = %x", k, zeros[k])
-		}
-	}
-}
-
-func TestBroadcastVec(t *testing.T) {
-	runWidths(t, "broadcast", testBroadcastVec[V64], testBroadcastVec[V256], testBroadcastVec[V512])
-}
-
-func testLaneBitsVec[V Vec](t *testing.T) {
-	lanes := VecLanes[V]()
-	planes := make([]V, 37)
-	rng := rand.New(rand.NewSource(int64(lanes)))
-	type pt struct{ i, l int }
-	set := map[pt]uint8{}
-	for n := 0; n < 500; n++ {
-		i, l, b := rng.Intn(len(planes)), rng.Intn(lanes), uint8(rng.Intn(2))
-		SetLaneBitVec(planes, i, l, b)
-		set[pt{i, l}] = b
-	}
-	for p, b := range set {
-		if got := LaneBitVec(planes, p.i, p.l); got != b {
-			t.Fatalf("bit (%d, lane %d) = %d, want %d", p.i, p.l, got, b)
-		}
-	}
-	// ExtractLaneVec must agree with LaneBitVec.
-	for l := 0; l < lanes; l += 7 {
-		bits := ExtractLaneVec(planes, l)
-		for i := range bits {
-			if bits[i] != LaneBitVec(planes, i, l) {
-				t.Fatalf("ExtractLaneVec disagrees at (%d, lane %d)", i, l)
+// runWidths runs a check of the 64-lane helpers at every public lane
+// width. The helpers work on 64-lane planes, so the width-N subtest runs
+// the check on N/64 consecutive blocks, each with its own random data —
+// the way a wide stream is served in 64-lane passes.
+func runWidths(t *testing.T, name string, check func(t *testing.T, rng *rand.Rand, block int)) {
+	for _, lanes := range []int{64, 256, 512} {
+		t.Run(fmt.Sprintf("%s/%d", name, lanes), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(lanes)))
+			for block := 0; block < lanes/W; block++ {
+				check(t, rng, block)
 			}
-		}
+		})
 	}
+}
+
+// Broadcast looks only at the low bit of its argument.
+func TestBroadcastVec(t *testing.T) {
+	runWidths(t, "broadcast", func(t *testing.T, rng *rand.Rand, block int) {
+		b := uint8(rng.Intn(256))
+		want := uint64(0)
+		if b&1 == 1 {
+			want = ^uint64(0)
+		}
+		if got := Broadcast(b); got != want {
+			t.Fatalf("block %d: Broadcast(%#x) = %x, want %x", block, b, got, want)
+		}
+	})
 }
 
 func TestLaneBitsVec(t *testing.T) {
-	runWidths(t, "lanebits", testLaneBitsVec[V64], testLaneBitsVec[V256], testLaneBitsVec[V512])
-}
-
-func testPackBitsVecRoundTrip[V Vec](t *testing.T) {
-	lanes := VecLanes[V]()
-	rng := rand.New(rand.NewSource(99))
-	bits := make([][]uint8, lanes)
-	for l := range bits {
-		bits[l] = make([]uint8, 53)
-		for i := range bits[l] {
-			bits[l][i] = uint8(rng.Intn(2))
+	runWidths(t, "lanebits", func(t *testing.T, rng *rand.Rand, block int) {
+		planes := make([]uint64, 37)
+		type pt struct{ i, l int }
+		set := map[pt]uint8{}
+		for n := 0; n < 500; n++ {
+			i, l, b := rng.Intn(len(planes)), rng.Intn(W), uint8(rng.Intn(2))
+			SetLaneBit(planes, i, l, b)
+			set[pt{i, l}] = b
 		}
-	}
-	planes := PackBitsVec[V](bits)
-	back := UnpackBitsVec(planes, lanes)
-	for l := range bits {
-		for i := range bits[l] {
-			if bits[l][i] != back[l][i] {
-				t.Fatalf("lane %d bit %d: round trip broke", l, i)
+		for p, b := range set {
+			if got := LaneBit(planes, p.i, p.l); got != b {
+				t.Fatalf("block %d: bit (%d, lane %d) = %d, want %d", block, p.i, p.l, got, b)
 			}
 		}
-	}
+		// ExtractLane must agree with LaneBit.
+		for l := 0; l < W; l += 7 {
+			bits := ExtractLane(planes, l)
+			for i := range bits {
+				if bits[i] != LaneBit(planes, i, l) {
+					t.Fatalf("block %d: ExtractLane disagrees at (%d, lane %d)", block, i, l)
+				}
+			}
+		}
+	})
 }
 
 func TestPackBitsVecRoundTrip(t *testing.T) {
-	runWidths(t, "packbits",
-		testPackBitsVecRoundTrip[V64], testPackBitsVecRoundTrip[V256], testPackBitsVecRoundTrip[V512])
-}
-
-func testPackWordsVecRoundTrip[V Vec](t *testing.T) {
-	lanes := VecLanes[V]()
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range []int{0, 1, 63, 64, lanes / 2, lanes} {
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = rng.Uint64()
-		}
-		planes := PackWordsVec[V](vals)
-		back := UnpackWordsVec(&planes, n)
-		for i := range vals {
-			if back[i] != vals[i] {
-				t.Fatalf("n=%d lane %d: %x != %x", n, i, back[i], vals[i])
+	runWidths(t, "packbits", func(t *testing.T, rng *rand.Rand, block int) {
+		bits := make([][]uint8, W)
+		for l := range bits {
+			bits[l] = make([]uint8, 53)
+			for i := range bits[l] {
+				bits[l][i] = uint8(rng.Intn(2))
 			}
 		}
-		// Plane i, lane L must be bit i of vals[L].
-		for i := 0; i < 64; i += 13 {
-			for l := 0; l < n; l += 19 {
-				want := uint8((vals[l] >> uint(i)) & 1)
-				if got := uint8((planes[i][l>>6] >> uint(l&63)) & 1); got != want {
-					t.Fatalf("plane %d lane %d: bit %d != %d", i, l, got, want)
+		back := UnpackBits(PackBits(bits), W)
+		for l := range bits {
+			for i := range bits[l] {
+				if bits[l][i] != back[l][i] {
+					t.Fatalf("block %d: lane %d bit %d: round trip broke", block, l, i)
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestPackWordsVecRoundTrip(t *testing.T) {
-	runWidths(t, "packwords",
-		testPackWordsVecRoundTrip[V64], testPackWordsVecRoundTrip[V256], testPackWordsVecRoundTrip[V512])
-}
-
-func testTransposeVecInvolution[V Vec](t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	var a, orig [64]V
-	for i := range a {
-		for k := 0; k < len(a[i]); k++ {
-			a[i][k] = rng.Uint64()
-		}
-	}
-	orig = a
-	TransposeVec(&a)
-	// Spot-check the transposition itself: bit j of a[i][k] must be the
-	// former bit i of a[j][k].
-	for i := 0; i < 64; i += 11 {
-		for j := 0; j < 64; j += 13 {
-			for k := 0; k < len(a[i]); k++ {
-				got := (a[i][k] >> uint(j)) & 1
-				want := (orig[j][k] >> uint(i)) & 1
-				if got != want {
-					t.Fatalf("transpose wrong at (%d,%d) word %d", i, j, k)
+	runWidths(t, "packwords", func(t *testing.T, rng *rand.Rand, block int) {
+		for _, n := range []int{0, 1, 32, 63, 64} {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64()
+			}
+			planes := PackWords(vals)
+			back := UnpackWords(&planes, n)
+			for i := range vals {
+				if back[i] != vals[i] {
+					t.Fatalf("block %d n=%d lane %d: %x != %x", block, n, i, back[i], vals[i])
+				}
+			}
+			// Plane i, lane L must be bit i of vals[L].
+			for i := 0; i < 64; i += 13 {
+				for l := 0; l < n; l += 19 {
+					want := uint8((vals[l] >> uint(i)) & 1)
+					if got := LaneBit(planes[:], i, l); got != want {
+						t.Fatalf("block %d: plane %d lane %d: bit %d != %d", block, i, l, got, want)
+					}
 				}
 			}
 		}
-	}
-	TransposeVec(&a)
-	if a != orig {
-		t.Fatal("TransposeVec is not an involution")
-	}
+	})
 }
 
 func TestTransposeVecInvolution(t *testing.T) {
-	runWidths(t, "transpose",
-		testTransposeVecInvolution[V64], testTransposeVecInvolution[V256], testTransposeVecInvolution[V512])
+	runWidths(t, "transpose", func(t *testing.T, rng *rand.Rand, block int) {
+		var a, orig [64]V64
+		for i := range a {
+			a[i][0] = rng.Uint64()
+		}
+		orig = a
+		TransposeVec(&a)
+		// Spot-check the transposition itself: bit j of a[i] must be the
+		// former bit i of a[j].
+		for i := 0; i < 64; i += 11 {
+			for j := 0; j < 64; j += 13 {
+				if got, want := (a[i][0]>>uint(j))&1, (orig[j][0]>>uint(i))&1; got != want {
+					t.Fatalf("block %d: transpose wrong at (%d,%d)", block, i, j)
+				}
+			}
+		}
+		TransposeVec(&a)
+		if a != orig {
+			t.Fatalf("block %d: TransposeVec is not an involution", block)
+		}
+	})
 }
 
-// The V64 path must agree exactly with the legacy uint64 helpers.
+// TransposeVec, kept for the bench/ module, must agree exactly with
+// Transpose64.
 func TestVecMatchesScalarHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	vals := make([]uint64, 64)
-	for i := range vals {
-		vals[i] = rng.Uint64()
-	}
-	scalar := PackWords(vals)
-	vec := PackWordsVec[V64](vals)
-	for i := range scalar {
-		if scalar[i] != vec[i][0] {
-			t.Fatalf("plane %d: PackWordsVec[V64] diverges from PackWords", i)
-		}
-	}
 	var a64 [64]uint64
 	var av [64]V64
 	for i := range a64 {
-		a64[i] = vals[i]
-		av[i][0] = vals[i]
+		a64[i] = rng.Uint64()
+		av[i][0] = a64[i]
 	}
 	Transpose64(&a64)
 	TransposeVec(&av)
 	for i := range a64 {
 		if a64[i] != av[i][0] {
-			t.Fatalf("plane %d: TransposeVec[V64] diverges from Transpose64", i)
+			t.Fatalf("plane %d: TransposeVec diverges from Transpose64", i)
 		}
 	}
 }

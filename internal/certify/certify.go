@@ -50,7 +50,8 @@ type Config struct {
 	// Algorithms is the cell rows (default core.ServedAlgorithms).
 	Algorithms []core.Algorithm
 	// LaneWidths is the cell columns in boot mode (default
-	// core.SupportedLanes). Ignored in dial mode.
+	// core.DefaultLanes alone: every accepted width runs the 64-lane
+	// datapath and serves the same bytes). Ignored in dial mode.
 	LaneWidths []int
 	// Segments is the number of core.SegmentBytes segments pulled per
 	// cell (default 64: 128 KiB, 2^20 bits).
@@ -84,7 +85,7 @@ func (c *Config) defaults() {
 		c.Algorithms = core.ServedAlgorithms
 	}
 	if c.LaneWidths == nil {
-		c.LaneWidths = core.SupportedLanes
+		c.LaneWidths = []int{core.DefaultLanes}
 	}
 	if c.Segments == 0 {
 		c.Segments = 64

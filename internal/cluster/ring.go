@@ -21,6 +21,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"sort"
@@ -34,6 +35,9 @@ const (
 	// DefaultSegmentWindow is how many consecutive segments share one
 	// owner (1024 segments = 2 MiB of stream per ownership window).
 	DefaultSegmentWindow = 1024
+	// maxRingPoints bounds nodes × virtual_nodes, so a ring file cannot
+	// make NewRing allocate without limit (1024 nodes at the default).
+	maxRingPoints = 1 << 16
 )
 
 // Node is one bsrngd member of the ring.
@@ -92,6 +96,10 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("cluster: ring has no nodes")
 	}
+	if cfg.VirtualNodes > maxRingPoints/len(cfg.Nodes) {
+		return nil, fmt.Errorf("cluster: %d nodes × %d virtual_nodes exceeds %d ring points",
+			len(cfg.Nodes), cfg.VirtualNodes, maxRingPoints)
+	}
 	seen := make(map[string]bool, len(cfg.Nodes))
 	for _, n := range cfg.Nodes {
 		if n.Name == "" {
@@ -127,13 +135,17 @@ func NewRing(cfg RingConfig) (*Ring, error) {
 	return r, nil
 }
 
-// ParseRing decodes a ring config document and builds the ring.
+// ParseRing decodes a ring config document — one JSON object, nothing
+// after it — and builds the ring.
 func ParseRing(data []byte) (*Ring, error) {
 	dec := json.NewDecoder(strings.NewReader(string(data)))
 	dec.DisallowUnknownFields()
 	var cfg RingConfig
 	if err := dec.Decode(&cfg); err != nil {
 		return nil, fmt.Errorf("cluster: ring config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("cluster: ring config: trailing data after the JSON object")
 	}
 	return NewRing(cfg)
 }

@@ -187,6 +187,7 @@ func TestNewRingValidation(t *testing.T) {
 		{"bad url", RingConfig{Nodes: []Node{{Name: "a", URL: "not a url"}}}},
 		{"no scheme", RingConfig{Nodes: []Node{{Name: "a", URL: "127.0.0.1:8080"}}}},
 		{"negative vnodes", RingConfig{VirtualNodes: -1, Nodes: good}},
+		{"too many ring points", RingConfig{VirtualNodes: maxRingPoints, Nodes: good}},
 	}
 	for _, tc := range cases {
 		if _, err := NewRing(tc.cfg); err == nil {
@@ -220,6 +221,9 @@ func TestParseAndLoadRing(t *testing.T) {
 	}
 	if _, err := ParseRing([]byte(`not json`)); err == nil {
 		t.Error("malformed JSON accepted")
+	}
+	if _, err := ParseRing([]byte(doc + `}`)); err == nil {
+		t.Error("trailing data accepted")
 	}
 
 	path := filepath.Join(t.TempDir(), "ring.json")

@@ -93,11 +93,11 @@ func TestGeneratorUint64AndWords(t *testing.T) {
 // Each worker domain must produce a distinct stream.
 func TestSeedDomainSeparation(t *testing.T) {
 	for _, alg := range Algorithms {
-		e1, err := newEngine(alg, 5, 1, 0)
+		e1, err := newEngine(alg, 5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := newEngine(alg, 5, 2, 0)
+		e2, err := newEngine(alg, 5, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestStreamMatchesSingleWorkerComposition(t *testing.T) {
 	s.Read(got)
 	s.Close()
 
-	eng, _ := newEngine(MICKEY, 9, 1, 0)
+	eng, _ := newEngine(MICKEY, 9, 1)
 	want := make([]byte, 4096)
 	for off := 0; off < len(want); off += eng.blockBytes() {
 		eng.nextBlock(want[off : off+eng.blockBytes()])

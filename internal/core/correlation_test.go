@@ -27,7 +27,7 @@ func TestLaneDecorrelation(t *testing.T) {
 		}
 		switch alg {
 		case MICKEY:
-			m, err := mickey.NewSliced(keys, ivs, 80)
+			m, err := mickey.NewSlicedVec[bitslice.V64](keys, ivs, 80)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,7 +38,7 @@ func TestLaneDecorrelation(t *testing.T) {
 			for l := range ivs {
 				ivs[l] = ivs[l][:grain.IVSize]
 			}
-			g, err := grain.NewSliced(keys, ivs)
+			g, err := grain.NewSlicedVec[bitslice.V64](keys, ivs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestLaneDecorrelation(t *testing.T) {
 				t.Fatal(err)
 			}
 		case TRIVIUM:
-			tv, err := trivium.NewSliced(keys, ivs)
+			tv, err := trivium.NewSlicedVec[bitslice.V64](keys, ivs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"sync"
-
-	"repro/internal/bitslice"
 )
 
 // Gathered passes. The lanes of a bitsliced word are independent cipher
@@ -23,9 +21,6 @@ import (
 // caller still waiting; it never serves others indefinitely. No
 // goroutine, timer or batching delay is involved: a lone caller runs its
 // passes immediately.
-
-// gatherLanes is the width of a gathered pass: the native uint64 datapath.
-const gatherLanes = 64
 
 // WindowSource serves byte windows of the canonical (seed, domain)
 // streams of one algorithm through one keyed 64-lane cipher. ReadWindow
@@ -66,9 +61,9 @@ type windowReq struct {
 // with another. (A free list rather than a sync.Pool: the race detector
 // makes a Pool drop items at random.)
 type passScratch struct {
-	priv  [gatherLanes][]byte // SegmentBytes each, one backing array
-	cur   [gatherLanes][]byte // pass destination per lane: priv or a caller's segment
-	slots [gatherLanes]windowSlot
+	priv  [passLanes][]byte // SegmentBytes each, one backing array
+	cur   [passLanes][]byte // pass destination per lane: priv or a caller's segment
+	slots [passLanes]windowSlot
 }
 
 // windowSlot is the demand lane l of a pass serves: bytes
@@ -96,7 +91,7 @@ func getPassScratch() *passScratch {
 		return ps
 	}
 	ps := new(passScratch)
-	backing := make([]byte, gatherLanes*SegmentBytes)
+	backing := make([]byte, passLanes*SegmentBytes)
 	for l := range ps.priv {
 		ps.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
@@ -118,7 +113,7 @@ var errWindowRange = errors.New("core: window reaches past the last addressable 
 // seed. onPass, when non-nil, is called after every pass with the number
 // of lanes that served a demand.
 func NewWindowSource(alg Algorithm, seed uint64, onPass func(lanes int)) (*WindowSource, error) {
-	c, err := newCipherWidth[bitslice.V64](alg, gatherLanes, seed, 0, 0)
+	c, err := newCipher(alg, seed, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +216,7 @@ func (ws *WindowSource) lead(me *windowReq) {
 func (ws *WindowSource) gather(ps *passScratch) int {
 	n, done := 0, 0
 	for _, r := range ws.pending {
-		for r.next < r.end && n < gatherLanes {
+		for r.next < r.end && n < passLanes {
 			seg, within := r.next/SegmentBytes, r.next%SegmentBytes
 			k := min(r.end-r.next, SegmentBytes-within)
 			o := r.next - r.offset
@@ -246,7 +241,7 @@ func (ws *WindowSource) gather(ps *passScratch) int {
 // private buffers. Lanes past n keep stale material and their output is
 // discarded.
 func (ws *WindowSource) runPass(ps *passScratch, n int) error {
-	for l := 0; l < gatherLanes; l++ {
+	for l := 0; l < passLanes; l++ {
 		ps.cur[l] = ps.priv[l]
 		if l >= n {
 			continue

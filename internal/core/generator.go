@@ -123,18 +123,21 @@ var ServedAlgorithms = []Algorithm{MICKEY, GRAIN, AESCTR, TRIVIUM, XORGENS, Chao
 // SegmentBytes is the unit of the canonical BSRNG byte stream: the stream
 // of one (seed, domain) pair is the concatenation of fixed-size segments,
 // and segment j is keystream from a cipher instance keyed by
-// PRF(seed, domain, j) (see segmentMaterial). A W-lane engine computes W
-// consecutive segments in one lock-step pass — lane width changes how many
-// segments are produced per pass, never their bytes, so every datapath
-// width emits the identical stream.
+// PRF(seed, domain, j) (see segmentMaterial). An engine computes 64
+// consecutive segments in one lock-step pass of the 64-lane datapath;
+// how many segments a pass holds never changes their bytes.
 const SegmentBytes = 2048
 
-// DefaultLanes is the lane width used when a caller does not choose one:
-// the native 64-lane uint64 datapath.
-const DefaultLanes = 64
+// passLanes is the width of every cipher pass: the 64-lane uint64
+// datapath, one plane bit per lane.
+const passLanes = bitslice.W
 
-// SupportedLanes lists the valid engine lane widths: 64 (uint64 planes),
-// 256 (quad-word planes) and 512 (oct-word planes).
+// DefaultLanes is the lane width used when a caller does not choose one.
+const DefaultLanes = passLanes
+
+// SupportedLanes lists the accepted lane widths. Every one of them runs
+// the 64-lane datapath and yields identical bytes; 256 and 512 remain
+// accepted so existing callers and URLs keep working.
 var SupportedLanes = []int{64, 256, 512}
 
 // ValidateLanes rejects lane counts outside SupportedLanes (0 selects
@@ -171,10 +174,10 @@ type engine interface {
 	reseed()
 }
 
-// segmented drives a wide-lane cipher through the segment stream: one
-// lock-step pass fills `lanes` segment buffers (lane l = segment base+l),
-// nextBlock hands them out in order, and an exhausted pass rekeys the
-// cipher for the next `lanes` segment indices.
+// segmented drives a 64-lane cipher through the segment stream: one
+// lock-step pass fills passLanes segment buffers (lane l = segment
+// base+l), nextBlock hands them out in order, and an exhausted pass
+// rekeys the cipher for the next passLanes segment indices.
 //
 // The pass destination is chosen per fill: nextBlocks aims as many lane
 // buffers as fit directly at the caller's destination (the cipher then
@@ -183,33 +186,27 @@ type engine interface {
 // later copy-out. The private buffers also carry every health-reseed
 // regeneration — see reseed.
 type segmented struct {
-	lanes        int
-	priv         [][]byte // lanes × SegmentBytes private buffers, one backing array
+	priv         [][]byte // passLanes × SegmentBytes private buffers, one backing array
 	cur          [][]byte // current pass destination per lane: priv[l] or a dst subslice
 	emit         int      // next segment slot to hand out
-	filled       bool     // cur[emit..lanes-1] hold generated segments
+	filled       bool     // cur[emit..passLanes-1] hold generated segments
 	base         uint64   // absolute segment index of the current pass's slot 0
 	epoch        uint64   // reseed generation; 0 = canonical stream
 	seed, domain uint64
 	c            *laneCipher
 }
 
-// newSegmented builds the engine of one (seed, domain) pair at the given
-// lane width (0 = DefaultLanes), keyed once, directly for the pass whose
-// slot 0 is absolute segment index base. The emitted byte stream is
-// identical at every supported width.
-func newSegmented(alg Algorithm, seed, domain uint64, lanes int, base uint64) (*segmented, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
-	}
-	c, err := newLaneCipher(alg, lanes, seed, domain, base)
+// newSegmented builds the engine of one (seed, domain) pair, keyed once,
+// directly for the pass whose slot 0 is absolute segment index base.
+func newSegmented(alg Algorithm, seed, domain, base uint64) (*segmented, error) {
+	c, err := newCipher(alg, seed, domain, base)
 	if err != nil {
 		return nil, err
 	}
-	e := &segmented{lanes: lanes, base: base, seed: seed, domain: domain, c: c}
-	backing := make([]byte, lanes*SegmentBytes)
-	e.priv = make([][]byte, lanes)
-	e.cur = make([][]byte, lanes)
+	e := &segmented{base: base, seed: seed, domain: domain, c: c}
+	backing := make([]byte, passLanes*SegmentBytes)
+	e.priv = make([][]byte, passLanes)
+	e.cur = make([][]byte, passLanes)
 	for l := range e.priv {
 		e.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
@@ -220,8 +217,8 @@ func newSegmented(alg Algorithm, seed, domain uint64, lanes int, base uint64) (*
 
 // newEngine builds a fully-seeded engine for one (seed, domain) pair,
 // positioned at segment 0.
-func newEngine(alg Algorithm, seed, domain uint64, lanes int) (engine, error) {
-	e, err := newSegmented(alg, seed, domain, lanes, 0)
+func newEngine(alg Algorithm, seed, domain uint64) (engine, error) {
+	e, err := newSegmented(alg, seed, domain, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +239,7 @@ func (e *segmented) rekey() {
 // and is nil on the nextBlock (copy-out) path. Only called with emit==0:
 // a pass is always generated from its first slot.
 func (e *segmented) fillPass(dst []byte) {
-	direct := len(dst) / SegmentBytes
-	if direct > e.lanes {
-		direct = e.lanes
-	}
+	direct := min(len(dst)/SegmentBytes, passLanes)
 	for l := 0; l < direct; l++ {
 		e.cur[l] = dst[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
@@ -256,9 +250,9 @@ func (e *segmented) fillPass(dst []byte) {
 	e.filled = true
 }
 
-// advancePass rekeys the cipher for the next `lanes` segment indices.
+// advancePass rekeys the cipher for the next passLanes segment indices.
 func (e *segmented) advancePass() {
-	e.base += uint64(e.lanes)
+	e.base += passLanes
 	e.rekey()
 	e.emit = 0
 	e.filled = false
@@ -267,7 +261,7 @@ func (e *segmented) advancePass() {
 func (e *segmented) blockBytes() int { return SegmentBytes }
 
 func (e *segmented) nextBlock(dst []byte) {
-	if e.emit == e.lanes {
+	if e.emit == passLanes {
 		e.advancePass()
 	}
 	if !e.filled {
@@ -284,13 +278,13 @@ func (e *segmented) nextBlocks(dst []byte, check func(seg []byte)) {
 		panic("core: nextBlocks destination not segment-aligned")
 	}
 	for len(dst) > 0 {
-		if e.emit == e.lanes {
+		if e.emit == passLanes {
 			e.advancePass()
 		}
 		if !e.filled {
 			e.fillPass(dst)
 		}
-		for e.emit < e.lanes && len(dst) > 0 {
+		for e.emit < passLanes && len(dst) > 0 {
 			seg := dst[:SegmentBytes]
 			// cur[emit] either aliases seg (direct fill) or holds a
 			// parked segment in the private buffers; re-read it every
@@ -354,8 +348,8 @@ func (c *laneCipher) key(l int, seed, domain, seg, epoch uint64) {
 	}
 }
 
-// keyPass derives the material of segments base..base+lanes-1, lane l
-// for segment base+l.
+// keyPass derives the material of segments base..base+passLanes-1, lane
+// l for segment base+l.
 func (c *laneCipher) keyPass(seed, domain, base, epoch uint64) {
 	c.mat.derive(seed, domain, base, epoch)
 	deriveChaoticX0s(c.x0s, seed, domain, base, epoch)
@@ -372,21 +366,6 @@ func (c *laneCipher) pass(bufs [][]byte) error {
 	return nil
 }
 
-// newLaneCipher builds the cipher of alg at a supported lane width,
-// keyed for segments base..base+lanes-1 of (seed, domain): construction
-// is the only keying an engine pays for its first pass.
-func newLaneCipher(alg Algorithm, lanes int, seed, domain, base uint64) (*laneCipher, error) {
-	switch lanes {
-	case 64:
-		return newCipherWidth[bitslice.V64](alg, lanes, seed, domain, base)
-	case 256:
-		return newCipherWidth[bitslice.V256](alg, lanes, seed, domain, base)
-	case 512:
-		return newCipherWidth[bitslice.V512](alg, lanes, seed, domain, base)
-	}
-	return nil, fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
-}
-
 // cipherRow is one base engine's entry in the cipher table: its key and
 // IV sizes, and the constructor that keys a cipher from mat and returns
 // its reseed and fill hooks. The ciphers copy the material into their
@@ -397,40 +376,41 @@ type cipherRow struct {
 	build         func(mat *laneMaterial) (reseed func() error, fill func([][]byte) error, err error)
 }
 
-// newCipherWidth builds alg's cipher at vector width V from its row of
-// the cipher table, keyed as newLaneCipher describes.
-func newCipherWidth[V bitslice.Vec](alg Algorithm, lanes int, seed, domain, base uint64) (*laneCipher, error) {
+// newCipher builds the 64-lane cipher of alg from its row of the cipher
+// table, keyed for segments base..base+passLanes-1 of (seed, domain):
+// construction is the only keying an engine pays for its first pass.
+func newCipher(alg Algorithm, seed, domain, base uint64) (*laneCipher, error) {
 	table := [...]cipherRow{
 		MICKEY: {mickey.KeySize, mickey.MaxIVBits / 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := mickey.NewSlicedVec[V](m.keys, m.ivs, mickey.MaxIVBits)
+			c, err := mickey.NewSlicedVec[bitslice.V64](m.keys, m.ivs, mickey.MaxIVBits)
 			if err != nil {
 				return nil, nil, err
 			}
 			return func() error { return c.Reseed(m.keys, m.ivs, mickey.MaxIVBits) }, c.Keystream, nil
 		}},
 		GRAIN: {grain.KeySize, grain.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := grain.NewSlicedVec[V](m.keys, m.ivs)
+			c, err := grain.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
 			if err != nil {
 				return nil, nil, err
 			}
 			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
 		}},
 		AESCTR: {16, 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := aes.NewSlicedCTRVec[V](m.keys, m.ivs)
+			c, err := aes.NewSlicedCTRVec[bitslice.V64](m.keys, m.ivs)
 			if err != nil {
 				return nil, nil, err
 			}
 			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
 		}},
 		TRIVIUM: {trivium.KeySize, trivium.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := trivium.NewSlicedVec[V](m.keys, m.ivs)
+			c, err := trivium.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
 			if err != nil {
 				return nil, nil, err
 			}
 			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
 		}},
 		XORGENS: {xorgens.KeySize, xorgens.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := xorgens.NewSlicedVec[V](m.keys, m.ivs)
+			c, err := xorgens.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -442,9 +422,9 @@ func newCipherWidth[V bitslice.Vec](alg Algorithm, lanes int, seed, domain, base
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}
 	row := table[baseAlg]
-	c := &laneCipher{mat: newLaneMaterial(lanes, row.keyLen, row.ivLen)}
+	c := &laneCipher{mat: newLaneMaterial(passLanes, row.keyLen, row.ivLen)}
 	if alg.IsChaotic() {
-		c.x0s = make([]uint64, lanes)
+		c.x0s = make([]uint64, passLanes)
 	}
 	c.keyPass(seed, domain, base, 0)
 	var err error
@@ -455,14 +435,13 @@ func newCipherWidth[V bitslice.Vec](alg Algorithm, lanes int, seed, domain, base
 }
 
 // Generator is a deterministic single-engine BSRNG byte stream: one
-// wide-lane bitsliced engine behind an io.Reader. The byte stream depends
-// only on (algorithm, seed), not on the lane width.
+// 64-lane bitsliced engine behind an io.Reader. The byte stream depends
+// only on (algorithm, seed).
 type Generator struct {
-	alg   Algorithm
-	lanes int
-	eng   engine
-	buf   []byte
-	pos   int // unread offset into buf; len(buf) when empty
+	alg Algorithm
+	eng engine
+	buf []byte
+	pos int // unread offset into buf; len(buf) when empty
 }
 
 // NewGenerator builds a seeded generator at the default lane width.
@@ -470,17 +449,17 @@ func NewGenerator(alg Algorithm, seed uint64) (*Generator, error) {
 	return NewGeneratorLanes(alg, seed, DefaultLanes)
 }
 
-// NewGeneratorLanes builds a seeded generator at an explicit lane width
-// (0 = DefaultLanes; see SupportedLanes).
+// NewGeneratorLanes builds a seeded generator, accepting any lane width
+// ValidateLanes accepts; every width yields the NewGenerator stream.
 func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
+	if err := ValidateLanes(lanes); err != nil {
+		return nil, err
 	}
-	eng, err := newEngine(alg, seed, 0, lanes)
+	eng, err := newEngine(alg, seed, 0)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{alg: alg, lanes: lanes, eng: eng}
+	g := &Generator{alg: alg, eng: eng}
 	g.buf = make([]byte, eng.blockBytes())
 	g.pos = len(g.buf)
 	return g, nil
@@ -489,8 +468,9 @@ func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error
 // Algorithm reports which engine backs the generator.
 func (g *Generator) Algorithm() Algorithm { return g.alg }
 
-// Lanes reports the generator's datapath width.
-func (g *Generator) Lanes() int { return g.lanes }
+// Lanes reports the generator's datapath width: 64, whatever width it
+// was built with.
+func (g *Generator) Lanes() int { return passLanes }
 
 // Read fills p with pseudo-random bytes; it never fails. Whole segments
 // are generated directly into p — only a sub-segment head or tail passes

@@ -29,18 +29,18 @@ const maxSegmentIndex = uint64(1) << 52
 // segment of keystream. The returned bytes are identical at every
 // supported lane width.
 func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
-	if lanes == 0 {
-		lanes = DefaultLanes
-	}
 	seg, skip := offset/SegmentBytes, offset%SegmentBytes
 	if seg >= maxSegmentIndex {
 		return nil, fmt.Errorf("core: segment index %d out of range (max %d)", seg, maxSegmentIndex)
 	}
-	eng, err := newSegmented(alg, seed, domain, lanes, seg)
+	if err := ValidateLanes(lanes); err != nil {
+		return nil, err
+	}
+	eng, err := newSegmented(alg, seed, domain, seg)
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{alg: alg, lanes: lanes, eng: eng}
+	g := &Generator{alg: alg, eng: eng}
 	g.buf = make([]byte, eng.blockBytes())
 	g.pos = len(g.buf)
 	if skip != 0 {

@@ -38,9 +38,9 @@ func (s *splitMix64) fill(dst []byte) {
 // engines (e.g. workers of a Stream) drawing from the same user seed.
 //
 // Each segment's material depends only on (seed, domain, base+l, epoch)
-// — never on the lane count — which is what makes the canonical byte
-// stream identical at every datapath width: a 512-lane engine computes
-// the same segments as a 64-lane engine, just more of them per pass.
+// — never on the lane count or on which pass computes it — which is what
+// makes the canonical byte stream identical however its segments are
+// grouped into 64-lane passes.
 //
 // epoch is the reseed generation and is 0 for the canonical stream; a
 // continuous health test that condemns a segment bumps the engine's

@@ -95,9 +95,8 @@ type StreamConfig struct {
 	// analogous shared-memory occupancy "by try and error" (§4.5); the
 	// BenchmarkStagingAblation bench sweeps it.
 	StagingBytes int
-	// Lanes is the per-worker engine datapath width; see SupportedLanes.
-	// The stream's bytes are identical at every width — Lanes only trades
-	// memory and per-pass batch size for instruction-level parallelism.
+	// Lanes is the engine lane width: any value ValidateLanes accepts.
+	// Every width runs the 64-lane datapath and yields identical bytes.
 	Lanes int
 	// Health, when non-nil, is a continuous online health test run
 	// against every SegmentBytes-sized segment at production time, from
@@ -153,7 +152,7 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 	}
 	engines := make([]engine, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		eng, err := newEngine(alg, seed, uint64(w)+1, cfg.Lanes)
+		eng, err := newEngine(alg, seed, uint64(w)+1)
 		if err != nil {
 			return nil, err
 		}
@@ -394,11 +393,11 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	if len(dst) == 0 {
-		return ValidateLanes(lanes)
+	if err := ValidateLanes(lanes); err != nil || len(dst) == 0 {
+		return err
 	}
 	// Regions are whole multiples of the engine block size except the last.
-	probe, err := newEngine(alg, seed, 1, lanes)
+	probe, err := newEngine(alg, seed, 1)
 	if err != nil {
 		return err
 	}
@@ -429,7 +428,7 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 			if w == 0 {
 				eng = probe
 			} else {
-				eng, err = newEngine(alg, seed, uint64(w)+1, lanes)
+				eng, err = newEngine(alg, seed, uint64(w)+1)
 			}
 			if err != nil {
 				mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitslice"
 )
 
 func randKeyIV(rng *rand.Rand) ([]byte, []byte) {
@@ -31,7 +33,7 @@ func TestSlicedMatchesRef(t *testing.T) {
 	for l := 0; l < lanes; l++ {
 		keys[l], ivs[l] = randKeyIV(rng)
 	}
-	sl, err := NewSliced(keys, ivs)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestSlicedPartialLanes(t *testing.T) {
 	for l := 0; l < lanes; l++ {
 		keys[l], ivs[l] = randKeyIV(rng)
 	}
-	sl, err := NewSliced(keys, ivs)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,19 +95,23 @@ func TestSlicedWindowRebaseSeamless(t *testing.T) {
 	for l := range keys {
 		keys[l], ivs[l] = randKeyIV(rng)
 	}
-	a, _ := NewSliced(keys, ivs)
-	b, _ := NewSliced(keys, ivs)
-	dst := make([]uint64, 1000) // crosses ~15 window rebases
-	a.KeystreamWords(dst)
-	for i, w := range dst {
-		if got := b.ClockWord(); got != w {
-			t.Fatalf("word %d differs after rebase", i)
+	sl, _ := NewSlicedVec[bitslice.V64](keys, ivs)
+	refs := make([]*Ref, len(keys))
+	for l := range refs {
+		refs[l], _ = NewRef(keys[l], ivs[l])
+	}
+	for i := 0; i < 1000; i++ { // crosses ~15 window rebases
+		z := sl.ClockVec()
+		for l, ref := range refs {
+			if uint8(z>>uint(l)&1) != ref.KeystreamBit() {
+				t.Fatalf("clock %d lane %d diverges from Ref across rebases", i, l)
+			}
 		}
 	}
 }
 
 func TestSlicedValidation(t *testing.T) {
-	if _, err := NewSliced(nil, nil); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](nil, nil); err == nil {
 		t.Error("zero lanes accepted")
 	}
 	keys := make([][]byte, 65)
@@ -114,19 +120,19 @@ func TestSlicedValidation(t *testing.T) {
 		keys[i] = make([]byte, KeySize)
 		ivs[i] = make([]byte, IVSize)
 	}
-	if _, err := NewSliced(keys, ivs); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](keys, ivs); err == nil {
 		t.Error("65 lanes accepted")
 	}
-	if _, err := NewSliced(keys[:2], ivs[:1]); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](keys[:2], ivs[:1]); err == nil {
 		t.Error("count mismatch accepted")
 	}
-	if _, err := NewSliced([][]byte{make([]byte, 9)}, ivs[:1]); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64]([][]byte{make([]byte, 9)}, ivs[:1]); err == nil {
 		t.Error("short key accepted")
 	}
-	if _, err := NewSliced(keys[:1], [][]byte{make([]byte, 7)}); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](keys[:1], [][]byte{make([]byte, 7)}); err == nil {
 		t.Error("short iv accepted")
 	}
-	sl, _ := NewSliced(keys[:2], ivs[:2])
+	sl, _ := NewSlicedVec[bitslice.V64](keys[:2], ivs[:2])
 	if err := sl.Keystream(make([][]byte, 1)); err == nil {
 		t.Error("wrong buffer count accepted")
 	}
@@ -199,11 +205,13 @@ func BenchmarkSlicedKeystream64Lanes(b *testing.B) {
 	for l := range keys {
 		keys[l], ivs[l] = randKeyIV(rng)
 	}
-	g, _ := NewSliced(keys, ivs)
+	g, _ := NewSlicedVec[bitslice.V64](keys, ivs)
 	dst := make([]uint64, 512)
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.KeystreamWords(dst)
+		for j := range dst {
+			dst[j] = g.ClockVec()
+		}
 	}
 }

@@ -10,7 +10,7 @@ import "repro/internal/circuit"
 //
 // Inputs (201 words): r0..r99, s0..s99, input bit.
 // Outputs (201 words): r'0..r'99, s'0..s'99, z (computed from the old
-// state, matching ClockWord's emit-then-clock order).
+// state, matching ClockVec's emit-then-clock order).
 //
 // The Sliced engine's clockKG, generated as straight-line Go from the same
 // tables (clockkg_gen.go), is cross-validated against this compiled

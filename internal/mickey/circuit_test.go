@@ -3,6 +3,8 @@ package mickey
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitslice"
 )
 
 // The compiled circuit and the bitsliced engine's generated clock must
@@ -17,7 +19,7 @@ func TestCircuitMatchesHandEngine(t *testing.T) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	sl, err := NewSliced(keys, ivs, 80)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,21 +33,21 @@ func TestCircuitMatchesHandEngine(t *testing.T) {
 	scratch := make([]uint64, prog.ScratchLen())
 	for step := 0; step < 50; step++ {
 		for i := 0; i < 100; i++ {
-			in[i] = sl.r[i][0]
-			in[100+i] = sl.s[i][0]
+			in[i] = sl.r[i]
+			in[100+i] = sl.s[i]
 		}
 		in[200] = 0 // keystream mode input
 		prog.Run(in, out, scratch)
 
-		z := sl.ClockWord()
+		z := sl.ClockVec()
 		if out[200] != z {
 			t.Fatalf("step %d: circuit z %x, hand z %x", step, out[200], z)
 		}
 		for i := 0; i < 100; i++ {
-			if out[i] != sl.r[i][0] {
+			if out[i] != sl.r[i] {
 				t.Fatalf("step %d: r[%d] differs", step, i)
 			}
-			if out[100+i] != sl.s[i][0] {
+			if out[100+i] != sl.s[i] {
 				t.Fatalf("step %d: s[%d] differs", step, i)
 			}
 		}
@@ -105,21 +107,21 @@ func BenchmarkCircuitVsHand(b *testing.B) {
 	}
 
 	b.Run("generated", func(b *testing.B) {
-		sl, _ := NewSliced(keys, ivs, 80)
+		sl, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 		b.SetBytes(8) // 64 bits per clock
 		for i := 0; i < b.N; i++ {
-			sl.ClockWord()
+			sl.ClockVec()
 		}
 	})
 	b.Run("circuit", func(b *testing.B) {
-		sl, _ := NewSliced(keys, ivs, 80)
+		sl, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 		prog := BuildClockCircuit(false)
 		in := make([]uint64, 201)
 		out := make([]uint64, 201)
 		scratch := make([]uint64, prog.ScratchLen())
 		for i := 0; i < 100; i++ {
-			in[i] = sl.r[i][0]
-			in[100+i] = sl.s[i][0]
+			in[i] = sl.r[i]
+			in[100+i] = sl.s[i]
 		}
 		b.SetBytes(8)
 		b.ResetTimer()

@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"repro/internal/bitslice"
 )
 
 // The irregular clocking must actually be irregular: over a window of
@@ -43,7 +45,7 @@ func TestLanesDivergeUnderIrregularClocking(t *testing.T) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	sl, err := NewSliced(keys, ivs, 80)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +55,11 @@ func TestLanesDivergeUnderIrregularClocking(t *testing.T) {
 	mixed := 0
 	const clocks = 100
 	for i := 0; i < clocks; i++ {
-		ctrlR := sl.s[34][0] ^ sl.r[67][0]
+		ctrlR := sl.s[34] ^ sl.r[67]
 		if c := bits.OnesCount64(ctrlR); c > 4 && c < 60 {
 			mixed++
 		}
-		sl.ClockWord()
+		sl.ClockVec()
 	}
 	if mixed < clocks/2 {
 		t.Errorf("control word mixed in only %d of %d clocks", mixed, clocks)

@@ -12,7 +12,7 @@ import (
 	"testing"
 )
 
-// The straight-line SlicedVec.clockKG in clockkg_gen.go is generated from
+// The straight-line Sliced.clockKG in clockkg_gen.go is generated from
 // the cipher tables of mickey.go by genClockKG (paper §4.4: the bitsliced
 // MICKEY kernel "is generated by a higher-level transcript").
 // TestClockKGGenerated keeps the committed file in step with the tables;
@@ -32,15 +32,15 @@ func specTables() clockTables {
 	return clockTables{rtaps[:], comp0, comp1, sMask0, sMask1}
 }
 
-// genClockKG emits clockkg_gen.go. One loop runs over V's words and every
-// table bit is decided here, not in the loop:
+// genClockKG emits clockkg_gen.go, one straight-line function in which
+// every table bit is decided here, not at run time:
 //
 //   - a tap i ∈ RTAPS appends `^ fbR` to nr[i], other indices nothing;
 //   - COMP0/COMP1 bit pairs pick the operand form of (s_i ^ c0) & (s_i+1 ^ c1):
 //     `a & b`, `b &^ a`, `a &^ b` or `^(a | b)`;
 //   - the FB0/FB1 pair picks the S feedback term: nothing, fbS, fb0 =
 //     fbS &^ ctrlS or fb1 = fbS & ctrlS, the latter two computed once per
-//     word.
+//     clock.
 //
 // Planes are indexed in place rather than copied into locals: each index
 // then has one use per statement, which amd64 folds into a memory operand,
@@ -67,32 +67,30 @@ func genClockKG(tb clockTables) ([]byte, error) {
 	p("package mickey")
 	p("// clockKG advances all lanes one generator step. input carries one input")
 	p("// bit per lane. The RTAPS, COMP0, COMP1, FB0 and FB1 bits are folded into")
-	p("// the code, so each of V's words costs only the operations whose table")
-	p("// bit is set, and the register shift is the nr/ns ping-pong swap.")
-	p("func (m *SlicedVec[V]) clockKG(mixing bool, input V) {")
+	p("// the code, so a clock costs only the operations whose table bit is")
+	p("// set, and the register shift is the nr/ns ping-pong swap.")
+	p("func (m *Sliced) clockKG(mixing bool, in uint64) {")
 	p("r, s, nr, ns := m.r, m.s, m.nr, m.ns")
-	p("for k := 0; k < len(input); k++ {")
-	p("in := input[k]")
-	p("ctrlR := s[34][k] ^ r[67][k]")
-	p("ctrlS := s[67][k] ^ r[33][k]")
-	p("fbR := r[99][k] ^ in")
+	p("ctrlR := s[34] ^ r[67]")
+	p("ctrlS := s[67] ^ r[33]")
+	p("fbR := r[99] ^ in")
 	p("if mixing {")
-	p("fbR ^= s[50][k]")
+	p("fbR ^= s[50]")
 	p("}")
-	p("fbS := s[99][k] ^ in")
+	p("fbS := s[99] ^ in")
 	p("fb0 := fbS &^ ctrlS")
 	p("fb1 := fbS & ctrlS")
 
 	p("\n// CLOCK_R: nr_i = r_i-1 ^ r_i&ctrlR, ^ fbR at the taps.")
 	for i := 0; i < regBits; i++ {
-		e := fmt.Sprintf("r[%d][k] & ctrlR", i)
+		e := fmt.Sprintf("r[%d] & ctrlR", i)
 		if i > 0 {
-			e = fmt.Sprintf("r[%d][k] ^ %s", i-1, e)
+			e = fmt.Sprintf("r[%d] ^ %s", i-1, e)
 		}
 		if isTap[i] {
 			e += " ^ fbR"
 		}
-		p("nr[%d][k] = %s", i, e)
+		p("nr[%d] = %s", i, e)
 	}
 
 	p("\n// CLOCK_S: ns_i = s_i-1 ^ (s_i^COMP0_i)&(s_i+1^COMP1_i) ^ feedback term.")
@@ -100,11 +98,11 @@ func genClockKG(tb clockTables) ([]byte, error) {
 	if t0 == "" {
 		t0 = "0"
 	}
-	p("ns[0][k] = %s", t0)
+	p("ns[0] = %s", t0)
 	for i := 1; i < regBits; i++ {
-		e := fmt.Sprintf("s[%d][k]", i-1)
+		e := fmt.Sprintf("s[%d]", i-1)
 		if i < regBits-1 {
-			a, c := fmt.Sprintf("s[%d][k]", i), fmt.Sprintf("s[%d][k]", i+1)
+			a, c := fmt.Sprintf("s[%d]", i), fmt.Sprintf("s[%d]", i+1)
 			var comp string
 			switch maskBit(&tb.comp0, i)<<1 | maskBit(&tb.comp1, i) {
 			case 0:
@@ -121,9 +119,8 @@ func genClockKG(tb clockTables) ([]byte, error) {
 		if t := term(i); t != "" {
 			e += " ^ " + t
 		}
-		p("ns[%d][k] = %s", i, e)
+		p("ns[%d] = %s", i, e)
 	}
-	p("}")
 	p("m.r, m.nr = nr, r")
 	p("m.s, m.ns = ns, s")
 	p("}")
@@ -145,26 +142,23 @@ func genClockKG(tb clockTables) ([]byte, error) {
 	return out.Bytes(), nil
 }
 
-// countWordOps counts the bitwise operators clockKG's word loop executes
-// with mixing off: every binary ^ & &^ | and unary ^ in the loop body,
-// outside the `if mixing` block.
+// countWordOps counts the bitwise operators clockKG executes with mixing
+// off: every binary ^ & &^ | and unary ^ in its body, outside the
+// `if mixing` block.
 func countWordOps(src []byte) (int, error) {
 	f, err := parser.ParseFile(token.NewFileSet(), genFile, src, 0)
 	if err != nil {
 		return 0, err
 	}
-	var loop *ast.ForStmt
-	ast.Inspect(f, func(n ast.Node) bool {
-		if l, ok := n.(*ast.ForStmt); ok && loop == nil {
-			loop = l
-		}
-		return loop == nil
-	})
-	if loop == nil {
-		return 0, fmt.Errorf("%s: no word loop", genFile)
+	if len(f.Decls) != 1 {
+		return 0, fmt.Errorf("%s: want one declaration, got %d", genFile, len(f.Decls))
+	}
+	fn, ok := f.Decls[0].(*ast.FuncDecl)
+	if !ok {
+		return 0, fmt.Errorf("%s: no clock function", genFile)
 	}
 	ops := 0
-	ast.Inspect(loop.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.IfStmt:
 			return false

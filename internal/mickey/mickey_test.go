@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bitslice"
 )
 
 // The packed mask tables and the spec tap list must describe the same
@@ -85,7 +87,7 @@ func TestSlicedMatchesRef(t *testing.T) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	sl, err := NewSliced(keys, ivs, 80)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestSlicedPartialLanes(t *testing.T) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	sl, err := NewSliced(keys, ivs, 32)
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +212,10 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewPacked(key[:1], iv, 0); err == nil {
 		t.Error("packed: short key accepted")
 	}
-	if _, err := NewSliced(nil, nil, 0); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](nil, nil, 0); err == nil {
 		t.Error("sliced: zero lanes accepted")
 	}
-	if _, err := NewSliced([][]byte{key}, [][]byte{iv, iv}, 0); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64]([][]byte{key}, [][]byte{iv, iv}, 0); err == nil {
 		t.Error("sliced: key/iv count mismatch accepted")
 	}
 	keys := make([][]byte, 65)
@@ -221,14 +223,14 @@ func TestConstructorValidation(t *testing.T) {
 	for i := range keys {
 		keys[i], ivs[i] = key, iv
 	}
-	if _, err := NewSliced(keys, ivs, 0); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](keys, ivs, 0); err == nil {
 		t.Error("sliced: 65 lanes accepted")
 	}
 }
 
 func TestKeystreamBufferValidation(t *testing.T) {
 	key, iv := testKey(2)
-	sl, err := NewSliced([][]byte{key, key}, [][]byte{iv, iv}, 80)
+	sl, err := NewSlicedVec[bitslice.V64]([][]byte{key, key}, [][]byte{iv, iv}, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,21 +259,6 @@ func TestKeystreamBalance(t *testing.T) {
 	mean, sigma := float64(n)/2, 90.5
 	if d := float64(ones) - mean; d > 5*sigma || d < -5*sigma {
 		t.Fatalf("keystream bias: %d ones out of %d", ones, n)
-	}
-}
-
-func TestKeystreamWordsMatchesClockWord(t *testing.T) {
-	key, iv := testKey(3)
-	keys := [][]byte{key}
-	ivs := [][]byte{iv}
-	a, _ := NewSliced(keys, ivs, 80)
-	b, _ := NewSliced(keys, ivs, 80)
-	dst := make([]uint64, 50)
-	a.KeystreamWords(dst)
-	for i, w := range dst {
-		if got := b.ClockWord(); got != w {
-			t.Fatalf("word %d: %x vs %x", i, w, got)
-		}
 	}
 }
 
@@ -307,12 +294,14 @@ func BenchmarkSlicedKeystream64Lanes(b *testing.B) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	m, _ := NewSliced(keys, ivs, 80)
+	m, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	dst := make([]uint64, 512) // 512*64 bits = 4096 bytes
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.KeystreamWords(dst)
+		for j := range dst {
+			dst[j] = m.ClockVec()
+		}
 	}
 }
 
@@ -326,7 +315,7 @@ func BenchmarkSlicedKeystreamPerLane(b *testing.B) {
 		rng.Read(keys[l])
 		rng.Read(ivs[l])
 	}
-	m, _ := NewSliced(keys, ivs, 80)
+	m, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	bufs := make([][]byte, 64)
 	for l := range bufs {
 		bufs[l] = make([]byte, 64)

@@ -7,12 +7,10 @@ import (
 	"repro/internal/bitslice"
 )
 
-// SlicedVec is the bitsliced MICKEY 2.0 engine of paper §4.4 (Fig. 9),
-// generalized over the plane width V: the two 100-bit registers become 200
-// V-planes (plane i, lane L = state bit i of lane L), so one ClockVec
-// advances 64·K independent cipher instances and emits as many keystream
-// bits. V64 planes give the native 64-lane engine; V256/V512 widen the
-// datapath to 256/512 lanes — the CPU analogue of widening a GPU warp.
+// Sliced is the bitsliced MICKEY 2.0 engine of paper §4.4 (Fig. 9): the
+// two 100-bit registers become 200 uint64 planes (plane i, bit L = state
+// bit i of lane L), so one ClockVec advances 64 independent cipher
+// instances and emits as many keystream bits.
 //
 // Everything data-dependent in the spec becomes branch-free here:
 //
@@ -23,38 +21,28 @@ import (
 //     an operand form, not a selector plane,
 //   - the register shift is realized by ping-pong buffer swapping — the
 //     paper's "register reference swapping" — rather than bit shifts.
-//
-// Every lane-wise operation applies independently to each of V's K words,
-// so the wide engine is K lock-stepped 64-lane engines sharing one control
-// flow — one instruction stream, K× the lanes.
-type SlicedVec[V bitslice.Vec] struct {
+type Sliced struct {
 	// Fixed-size register arrays (not slices): every clockKG index is
 	// provably in range, so the hot loop runs without bounds checks.
-	r, s   *[regBits]V // current planes
-	nr, ns *[regBits]V // scratch planes (swapped in after every clock)
+	r, s   *[regBits]uint64 // current planes
+	nr, ns *[regBits]uint64 // scratch planes (swapped in after every clock)
 	lanes  int
 	words  []uint64 // Reseed scratch: one 64-bit input word per lane
 }
 
-// Sliced is the native 64-lane engine (the uint64 datapath).
-type Sliced = SlicedVec[bitslice.V64]
-
-// NewSliced builds a 64-lane (or fewer) engine. keys[L] is lane L's
+// NewSlicedVec builds an engine of 1..64 lanes. keys[L] is lane L's
 // 10-byte key; ivs[L] its IV (ivBits bits, MSB-first). All lanes are
 // initialized in lock-step, exactly mirroring the reference schedule.
-func NewSliced(keys [][]byte, ivs [][]byte, ivBits int) (*Sliced, error) {
-	return NewSlicedVec[bitslice.V64](keys, ivs, ivBits)
-}
-
-// NewSlicedVec builds an engine of up to bitslice.VecLanes[V]() lanes.
-func NewSlicedVec[V bitslice.Vec](keys [][]byte, ivs [][]byte, ivBits int) (*SlicedVec[V], error) {
+// The type parameter admits only bitslice.V64; it stays because the
+// bench/ module instantiates NewSlicedVec[bitslice.V64].
+func NewSlicedVec[_ bitslice.V64](keys [][]byte, ivs [][]byte, ivBits int) (*Sliced, error) {
 	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.VecLanes[V]() {
-		return nil, fmt.Errorf("mickey: lane count %d out of range [1,%d]", lanes, bitslice.VecLanes[V]())
+	if lanes == 0 || lanes > bitslice.W {
+		return nil, fmt.Errorf("mickey: lane count %d out of range [1,%d]", lanes, bitslice.W)
 	}
-	m := &SlicedVec[V]{
-		r: new([regBits]V), s: new([regBits]V),
-		nr: new([regBits]V), ns: new([regBits]V),
+	m := &Sliced{
+		r: new([regBits]uint64), s: new([regBits]uint64),
+		nr: new([regBits]uint64), ns: new([regBits]uint64),
 		lanes: lanes, words: make([]uint64, lanes),
 	}
 	if err := m.Reseed(keys, ivs, ivBits); err != nil {
@@ -66,7 +54,7 @@ func NewSlicedVec[V bitslice.Vec](keys [][]byte, ivs [][]byte, ivBits int) (*Sli
 // Reseed re-runs the load schedule with fresh per-lane key/IV material,
 // reusing the engine's buffers. The lane count must match the one the
 // engine was built with.
-func (m *SlicedVec[V]) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
+func (m *Sliced) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
 	if len(keys) != m.lanes {
 		return fmt.Errorf("mickey: %d keys for %d lanes", len(keys), m.lanes)
 	}
@@ -78,15 +66,12 @@ func (m *SlicedVec[V]) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
 			return fmt.Errorf("lane %d: %w", l, err)
 		}
 	}
-	var zero V
-	for i := 0; i < regBits; i++ {
-		m.r[i] = zero
-		m.s[i] = zero
-	}
+	clear(m.r[:])
+	clear(m.s[:])
 
 	// Load IV, key, preclock — the same schedule as the reference. Each
 	// lane's input string is read as big-endian 64-bit words and one
-	// PackWordsVec per word turns bit 63-j of every lane's word into plane
+	// PackWords per word turns bit 63-j of every lane's word into plane
 	// j, so the MSB-first input bit i is plane 63-i%64 of word i/64.
 	for _, in := range [...]struct {
 		src  [][]byte
@@ -96,14 +81,14 @@ func (m *SlicedVec[V]) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
 			for l, p := range in.src {
 				m.words[l] = beWord(p, 8*w)
 			}
-			planes := bitslice.PackWordsVec[V](m.words)
+			planes := bitslice.PackWords(m.words)
 			for i := 64 * w; i < min(in.bits, 64*w+64); i++ {
 				m.clockKG(true, planes[63-i%64])
 			}
 		}
 	}
 	for i := 0; i < regBits; i++ {
-		m.clockKG(true, zero)
+		m.clockKG(true, 0)
 	}
 	return nil
 }
@@ -123,55 +108,44 @@ func beWord(p []byte, off int) uint64 {
 	return w
 }
 
-// ClockVec emits one keystream plane (lane L = lane L's next keystream
+// ClockVec emits one keystream plane (bit L = lane L's next keystream
 // bit) and advances the generator.
-func (m *SlicedVec[V]) ClockVec() V {
-	var z, zero V
-	for k := 0; k < len(z); k++ {
-		z[k] = m.r[0][k] ^ m.s[0][k]
-	}
-	m.clockKG(false, zero)
+func (m *Sliced) ClockVec() uint64 {
+	z := m.r[0] ^ m.s[0]
+	m.clockKG(false, 0)
 	return z
 }
 
-// ClockWord emits the keystream word of lanes 0..63 (bit L = lane L's
-// next keystream bit) and advances all lanes. For the 64-lane engine this
-// is the whole keystream plane.
-func (m *SlicedVec[V]) ClockWord() uint64 {
-	z := m.ClockVec()
-	return z[0]
-}
-
 // Lanes returns the number of active lanes.
-func (m *SlicedVec[V]) Lanes() int { return m.lanes }
+func (m *Sliced) Lanes() int { return m.lanes }
 
-// KeystreamBlockVec runs 64 clocks and transposes the result so that
-// out[j][k], written little-endian, is 8 keystream bytes of lane 64·k+j
-// with the cipher's MSB-first bit packing (byte-compatible with
-// Ref.Keystream / Packed.Keystream).
-func (m *SlicedVec[V]) KeystreamBlockVec(out *[64]V) {
+// keystreamBlock runs 64 clocks and transposes the result so that
+// out[L], written little-endian, is 8 keystream bytes of lane L with the
+// cipher's MSB-first bit packing (byte-compatible with Ref.Keystream /
+// Packed.Keystream).
+func (m *Sliced) keystreamBlock(out *[64]uint64) {
 	// Placing clock t at index (t&^7)|(7-t&7) makes the post-transpose
 	// little-endian byte image MSB-first per byte.
 	for t := 0; t < 64; t++ {
 		out[(t&^7)|(7-t&7)] = m.ClockVec()
 	}
-	bitslice.TransposeVec(out)
+	bitslice.Transpose64(out)
 }
 
-// KeystreamBlock is KeystreamBlockVec restricted to lanes 0..63: out[L],
-// written little-endian, is 8 keystream bytes of lane L.
-func (m *SlicedVec[V]) KeystreamBlock(out *[64]uint64) {
-	var blk [64]V
-	m.KeystreamBlockVec(&blk)
-	for i := range out {
-		out[i] = blk[i][0]
+// KeystreamBlockVec is keystreamBlock on V64 planes, kept for the bench/
+// module.
+func (m *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
+	var blk [64]uint64
+	m.keystreamBlock(&blk)
+	for i, w := range blk {
+		out[i] = bitslice.V64{w}
 	}
 }
 
 // Keystream fills one equal-length buffer per lane with that lane's
 // keystream bytes. len(bufs) must equal Lanes() and every buffer length
 // must be the same multiple of 8.
-func (m *SlicedVec[V]) Keystream(bufs [][]byte) error {
+func (m *Sliced) Keystream(bufs [][]byte) error {
 	if len(bufs) != m.lanes {
 		return fmt.Errorf("mickey: %d buffers for %d lanes", len(bufs), m.lanes)
 	}
@@ -187,21 +161,12 @@ func (m *SlicedVec[V]) Keystream(bufs [][]byte) error {
 	if n%8 != 0 {
 		return fmt.Errorf("mickey: buffer length must be a multiple of 8")
 	}
-	var blk [64]V
+	var blk [64]uint64
 	for off := 0; off < n; off += 8 {
-		m.KeystreamBlockVec(&blk)
+		m.keystreamBlock(&blk)
 		for l := 0; l < m.lanes; l++ {
-			binary.LittleEndian.PutUint64(bufs[l][off:off+8], blk[l&63][l>>6])
+			binary.LittleEndian.PutUint64(bufs[l][off:off+8], blk[l])
 		}
 	}
 	return nil
-}
-
-// KeystreamWords fills dst with raw device-order keystream words of lanes
-// 0..63 (one ClockVec per element, no transposition) — the cheapest bulk
-// path when the consumer only needs uniform random bits.
-func (m *SlicedVec[V]) KeystreamWords(dst []uint64) {
-	for i := range dst {
-		dst[i] = m.ClockWord()
-	}
 }

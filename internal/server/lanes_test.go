@@ -33,8 +33,8 @@ func TestBytesWidthIndependence(t *testing.T) {
 	}
 }
 
-// A wide-lane server must survive concurrent /bytes traffic; run under
-// -race this pins down the sharing discipline of the vector engines.
+// A server built at a wide lane width must survive concurrent /bytes
+// traffic; run under -race this pins down the engines' sharing discipline.
 func TestWideLaneConcurrentRequests(t *testing.T) {
 	cfg := Config{Seed: 5, Algorithms: []core.Algorithm{core.TRIVIUM},
 		ShardsPerAlg: 2, WorkersPerShard: 2, StagingBytes: 4096, Lanes: 256}

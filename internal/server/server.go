@@ -62,9 +62,9 @@ type Config struct {
 	WorkersPerShard int
 	// StagingBytes is the per-worker chunk size (default 64 KiB).
 	StagingBytes int
-	// Lanes is the engine datapath width for every shard stream (default
-	// core.DefaultLanes; see core.SupportedLanes). The served bytes are
-	// identical at every width.
+	// Lanes is the engine lane width of every shard stream: any value in
+	// core.SupportedLanes is accepted (default core.DefaultLanes). Every
+	// width runs the 64-lane datapath, so the served bytes are identical.
 	Lanes int
 	// MaxRequestBytes caps n on /bytes and /stream, and is a /stream's
 	// default n (default 16 MiB).

@@ -386,6 +386,7 @@ func TestStreamParamValidation(t *testing.T) {
 		{"unknown alg", "/stream?alg=nope", http.StatusBadRequest},
 		{"alg not served", "/stream?alg=mickey", http.StatusBadRequest},
 		{"bad lanes", "/stream?alg=grain&segment=0&lanes=65", http.StatusBadRequest},
+		{"lanes between widths", "/stream?alg=grain&segment=0&lanes=128", http.StatusBadRequest},
 		{"non-numeric segment", "/stream?alg=grain&segment=abc", http.StatusBadRequest},
 		{"segment too big", "/stream?alg=grain&segment=1099511627776", http.StatusBadRequest},
 		{"non-numeric domain", "/stream?alg=grain&domain=x", http.StatusBadRequest},
