@@ -39,7 +39,8 @@ import (
 )
 
 // hotPackages are the packages whose kernels carry the paper's
-// throughput claim — the default -pkgs value.
+// throughput claim, plus the health screen every served segment passes
+// through — the default -pkgs value.
 var hotPackages = []string{
 	"internal/core",
 	"internal/bitslice",
@@ -49,6 +50,7 @@ var hotPackages = []string{
 	"internal/aes",
 	"internal/xorgens",
 	"internal/chaotic",
+	"internal/health",
 }
 
 // hotFuncs names, per package, the functions on the segment
@@ -99,6 +101,13 @@ var hotFuncs = map[string][]string{
 	},
 	"internal/chaotic": {
 		"Post", "Unpost",
+	},
+	"internal/health": {
+		// The line-rate screen every served segment passes through.
+		// The exact scan (scan) builds the *Failure and is deliberately
+		// absent: it only runs on segments the screen cannot clear.
+		"Check", "check", "screen", "aptClear", "step", "runs8",
+		"zeroBytes", "uniformBytes", "gather",
 	},
 }
 

@@ -11,9 +11,17 @@
 // astronomically small (< 2^-45) while gross faults — a stuck engine
 // lane, a zeroed or constant segment, a wedged LFSR — trip it on the
 // very first bad segment. See DESIGN.md §8 for the cutoff derivations.
+//
+// Check runs in two tiers. A word-wise screen reads the segment as
+// little-endian uint64 words and tests a necessary condition for each
+// failure; a segment that meets none is healthy and is cleared without
+// further work. Any other segment, and every config for which a
+// condition is vacuous, goes to the exact byte- and bit-level scan,
+// which alone decides the verdict and builds the *Failure.
 package health
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -163,8 +171,9 @@ func (c *Checker) Stats() Stats {
 
 // Check evaluates one segment. It returns nil for a healthy segment and
 // a *Failure for the first test the segment trips (tests run in the
-// order RCT, APT, Monobit, LongRun). One pass over the bytes plus one
-// word-wise popcount pass: O(len(seg)) with small constants.
+// order RCT, APT, Monobit, LongRun). A healthy segment costs one
+// word-wise screening pass plus one word-wise APT pass; only a segment
+// the screen cannot clear pays for the exact byte- and bit-level scan.
 func (c *Checker) Check(seg []byte) error {
 	c.segments.Add(1)
 	if f := c.check(seg); f != nil {
@@ -175,6 +184,165 @@ func (c *Checker) Check(seg []byte) error {
 }
 
 func (c *Checker) check(seg []byte) *Failure {
+	if c.screen(seg) {
+		return nil
+	}
+	return c.scan(seg)
+}
+
+// SWAR (byte-parallel arithmetic inside a uint64) constants.
+const (
+	lowBytes  = 0x0101010101010101 // 0x01 in every byte
+	low7Bits  = 0x7F7F7F7F7F7F7F7F // the low seven bits of every byte
+	highBits  = 0x8080808080808080 // the high bit of every byte
+	gatherMul = 0x0102040810204080 // moves bit 8k to bit 56+k
+)
+
+// zeroBytes sets bit 8k+7 of the result exactly when byte k of x is
+// 0x00. Unlike the borrow-based (x-0x01…)&^x trick it has no false
+// positives: no carry crosses a byte boundary.
+func zeroBytes(x uint64) uint64 {
+	return ^((x&low7Bits + low7Bits) | x | low7Bits)
+}
+
+// uniformBytes sets bit 8k+7 of the result exactly when byte k of w is
+// 0x00 or 0xFF: XORing each bit with its upper neighbour leaves the low
+// seven bits of a byte all zero only when its eight bits agree.
+func uniformBytes(w uint64) uint64 {
+	return ^((w^w>>1)&low7Bits + low7Bits) & highBits
+}
+
+// gather packs the per-byte flags of h (bit 8k+7 for byte k) into bits
+// 0..7.
+func gather(h uint64) uint8 {
+	return uint8((h >> 7) * gatherMul >> 56)
+}
+
+// runs8 carries a run of flagged bytes across one word: run is the run
+// open at the previous word's last byte and g holds this word's eight
+// byte flags (bit k for byte k). It returns the run still open at byte
+// 7 and the longest run that reaches into this word.
+func runs8(g uint8, run int) (open, longest int) {
+	if g == 0xFF {
+		return run + 8, run + 8
+	}
+	longest = run + bits.TrailingZeros8(^g)
+	n := 0 // the longest run inside g: each step shortens every run by one
+	for x := g; x != 0; x &= x << 1 {
+		n++
+	}
+	return bits.LeadingZeros8(^g), max(longest, n)
+}
+
+// byteRuns holds the runs the screen tracks across words, each the run
+// still open at the last byte screened: adjacent-equal bytes, 0x00
+// bytes and 0xFF bytes.
+type byteRuns struct{ eq, zero, full int }
+
+// step extends the runs through word w, whose adjacent-equal flags are
+// eq and whose existing bytes are flagged in valid, and reports whether
+// a run reached its limit.
+func (r *byteRuns) step(w, eq, valid uint64, eqLimit, wholeLimit int) bool {
+	var longest int
+	if r.eq, longest = runs8(gather(eq), r.eq); longest >= eqLimit {
+		return true
+	}
+	if r.zero, longest = runs8(gather(zeroBytes(w)&valid), r.zero); longest >= wholeLimit {
+		return true
+	}
+	r.full, longest = runs8(gather(zeroBytes(^w)&valid), r.full)
+	return longest >= wholeLimit
+}
+
+// screen reports whether seg is certainly healthy: true means the exact
+// scan would return nil. Each test has a necessary condition that every
+// segment failing it meets, so the screen never clears a failing one:
+//
+//   - RCT: a run of RCTCutoff identical bytes is RCTCutoff−1
+//     consecutive adjacent-equal bytes (exact).
+//   - LongRun: a run of L identical bits, wherever it starts in a byte,
+//     covers ⌊(L−7)/8⌋ consecutive whole 0x00 or 0xFF bytes.
+//   - Monobit: the ones count is exact.
+//   - APT: each window's count of its first byte is exact (aptClear).
+//
+// Configs for which a condition is vacuous (RCTCutoff < 2,
+// APTCutoff < 2, LongRunBits < 15) are never screened.
+func (c *Checker) screen(seg []byte) bool {
+	n := len(seg)
+	if n == 0 {
+		return true
+	}
+	if c.cfg.RCTCutoff < 2 || c.cfg.APTCutoff < 2 || c.cfg.LongRunBits < 15 {
+		return false
+	}
+	eqLimit := c.cfg.RCTCutoff - 1            // adjacent-equal bytes in a failing byte run
+	wholeLimit := (c.cfg.LongRunBits - 7) / 8 // whole 0x00/0xFF bytes in a failing bit run
+	var runs byteRuns
+	ones, rest := 0, seg
+	for ; len(rest) > 8; rest = rest[8:] {
+		w := binary.LittleEndian.Uint64(rest)
+		ones += bits.OnesCount64(w)
+		eq := zeroBytes(w ^ binary.LittleEndian.Uint64(rest[1:]))
+		if eq|uniformBytes(w) == 0 {
+			runs = byteRuns{} // nothing flagged: every run is closed
+		} else if runs.step(w, eq, highBits, eqLimit, wholeLimit) {
+			return false
+		}
+	}
+	// The last one to eight bytes, zero-padded: flag only the bytes that
+	// exist and, for eq, the ones with a successor.
+	var w uint64
+	for k, b := range rest {
+		w |= uint64(b) << (8 * k)
+	}
+	ones += bits.OnesCount64(w)
+	valid := uint64(highBits) >> (8 * (8 - len(rest)))
+	if runs.step(w, zeroBytes(w^w>>8)&(valid>>8), valid, eqLimit, wholeLimit) {
+		return false
+	}
+	bias := ones - n*4
+	if bias < 0 {
+		bias = -bias
+	}
+	if bias > c.cfg.MonobitSlack {
+		return false
+	}
+	return c.aptClear(seg)
+}
+
+// aptClear reports whether every APT window's count of its first byte
+// stays below APTCutoff. It counts eight bytes at a time: the window
+// byte is broadcast to every byte lane, and the matches are the zero
+// bytes of the XOR.
+func (c *Checker) aptClear(seg []byte) bool {
+	n := len(seg)
+	win := c.cfg.APTWindow
+	if win <= 0 || win > n {
+		win = n // the exact scan never closes a window this long
+	}
+	for s := 0; s < n; s += win {
+		rest := seg[s:min(s+win, n)]
+		first := rest[0]
+		target := uint64(first) * lowBytes
+		count := 0
+		for ; len(rest) >= 8; rest = rest[8:] {
+			count += bits.OnesCount64(zeroBytes(binary.LittleEndian.Uint64(rest) ^ target))
+		}
+		for _, b := range rest {
+			if b == first {
+				count++
+			}
+		}
+		if count >= c.cfg.APTCutoff {
+			return false
+		}
+	}
+	return true
+}
+
+// scan is the exact byte- and bit-level scan: it decides every segment
+// the screen does not clear and builds the *Failure.
+func (c *Checker) scan(seg []byte) *Failure {
 	if len(seg) == 0 {
 		return nil
 	}

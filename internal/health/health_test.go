@@ -89,22 +89,20 @@ func TestAPTCatchesBiasedWindow(t *testing.T) {
 
 func TestMonobitCatchesBias(t *testing.T) {
 	seg := randSegment(4)
-	// Zero the top quarter: removes ~2048 one-bits, far past the slack,
-	// but in 0x00 bytes whose runs would also trip RCT/LongRun — so
-	// instead bias bytes to 0x01 (one bit set each, no runs).
+	// Set every other byte of the first half to 0x01 (one bit set each,
+	// no byte or bit runs): ~1500 one-bits gone, far past the slack.
+	// The 0x01s also pile up in the APT windows, so APT is relaxed to
+	// let monobit be the test that fires.
 	for i := 0; i < 1024; i += 2 {
 		seg[i] = 0x01
 		if seg[i+1] == 0x01 {
 			seg[i+1] = 0x23
 		}
 	}
-	err := NewChecker(Config{}).Check(seg)
+	err := NewChecker(Config{APTCutoff: 1 << 30}).Check(seg)
 	var f *Failure
-	if !errors.As(err, &f) {
-		t.Fatalf("biased segment passed")
-	}
-	if f.Test != Monobit && f.Test != APT {
-		t.Fatalf("got %v, want monobit (or apt) failure", err)
+	if !errors.As(err, &f) || f.Test != Monobit {
+		t.Fatalf("got %v, want Monobit failure", err)
 	}
 }
 
@@ -219,5 +217,37 @@ func BenchmarkCheck(b *testing.B) {
 		if err := c.Check(seg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCheckFailing keeps the exact scan's cost visible: a segment
+// the screen cannot clear pays for the byte- and bit-level scan up to
+// the first failure.
+func BenchmarkCheckFailing(b *testing.B) {
+	stuck := randSegment(8)
+	for p := 8*1000 + 3; p < 8*1000+3+64; p++ { // a stuck 64-bit run off byte alignment
+		stuck[p/8] |= 1 << (p % 8)
+	}
+	stuck[1000] &^= 1 << 2 // the bits on either side differ, so the run is exactly 64
+	stuck[1008] &^= 1 << 3
+	for _, bc := range []struct {
+		name string
+		seg  []byte
+		want Test
+	}{
+		{"zero", make([]byte, 2048), RCT},
+		{"stuck64", stuck, LongRun},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := NewChecker(Config{})
+			b.SetBytes(int64(len(bc.seg)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var f *Failure
+				if err := c.Check(bc.seg); !errors.As(err, &f) || f.Test != bc.want {
+					b.Fatalf("got %v, want %s failure", err, bc.want)
+				}
+			}
+		})
 	}
 }

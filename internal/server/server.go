@@ -84,8 +84,8 @@ type Config struct {
 	// with them shard quarantine). They are ON by default: healthy
 	// engines never trip the cutoffs, so the served bytes are unchanged.
 	DisableHealth bool
-	// Health overrides the per-test cutoffs (zero fields = defaults;
-	// see health.Config).
+	// Health overrides the per-test cutoffs (zero fields = defaults,
+	// negative fields are rejected; see health.Config).
 	Health health.Config
 	// QuarantineAfter is the number of consecutive checkouts observing
 	// new health failures before a shard is quarantined (default 3).
@@ -203,6 +203,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.ProbationInterval == 0 {
 		cfg.ProbationInterval = time.Second
+	}
+	for _, h := range []struct {
+		name string
+		v    int
+	}{
+		{"rct cutoff", cfg.Health.RCTCutoff},
+		{"apt window", cfg.Health.APTWindow},
+		{"apt cutoff", cfg.Health.APTCutoff},
+		{"monobit slack", cfg.Health.MonobitSlack},
+		{"longrun bits", cfg.Health.LongRunBits},
+	} {
+		if h.v < 0 {
+			return nil, fmt.Errorf("server: health %s %d out of range", h.name, h.v)
+		}
 	}
 
 	s := &Server{
