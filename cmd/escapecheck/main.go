@@ -17,8 +17,9 @@
 //
 // Every field is mandatory — a waiver without a reason is a finding,
 // and so is a waiver that matches nothing (mirroring bsrnglint's
-// //bsrng:lint-ignore auditing). Exit codes: 0 clean, 1 findings,
-// 2 tool/build failure.
+// //bsrng:lint-ignore auditing), and so is a hot-function name that
+// matches no function declaration in its package. Exit codes: 0 clean,
+// 1 findings, 2 tool/build failure.
 package main
 
 import (
@@ -55,15 +56,17 @@ var hotPackages = []string{
 
 // hotFuncs names, per package, the functions on the segment
 // fill/transpose/WriteTo path: the steady-state work between two
-// reseeds. Constructors (New*) and epoch/reseed key derivation are
-// deliberately absent — they run once per segment window and are
-// allowed to allocate.
+// reseeds, and the per-pass rekey. Constructors (New*) are deliberately
+// absent — they run once per engine and are allowed to allocate. Every
+// name must match a function declaration in its package (a renamed or
+// deleted function is a finding, not a silent hole in the gate).
 var hotFuncs = map[string][]string{
 	"internal/core": {
 		// Stream steady state: the chunk pipeline and its workers.
 		"Read", "WriteTo", "NextChunk", "Recycle", "advance", "run", "checkSegment",
-		// Generator/engine steady state.
-		"fillPass", "advancePass", "rekey", "nextBlock", "nextBlocks", "blockBytes",
+		// Generator/engine steady state; rekey and pass also name the
+		// lane cipher's per-pass calls into the engines.
+		"fillPass", "advancePass", "rekey", "nextBlock", "nextBlocks",
 		// Gathered-pass window source steady state.
 		"ReadWindow", "lead", "gather", "runPass", "key", "pass",
 		// Per-segment-window material derivation (in place by design).
@@ -72,20 +75,27 @@ var hotFuncs = map[string][]string{
 	"internal/bitslice": {
 		// PackBits/UnpackBits/UnpackWords/ExtractLane allocate their
 		// result by contract and are deliberately absent: the
-		// steady-state kernels use Transpose64 in place and PackWords,
-		// which returns a fixed-size array by value.
-		"Transpose32", "Transpose64", "TransposeVec", "PackWords",
+		// steady-state kernels use Transpose64 in place, PackWords,
+		// which returns a fixed-size array by value, and the key/IV
+		// packer PackBytes. Shape's checks run only at the engines'
+		// front doors and are deliberately absent too.
+		"Transpose32", "Transpose64", "TransposeVec", "PackWords", "PackBytes",
 		"Broadcast", "SetLaneBit", "LaneBit",
 	},
+	// Every engine's per-pass contract: Rekey and Fill (and the fill
+	// and load helpers behind them) run on every segment pass.
 	"internal/mickey": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "clockKG", "Reseed",
+		"Rekey", "load", "Fill", "fill",
 	},
 	"internal/grain": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "clock", "output", "push", "packPlanes", "Reseed",
+		"ClockVec", "clock", "output", "push", "Reseed",
+		"Rekey", "Fill", "fill",
 	},
 	"internal/trivium": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "Reseed",
+		"Rekey", "load", "Fill", "fill",
 	},
 	"internal/aes": {
 		// PackBlocks allocates by contract and only serves the
@@ -94,10 +104,12 @@ var hotFuncs = map[string][]string{
 		// the in-plane counter increment, none of which may allocate.
 		"Keystream", "NextBatch", "nextBlockPlanes", "incCounterPlanes",
 		"EncryptBlocks", "subShiftP", "subShiftXorP", "mixColumnsARKP",
-		"addRoundKeyFromP", "bpSbox", "Reseed", "loadNonces",
+		"addRoundKeyFromP", "bpSbox", "Reseed",
+		"Rekey", "rekey", "Fill", "fill",
 	},
 	"internal/xorgens": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
+		"Rekey", "Fill", "fill",
 	},
 	"internal/chaotic": {
 		"Post", "Unpost",
@@ -225,6 +237,12 @@ func run(opts options, out, errw io.Writer) int {
 		return 2
 	}
 
+	stale, err := staleHotFuncs(root, opts.pkgs, hot)
+	if err != nil {
+		fmt.Fprintln(errw, "escapecheck:", err)
+		return 2
+	}
+
 	findings := 0
 	for _, d := range gated {
 		if waiverFor(allows, d) != nil {
@@ -239,6 +257,10 @@ func run(opts options, out, errw io.Writer) int {
 		findings++
 	}
 	if !opts.emit {
+		for _, st := range stale {
+			fmt.Fprintf(out, "%s: [escape-gate] hot function %s matches no function declaration (renamed or deleted? update hotFuncs)\n", st.pkg, st.fn)
+			findings++
+		}
 		allowName := filepath.Base(allowPath)
 		for _, b := range bad {
 			fmt.Fprintf(out, "%s:%d: [escape-gate] malformed waiver: %s\n", allowName, b.line, b.reason)
@@ -356,6 +378,49 @@ func resolveDiags(root string, diags []diag) ([]diag, error) {
 		}
 	}
 	return diags, nil
+}
+
+// staleHot is a hot-table name with no function of that name in its
+// package.
+type staleHot struct{ pkg, fn string }
+
+// staleHotFuncs lists the hot-table names of the gated packages that
+// match no function declaration in the package's non-test files.
+func staleHotFuncs(root string, pkgs []string, hot map[string][]string) ([]staleHot, error) {
+	var stale []staleHot
+	for _, p := range pkgs {
+		p = path.Clean(strings.TrimSpace(p))
+		names := hot[p]
+		if len(names) == 0 {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(root, filepath.FromSlash(p), "*.go"))
+		if err != nil {
+			return nil, err
+		}
+		declared := map[string]bool{}
+		fset := token.NewFileSet()
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			af, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			for _, decl := range af.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					declared[fd.Name.Name] = true
+				}
+			}
+		}
+		for _, n := range names {
+			if !declared[n] {
+				stale = append(stale, staleHot{p, n})
+			}
+		}
+	}
+	return stale, nil
 }
 
 // loadAllow parses the waiver file; a missing file is an empty set.

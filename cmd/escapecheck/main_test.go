@@ -215,6 +215,36 @@ func TestRunFlagsUnusedAndMalformedWaivers(t *testing.T) {
 	}
 }
 
+// A hot-table name with no function of that name in its package — a
+// renamed or deleted hot function — is a finding, so a rename cannot
+// silently drop a function out of the gate.
+func TestRunFlagsStaleHotFunction(t *testing.T) {
+	dir := demoModule(t)
+	rawPath := filepath.Join(dir, "m.out")
+	if err := os.WriteFile(rawPath, []byte(demoRaw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	allow := "pkg/pkg.go|Hot|make([]byte, n)|result buffer, allocated by contract\n"
+	if err := os.WriteFile(filepath.Join(dir, ".escapeallow"), []byte(allow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := options{dir: dir, raw: rawPath, pkgs: []string{"pkg"}, hot: map[string][]string{"pkg": {"Hot", "Gone"}}}
+	var o, e bytes.Buffer
+	if code := run(opts, &o, &e); code != 1 {
+		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, o.String(), e.String())
+	}
+	want := "pkg: [escape-gate] hot function Gone matches no function declaration"
+	if !strings.Contains(o.String(), want) || strings.Contains(o.String(), "function Hot ") {
+		t.Errorf("stdout = %q, want exactly the Gone finding", o.String())
+	}
+
+	opts.hot["pkg"] = []string{"Hot"}
+	o.Reset()
+	if code := run(opts, &o, &e); code != 0 {
+		t.Fatalf("exit = %d with every hot name declared, want 0\n%s", code, o.String())
+	}
+}
+
 func TestRunEmitAllow(t *testing.T) {
 	dir := demoModule(t)
 	rawPath := filepath.Join(dir, "m.out")

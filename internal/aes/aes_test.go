@@ -163,6 +163,10 @@ func TestSlicedValidation(t *testing.T) {
 	if _, err := NewSliced([][]byte{make([]byte, 15)}); err == nil {
 		t.Error("bad key size accepted")
 	}
+	keys := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16), make([]byte, 15)}
+	if _, err := NewSliced(keys); err == nil || err.Error() != "aes: lane 3: key must be 16 bytes" {
+		t.Errorf("short lane-3 key: err = %v, want %q", err, "aes: lane 3: key must be 16 bytes")
+	}
 }
 
 // Scalar CTR: Read must be chunking-invariant and match block-by-block

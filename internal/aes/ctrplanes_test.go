@@ -33,13 +33,13 @@ func ctrMaterial(t *testing.T, seed int64) *SlicedCTR {
 // generator's counter planes, mirroring the big-endian block encoding
 // the packing path used to produce per batch.
 func setCtrPlanes(g *SlicedCTR, vals []uint64) {
-	words := make([]uint64, len(vals))
+	var words [64]uint64
 	for l, v := range vals {
 		// Block bytes 8..15 hold the counter big-endian; the plane
 		// layout reads them as a little-endian word.
 		words[l] = bits.ReverseBytes64(v)
 	}
-	g.ctrPl = bitslice.PackWords(words)
+	g.ctrPl = bitslice.PackWords(&words)
 }
 
 // ctrPlaneValues reads every lane's counter value back out of the

@@ -2,7 +2,6 @@ package aes
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/bitslice"
 )
@@ -24,29 +23,22 @@ type Sliced struct {
 	// engine in this repository).
 	sb [128]uint64
 
-	// Per-round per-lane round-key words, reused across Reseed calls so
-	// the segment-rekey hot path never allocates.
-	klo, khi [][]uint64
+	// Per-round per-lane round-key words, reused across rekeys so the
+	// segment-rekey hot path never allocates.
+	klo, khi [11][64]uint64
 }
+
+// shape is the material and buffer contract of both engines: 16-byte
+// keys, 8-byte CTR nonces, one block per lane.
+var shape = bitslice.Shape{Pkg: "aes", Key: 16, IV: 8, Block: BlockSize}
 
 // NewSliced expands one 16-byte AES-128 key per lane (1..64 lanes).
 func NewSliced(keys [][]byte) (*Sliced, error) {
-	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.W {
-		return nil, fmt.Errorf("aes: lane count %d out of range [1,%d]", lanes, bitslice.W)
-	}
-	s := &Sliced{
-		lanes: lanes,
-		klo:   make([][]uint64, 11),
-		khi:   make([][]uint64, 11),
-	}
-	for r := 0; r <= 10; r++ {
-		s.klo[r] = make([]uint64, lanes)
-		s.khi[r] = make([]uint64, lanes)
-	}
-	if err := s.Reseed(keys); err != nil {
+	if err := shape.CheckKeys(len(keys), keys); err != nil {
 		return nil, err
 	}
+	s := &Sliced{lanes: len(keys)}
+	s.rekey(keys)
 	return s, nil
 }
 
@@ -54,27 +46,28 @@ func NewSliced(keys [][]byte) (*Sliced, error) {
 // The lane count must match the one the engine was built with. Reseed is
 // allocation-free: the key material lands in scratch owned by the engine.
 func (s *Sliced) Reseed(keys [][]byte) error {
-	if len(keys) != s.lanes {
-		return fmt.Errorf("aes: %d keys for %d lanes", len(keys), s.lanes)
+	if err := shape.CheckKeys(s.lanes, keys); err != nil {
+		return err
 	}
+	s.rekey(keys)
+	return nil
+}
+
+// rekey runs every lane's key schedule and packs the round keys into
+// planes. It checks nothing: one 16-byte key per lane.
+func (s *Sliced) rekey(keys [][]byte) {
 	var rk [11][16]byte
 	for l, key := range keys {
-		if len(key) != 16 {
-			return fmt.Errorf("aes: lane %d key must be 16 bytes", l)
-		}
 		expandKey128(key, &rk)
-		for r := 0; r <= 10; r++ {
+		for r := range rk {
 			s.klo[r][l] = binary.LittleEndian.Uint64(rk[r][0:8])
 			s.khi[r][l] = binary.LittleEndian.Uint64(rk[r][8:16])
 		}
 	}
-	for r := 0; r <= 10; r++ {
-		lo := bitslice.PackWords(s.klo[r])
-		hi := bitslice.PackWords(s.khi[r])
-		copy(s.rk[r][0:64], lo[:])
-		copy(s.rk[r][64:128], hi[:])
+	for r := range s.rk {
+		*(*[64]uint64)(s.rk[r][0:64]) = bitslice.PackWords(&s.klo[r])
+		*(*[64]uint64)(s.rk[r][64:128]) = bitslice.PackWords(&s.khi[r])
 	}
-	return nil
 }
 
 // Lanes returns the number of active lanes.
@@ -104,17 +97,14 @@ func PackBlocks(blocks [][16]byte) [128]uint64 {
 	if len(blocks) > bitslice.W {
 		panic("aes: more blocks than lanes")
 	}
-	los := make([]uint64, len(blocks))
-	his := make([]uint64, len(blocks))
+	var los, his [64]uint64
 	for l := range blocks {
 		los[l] = binary.LittleEndian.Uint64(blocks[l][0:8])
 		his[l] = binary.LittleEndian.Uint64(blocks[l][8:16])
 	}
 	var st [128]uint64
-	lo := bitslice.PackWords(los)
-	hi := bitslice.PackWords(his)
-	copy(st[0:64], lo[:])
-	copy(st[64:128], hi[:])
+	*(*[64]uint64)(st[0:64]) = bitslice.PackWords(&los)
+	*(*[64]uint64)(st[64:128]) = bitslice.PackWords(&his)
 	return st
 }
 
@@ -145,10 +135,6 @@ type SlicedCTR struct {
 	noncePl [64]uint64 // planes of block bytes 0..7: the per-lane nonces
 	ctrPl   [64]uint64 // planes of block bytes 8..15: the big-endian counters
 	st      [128]uint64
-
-	// nonces is the Reseed-time packing scratch, owned by the generator
-	// so rekeying never allocates.
-	nonces []uint64
 }
 
 // BatchSize is the output of one SlicedCTR batch: 64 lanes × 16 bytes.
@@ -159,44 +145,37 @@ const BatchSize = 64 * BlockSize
 // zero. The type parameter admits only bitslice.V64; it stays because
 // the bench/ module instantiates NewSlicedCTRVec[bitslice.V64].
 func NewSlicedCTRVec[_ bitslice.V64](keys [][]byte, nonces [][]byte) (*SlicedCTR, error) {
-	a, err := NewSliced(keys)
-	if err != nil {
+	if err := shape.Check(len(keys), keys, nonces); err != nil {
 		return nil, err
 	}
-	g := &SlicedCTR{aes: a, nonces: make([]uint64, a.lanes)}
-	if err := g.loadNonces(nonces); err != nil {
-		return nil, err
-	}
+	g := &SlicedCTR{aes: &Sliced{lanes: len(keys)}}
+	g.Rekey(keys, nonces)
 	return g, nil
 }
 
-// loadNonces validates the per-lane nonces and caches them as bit
-// planes: one word transpose here replaces one per batch.
-func (g *SlicedCTR) loadNonces(nonces [][]byte) error {
-	if len(nonces) != g.aes.lanes {
-		return fmt.Errorf("aes: %d nonces for %d lanes", len(nonces), g.aes.lanes)
+// Reseed checks fresh per-lane keys and nonces and rekeys every lane
+// with them. The lane count must match the one the generator was built
+// with.
+func (g *SlicedCTR) Reseed(keys [][]byte, nonces [][]byte) error {
+	if err := shape.Check(g.aes.lanes, keys, nonces); err != nil {
+		return err
 	}
-	for l, n := range nonces {
-		if len(n) != 8 {
-			return fmt.Errorf("aes: lane %d nonce must be 8 bytes", l)
-		}
-		g.nonces[l] = binary.LittleEndian.Uint64(n)
-	}
-	g.noncePl = bitslice.PackWords(g.nonces)
+	g.Rekey(keys, nonces)
 	return nil
 }
 
-// Reseed rekeys every lane, replaces its nonce, and resets its counter to
-// zero. The lane count must match the one the generator was built with.
-func (g *SlicedCTR) Reseed(keys [][]byte, nonces [][]byte) error {
-	if err := g.aes.Reseed(keys); err != nil {
-		return err
+// Rekey rekeys every lane, caches its nonce as bit planes (one word
+// transpose here replaces one per batch) and resets its counter to
+// zero. It checks nothing: the material must have the shape the front
+// doors accepted (one 16-byte key and one 8-byte nonce per lane).
+func (g *SlicedCTR) Rekey(keys, nonces [][]byte) {
+	g.aes.rekey(keys)
+	var words [64]uint64
+	for l, n := range nonces {
+		words[l] = binary.LittleEndian.Uint64(n)
 	}
-	if err := g.loadNonces(nonces); err != nil {
-		return err
-	}
+	g.noncePl = bitslice.PackWords(&words)
 	clear(g.ctrPl[:])
-	return nil
 }
 
 // Lanes returns the number of active lanes.
@@ -242,14 +221,14 @@ func (g *SlicedCTR) nextBlockPlanes() {
 
 // NextBatch writes lanes×16 bytes into dst (lane L's block at offset
 // 16·L, identical bytes to lane L's scalar CTR stream) and advances every
-// lane counter. len(dst) must be at least Lanes()×16.
+// lane counter. len(dst) must be at least Lanes()×16; NextBatch panics
+// otherwise.
 func (g *SlicedCTR) NextBatch(dst []byte) {
-	lanes := g.aes.lanes
-	if len(dst) < lanes*BlockSize {
-		panic("aes: batch buffer too small")
+	if err := shape.CheckBatch(g.aes.lanes, dst); err != nil {
+		panic(err)
 	}
 	g.nextBlockPlanes()
-	for l := 0; l < lanes; l++ {
+	for l := 0; l < g.aes.lanes; l++ {
 		binary.LittleEndian.PutUint64(dst[16*l:], g.st[l])
 		binary.LittleEndian.PutUint64(dst[16*l+8:], g.st[64+l])
 	}
@@ -261,27 +240,24 @@ func (g *SlicedCTR) NextBatch(dst []byte) {
 // len(bufs) must equal Lanes() and every buffer length must be the same
 // multiple of BlockSize. The fill is allocation-free.
 func (g *SlicedCTR) Keystream(bufs [][]byte) error {
-	if len(bufs) != g.aes.lanes {
-		return fmt.Errorf("aes: %d buffers for %d lanes", len(bufs), g.aes.lanes)
+	if err := shape.CheckBuffers(g.aes.lanes, bufs); err != nil {
+		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs[0])
-	for _, b := range bufs {
-		if len(b) != n {
-			return fmt.Errorf("aes: ragged keystream buffers")
-		}
-	}
-	if n%BlockSize != 0 {
-		return fmt.Errorf("aes: buffer length must be a multiple of %d", BlockSize)
-	}
-	for off := 0; off < n; off += BlockSize {
+	g.fill(bufs)
+	return nil
+}
+
+// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
+// lane of the generator. The buffers must have one equal length, a
+// multiple of BlockSize; Fill checks nothing.
+func (g *SlicedCTR) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.aes.lanes]) }
+
+func (g *SlicedCTR) fill(bufs [][]byte) {
+	for off := 0; off+BlockSize <= len(bufs[0]); off += BlockSize {
 		g.nextBlockPlanes()
 		for l, b := range bufs {
 			binary.LittleEndian.PutUint64(b[off:off+8], g.st[l])
 			binary.LittleEndian.PutUint64(b[off+8:off+16], g.st[64+l])
 		}
 	}
-	return nil
 }

@@ -142,15 +142,10 @@ func Broadcast(b uint8) uint64 {
 	return 0
 }
 
-// PackWords packs one uint64 value per lane into 64 planes: plane i, bit L
-// is bit i of vals[L]. Fewer than 64 lanes leaves the remaining lane bits
-// zero.
-func PackWords(vals []uint64) [64]uint64 {
-	if len(vals) > W {
-		panic("bitslice: more than 64 lanes")
-	}
-	var a [64]uint64
-	copy(a[:], vals)
+// PackWords packs one uint64 value per lane into 64 planes: plane i, bit
+// L is bit i of vals[L]. vals is left untouched.
+func PackWords(vals *[64]uint64) [64]uint64 {
+	a := *vals
 	Transpose64(&a)
 	return a
 }

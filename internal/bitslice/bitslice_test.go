@@ -174,11 +174,11 @@ func TestBroadcast(t *testing.T) {
 
 func TestPackWordsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	vals := make([]uint64, 64)
+	var vals [64]uint64
 	for i := range vals {
 		vals[i] = rng.Uint64()
 	}
-	planes := PackWords(vals)
+	planes := PackWords(&vals)
 	back := UnpackWords(&planes, 64)
 	for i := range vals {
 		if vals[i] != back[i] {
@@ -189,9 +189,9 @@ func TestPackWordsRoundTrip(t *testing.T) {
 
 func TestPackWordsLayout(t *testing.T) {
 	// lane 5 holds value with bit 9 set: plane 9 must have bit 5 set.
-	vals := make([]uint64, 8)
+	var vals [64]uint64
 	vals[5] = 1 << 9
-	planes := PackWords(vals)
+	planes := PackWords(&vals)
 	for i := range planes {
 		want := uint64(0)
 		if i == 9 {

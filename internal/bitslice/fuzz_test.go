@@ -79,7 +79,9 @@ func FuzzPackWordsRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, lanesRaw uint8) {
 		lanes := int(lanesRaw)%W + 1
 		vals := fuzzWords(data, lanes)
-		planes := PackWords(vals)
+		var in [64]uint64
+		copy(in[:], vals)
+		planes := PackWords(&in)
 		back := UnpackWords(&planes, lanes)
 		for l := range vals {
 			if back[l] != vals[l] {

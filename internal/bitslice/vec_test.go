@@ -85,11 +85,12 @@ func TestPackBitsVecRoundTrip(t *testing.T) {
 func TestPackWordsVecRoundTrip(t *testing.T) {
 	runWidths(t, "packwords", func(t *testing.T, rng *rand.Rand, block int) {
 		for _, n := range []int{0, 1, 32, 63, 64} {
-			vals := make([]uint64, n)
+			var in [64]uint64
+			vals := in[:n]
 			for i := range vals {
 				vals[i] = rng.Uint64()
 			}
-			planes := PackWords(vals)
+			planes := PackWords(&in)
 			back := UnpackWords(&planes, n)
 			for i := range vals {
 				if back[i] != vals[i] {

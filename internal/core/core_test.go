@@ -93,16 +93,16 @@ func TestGeneratorUint64AndWords(t *testing.T) {
 // Each worker domain must produce a distinct stream.
 func TestSeedDomainSeparation(t *testing.T) {
 	for _, alg := range Algorithms {
-		e1, err := newEngine(alg, 5, 1)
+		e1, err := newSegmented(alg, 5, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := newEngine(alg, 5, 2)
+		e2, err := newSegmented(alg, 5, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := make([]byte, e1.blockBytes())
-		b := make([]byte, e2.blockBytes())
+		a := make([]byte, SegmentBytes)
+		b := make([]byte, SegmentBytes)
 		e1.nextBlock(a)
 		e2.nextBlock(b)
 		if bytes.Equal(a, b) {
@@ -175,10 +175,10 @@ func TestStreamMatchesSingleWorkerComposition(t *testing.T) {
 	s.Read(got)
 	s.Close()
 
-	eng, _ := newEngine(MICKEY, 9, 1)
+	eng, _ := newSegmented(MICKEY, 9, 1, 0)
 	want := make([]byte, 4096)
-	for off := 0; off < len(want); off += eng.blockBytes() {
-		eng.nextBlock(want[off : off+eng.blockBytes()])
+	for off := 0; off < len(want); off += SegmentBytes {
+		eng.nextBlock(want[off : off+SegmentBytes])
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("1-worker stream diverges from its engine")

@@ -48,7 +48,6 @@ type windowReq struct {
 	domain, offset uint64
 	next, end      uint64
 	left           int
-	err            error
 	// wake carries one message to a waiting caller: true hands it
 	// leadership, false reports its window written.
 	wake chan bool
@@ -146,12 +145,11 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 	if lead || <-r.wake {
 		ws.lead(r)
 	}
-	err := r.err
-	r.p, r.err = nil, nil
+	r.p = nil
 	ws.mu.Lock()
 	ws.free = append(ws.free, r)
 	ws.mu.Unlock()
-	return err
+	return nil
 }
 
 // lead runs passes until me's window is written, then hands leadership
@@ -168,7 +166,7 @@ func (ws *WindowSource) lead(me *windowReq) {
 		n := ws.gather(ps)
 		ws.mu.Unlock()
 
-		err := ws.runPass(ps, n)
+		ws.runPass(ps, n)
 		if ws.onPass != nil {
 			ws.onPass(n)
 		}
@@ -176,9 +174,6 @@ func (ws *WindowSource) lead(me *windowReq) {
 		ws.mu.Lock()
 		for i := range ps.slots[:n] {
 			s := &ps.slots[i]
-			if err != nil {
-				s.req.err = err
-			}
 			s.req.left--
 			s.last = s.req.left == 0 && s.req != me
 		}
@@ -240,7 +235,7 @@ func (ws *WindowSource) gather(ps *passScratch) int {
 // in place in its caller's buffer; the rest are copied out of the
 // private buffers. Lanes past n keep stale material and their output is
 // discarded.
-func (ws *WindowSource) runPass(ps *passScratch, n int) error {
+func (ws *WindowSource) runPass(ps *passScratch, n int) {
 	for l := 0; l < passLanes; l++ {
 		ps.cur[l] = ps.priv[l]
 		if l >= n {
@@ -252,17 +247,12 @@ func (ws *WindowSource) runPass(ps *passScratch, n int) error {
 			ps.cur[l] = s.dst
 		}
 	}
-	if err := ws.c.reseed(); err != nil {
-		return err
-	}
-	if err := ws.c.pass(ps.cur[:]); err != nil {
-		return err
-	}
+	ws.c.rekey()
+	ws.c.pass(&ps.cur)
 	for l := range ps.slots[:n] {
 		s := &ps.slots[l]
 		if len(s.dst) != SegmentBytes {
 			copy(s.dst, ps.priv[l][s.within:])
 		}
 	}
-	return nil
 }

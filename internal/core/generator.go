@@ -154,30 +154,11 @@ func ValidateLanes(lanes int) error {
 	return fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
 }
 
-// engine is one bitsliced generator producing the canonical segment
-// stream of a (seed, domain) pair.
-type engine interface {
-	// blockBytes is the output of one nextBlock call.
-	blockBytes() int
-	// nextBlock writes exactly blockBytes() bytes.
-	nextBlock(dst []byte)
-	// nextBlocks writes len(dst) bytes — a multiple of blockBytes() —
-	// letting the engine place whole lock-step passes directly into dst
-	// (the zero-copy fast path). check, when non-nil, runs on every
-	// block right after it lands in dst; it may call reseed and
-	// nextBlock reentrantly to condemn and regenerate that block.
-	nextBlocks(dst []byte, check func(seg []byte))
-	// reseed condemns the block most recently emitted by nextBlock: the
-	// engine rekeys itself with fresh material (a bumped reseed epoch)
-	// and the next nextBlock call regenerates that block's slot. Used
-	// by the continuous health tests to discard a failed segment.
-	reseed()
-}
-
-// segmented drives a 64-lane cipher through the segment stream: one
-// lock-step pass fills passLanes segment buffers (lane l = segment
-// base+l), nextBlock hands them out in order, and an exhausted pass
-// rekeys the cipher for the next passLanes segment indices.
+// segmented drives a 64-lane cipher through the segment stream of one
+// (seed, domain) pair: one lock-step pass fills passLanes segment
+// buffers (lane l = segment base+l), nextBlock hands them out in order,
+// and an exhausted pass rekeys the cipher for the next passLanes
+// segment indices.
 //
 // The pass destination is chosen per fill: nextBlocks aims as many lane
 // buffers as fit directly at the caller's destination (the cipher then
@@ -186,12 +167,12 @@ type engine interface {
 // later copy-out. The private buffers also carry every health-reseed
 // regeneration — see reseed.
 type segmented struct {
-	priv         [][]byte // passLanes × SegmentBytes private buffers, one backing array
-	cur          [][]byte // current pass destination per lane: priv[l] or a dst subslice
-	emit         int      // next segment slot to hand out
-	filled       bool     // cur[emit..passLanes-1] hold generated segments
-	base         uint64   // absolute segment index of the current pass's slot 0
-	epoch        uint64   // reseed generation; 0 = canonical stream
+	priv         [passLanes][]byte // SegmentBytes private buffers, one backing array
+	cur          [passLanes][]byte // current pass destination per lane: priv[l] or a dst subslice
+	emit         int               // next segment slot to hand out
+	filled       bool              // cur[emit..passLanes-1] hold generated segments
+	base         uint64            // absolute segment index of the current pass's slot 0
+	epoch        uint64            // reseed generation; 0 = canonical stream
 	seed, domain uint64
 	c            *laneCipher
 }
@@ -205,8 +186,6 @@ func newSegmented(alg Algorithm, seed, domain, base uint64) (*segmented, error) 
 	}
 	e := &segmented{base: base, seed: seed, domain: domain, c: c}
 	backing := make([]byte, passLanes*SegmentBytes)
-	e.priv = make([][]byte, passLanes)
-	e.cur = make([][]byte, passLanes)
 	for l := range e.priv {
 		e.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
@@ -215,38 +194,23 @@ func newSegmented(alg Algorithm, seed, domain, base uint64) (*segmented, error) 
 	return e, nil
 }
 
-// newEngine builds a fully-seeded engine for one (seed, domain) pair,
-// positioned at segment 0.
-func newEngine(alg Algorithm, seed, domain uint64) (engine, error) {
-	e, err := newSegmented(alg, seed, domain, 0)
-	if err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // rekey keys every lane for the pass at e.base under e.epoch.
 func (e *segmented) rekey() {
 	e.c.keyPass(e.seed, e.domain, e.base, e.epoch)
-	if err := e.c.reseed(); err != nil {
-		panic("core: segment rekey failed: " + err.Error())
-	}
+	e.c.rekey()
 }
 
 // fillPass generates the current pass. Lanes whose segment slots land
 // inside dst are aimed straight at it — the cipher writes them in place
-// — and the rest go to the private buffers. dst must be segment-aligned
-// and is nil on the nextBlock (copy-out) path. Only called with emit==0:
-// a pass is always generated from its first slot.
+// — and the rest go to the private buffers. dst is segment-aligned, and
+// nil on the nextBlock (copy-out) path. Only called with emit==0: a
+// pass is always generated from its first slot.
 func (e *segmented) fillPass(dst []byte) {
-	direct := min(len(dst)/SegmentBytes, passLanes)
-	for l := 0; l < direct; l++ {
+	e.cur = e.priv
+	for l := range min(len(dst)/SegmentBytes, passLanes) {
 		e.cur[l] = dst[l*SegmentBytes : (l+1)*SegmentBytes]
 	}
-	copy(e.cur[direct:], e.priv[direct:])
-	if err := e.c.pass(e.cur); err != nil {
-		panic("core: segment fill failed: " + err.Error())
-	}
+	e.c.pass(&e.cur)
 	e.filled = true
 }
 
@@ -258,8 +222,7 @@ func (e *segmented) advancePass() {
 	e.filled = false
 }
 
-func (e *segmented) blockBytes() int { return SegmentBytes }
-
+// nextBlock writes the next segment into dst (SegmentBytes long).
 func (e *segmented) nextBlock(dst []byte) {
 	if e.emit == passLanes {
 		e.advancePass()
@@ -273,10 +236,12 @@ func (e *segmented) nextBlock(dst []byte) {
 	e.emit++
 }
 
+// nextBlocks writes the next len(dst)/SegmentBytes segments into dst, a
+// whole number of segments, letting whole lock-step passes land directly
+// in dst (the zero-copy fast path). check, when non-nil, runs on every
+// segment right after it lands in dst; it may call reseed and nextBlock
+// reentrantly to condemn and regenerate that segment.
 func (e *segmented) nextBlocks(dst []byte, check func(seg []byte)) {
-	if len(dst)%SegmentBytes != 0 {
-		panic("core: nextBlocks destination not segment-aligned")
-	}
 	for len(dst) > 0 {
 		if e.emit == passLanes {
 			e.advancePass()
@@ -301,11 +266,12 @@ func (e *segmented) nextBlocks(dst []byte, check func(seg []byte)) {
 	}
 }
 
-// reseed discards the current lock-step pass under a bumped epoch and
-// re-aims at the last emitted segment slot, so the condemned segment
-// (and every later one from this engine) is regenerated from fresh,
-// unrelated key/IV material. The canonical epoch-0 stream is untouched
-// for engines whose segments never fail a health check.
+// reseed condemns the segment most recently emitted: it discards the
+// current lock-step pass under a bumped epoch and re-aims at the last
+// emitted segment slot, so the condemned segment (and every later one
+// from this engine) is regenerated from fresh, unrelated key/IV
+// material by the next nextBlock. The canonical epoch-0 stream is
+// untouched for engines whose segments never fail a health check.
 //
 // The regeneration always lands in the private buffers, never in a
 // caller's destination: earlier slots of a directly-filled pass have
@@ -317,27 +283,31 @@ func (e *segmented) reseed() {
 	if e.emit > 0 {
 		e.emit--
 	}
-	copy(e.cur, e.priv)
 	e.rekey()
-	if err := e.c.pass(e.cur); err != nil {
-		panic("core: segment fill failed: " + err.Error())
-	}
-	e.filled = true
+	e.fillPass(nil)
+}
+
+// cipher is the one contract every bitsliced engine meets for core: the
+// two calls a pass makes. Rekey loads one key and one IV per lane from
+// material whose shape the engine's constructor checked; Fill writes
+// lane l's keystream into bufs[l], 64 buffers of one equal length.
+// Neither checks anything or can fail.
+type cipher interface {
+	Rekey(keys, ivs [][]byte)
+	Fill(bufs *[passLanes][]byte)
 }
 
 // laneCipher is one keyed lock-step cipher: its per-lane key/IV
-// material, the reseed that loads that material into every lane, and
-// the pass that fills one segment buffer per lane. Lanes are independent
-// cipher instances, so each may be keyed for any (domain, segment) — the
+// material and the 64-lane engine it keys. Lanes are independent cipher
+// instances, so each may be keyed for any (domain, segment) — the
 // segmented engine keys them for consecutive segments of one stream, a
 // WindowSource for whatever segments its callers are waiting on.
 // Chaotic modes carry a per-lane orbit start x0 and post-process every
 // lane's segment after the fill.
 type laneCipher struct {
-	mat    *laneMaterial
-	x0s    []uint64 // chaotic modes only
-	reseed func() error
-	fill   func(bufs [][]byte) error
+	mat *laneMaterial
+	x0s []uint64 // chaotic modes only
+	eng cipher
 }
 
 // key derives lane l's material for segment seg of (seed, domain).
@@ -355,80 +325,50 @@ func (c *laneCipher) keyPass(seed, domain, base, epoch uint64) {
 	deriveChaoticX0s(c.x0s, seed, domain, base, epoch)
 }
 
+// rekey loads the derived material into every lane.
+func (c *laneCipher) rekey() { c.eng.Rekey(c.mat.keys, c.mat.ivs) }
+
 // pass fills one SegmentBytes buffer per lane.
-func (c *laneCipher) pass(bufs [][]byte) error {
-	if err := c.fill(bufs); err != nil {
-		return err
-	}
+func (c *laneCipher) pass(bufs *[passLanes][]byte) {
+	c.eng.Fill(bufs)
 	for l, x0 := range c.x0s {
 		chaotic.Post(bufs[l], x0)
 	}
-	return nil
 }
 
-// cipherRow is one base engine's entry in the cipher table: its key and
-// IV sizes, and the constructor that keys a cipher from mat and returns
-// its reseed and fill hooks. The ciphers copy the material into their
-// own state and never retain the slices, so one laneMaterial scratch
-// serves every rekey and the steady state allocates nothing.
-type cipherRow struct {
-	keyLen, ivLen int
-	build         func(mat *laneMaterial) (reseed func() error, fill func([][]byte) error, err error)
-}
-
-// newCipher builds the 64-lane cipher of alg from its row of the cipher
-// table, keyed for segments base..base+passLanes-1 of (seed, domain):
-// construction is the only keying an engine pays for its first pass.
+// newCipher builds the 64-lane cipher of alg, keyed for segments
+// base..base+passLanes-1 of (seed, domain): construction is the only
+// keying an engine pays for its first pass, and the engine's
+// constructor is where the material's shape is checked, once. The
+// material scratch is sized here for good, so every later rekey reads
+// the shape that check accepted.
 func newCipher(alg Algorithm, seed, domain, base uint64) (*laneCipher, error) {
-	table := [...]cipherRow{
-		MICKEY: {mickey.KeySize, mickey.MaxIVBits / 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := mickey.NewSlicedVec[bitslice.V64](m.keys, m.ivs, mickey.MaxIVBits)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() error { return c.Reseed(m.keys, m.ivs, mickey.MaxIVBits) }, c.Keystream, nil
-		}},
-		GRAIN: {grain.KeySize, grain.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := grain.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
-		}},
-		AESCTR: {16, 8, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := aes.NewSlicedCTRVec[bitslice.V64](m.keys, m.ivs)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
-		}},
-		TRIVIUM: {trivium.KeySize, trivium.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := trivium.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
-		}},
-		XORGENS: {xorgens.KeySize, xorgens.IVSize, func(m *laneMaterial) (func() error, func([][]byte) error, error) {
-			c, err := xorgens.NewSlicedVec[bitslice.V64](m.keys, m.ivs)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func() error { return c.Reseed(m.keys, m.ivs) }, c.Keystream, nil
-		}},
-	}
-	baseAlg := alg.Base()
-	if baseAlg < 0 || int(baseAlg) >= len(table) {
-		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
-	}
-	row := table[baseAlg]
-	c := &laneCipher{mat: newLaneMaterial(passLanes, row.keyLen, row.ivLen)}
+	c := &laneCipher{}
 	if alg.IsChaotic() {
 		c.x0s = make([]uint64, passLanes)
 	}
-	c.keyPass(seed, domain, base, 0)
+	material := func(keyLen, ivLen int) (keys, ivs [][]byte) {
+		c.mat = newLaneMaterial(passLanes, keyLen, ivLen)
+		c.keyPass(seed, domain, base, 0)
+		return c.mat.keys, c.mat.ivs
+	}
 	var err error
-	if c.reseed, c.fill, err = row.build(c.mat); err != nil {
+	switch alg.Base() {
+	case MICKEY:
+		keys, ivs := material(mickey.KeySize, mickey.MaxIVBits/8)
+		c.eng, err = mickey.NewSlicedVec[bitslice.V64](keys, ivs, mickey.MaxIVBits)
+	case GRAIN:
+		c.eng, err = grain.NewSlicedVec[bitslice.V64](material(grain.KeySize, grain.IVSize))
+	case AESCTR:
+		c.eng, err = aes.NewSlicedCTRVec[bitslice.V64](material(16, 8))
+	case TRIVIUM:
+		c.eng, err = trivium.NewSlicedVec[bitslice.V64](material(trivium.KeySize, trivium.IVSize))
+	case XORGENS:
+		c.eng, err = xorgens.NewSlicedVec[bitslice.V64](material(xorgens.KeySize, xorgens.IVSize))
+	default:
+		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	}
+	if err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -439,30 +379,20 @@ func newCipher(alg Algorithm, seed, domain, base uint64) (*laneCipher, error) {
 // only on (algorithm, seed).
 type Generator struct {
 	alg Algorithm
-	eng engine
+	eng *segmented
 	buf []byte
 	pos int // unread offset into buf; len(buf) when empty
 }
 
 // NewGenerator builds a seeded generator at the default lane width.
 func NewGenerator(alg Algorithm, seed uint64) (*Generator, error) {
-	return NewGeneratorLanes(alg, seed, DefaultLanes)
+	return NewSegmentReader(alg, seed, 0, DefaultLanes, 0)
 }
 
 // NewGeneratorLanes builds a seeded generator, accepting any lane width
 // ValidateLanes accepts; every width yields the NewGenerator stream.
 func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
-	if err := ValidateLanes(lanes); err != nil {
-		return nil, err
-	}
-	eng, err := newEngine(alg, seed, 0)
-	if err != nil {
-		return nil, err
-	}
-	g := &Generator{alg: alg, eng: eng}
-	g.buf = make([]byte, eng.blockBytes())
-	g.pos = len(g.buf)
-	return g, nil
+	return NewSegmentReader(alg, seed, 0, lanes, 0)
 }
 
 // Algorithm reports which engine backs the generator.

@@ -40,9 +40,7 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{alg: alg, eng: eng}
-	g.buf = make([]byte, eng.blockBytes())
-	g.pos = len(g.buf)
+	g := &Generator{alg: alg, eng: eng, buf: make([]byte, SegmentBytes), pos: SegmentBytes}
 	if skip != 0 {
 		// Generate the offset's segment into the one-block buffer and
 		// leave the cursor mid-segment; aligned reads continue in place

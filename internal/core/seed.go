@@ -56,8 +56,11 @@ func segmentMaterial(seed, domain, base, epoch uint64, lanes, keyLen, ivLen int)
 // laneMaterial is the reusable key/IV scratch of one engine: a single
 // flat backing array resliced into per-lane key and IV strings, so the
 // lock-step rekey at every segment-pass boundary derives fresh material
-// with zero allocations. Engines copy the material into their own state
-// during Reseed and never retain the slices, which is what makes the
+// with zero allocations. Its shape — passLanes strings of keyLen and
+// ivLen bytes — is fixed when newCipher sizes it, and the engine's
+// constructor checks that shape once; every later Rekey reads the same
+// strings unchecked. Engines copy the material into their own state
+// during Rekey and never retain the slices, which is what makes the
 // reuse across rekeys safe.
 type laneMaterial struct {
 	keys, ivs     [][]byte

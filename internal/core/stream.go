@@ -150,9 +150,9 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 		free:    make(chan []byte, 4*cfg.Workers),
 		stop:    make(chan struct{}),
 	}
-	engines := make([]engine, cfg.Workers)
+	engines := make([]*segmented, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		eng, err := newEngine(alg, seed, uint64(w)+1)
+		eng, err := newSegmented(alg, seed, uint64(w)+1, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -171,14 +171,10 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 // aims the cipher's lane buffers at it), so in steady state each output
 // byte is produced in place and copied at most once more, by the
 // consumer.
-func (s *Stream) run(w int, eng engine) {
+func (s *Stream) run(w int, eng *segmented) {
 	defer s.wg.Done()
-	blk := eng.blockBytes()
-	// Round the chunk down to whole engine blocks.
-	chunkLen := s.staging / blk * blk
-	if chunkLen == 0 {
-		chunkLen = blk
-	}
+	// Round the chunk down to whole segments.
+	chunkLen := max(s.staging/SegmentBytes, 1) * SegmentBytes
 	// One check closure per worker, hoisted so the hot loop allocates
 	// nothing.
 	var check func(seg []byte)
@@ -213,7 +209,7 @@ func (s *Stream) run(w int, eng engine) {
 // segment. A condemned segment is never delivered as produced: the
 // engine reseeds with fresh material and regenerates the slot, bounded
 // by maxHealthReseeds.
-func (s *Stream) checkSegment(eng engine, seg []byte) {
+func (s *Stream) checkSegment(eng *segmented, seg []byte) {
 	if faultinject.Hit(FailpointSegmentCorrupt) {
 		for i := range seg {
 			seg[i] = 0
@@ -396,16 +392,8 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 	if err := ValidateLanes(lanes); err != nil || len(dst) == 0 {
 		return err
 	}
-	// Regions are whole multiples of the engine block size except the last.
-	probe, err := newEngine(alg, seed, 1)
-	if err != nil {
-		return err
-	}
-	blk := probe.blockBytes()
-	per := (len(dst)/workers + blk - 1) / blk * blk
-	if per == 0 {
-		per = blk
-	}
+	// Regions are whole segments except the last.
+	per := max((len(dst)/workers+SegmentBytes-1)/SegmentBytes, 1) * SegmentBytes
 	var wg sync.WaitGroup
 	var firstErr error
 	var mu sync.Mutex
@@ -414,22 +402,13 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 		if lo >= len(dst) {
 			break
 		}
-		hi := lo + per
-		if hi > len(dst) {
-			hi = len(dst)
-		}
+		hi := min(lo+per, len(dst))
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			// Worker w uses seed domain w+1, the same derivation as the
-			// Stream workers; worker 0 reuses the probe engine.
-			var eng engine
-			var err error
-			if w == 0 {
-				eng = probe
-			} else {
-				eng, err = newEngine(alg, seed, uint64(w)+1)
-			}
+			// Stream workers.
+			eng, err := newSegmented(alg, seed, uint64(w)+1, 0)
 			if err != nil {
 				mu.Lock()
 				if firstErr == nil {
@@ -438,15 +417,15 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 				mu.Unlock()
 				return
 			}
-			// Whole blocks are generated straight into dst; only a
-			// trailing partial block passes through a scratch buffer.
+			// Whole segments are generated straight into dst; only a
+			// trailing partial segment passes through a scratch buffer.
 			n := hi - lo
-			aligned := n / blk * blk
+			aligned := n / SegmentBytes * SegmentBytes
 			if aligned > 0 {
 				eng.nextBlocks(dst[lo:lo+aligned], nil)
 			}
 			if aligned < n {
-				tail := make([]byte, blk)
+				tail := make([]byte, SegmentBytes)
 				eng.nextBlock(tail)
 				copy(dst[lo+aligned:hi], tail)
 			}

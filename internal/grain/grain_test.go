@@ -132,6 +132,12 @@ func TestSlicedValidation(t *testing.T) {
 	if _, err := NewSlicedVec[bitslice.V64](keys[:1], [][]byte{make([]byte, 7)}); err == nil {
 		t.Error("short iv accepted")
 	}
+	short := append([][]byte{}, keys[:4]...)
+	short[3] = make([]byte, KeySize-1)
+	if _, err := NewSlicedVec[bitslice.V64](short, ivs[:4]); err == nil ||
+		err.Error() != "grain: lane 3: key must be 10 bytes" {
+		t.Errorf("short lane-3 key: err = %v, want %q", err, "grain: lane 3: key must be 10 bytes")
+	}
 	sl, _ := NewSlicedVec[bitslice.V64](keys[:2], ivs[:2])
 	if err := sl.Keystream(make([][]byte, 1)); err == nil {
 		t.Error("wrong buffer count accepted")

@@ -2,8 +2,6 @@ package grain
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math/bits"
 
 	"repro/internal/bitslice"
 )
@@ -22,64 +20,54 @@ type Sliced struct {
 	s, b  []uint64 // plane buffers of length regBits+window
 	pos   int      // window origin: state bit i of the current clock is s[pos+i]
 	lanes int
-
-	// vals is Reseed's packing scratch: one word per lane, so reloading
-	// key/IV material packs 64 bits per lane at a time (a word transpose)
-	// instead of setting 144 bits per lane one by one — and allocates
-	// nothing on the per-pass rekey path.
-	vals []uint64
 }
+
+// shape is the engine's material and buffer contract.
+var shape = bitslice.Shape{Pkg: "grain", Key: KeySize, IV: IVSize, Block: 8}
 
 // NewSlicedVec builds an engine of 1..64 lanes; keys[L]/ivs[L] belong to
 // lane L. Initialization runs the spec's 160 feedback clocks for all
 // lanes in lock-step. The type parameter admits only bitslice.V64; it
 // stays because the bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys, ivs [][]byte) (*Sliced, error) {
-	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.W {
-		return nil, fmt.Errorf("grain: lane count %d out of range [1,%d]", lanes, bitslice.W)
+	if err := shape.Check(len(keys), keys, ivs); err != nil {
+		return nil, err
 	}
 	g := &Sliced{
 		s:     make([]uint64, regBits+window),
 		b:     make([]uint64, regBits+window),
-		lanes: lanes,
-		vals:  make([]uint64, lanes),
+		lanes: len(keys),
 	}
-	if err := g.Reseed(keys, ivs); err != nil {
-		return nil, err
-	}
+	g.Rekey(keys, ivs)
 	return g, nil
 }
 
-// Reseed reloads fresh per-lane key/IV material and re-runs the spec's
-// initialization clocks, reusing the engine's buffers. The lane count
-// must match the one the engine was built with.
+// Reseed checks fresh per-lane key/IV material and rekeys every lane
+// with it. The lane count must match the one the engine was built with.
 func (g *Sliced) Reseed(keys, ivs [][]byte) error {
-	if len(keys) != g.lanes {
-		return fmt.Errorf("grain: %d keys for %d lanes", len(keys), g.lanes)
+	if err := shape.Check(g.lanes, keys, ivs); err != nil {
+		return err
 	}
-	if len(ivs) != g.lanes {
-		return fmt.Errorf("grain: %d keys but %d ivs", len(keys), len(ivs))
-	}
-	for l := 0; l < g.lanes; l++ {
-		if len(keys[l]) != KeySize {
-			return fmt.Errorf("grain: lane %d key must be %d bytes", l, KeySize)
-		}
-		if len(ivs[l]) != IVSize {
-			return fmt.Errorf("grain: lane %d iv must be %d bytes", l, IVSize)
-		}
-	}
+	g.Rekey(keys, ivs)
+	return nil
+}
+
+// Rekey reloads fresh per-lane key/IV material and re-runs the spec's
+// initialization clocks, reusing the engine's buffers. It checks
+// nothing: the material must have the shape the engine's front doors
+// accepted (one KeySize key and one IVSize IV per lane).
+func (g *Sliced) Rekey(keys, ivs [][]byte) {
 	g.pos = 0
-	// Load the registers 64 bits per lane at a time: pack the (MSB-first
-	// within bytes) material into one word per lane and word-transpose it
-	// into planes. Every plane in [0, regBits) is overwritten and the
-	// window tail is fully rewritten before it is ever read, so no
-	// zeroing pass is needed.
-	g.packPlanes(g.b[:64], keys, 0, 8)        // NFSR bits 0..63
-	g.packPlanes(g.b[64:regBits], keys, 8, 2) // NFSR bits 64..79
-	g.packPlanes(g.s[:64], ivs, 0, 8)         // LFSR bits 0..63 = IV
-	// LFSR bits 64..79 are all-ones in the active lanes; inactive lane
-	// bits stay zero, as the bit-by-bit load left them.
+	// Load the registers 64 bits per lane at a time. Every plane in
+	// [0, regBits) is overwritten and the window tail is fully rewritten
+	// before it is ever read, so no zeroing pass is needed.
+	var hi [64]uint64
+	bitslice.PackBytes((*[64]uint64)(g.b[:64]), keys, 0) // NFSR bits 0..63
+	bitslice.PackBytes(&hi, keys, 8)
+	copy(g.b[64:regBits], hi[:])                        // NFSR bits 64..79
+	bitslice.PackBytes((*[64]uint64)(g.s[:64]), ivs, 0) // LFSR bits 0..63 = IV
+	// LFSR bits 64..79 are all-ones in the active lanes and zero in
+	// the inactive ones.
 	ones := ^uint64(0) >> (bitslice.W - g.lanes)
 	for i := 64; i < regBits; i++ {
 		g.s[i] = ones
@@ -88,21 +76,6 @@ func (g *Sliced) Reseed(keys, ivs [][]byte) error {
 		z := g.output()
 		g.clock(z, z)
 	}
-	return nil
-}
-
-// packPlanes fills dst (up to 64 planes) from byte material: plane i,
-// lane L = bit i (MSB-first within bytes) of src[L][off:off+nbytes].
-func (g *Sliced) packPlanes(dst []uint64, src [][]byte, off, nbytes int) {
-	for l := 0; l < g.lanes; l++ {
-		var w uint64
-		for j := 0; j < nbytes; j++ {
-			w |= uint64(bits.Reverse8(src[l][off+j])) << uint(8*j)
-		}
-		g.vals[l] = w
-	}
-	planes := bitslice.PackWords(g.vals)
-	copy(dst, planes[:])
 }
 
 // Lanes returns the number of active lanes.
@@ -202,27 +175,24 @@ func (g *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 // Keystream fills one equal-length buffer per lane with that lane's
 // keystream bytes; lengths must be equal multiples of 8.
 func (g *Sliced) Keystream(bufs [][]byte) error {
-	if len(bufs) != g.lanes {
-		return fmt.Errorf("grain: %d buffers for %d lanes", len(bufs), g.lanes)
+	if err := shape.CheckBuffers(g.lanes, bufs); err != nil {
+		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs[0])
-	for _, b := range bufs {
-		if len(b) != n {
-			return fmt.Errorf("grain: ragged keystream buffers")
-		}
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("grain: buffer length must be a multiple of 8")
-	}
-	var blk [64]uint64
-	for off := 0; off < n; off += 8 {
-		g.keystreamBlock(&blk)
-		for l := 0; l < g.lanes; l++ {
-			binary.LittleEndian.PutUint64(bufs[l][off:off+8], blk[l])
-		}
-	}
+	g.fill(bufs)
 	return nil
+}
+
+// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
+// lane of the engine. The buffers must have one equal length, a multiple
+// of 8; Fill checks nothing.
+func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.lanes]) }
+
+func (g *Sliced) fill(bufs [][]byte) {
+	var blk [64]uint64
+	for off := 0; off+8 <= len(bufs[0]); off += 8 {
+		g.keystreamBlock(&blk)
+		for l, b := range bufs {
+			binary.LittleEndian.PutUint64(b[off:], blk[l])
+		}
+	}
 }

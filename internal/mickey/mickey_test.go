@@ -226,6 +226,12 @@ func TestConstructorValidation(t *testing.T) {
 	if _, err := NewSlicedVec[bitslice.V64](keys, ivs, 0); err == nil {
 		t.Error("sliced: 65 lanes accepted")
 	}
+	// One error shape across engines: "<pkg>: lane L: ...".
+	keys[3] = key[:9]
+	if _, err := NewSlicedVec[bitslice.V64](keys[:4], ivs[:4], 80); err == nil ||
+		err.Error() != "mickey: lane 3: key must be 10 bytes" {
+		t.Errorf("sliced: short lane-3 key: err = %v, want %q", err, "mickey: lane 3: key must be 10 bytes")
+	}
 }
 
 func TestKeystreamBufferValidation(t *testing.T) {

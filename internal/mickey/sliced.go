@@ -2,7 +2,6 @@ package mickey
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/bitslice"
 )
@@ -27,7 +26,21 @@ type Sliced struct {
 	r, s   *[regBits]uint64 // current planes
 	nr, ns *[regBits]uint64 // scratch planes (swapped in after every clock)
 	lanes  int
-	words  []uint64 // Reseed scratch: one 64-bit input word per lane
+	ivBits int // IV bits every Rekey loads, fixed by the front doors
+}
+
+// shape is the engine's material contract under an IV of ivBits bits:
+// an IV string may carry unused trailing bytes.
+func shape(ivBits int) bitslice.Shape {
+	return bitslice.Shape{Pkg: "mickey", Key: KeySize, IV: (ivBits + 7) / 8, MinIV: true, Block: 8}
+}
+
+// check validates front-door material for an engine of lanes lanes.
+func check(lanes int, keys, ivs [][]byte, ivBits int) error {
+	if ivBits < 0 || ivBits > MaxIVBits {
+		return errIVSize
+	}
+	return shape(ivBits).Check(lanes, keys, ivs)
 }
 
 // NewSlicedVec builds an engine of 1..64 lanes. keys[L] is lane L's
@@ -36,76 +49,54 @@ type Sliced struct {
 // The type parameter admits only bitslice.V64; it stays because the
 // bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys [][]byte, ivs [][]byte, ivBits int) (*Sliced, error) {
-	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.W {
-		return nil, fmt.Errorf("mickey: lane count %d out of range [1,%d]", lanes, bitslice.W)
+	if err := check(len(keys), keys, ivs, ivBits); err != nil {
+		return nil, err
 	}
 	m := &Sliced{
 		r: new([regBits]uint64), s: new([regBits]uint64),
 		nr: new([regBits]uint64), ns: new([regBits]uint64),
-		lanes: lanes, words: make([]uint64, lanes),
+		lanes: len(keys), ivBits: ivBits,
 	}
-	if err := m.Reseed(keys, ivs, ivBits); err != nil {
-		return nil, err
-	}
+	m.Rekey(keys, ivs)
 	return m, nil
 }
 
-// Reseed re-runs the load schedule with fresh per-lane key/IV material,
-// reusing the engine's buffers. The lane count must match the one the
-// engine was built with.
+// Reseed checks fresh per-lane key/IV material and rekeys every lane
+// with it; ivBits becomes the IV length of this and every later Rekey.
+// The lane count must match the one the engine was built with.
 func (m *Sliced) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
-	if len(keys) != m.lanes {
-		return fmt.Errorf("mickey: %d keys for %d lanes", len(keys), m.lanes)
+	if err := check(m.lanes, keys, ivs, ivBits); err != nil {
+		return err
 	}
-	if len(ivs) != m.lanes {
-		return fmt.Errorf("mickey: %d keys but %d ivs", len(keys), len(ivs))
-	}
-	for l := 0; l < m.lanes; l++ {
-		if err := checkKeyIV(keys[l], ivs[l], ivBits); err != nil {
-			return fmt.Errorf("lane %d: %w", l, err)
-		}
-	}
-	clear(m.r[:])
-	clear(m.s[:])
-
-	// Load IV, key, preclock — the same schedule as the reference. Each
-	// lane's input string is read as big-endian 64-bit words and one
-	// PackWords per word turns bit 63-j of every lane's word into plane
-	// j, so the MSB-first input bit i is plane 63-i%64 of word i/64.
-	for _, in := range [...]struct {
-		src  [][]byte
-		bits int
-	}{{ivs, ivBits}, {keys, 8 * KeySize}} {
-		for w := 0; 64*w < in.bits; w++ {
-			for l, p := range in.src {
-				m.words[l] = beWord(p, 8*w)
-			}
-			planes := bitslice.PackWords(m.words)
-			for i := 64 * w; i < min(in.bits, 64*w+64); i++ {
-				m.clockKG(true, planes[63-i%64])
-			}
-		}
-	}
-	for i := 0; i < regBits; i++ {
-		m.clockKG(true, 0)
-	}
+	m.ivBits = ivBits
+	m.Rekey(keys, ivs)
 	return nil
 }
 
-// beWord reads p[off:off+8] as a big-endian word, zero past the end of p.
-func beWord(p []byte, off int) uint64 {
-	if len(p) >= off+8 {
-		return binary.BigEndian.Uint64(p[off:])
+// Rekey re-runs the load schedule — IV, key, preclock, the same
+// schedule as the reference — with fresh per-lane material, reusing the
+// engine's buffers. It checks nothing: the material must have the shape
+// the engine's front doors accepted (one key and one IV per lane).
+func (m *Sliced) Rekey(keys, ivs [][]byte) {
+	clear(m.r[:])
+	clear(m.s[:])
+	m.load(ivs, m.ivBits)
+	m.load(keys, 8*KeySize)
+	for i := 0; i < regBits; i++ {
+		m.clockKG(true, 0)
 	}
-	var w uint64
-	for i := 0; i < 8; i++ {
-		w <<= 8
-		if off+i < len(p) {
-			w |= uint64(p[off+i])
+}
+
+// load clocks the first n MSB-first bits of every lane's string into
+// the registers, packing 64 bits per lane at a time.
+func (m *Sliced) load(src [][]byte, n int) {
+	var planes [64]uint64
+	for i := 0; i < n; i++ {
+		if i%64 == 0 {
+			bitslice.PackBytes(&planes, src, i/8)
 		}
+		m.clockKG(true, planes[i%64])
 	}
-	return w
 }
 
 // ClockVec emits one keystream plane (bit L = lane L's next keystream
@@ -146,27 +137,24 @@ func (m *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 // keystream bytes. len(bufs) must equal Lanes() and every buffer length
 // must be the same multiple of 8.
 func (m *Sliced) Keystream(bufs [][]byte) error {
-	if len(bufs) != m.lanes {
-		return fmt.Errorf("mickey: %d buffers for %d lanes", len(bufs), m.lanes)
+	if err := shape(m.ivBits).CheckBuffers(m.lanes, bufs); err != nil {
+		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs[0])
-	for _, b := range bufs {
-		if len(b) != n {
-			return fmt.Errorf("mickey: ragged keystream buffers")
-		}
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("mickey: buffer length must be a multiple of 8")
-	}
-	var blk [64]uint64
-	for off := 0; off < n; off += 8 {
-		m.keystreamBlock(&blk)
-		for l := 0; l < m.lanes; l++ {
-			binary.LittleEndian.PutUint64(bufs[l][off:off+8], blk[l])
-		}
-	}
+	m.fill(bufs)
 	return nil
+}
+
+// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
+// lane of the engine. The buffers must have one equal length, a multiple
+// of 8; Fill checks nothing.
+func (m *Sliced) Fill(bufs *[bitslice.W][]byte) { m.fill(bufs[:m.lanes]) }
+
+func (m *Sliced) fill(bufs [][]byte) {
+	var blk [64]uint64
+	for off := 0; off+8 <= len(bufs[0]); off += 8 {
+		m.keystreamBlock(&blk)
+		for l, b := range bufs {
+			binary.LittleEndian.PutUint64(b[off:], blk[l])
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -12,8 +13,11 @@ import (
 // FuzzServeQuery feeds raw query strings to /bytes and /stream of a
 // 1-shard server. Whatever the query, the response status is one the
 // endpoints document — never a 500, never a panic — and a binary 200
-// carries exactly the n the parser resolved.
+// carries exactly the n the parser resolved. An addressed or lease 200
+// is the HTTP leg of the canonical-stream invariant: its body equals
+// core.NewSegmentReader at the parsed (Domain, Offset), byte for byte.
 func FuzzServeQuery(f *testing.F) {
+	const seed = 5
 	lease := Lease{Alg: core.GRAIN, Domain: leaseDomainBase + 1, Segments: 2}.id()
 	for _, seed := range []string{
 		"",
@@ -34,7 +38,7 @@ func FuzzServeQuery(f *testing.F) {
 	}
 
 	s, err := New(Config{
-		Seed:         5,
+		Seed:         seed,
 		Algorithms:   []core.Algorithm{core.GRAIN, core.AESCTR},
 		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
 		MaxRequestBytes: 64 << 10,
@@ -72,6 +76,18 @@ func FuzzServeQuery(f *testing.F) {
 			}
 			if got := int64(rec.Body.Len()); got != want {
 				t.Fatalf("/%s?%s: %d body bytes, want %d", endpoint, raw, got, want)
+			}
+			if q.Mode != ModeAddressed && q.Mode != ModeLease {
+				continue
+			}
+			src, err := core.NewSegmentReader(q.Alg, seed, q.Domain, core.DefaultLanes, q.Offset)
+			if err != nil {
+				t.Fatalf("/%s?%s: served 200, but the library refuses (%v, %d, %d): %v", endpoint, raw, q.Alg, q.Domain, q.Offset, err)
+			}
+			lib := make([]byte, q.N)
+			src.Read(lib)
+			if !bytes.Equal(rec.Body.Bytes(), lib) {
+				t.Fatalf("/%s?%s: body diverges from core.NewSegmentReader(%v, domain %d, offset %d)", endpoint, raw, q.Alg, q.Domain, q.Offset)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package trivium
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/bitslice"
 )
@@ -29,64 +28,68 @@ type Sliced struct {
 	lanes   int
 }
 
+// shape is the engine's material and buffer contract.
+var shape = bitslice.Shape{Pkg: "trivium", Key: KeySize, IV: IVSize, Block: 8}
+
 // NewSlicedVec builds an engine of 1..64 lanes; keys[L]/ivs[L] belong to
 // lane L. The type parameter admits only bitslice.V64; it stays because
 // the bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys, ivs [][]byte) (*Sliced, error) {
-	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.W {
-		return nil, fmt.Errorf("trivium: lane count %d out of range [1,%d]", lanes, bitslice.W)
+	if err := shape.Check(len(keys), keys, ivs); err != nil {
+		return nil, err
 	}
 	t := &Sliced{
 		a:     make([]uint64, lenA+window),
 		b:     make([]uint64, lenB+window),
 		c:     make([]uint64, lenC+window),
-		lanes: lanes,
+		lanes: len(keys),
 	}
-	if err := t.Reseed(keys, ivs); err != nil {
-		return nil, err
-	}
+	t.Rekey(keys, ivs)
 	return t, nil
 }
 
-// Reseed reloads fresh per-lane key/IV material and re-runs the spec's
-// initialization clocks, reusing the engine's buffers. The lane count
-// must match the one the engine was built with.
+// Reseed checks fresh per-lane key/IV material and rekeys every lane
+// with it. The lane count must match the one the engine was built with.
 func (t *Sliced) Reseed(keys, ivs [][]byte) error {
-	if len(keys) != t.lanes {
-		return fmt.Errorf("trivium: %d keys for %d lanes", len(keys), t.lanes)
+	if err := shape.Check(t.lanes, keys, ivs); err != nil {
+		return err
 	}
-	if len(ivs) != t.lanes {
-		return fmt.Errorf("trivium: %d keys but %d ivs", len(keys), len(ivs))
-	}
-	for l := 0; l < t.lanes; l++ {
-		if len(keys[l]) != KeySize {
-			return fmt.Errorf("trivium: lane %d key must be %d bytes", l, KeySize)
-		}
-		if len(ivs[l]) != IVSize {
-			return fmt.Errorf("trivium: lane %d iv must be %d bytes", l, IVSize)
-		}
-	}
+	t.Rekey(keys, ivs)
+	return nil
+}
+
+// Rekey reloads fresh per-lane key/IV material and re-runs the spec's
+// initialization clocks, reusing the engine's buffers. It checks
+// nothing: the material must have the shape the engine's front doors
+// accepted (one KeySize key and one IVSize IV per lane).
+func (t *Sliced) Rekey(keys, ivs [][]byte) {
 	clear(t.a)
 	clear(t.b)
 	clear(t.c)
-	for l := 0; l < t.lanes; l++ {
-		// buf[len-j] = s_j: key bit i is s_{i+1} of register A, IV bit i
-		// is s_{i+1} of register B (i.e. spec bit s_{94+i}).
-		for i := 0; i < 80; i++ {
-			bitslice.SetLaneBit(t.a, lenA-1-i, l, bitOf(keys[l], i))
-			bitslice.SetLaneBit(t.b, lenB-1-i, l, bitOf(ivs[l], i))
-		}
-		// s286..s288 = 1 → register C bits s_109, s_110, s_111.
-		bitslice.SetLaneBit(t.c, lenC-109, l, 1)
-		bitslice.SetLaneBit(t.c, lenC-110, l, 1)
-		bitslice.SetLaneBit(t.c, lenC-111, l, 1)
-	}
+	// buf[len-j] = s_j: key bit i is s_{i+1} of register A, IV bit i
+	// is s_{i+1} of register B (i.e. spec bit s_{94+i}).
+	load(t.a[:lenA], keys)
+	load(t.b[:lenB], ivs)
+	// s286..s288 = 1 in the active lanes → register C bits s_109,
+	// s_110, s_111.
+	ones := ^uint64(0) >> (bitslice.W - t.lanes)
+	t.c[lenC-109], t.c[lenC-110], t.c[lenC-111] = ones, ones, ones
 	t.pos = 0
 	for i := 0; i < initClocks; i++ {
 		t.ClockVec()
 	}
-	return nil
+}
+
+// load writes the 80 MSB-first bits of every lane's string into reg,
+// bit i at plane len(reg)-1-i, packing 64 bits per lane at a time.
+func load(reg []uint64, src [][]byte) {
+	var planes [64]uint64
+	for i := 0; i < 80; i++ {
+		if i%64 == 0 {
+			bitslice.PackBytes(&planes, src, i/8)
+		}
+		reg[len(reg)-1-i] = planes[i%64]
+	}
 }
 
 // Lanes returns the number of active lanes.
@@ -143,27 +146,24 @@ func (t *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 // Keystream fills one equal-length buffer per lane; lengths must be equal
 // multiples of 8.
 func (t *Sliced) Keystream(bufs [][]byte) error {
-	if len(bufs) != t.lanes {
-		return fmt.Errorf("trivium: %d buffers for %d lanes", len(bufs), t.lanes)
+	if err := shape.CheckBuffers(t.lanes, bufs); err != nil {
+		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs[0])
-	for _, b := range bufs {
-		if len(b) != n {
-			return fmt.Errorf("trivium: ragged keystream buffers")
-		}
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("trivium: buffer length must be a multiple of 8")
-	}
-	var blk [64]uint64
-	for off := 0; off < n; off += 8 {
-		t.keystreamBlock(&blk)
-		for l := 0; l < t.lanes; l++ {
-			binary.LittleEndian.PutUint64(bufs[l][off:off+8], blk[l])
-		}
-	}
+	t.fill(bufs)
 	return nil
+}
+
+// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
+// lane of the engine. The buffers must have one equal length, a multiple
+// of 8; Fill checks nothing.
+func (t *Sliced) Fill(bufs *[bitslice.W][]byte) { t.fill(bufs[:t.lanes]) }
+
+func (t *Sliced) fill(bufs [][]byte) {
+	var blk [64]uint64
+	for off := 0; off+8 <= len(bufs[0]); off += 8 {
+		t.keystreamBlock(&blk)
+		for l, b := range bufs {
+			binary.LittleEndian.PutUint64(b[off:], blk[l])
+		}
+	}
 }

@@ -120,6 +120,11 @@ func TestSlicedRejectsBadConfig(t *testing.T) {
 	if _, err := NewSlicedVec[bitslice.V64](diffKeys(rng, 2, KeySize-1), ivs); err == nil {
 		t.Error("short keys accepted")
 	}
+	k4, iv4 := diffMaterial(rng, 4)
+	k4[3] = k4[3][:KeySize-1]
+	if _, err := NewSlicedVec[bitslice.V64](k4, iv4); err == nil || err.Error() != "xorgens: lane 3: key must be 32 bytes" {
+		t.Errorf("short lane-3 key: err = %v, want %q", err, "xorgens: lane 3: key must be 32 bytes")
+	}
 	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)

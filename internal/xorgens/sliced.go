@@ -2,7 +2,6 @@ package xorgens
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/bitslice"
 )
@@ -22,55 +21,53 @@ type Sliced struct {
 	i     int      // ring slot of the most recently produced word
 	lanes int
 
-	// Reusable scratch, so keystream generation and Reseed allocate
+	// Reusable scratch, so keystream generation and Rekey allocate
 	// nothing in steady state (the engine rekeys at every segment-pass
 	// boundary).
-	t, v, blk [64]uint64
-	st        []uint64 // lanes × r expanded state words (Reseed)
-	vals      []uint64 // one word per lane (Reseed packing)
+	t, v, blk, vals [64]uint64
+	st              []uint64 // lanes × r expanded state words (Rekey)
 }
+
+// shape is the engine's material and buffer contract.
+var shape = bitslice.Shape{Pkg: "xorgens", Key: KeySize, IV: IVSize, Block: 8}
 
 // NewSlicedVec builds an engine of 1..64 lanes; keys[L]/ivs[L] belong to
 // lane L. The type parameter admits only bitslice.V64; it stays because
 // the bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys, ivs [][]byte) (*Sliced, error) {
-	lanes := len(keys)
-	if lanes == 0 || lanes > bitslice.W {
-		return nil, fmt.Errorf("xorgens: lane count %d out of range [1,%d]", lanes, bitslice.W)
+	if err := shape.Check(len(keys), keys, ivs); err != nil {
+		return nil, err
 	}
 	g := &Sliced{
 		x:     make([]uint64, r*64),
-		lanes: lanes,
-		st:    make([]uint64, lanes*r),
-		vals:  make([]uint64, lanes),
+		lanes: len(keys),
+		st:    make([]uint64, len(keys)*r),
 	}
-	if err := g.Reseed(keys, ivs); err != nil {
-		return nil, err
-	}
+	g.Rekey(keys, ivs)
 	return g, nil
 }
 
 // Lanes returns the number of active lanes.
 func (g *Sliced) Lanes() int { return g.lanes }
 
-// Reseed reloads fresh per-lane key/IV material, reusing the engine's
+// Reseed checks fresh per-lane key/IV material and rekeys every lane
+// with it. The lane count must match the one the engine was built with.
+func (g *Sliced) Reseed(keys, ivs [][]byte) error {
+	if err := shape.Check(g.lanes, keys, ivs); err != nil {
+		return err
+	}
+	g.Rekey(keys, ivs)
+	return nil
+}
+
+// Rekey reloads fresh per-lane key/IV material, reusing the engine's
 // buffers. Each lane's state is expanded (and warmed up) in the scalar
 // domain — the expansion is per-lane sequential work with no lock-step
 // structure to exploit — then packed into planes one ring word at a
-// time via the 64×64 word transpose. The lane count must match the one
-// the engine was built with.
-func (g *Sliced) Reseed(keys, ivs [][]byte) error {
-	if len(keys) != g.lanes {
-		return fmt.Errorf("xorgens: %d keys for %d lanes", len(keys), g.lanes)
-	}
-	if len(ivs) != g.lanes {
-		return fmt.Errorf("xorgens: %d keys but %d ivs", len(keys), len(ivs))
-	}
-	for l := 0; l < g.lanes; l++ {
-		if err := checkMaterial(keys[l], ivs[l]); err != nil {
-			return fmt.Errorf("xorgens: lane %d: %w", l, err)
-		}
-	}
+// time via the 64×64 word transpose. It checks nothing: the material
+// must have the shape the engine's front doors accepted (one KeySize key
+// and one IVSize IV per lane).
+func (g *Sliced) Rekey(keys, ivs [][]byte) {
 	for l := 0; l < g.lanes; l++ {
 		expand(keys[l], ivs[l], g.st[l*r:(l+1)*r])
 	}
@@ -78,11 +75,9 @@ func (g *Sliced) Reseed(keys, ivs [][]byte) error {
 		for l := 0; l < g.lanes; l++ {
 			g.vals[l] = g.st[l*r+w]
 		}
-		blk := bitslice.PackWords(g.vals)
-		copy(g.x[w*64:(w+1)*64], blk[:])
+		*(*[64]uint64)(g.x[w*64 : (w+1)*64]) = bitslice.PackWords(&g.vals)
 	}
 	g.i = r - 1
-	return nil
 }
 
 // clockPlanes advances all lanes one step and leaves the 64 bit planes
@@ -139,26 +134,23 @@ func (g *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 // Keystream fills one equal-length buffer per lane; lengths must be
 // equal multiples of 8.
 func (g *Sliced) Keystream(bufs [][]byte) error {
-	if len(bufs) != g.lanes {
-		return fmt.Errorf("xorgens: %d buffers for %d lanes", len(bufs), g.lanes)
+	if err := shape.CheckBuffers(g.lanes, bufs); err != nil {
+		return err
 	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	n := len(bufs[0])
-	for _, b := range bufs {
-		if len(b) != n {
-			return fmt.Errorf("xorgens: ragged keystream buffers")
-		}
-	}
-	if n%8 != 0 {
-		return fmt.Errorf("xorgens: buffer length must be a multiple of 8")
-	}
-	for off := 0; off < n; off += 8 {
-		g.keystreamBlock(&g.blk)
-		for l := 0; l < g.lanes; l++ {
-			binary.LittleEndian.PutUint64(bufs[l][off:off+8], g.blk[l])
-		}
-	}
+	g.fill(bufs)
 	return nil
+}
+
+// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
+// lane of the engine. The buffers must have one equal length, a multiple
+// of 8; Fill checks nothing.
+func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.lanes]) }
+
+func (g *Sliced) fill(bufs [][]byte) {
+	for off := 0; off+8 <= len(bufs[0]); off += 8 {
+		g.keystreamBlock(&g.blk)
+		for l, b := range bufs {
+			binary.LittleEndian.PutUint64(b[off:], g.blk[l])
+		}
+	}
 }
