@@ -13,19 +13,23 @@
 //	curl 'localhost:8080/stream?lease=<id>&off=65536'                # resume mid-lease
 //	curl 'localhost:8080/metrics'
 //
-// SIGINT/SIGTERM drains gracefully: /healthz flips to 503, in-flight
-// requests complete (bounded by -drain-timeout), then the stream pools
-// shut down.
+// SIGINT/SIGTERM drains gracefully: /healthz flips to 503 and in-flight
+// requests complete (bounded by -drain-timeout).
 //
-// Every shard stream runs the continuous online health tests of
-// internal/health (disable with -no-health); shards that trip repeated
-// failures are quarantined, reseeded in the background and re-admitted
-// after a clean probation pass (-quarantine-after, -probation-segments).
-// /healthz reports the per-algorithm pool state as JSON and degrades to
-// 503 while any algorithm's pool is fully quarantined. -max-inflight
-// sheds excess load with 429 + Retry-After. The bsrngd_health_* metric
-// family on /metrics covers failures, quarantines, reseeds and
-// re-admissions.
+// Pooled requests (/bytes, and /stream without an address) are served
+// from one pooled source per algorithm: the domain-1 segment stream of
+// -seed. Every pooled segment runs the continuous online health tests
+// of internal/health (disable with -no-health); a condemned segment is
+// skipped, and three in a row degrade the algorithm. /healthz reports
+// the per-algorithm source state as JSON and answers 503 while any
+// algorithm is degraded. -max-inflight sheds excess load with 429 +
+// Retry-After. The bsrngd_health_* metric family on /metrics covers
+// failures and the degraded state.
+//
+// -shards, -workers, -staging, -timeout, -quarantine-after,
+// -probation-segments and -probation-interval configured the shard pool
+// that the pooled source replaced. They still parse, so existing
+// command lines keep working, and are ignored.
 //
 // Cluster mode: -router turns the process into the consistent-hash
 // router tier over the N bsrngd nodes named in -ring (a ring.json
@@ -66,24 +70,23 @@ func main() {
 	ringPath := flag.String("ring", "", "router mode: ring membership config (JSON), reloaded on SIGHUP")
 	seed := flag.Uint64("seed", 1, "deterministic base seed")
 	algs := flag.String("algs", "", "comma-separated algorithms to serve, e.g. trivium,chaotic(grain) (default: every base engine plus chaotic(grain))")
-	shards := flag.Int("shards", 0, "stream shards per algorithm (0 = default 2)")
-	workers := flag.Int("workers", 0, "stream workers per shard (0 = spread CPUs)")
-	staging := flag.Int("staging", 0, "per-worker staging bytes (0 = 64 KiB)")
 	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the served bytes are identical")
 	maxBytes := flag.Int64("max-bytes", 0, "per-request byte cap (0 = 16 MiB)")
-	reqTimeout := flag.Duration("timeout", 0, "per-request timeout (0 = 30s)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent /bytes + /stream requests; excess get 429 + Retry-After (0 = unlimited)")
 	maxLeaseSegments := flag.Int("max-lease-segments", 0, "per-lease window cap in segments (0 = 65536, i.e. 128 MiB)")
-	noHealth := flag.Bool("no-health", false, "disable the continuous online health tests and shard quarantine")
-	quarantineAfter := flag.Int("quarantine-after", 0, "consecutive failing checkouts before a shard is quarantined (0 = 3)")
-	probationSegments := flag.Int("probation-segments", 0, "clean segments a reseeded shard must produce before re-admission (0 = 4)")
-	probationInterval := flag.Duration("probation-interval", 0, "delay between failed probation attempts (0 = 1s)")
+	noHealth := flag.Bool("no-health", false, "disable the continuous online health tests and segment skipping")
 	rctCutoff := flag.Int("health-rct-cutoff", 0, "RCT failing run of identical bytes (0 = 8)")
 	aptWindow := flag.Int("health-apt-window", 0, "APT window size in bytes (0 = 512)")
 	aptCutoff := flag.Int("health-apt-cutoff", 0, "APT failing occurrence count (0 = 48)")
 	monobitSlack := flag.Int("health-monobit-slack", 0, "monobit allowed |ones − bits/2| per segment (0 = 1024)")
 	longRunBits := flag.Int("health-longrun-bits", 0, "long-run failing run of identical bits (0 = 64)")
+	for _, name := range []string{"shards", "workers", "staging", "quarantine-after", "probation-segments"} {
+		flag.Int(name, 0, "ignored: configured the removed shard pool")
+	}
+	for _, name := range []string{"timeout", "probation-interval"} {
+		flag.Duration(name, 0, "ignored: configured the removed shard pool")
+	}
 	flag.Parse()
 
 	if *router {
@@ -102,12 +105,8 @@ func main() {
 	srv, err := server.New(server.Config{
 		Seed:             *seed,
 		Algorithms:       algorithms,
-		ShardsPerAlg:     *shards,
-		WorkersPerShard:  *workers,
-		StagingBytes:     *staging,
 		Lanes:            *lanes,
 		MaxRequestBytes:  *maxBytes,
-		RequestTimeout:   *reqTimeout,
 		MaxInflight:      *maxInflight,
 		MaxLeaseSegments: *maxLeaseSegments,
 		DisableHealth:    *noHealth,
@@ -118,9 +117,6 @@ func main() {
 			MonobitSlack: *monobitSlack,
 			LongRunBits:  *longRunBits,
 		},
-		QuarantineAfter:   *quarantineAfter,
-		ProbationSegments: *probationSegments,
-		ProbationInterval: *probationInterval,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsrngd:", err)
@@ -147,7 +143,7 @@ func main() {
 		log.Printf("bsrngd: http shutdown: %v", err)
 	}
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("bsrngd: pool shutdown: %v", err)
+		log.Printf("bsrngd: drain: %v", err)
 	}
 	log.Print("bsrngd: drained, bye")
 }

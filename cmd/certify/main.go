@@ -53,8 +53,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		segments     = fs.Int("segments", 0, "segments pulled per cell (default 64)")
 		reqSegments  = fs.Int("req-segments", 0, "segments per GET /bytes request (default 16)")
 		streams      = fs.Int("streams", 0, "battery bit streams per cell (default 16)")
-		workers      = fs.Int("workers", 0, "stream workers per shard (default 2)")
-		staging      = fs.Int("staging", 0, "per-worker staging bytes (default 65536)")
+		_            = fs.Int("workers", 0, "ignored: the served bytes no longer depend on a worker count")
+		_            = fs.Int("staging", 0, "ignored: the served bytes no longer depend on a staging size")
 		fast         = fs.Bool("fast", false, "skip the slow linear-complexity test")
 		short        = fs.Bool("short", false, "smoke mode: 8 segments, 4 streams, -fast")
 		noCrossCheck = fs.Bool("no-crosscheck", false, "skip the byte-for-byte library comparison (foreign-seed servers)")
@@ -73,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Segments:           *segments,
 		SegmentsPerRequest: *reqSegments,
 		Streams:            *streams,
-		Workers:            *workers,
-		StagingBytes:       *staging,
 		SkipExpensive:      *fast,
 		SkipCrossCheck:     *noCrossCheck,
 		Timeout:            *timeout,

@@ -41,7 +41,7 @@ import (
 
 // hotPackages are the packages whose kernels carry the paper's
 // throughput claim, plus the health screen every served segment passes
-// through — the default -pkgs value.
+// through and the server's serving datapath — the default -pkgs value.
 var hotPackages = []string{
 	"internal/core",
 	"internal/bitslice",
@@ -52,6 +52,7 @@ var hotPackages = []string{
 	"internal/xorgens",
 	"internal/chaotic",
 	"internal/health",
+	"internal/server",
 }
 
 // hotFuncs names, per package, the functions on the segment
@@ -120,6 +121,12 @@ var hotFuncs = map[string][]string{
 		// absent: it only runs on segments the screen cannot clear.
 		"Check", "check", "screen", "aptClear", "step", "runs8",
 		"zeroBytes", "uniformBytes", "gather",
+	},
+	"internal/server": {
+		// The serving datapath: the pooled source's copy (read) and
+		// refill, the pooled and window pumps, and /stream's per-chunk
+		// writer (chunkWriter.Write).
+		"read", "refill", "streamPooled", "streamWindow", "Write",
 	},
 }
 
@@ -309,6 +316,9 @@ func compilerOutput(opts options, root string, errw io.Writer) (string, int) {
 
 // parseEscapes extracts and deduplicates heap-escape diagnostics from
 // raw compiler output (generic instantiations repeat them verbatim).
+// Diagnostics in files outside the module — standard-library generic
+// code instantiated by a gated package, reported by absolute path — are
+// dropped: only module files can be gated.
 func parseEscapes(raw string) []diag {
 	seen := map[diag]bool{}
 	var out []diag
@@ -319,6 +329,9 @@ func parseEscapes(raw string) []diag {
 		}
 		msg := mm[3]
 		if !strings.Contains(msg, "escapes to heap") && !strings.Contains(msg, "moved to heap") {
+			continue
+		}
+		if path.IsAbs(filepath.ToSlash(mm[1])) {
 			continue
 		}
 		n, err := strconv.Atoi(mm[2])

@@ -18,6 +18,7 @@ func TestParseEscapes(t *testing.T) {
 		"pkg/b.go:bad: escapes to heap",         // unparsable line number
 		"not a diagnostic at all",
 		"pkg/b.go:1:1: s escapes to heap",
+		"/usr/local/go/src/net/http/mapping.go:30:17: map[string]int{} escapes to heap", // outside the module
 	}, "\n")
 	got := parseEscapes(raw)
 	want := []diag{

@@ -62,12 +62,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		leaseSeg = fs.Int("lease-segments", 0, "segments per issued lease (default 4)")
 		verify   = fs.Bool("verify", false, "cross-check every addressed and leased window against the library")
 		wseed    = fs.Uint64("workload-seed", 1, "deterministic workload seed")
-		chaos    = fs.Int("chaos", 0, "drive N quarantine/re-admit fault cycles during the run (boot mode only)")
+		chaos    = fs.Int("chaos", 0, "drive N degrade/recover fault cycles during the run (boot mode only)")
 		chaosSd  = fs.Uint64("chaos-seed", 1, "failpoint trigger seed for -chaos")
 		clusterN = fs.Int("cluster", 0, "boot an N-node cluster behind the consistent-hash router and drive the load through it (boot mode only)")
 		fchaos   = fs.Int("cluster-chaos", 0, "fire N pulsed forward-failure faults inside the router during a -cluster run")
 		fchaosSd = fs.Uint64("cluster-chaos-seed", 1, "failpoint trigger seed for -cluster-chaos")
-		shards   = fs.Int("shards", 0, "boot mode: shards per algorithm (default 2)")
+		_        = fs.Int("shards", 0, "ignored: configured the removed shard pool")
 		lanes    = fs.Int("lanes", 0, "boot mode: engine lane width: 64, 256 or 512 are accepted (0 = 64); the served bytes are identical at every width")
 		inflight = fs.Int("max-inflight", 0, "boot mode: admission-control cap (default off)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
@@ -90,10 +90,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		WorkloadSeed:      *wseed,
 		Timeout:           *timeout,
 		Server: server.Config{
-			Seed:         *seed,
-			ShardsPerAlg: *shards,
-			Lanes:        *lanes,
-			MaxInflight:  *inflight,
+			Seed:        *seed,
+			Lanes:       *lanes,
+			MaxInflight: *inflight,
 		},
 	}
 	if !*quiet {

@@ -1,15 +1,14 @@
 // Package certify is the served-path statistical certification harness:
-// it proves that the bytes bsrngd actually serves — through the sharded
-// pools, the zero-copy staging datapath and the live health-reseed
-// machinery — are (a) byte-identical to the deterministic library
-// stream and (b) statistically sound under the full SP 800-22 battery
-// plus the continuous health checks, for every (algorithm, lane-width)
-// cell of the serving matrix.
+// it proves that the bytes bsrngd actually serves — through the pooled
+// sources and their live health checks — are (a) byte-identical to the
+// deterministic library stream and (b) statistically sound under the
+// full SP 800-22 battery plus the continuous health checks, for every
+// (algorithm, lane-width) cell of the serving matrix.
 //
 // Two modes share one code path: boot mode constructs a real
 // internal/server instance per lane width and talks to it over a real
 // TCP loopback listener (nothing is stubbed — the HTTP handler, content
-// negotiation and shard checkout all run exactly as in production);
+// negotiation and the pooled source all run exactly as in production);
 // dial mode (Config.BaseURL) points the same puller at an
 // already-running bsrngd, producing one cell per algorithm.
 //
@@ -57,22 +56,16 @@ type Config struct {
 	// cell (default 64: 128 KiB, 2^20 bits).
 	Segments int
 	// SegmentsPerRequest bounds one GET /bytes (default 16), so a cell
-	// exercises several request/checkout cycles, not one big read.
+	// exercises several requests, not one big read.
 	SegmentsPerRequest int
 	// Streams is the number of battery bit streams per cell (default 16).
 	Streams int
-	// Workers is the per-shard stream worker count (default 2). The
-	// library mirror uses the same value — the served byte sequence
-	// depends on it.
-	Workers int
-	// StagingBytes is the per-worker chunk size (default 64 KiB); same
-	// remark as Workers.
-	StagingBytes int
 	// SkipExpensive skips the slow linear-complexity test.
 	SkipExpensive bool
 	// SkipCrossCheck disables the byte-for-byte library comparison —
-	// for dial mode against a server whose seed or worker layout is
-	// unknown. The battery and health checks still run.
+	// for dial mode against a server whose seed is unknown, or that has
+	// served pooled bytes before. The battery and health checks still
+	// run.
 	SkipCrossCheck bool
 	// Timeout bounds each HTTP request (default 30s).
 	Timeout time.Duration
@@ -95,12 +88,6 @@ func (c *Config) defaults() {
 	}
 	if c.Streams == 0 {
 		c.Streams = 16
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	if c.StagingBytes == 0 {
-		c.StagingBytes = 64 << 10
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
@@ -164,16 +151,13 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // bootServer stands up a real bsrngd serving stack on a loopback TCP
-// listener: ShardsPerAlg is pinned to 1 so shard 0 serves exactly the
-// canonical core.NewStream byte sequence the cross-check mirrors.
+// listener. Its pooled sources serve the canonical domain-1 byte
+// sequence the cross-check mirrors.
 func bootServer(cfg *Config, lanes int) (baseURL string, shutdown func(), err error) {
 	srv, err := server.New(server.Config{
-		Seed:            cfg.Seed,
-		Algorithms:      cfg.Algorithms,
-		ShardsPerAlg:    1,
-		WorkersPerShard: cfg.Workers,
-		StagingBytes:    cfg.StagingBytes,
-		Lanes:           lanes,
+		Seed:       cfg.Seed,
+		Algorithms: cfg.Algorithms,
+		Lanes:      lanes,
 	})
 	if err != nil {
 		return "", nil, err
@@ -295,9 +279,8 @@ func allPass(tests []TestResult) bool {
 // pullSegments fetches the cell's bytes over GET /bytes in
 // SegmentsPerRequest-sized requests, validating transport invariants
 // (status, declared and actual length, algorithm echo header) on every
-// response. Sequential requests against a one-shard pool continue the
-// same stream, so the concatenation is a prefix of the canonical
-// stream.
+// response. Sequential requests continue the algorithm's pooled stream,
+// so the concatenation is a prefix of the canonical stream.
 func pullSegments(cfg *Config, baseURL string, alg core.Algorithm) ([]byte, error) {
 	client := &http.Client{Timeout: cfg.Timeout}
 	out := make([]byte, 0, cfg.Segments*core.SegmentBytes)
@@ -344,21 +327,15 @@ func truncate(b []byte) string {
 }
 
 // crossCheck reproduces the served prefix with the deterministic
-// library stream — same seed, worker layout and staging geometry as the
-// booted shard — and compares byte-for-byte. The mirror runs at the
-// default lane width: served bytes are lane-width independent, so one
-// mirror certifies every lane cell.
+// library stream — domain 1 of the seed, what a pooled source serves —
+// and compares byte-for-byte. The mirror runs at the default lane width:
+// served bytes are lane-width independent, so one mirror certifies every
+// lane cell.
 func crossCheck(cfg *Config, alg core.Algorithm, served []byte) (bool, error) {
-	checker := health.NewChecker(health.Config{})
-	mirror, err := core.NewStream(alg, cfg.Seed, core.StreamConfig{
-		Workers:      cfg.Workers,
-		StagingBytes: cfg.StagingBytes,
-		Health:       checker.Check,
-	})
+	mirror, err := core.NewSegmentReader(alg, cfg.Seed, 1, core.DefaultLanes, 0)
 	if err != nil {
 		return false, fmt.Errorf("library mirror: %w", err)
 	}
-	defer mirror.Close()
 	want := make([]byte, len(served))
 	if _, err := io.ReadFull(mirror, want); err != nil {
 		return false, fmt.Errorf("library mirror read: %w", err)

@@ -96,7 +96,7 @@ func fakeServer(t *testing.T, corrupt func(w http.ResponseWriter, r *http.Reques
 		}
 		st, ok := streams[algName]
 		if !ok {
-			st, err = core.NewStream(alg, 1, core.StreamConfig{Workers: 2, StagingBytes: 64 << 10})
+			st, err = core.NewStream(alg, 1, core.StreamConfig{Workers: 1})
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
@@ -153,7 +153,7 @@ func TestDialModeDetectsCorruptBytes(t *testing.T) {
 		}
 		first = false
 		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		st, err := core.NewStream(core.TRIVIUM, 1, core.StreamConfig{Workers: 2, StagingBytes: 64 << 10})
+		st, err := core.NewStream(core.TRIVIUM, 1, core.StreamConfig{Workers: 1})
 		if err != nil {
 			t.Error(err)
 			return true
@@ -226,7 +226,7 @@ func TestSkipCrossCheck(t *testing.T) {
 	// explicitly skipped (dialing an instance whose seed is unknown).
 	ts := fakeServer(t, func(w http.ResponseWriter, r *http.Request) bool {
 		n, _ := strconv.Atoi(r.URL.Query().Get("n"))
-		st, err := core.NewStream(core.TRIVIUM, 999, core.StreamConfig{Workers: 1, StagingBytes: 64 << 10})
+		st, err := core.NewStream(core.TRIVIUM, 999, core.StreamConfig{Workers: 1})
 		if err != nil {
 			t.Error(err)
 			return true

@@ -407,7 +407,7 @@ func (rt *Router) candidates(ring *Ring, key *Key) []Node {
 
 // retryableStatus reports whether a node response should trigger
 // failover instead of being relayed: the node-side "can't serve right
-// now" statuses (drain, fully quarantined pool, gateway trouble).
+// now" statuses (drain, a degraded pooled source, gateway trouble).
 func retryableStatus(code int) bool {
 	return code == http.StatusBadGateway ||
 		code == http.StatusServiceUnavailable ||

@@ -20,15 +20,12 @@ import (
 )
 
 // nodeCfg is the cheap single-algorithm node configuration the cluster
-// tests boot: 1 shard × 1 worker keeps each in-process node light, and
-// shard 0 of every node serves exactly the canonical library stream.
+// tests boot; every node's pooled source serves exactly the canonical
+// library stream.
 func nodeCfg(seed uint64) server.Config {
 	return server.Config{
-		Seed:            seed,
-		Algorithms:      []core.Algorithm{core.GRAIN},
-		ShardsPerAlg:    1,
-		WorkersPerShard: 1,
-		StagingBytes:    2048,
+		Seed:       seed,
+		Algorithms: []core.Algorithm{core.GRAIN},
 	}
 }
 
@@ -187,7 +184,7 @@ func TestRoutedBytesMatchesDirectAndLibrary(t *testing.T) {
 	}
 	servedBy := hdr.Get("X-Bsrng-Cluster-Node")
 
-	ref, err := core.NewStream(core.GRAIN, seed, core.StreamConfig{Workers: 1, StagingBytes: 2048})
+	ref, err := core.NewStream(core.GRAIN, seed, core.StreamConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

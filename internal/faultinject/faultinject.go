@@ -15,8 +15,8 @@
 // faultinject_disabled.go).
 //
 // Naming scheme: failpoints are named <package>.<site>.<effect>, e.g.
-// core.segment.corrupt, server.checkout.fail, server.probation.fail
-// (optionally suffixed with a scoping label such as the algorithm name:
+// core.segment.corrupt or cluster.forward.fail (optionally suffixed with
+// a scoping label such as the algorithm name:
 // server.segment.corrupt.mickey). DESIGN.md §8 lists the registered
 // sites.
 package faultinject

@@ -23,7 +23,7 @@ import (
 //
 // Names are resolved through one level of dataflow: direct string
 // literals, typed constants, and consts/vars/struct fields whose
-// initializers carry a literal or a literal prefix ("server.checkout.fail."
+// initializers carry a literal or a literal prefix ("server.segment.corrupt."
 // + alg). Unresolvable names (built at runtime from non-literal parts)
 // are skipped, not guessed at. The registry's own package is exempt —
 // its unit tests exercise the mechanism with scheme-free names.
@@ -204,7 +204,7 @@ func exprObject(info *types.Info, e ast.Expr) types.Object {
 // initializers assign — the one level of dataflow failpoint resolution
 // needs for patterns like
 //
-//	p := &pool{fpCheckout: "server.checkout.fail." + alg}
+//	src := &source{fpCorrupt: "server.segment.corrupt." + alg}
 func collectStringInits(pkg *Package) map[types.Object]fpName {
 	inits := map[types.Object]fpName{}
 	record := func(obj types.Object, rhs ast.Expr) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -15,26 +16,22 @@ import (
 type healthzDoc struct {
 	Status string `json:"status"`
 	Pools  map[string]struct {
-		Shards      int `json:"shards"`
-		Quarantined int `json:"quarantined"`
+		Degraded bool `json:"degraded"`
 	} `json:"pools"`
 }
 
-// runChaos drives the configured number of quarantine → probation →
-// re-admit cycles against the first algorithm while the client load
-// runs: pulse a seeded corruption failpoint until every shard is
-// condemned, watch /healthz degrade, heal the fault, watch the pool
-// recover. Returns the cycle accounting from the health metrics.
+// runChaos drives the configured number of corrupt → skip → degrade →
+// heal → recover cycles against the first algorithm while the client
+// load runs: from a seeded hit on, corrupt every segment the algorithm's
+// pooled source checks, so its refills skip them and it degrades; watch
+// /healthz degrade; heal the fault; watch the source recover. Returns
+// the cycle accounting from the health metrics.
 //
-// The pulse shape matters: each arming is a single shot, re-armed only
-// after it fires. One armed hit condemns exactly one segment
-// generation; the immediate regeneration retries run unarmed and pass,
-// so the stream never exhausts its reseed budget and no corrupt bytes
-// are ever delivered — while every condemnation still strikes the
-// owning shard at checkout, accruing toward quarantine. (A sustained
-// range-armed fault would instead corrupt the retries too, and after
-// maxHealthReseeds the stream ships the condemned segment rather than
-// livelock.)
+// Corrupted segments are condemned by the online health tests and
+// skipped, never served: a request whose refill yields no healthy
+// segment gets 503 (or, on /stream, ends early), and the window digest
+// and zero-run scan stay clean. Recovery needs no traffic: /healthz
+// lets a degraded source try a refill.
 func (r *runner) runChaos() (*ChaosReport, error) {
 	if !faultinject.Available() {
 		return nil, fmt.Errorf("loadtest: chaos requested but faultinject is compiled out")
@@ -44,50 +41,44 @@ func (r *runner) runChaos() (*ChaosReport, error) {
 	fp := "server.segment.corrupt." + alg.String()
 	defer faultinject.Disarm(fp)
 
-	qBefore := r.metricSample(`bsrngd_health_quarantines_total{alg="` + alg.String() + `"}`)
-	rBefore := r.metricSample(`bsrngd_health_readmits_total{alg="` + alg.String() + `"}`)
+	failures := `bsrngd_health_failures_total{alg="` + alg.String() + `",`
+	before := r.metricSum(failures)
 
 	for cyc := 0; cyc < cc.Cycles; cyc++ {
-		// The seeded draw places the cycle's first condemned check.
+		// The seeded draw places the cycle's first condemned check; every
+		// check from there on is corrupted.
 		nth := faultinject.ArmSeeded(fp, cc.FailpointSeed+uint64(cyc), cc.Window)
-		r.cfg.Logf("loadtest: chaos cycle %d: %s armed at hit %d", cyc, fp, nth)
+		faultinject.ArmRange(fp, nth, math.MaxUint64)
+		r.cfg.Logf("loadtest: chaos cycle %d: %s corrupting from hit %d", cyc, fp, nth)
 
-		drive := func() {
-			if faultinject.Fired(fp) > 0 {
-				faultinject.Arm(fp, 1) // pulse again: next generation condemns
-			}
-			r.prime()
-		}
-		err := r.waitHealthz(cc.PhaseTimeout, drive, func(hz healthzDoc) bool {
-			ph := hz.Pools[alg.String()]
-			return ph.Shards > 0 && ph.Quarantined == ph.Shards
+		err := r.waitHealthz(cc.PhaseTimeout, r.prime, func(hz healthzDoc) bool {
+			return hz.Pools[alg.String()].Degraded
 		})
 		if err != nil {
-			return nil, fmt.Errorf("loadtest: chaos cycle %d: pool never fully quarantined: %w", cyc, err)
+			return nil, fmt.Errorf("loadtest: chaos cycle %d: source never degraded: %w", cyc, err)
 		}
-		r.cfg.Logf("loadtest: chaos cycle %d: %s fully quarantined, healing", cyc, alg)
+		r.cfg.Logf("loadtest: chaos cycle %d: %s degraded, healing", cyc, alg)
 
 		faultinject.Disarm(fp)
 		err = r.waitHealthz(cc.PhaseTimeout, nil, func(hz healthzDoc) bool {
-			return hz.Status == "ok" && hz.Pools[alg.String()].Quarantined == 0
+			return hz.Status == "ok" && !hz.Pools[alg.String()].Degraded
 		})
 		if err != nil {
-			return nil, fmt.Errorf("loadtest: chaos cycle %d: pool never recovered: %w", cyc, err)
+			return nil, fmt.Errorf("loadtest: chaos cycle %d: source never recovered: %w", cyc, err)
 		}
-		r.cfg.Logf("loadtest: chaos cycle %d: %s re-admitted", cyc, alg)
+		r.cfg.Logf("loadtest: chaos cycle %d: %s recovered", cyc, alg)
 	}
 
 	return &ChaosReport{
-		Algorithm:   alg.String(),
-		Cycles:      cc.Cycles,
-		Quarantines: r.metricSample(`bsrngd_health_quarantines_total{alg="`+alg.String()+`"}`) - qBefore,
-		Readmits:    r.metricSample(`bsrngd_health_readmits_total{alg="`+alg.String()+`"}`) - rBefore,
+		Algorithm: alg.String(),
+		Cycles:    cc.Cycles,
+		Skipped:   r.metricSum(failures) - before,
 	}, nil
 }
 
-// prime issues one small pooled request on the chaos algorithm:
-// quarantine decisions happen at shard checkout, so without traffic a
-// condemned pool never trips.
+// prime issues one small pooled request on the chaos algorithm: the
+// pooled source refills, and so checks segments, only when requests
+// drain it.
 func (r *runner) prime() {
 	resp, err := r.client.Get(fmt.Sprintf("%s/bytes?alg=%s&n=%d",
 		r.base, r.algs[0], r.cfg.BytesN))
@@ -98,8 +89,7 @@ func (r *runner) prime() {
 }
 
 // waitHealthz polls /healthz until ok returns true, running drive (when
-// non-nil) each iteration to keep the fault pulsed and the pool under
-// checkout pressure.
+// non-nil) each iteration to keep the pooled source refilling.
 func (r *runner) waitHealthz(timeout time.Duration, drive func(), ok func(healthzDoc) bool) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -122,9 +112,9 @@ func (r *runner) waitHealthz(timeout time.Duration, drive func(), ok func(health
 	}
 }
 
-// metricSample fetches one sample (0 when absent or unreachable) from
-// the daemon's /metrics exposition.
-func (r *runner) metricSample(name string) float64 {
+// metricSum adds up every sample whose name and labels start with prefix
+// (0 when none, or unreachable) in the daemon's /metrics exposition.
+func (r *runner) metricSum(prefix string) float64 {
 	resp, err := r.client.Get(r.base + "/metrics")
 	if err != nil {
 		return 0
@@ -134,13 +124,16 @@ func (r *runner) metricSample(name string) float64 {
 	if err != nil {
 		return 0
 	}
+	var sum float64
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, name+" ") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(line[len(name)+1:]), 64)
-			if err == nil {
-				return v
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		if i := strings.LastIndexByte(line, ' '); i >= 0 {
+			if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+				sum += v
 			}
 		}
 	}
-	return 0
+	return sum
 }

@@ -9,10 +9,11 @@ import (
 )
 
 // The chaos soak cell (run in the CI race job): concurrent clients
-// hammer a booted daemon while seeded failpoints condemn segments on
-// the served algorithm. Every quarantine → probation → re-admit cycle
-// must complete, no corrupt bytes may reach a client, and a second run
-// of the identical Config must pull a byte-identical window multiset.
+// hammer a booted daemon while a seeded failpoint corrupts the served
+// algorithm's segments. Every corrupt → skip → degrade → heal → recover
+// cycle must complete, no corrupt bytes may reach a client, and a second
+// run of the identical Config must pull a byte-identical window
+// multiset.
 func TestChaosSoak(t *testing.T) {
 	if !faultinject.Available() {
 		t.Skip("faultinject compiled out (bsrng_nofaultinject)")
@@ -51,17 +52,10 @@ func TestChaosSoak(t *testing.T) {
 	if res.Chaos.Cycles != cfg.Chaos.Cycles || res.Chaos.Algorithm != "trivium" {
 		t.Errorf("chaos report %+v", res.Chaos)
 	}
-	// Every cycle quarantines and re-admits the full pool at least once
-	// (while a pulse is armed a re-admitted shard may cycle again, so the
-	// counters are a floor, not an exact count), and every quarantined
-	// shard was re-admitted by the end of the run.
-	wantEvents := float64(smallServer(53, core.TRIVIUM).ShardsPerAlg * cfg.Chaos.Cycles)
-	if res.Chaos.Quarantines < wantEvents {
-		t.Errorf("quarantines %.0f, want ≥ %.0f", res.Chaos.Quarantines, wantEvents)
-	}
-	if res.Chaos.Readmits != res.Chaos.Quarantines {
-		t.Errorf("readmits %.0f != quarantines %.0f — shards left quarantined",
-			res.Chaos.Readmits, res.Chaos.Quarantines)
+	// Degrading takes a run of condemned segments in every cycle, and
+	// each one was skipped and counted.
+	if want := float64(3 * cfg.Chaos.Cycles); res.Chaos.Skipped < want {
+		t.Errorf("skipped segments %.0f, want ≥ %.0f", res.Chaos.Skipped, want)
 	}
 	// No corrupt bytes observed, by two independent detectors.
 	if res.VerifyMismatches != 0 {
@@ -73,7 +67,7 @@ func TestChaosSoak(t *testing.T) {
 	if res.VerifiedWindows == 0 {
 		t.Error("chaos run verified no windows")
 	}
-	// 503s while the pool is fully quarantined are the intended shed
+	// 503s while the source has no healthy segment are the intended shed
 	// path; anything else is a failure.
 	if res.NonOK != 0 {
 		t.Errorf("non-OK %d (statuses %v)", res.NonOK, res.Statuses)

@@ -183,8 +183,8 @@ func (r *runner) primeStream() {
 func (r *runner) clusterReport(pulses int) *ClusterReport {
 	return &ClusterReport{
 		Nodes:           r.cfg.Cluster.Nodes,
-		Retries:         r.metricSample("bsrngd_cluster_retries_total"),
-		Failovers:       r.metricSample("bsrngd_cluster_failovers_total"),
+		Retries:         r.metricSum("bsrngd_cluster_retries_total "),
+		Failovers:       r.metricSum("bsrngd_cluster_failovers_total "),
 		ForwardFailures: r.metricFamilySum("bsrngd_cluster_forward_failures_total"),
 		ForwardPulses:   pulses,
 	}

@@ -15,10 +15,11 @@
 // processes and daemon restarts.
 //
 // The harness composes with internal/faultinject (Chaos): while clients
-// hammer the daemon, seeded failpoints condemn segments on one
-// algorithm until its pool fully quarantines, then heal so probation
-// re-admits the shards — repeated for a configured number of cycles,
-// with every phase transition observed through /healthz and /metrics.
+// hammer the daemon, a seeded failpoint corrupts every segment of one
+// algorithm's pooled source until the skipped segments degrade it, then
+// heals so the source recovers — repeated for a configured number of
+// cycles, with every phase transition observed through /healthz and
+// /metrics.
 package loadtest
 
 import (
@@ -62,7 +63,7 @@ type ChaosConfig struct {
 	FailpointSeed uint64
 	// Window is the hit window the trigger is drawn from (default 32).
 	Window uint64
-	// Cycles is how many quarantine → probation → re-admit cycles to
+	// Cycles is how many corrupt → degrade → heal → recover cycles to
 	// drive to completion (default 1).
 	Cycles int
 	// PhaseTimeout bounds each phase transition wait (default 30s).
@@ -105,7 +106,7 @@ type Config struct {
 	// Timeout bounds each HTTP request (default 30s).
 	Timeout time.Duration
 	// Tolerate503 excludes 503s from the non-OK count — expected while a
-	// chaos cycle holds a pool fully quarantined. Chaos implies it.
+	// chaos cycle holds a pooled source degraded. Chaos implies it.
 	Tolerate503 bool
 	// Chaos, when non-nil, drives fault-injection cycles during the run.
 	Chaos *ChaosConfig
@@ -113,7 +114,7 @@ type Config struct {
 	// in-process consistent-hash router (internal/cluster) and drives
 	// the whole workload through the router. Boot mode only, and
 	// mutually exclusive with Chaos (whose driver polls a single node's
-	// pool healthz).
+	// healthz).
 	Cluster *ClusterConfig
 	// Logf receives progress lines (default: discard).
 	Logf func(format string, args ...any)
@@ -132,7 +133,8 @@ type Result struct {
 	NonOK int64 `json:"non_ok"`
 	// Rejected429 counts admission-control sheds.
 	Rejected429 int64 `json:"rejected_429"`
-	// Unavailable503 counts 503s (drain or fully quarantined pool).
+	// Unavailable503 counts 503s (drain or a pooled source with no
+	// healthy segment).
 	Unavailable503 int64   `json:"unavailable_503"`
 	BytesRead      int64   `json:"bytes_read"`
 	Seconds        float64 `json:"seconds"`
@@ -165,10 +167,10 @@ type Result struct {
 type ChaosReport struct {
 	Algorithm string `json:"alg"`
 	Cycles    int    `json:"cycles"`
-	// Quarantines/Readmits are the bsrngd_health_* counter deltas over
-	// the run.
-	Quarantines float64 `json:"quarantines"`
-	Readmits    float64 `json:"readmits"`
+	// Skipped is the run's growth of bsrngd_health_failures_total for
+	// the algorithm: the segments its pooled source condemned and
+	// skipped.
+	Skipped float64 `json:"skipped_segments"`
 }
 
 // leaseDoc mirrors the JSON of POST /lease.
@@ -258,7 +260,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Cluster != nil {
 		if cfg.Chaos != nil {
-			return nil, fmt.Errorf("loadtest: segment chaos drives a single node's pool healthz; use Cluster.ForwardChaos against a cluster")
+			return nil, fmt.Errorf("loadtest: segment chaos drives a single node's healthz; use Cluster.ForwardChaos against a cluster")
 		}
 		if cfg.Cluster.Nodes == 0 {
 			cfg.Cluster.Nodes = 3

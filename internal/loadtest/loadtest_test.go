@@ -12,16 +12,12 @@ import (
 	"repro/internal/server"
 )
 
-// smallServer is the booted-daemon config every cell here shares: tiny
-// pools, fast health cadence, and an untuned admission path.
+// smallServer is the booted-daemon config every cell here shares: the
+// given seed and algorithms, everything else at its default.
 func smallServer(seed uint64, algs ...core.Algorithm) server.Config {
 	return server.Config{
-		Seed:         seed,
-		Algorithms:   algs,
-		ShardsPerAlg: 2, WorkersPerShard: 1, StagingBytes: core.SegmentBytes,
-		RequestTimeout:  time.Second,
-		QuarantineAfter: 2, ProbationSegments: 2,
-		ProbationInterval: 100 * time.Millisecond,
+		Seed:       seed,
+		Algorithms: algs,
 	}
 }
 
@@ -205,7 +201,7 @@ func TestRunConfigErrors(t *testing.T) {
 		{"negative clients", Config{Clients: -1}, "clients"},
 		{"negative mix", Config{Server: smallServer(1, core.MICKEY),
 			Mix: Mix{Bytes: -1, Stream: 2}}, "mix"},
-		{"boot failure", Config{Server: server.Config{ShardsPerAlg: -4}}, "booting server"},
+		{"boot failure", Config{Server: server.Config{MaxInflight: -1}}, "booting server"},
 		{"chaos in dial mode", Config{BaseURL: "http://127.0.0.1:1",
 			Chaos: &ChaosConfig{}}, "boot mode"},
 	} {

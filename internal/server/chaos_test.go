@@ -46,61 +46,55 @@ func getHealthz(t *testing.T, url string) (int, healthzResponse) {
 	return status, hz
 }
 
-// The tentpole chaos scenario, end to end: healthy deterministic
-// serving, then fault-injected corruption under concurrent traffic
-// until every shard is quarantined and /healthz degrades, then fault
-// removal, background reseed, probation, re-admission and a return to
-// healthy service — with the health metrics accounting for every phase.
-func TestChaosQuarantineAndRecovery(t *testing.T) {
+// domainOne returns the first n bytes of the pooled stream of alg under
+// seed: domain 1, what a 1-worker core.Stream serves.
+func domainOne(t *testing.T, alg core.Algorithm, seed uint64, n int) []byte {
+	t.Helper()
+	r, err := core.NewSegmentReader(alg, seed, pooledDomain, core.DefaultLanes, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, n)
+	if _, err := io.ReadFull(r, b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// The chaos arc, end to end: healthy deterministic serving, then
+// fault-injected corruption under concurrent traffic — condemned
+// segments are skipped, never served, until the algorithm degrades and
+// /healthz answers 503 — then fault removal and a return to healthy
+// service, with the health metrics accounting for every phase.
+func TestChaosSkipDegradeAndRecovery(t *testing.T) {
 	if !faultinject.Available() {
 		t.Skip("faultinject compiled out")
 	}
 	t.Cleanup(faultinject.Reset)
 
 	const seed = 42
-	cfg := Config{
-		Seed:         seed,
-		Algorithms:   []core.Algorithm{core.MICKEY},
-		ShardsPerAlg: 2, WorkersPerShard: 1, StagingBytes: core.SegmentBytes,
-		RequestTimeout:  250 * time.Millisecond,
-		QuarantineAfter: 2, ProbationSegments: 2, ProbationInterval: 5 * time.Millisecond,
-	}
-	_, ts := newTestServer(t, cfg)
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.MICKEY}})
 	fpCorrupt := "server.segment.corrupt." + core.MICKEY.String()
-	fpCheckout := "server.checkout.fail." + core.MICKEY.String()
 
-	// --- Phase A: healthy baseline is byte-identical to the library ---
-	// Sequential segment-sized requests alternate over the two shards;
-	// bucket them by the shard header and compare each shard's
-	// concatenation against its reference stream.
-	perShard := map[string][]byte{}
+	// --- Phase A: healthy baseline is the domain-1 library stream ---
+	var got []byte
 	for i := 0; i < 8; i++ {
-		status, body, hdr := get(t, ts.URL+"/bytes?alg=mickey&n=2048")
+		status, body, _ := get(t, ts.URL+"/bytes?alg=mickey&n=2048")
 		if status != http.StatusOK {
 			t.Fatalf("baseline request %d: status %d", i, status)
 		}
-		id := hdr.Get("X-Bsrng-Shard")
-		perShard[id] = append(perShard[id], body...)
+		got = append(got, body...)
 	}
-	for id, got := range perShard {
-		shardID, _ := strconv.Atoi(id)
-		ref, err := core.NewStream(core.MICKEY, shardSeed(seed, shardID),
-			core.StreamConfig{Workers: 1, StagingBytes: core.SegmentBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]byte, len(got))
-		ref.Read(want)
-		ref.Close()
-		if !bytes.Equal(got, want) {
-			t.Fatalf("shard %s healthy bytes diverge from the library stream", id)
-		}
+	if !bytes.Equal(got, domainOne(t, core.MICKEY, seed, len(got))) {
+		t.Fatal("healthy bytes diverge from the library stream")
 	}
 
 	// --- Phase B: corrupt every segment under concurrent traffic ---
 	faultinject.ArmRange(fpCorrupt, 1, 1<<40)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var zeroRuns atomic.Int64
+	zero := make([]byte, 64)
 	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func() {
@@ -116,8 +110,11 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				io.Copy(io.Discard, resp.Body)
+				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK && bytes.Contains(body, zero) {
+					zeroRuns.Add(1)
+				}
 				if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
 					t.Errorf("chaos traffic: unexpected status %d", resp.StatusCode)
 				}
@@ -130,11 +127,8 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 		status, hz := getHealthz(t, ts.URL)
 		if status == http.StatusServiceUnavailable && hz.Status == "degraded" {
 			ph := hz.Pools["mickey"]
-			if ph.Shards != 2 || ph.Quarantined != 2 {
-				t.Fatalf("degraded pool state %+v, want 2/2 quarantined", ph)
-			}
-			if ph.HealthFailures == 0 || ph.LastFailure == "" {
-				t.Fatalf("degraded pool hides its failures: %+v", ph)
+			if !ph.Degraded || ph.HealthFailures == 0 || ph.LastFailure == "" {
+				t.Fatalf("degraded source hides its state: %+v", ph)
 			}
 			break
 		}
@@ -145,48 +139,50 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+	if n := zeroRuns.Load(); n != 0 {
+		t.Fatalf("%d responses carried a corrupted segment", n)
+	}
 
-	// Fully quarantined: a sequential request gets 503 once checkout
-	// times out, and the quarantine metrics reflect both ejections.
-	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=64"); status != http.StatusServiceUnavailable {
-		t.Fatalf("request to a fully quarantined pool: status %d, want 503", status)
+	// Once the healthy bytes buffered before the fault are spent, a
+	// request gets 503: its refill yields no healthy segment.
+	for i := 0; ; i++ {
+		status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=2048")
+		if status == http.StatusServiceUnavailable {
+			break
+		}
+		if status != http.StatusOK || i == 128 {
+			t.Fatalf("request %d to a degraded source: status %d, want 503 once drained", i, status)
+		}
 	}
 	_, mbody, _ := get(t, ts.URL+"/metrics")
-	if got := metricValue(t, mbody, `bsrngd_health_quarantines_total{alg="mickey"}`); got != 2 {
-		t.Errorf("quarantines_total = %v, want 2", got)
-	}
-	if got := metricValue(t, mbody, `bsrngd_health_quarantined_shards{alg="mickey"}`); got != 2 {
-		t.Errorf("quarantined_shards gauge = %v, want 2", got)
+	if got := metricValue(t, mbody, `bsrngd_health_degraded{alg="mickey"}`); got != 1 {
+		t.Errorf("degraded gauge = %v, want 1", got)
 	}
 	if !strings.Contains(string(mbody), `bsrngd_health_failures_total{alg="mickey",test="`) {
 		t.Errorf("no per-test health failure counters exported:\n%s", mbody)
 	}
 
-	// --- Phase C: heal the fault; rehabilitation re-admits both shards ---
+	// --- Phase C: heal the fault; the next refill recovers ---
+	// No pooled traffic is needed: /healthz lets a degraded source with
+	// nothing buffered try one refill.
 	faultinject.Disarm(fpCorrupt)
 	for {
 		status, hz := getHealthz(t, ts.URL)
-		if status == http.StatusOK && hz.Status == "ok" && hz.Pools["mickey"].Quarantined == 0 {
+		if status == http.StatusOK && hz.Status == "ok" && !hz.Pools["mickey"].Degraded {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never recovered; last: status=%d %+v", status, hz)
+			t.Fatalf("source never recovered; last: status=%d %+v", status, hz)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	_, mbody, _ = get(t, ts.URL+"/metrics")
-	if got := metricValue(t, mbody, `bsrngd_health_readmits_total{alg="mickey"}`); got != 2 {
-		t.Errorf("readmits_total = %v, want 2", got)
-	}
-	if got := metricValue(t, mbody, `bsrngd_health_reseeds_total{alg="mickey"}`); got < 2 {
-		t.Errorf("reseeds_total = %v, want ≥ 2 (one per rehabilitated shard)", got)
-	}
-	if got := metricValue(t, mbody, `bsrngd_health_quarantined_shards{alg="mickey"}`); got != 0 {
-		t.Errorf("quarantined_shards gauge = %v after recovery, want 0", got)
+	if got := metricValue(t, mbody, `bsrngd_health_degraded{alg="mickey"}`); got != 0 {
+		t.Errorf("degraded gauge = %v after recovery, want 0", got)
 	}
 
-	// Recovered service is healthy: traffic flows, the reseeded streams
-	// pass the online tests, and no new failures accumulate.
+	// Recovered service is healthy: traffic flows, the segments pass
+	// the online tests, and no new failures accumulate.
 	_, before := getHealthz(t, ts.URL)
 	checker := health.NewChecker(health.Config{})
 	for i := 0; i < 8; i++ {
@@ -203,26 +199,11 @@ func TestChaosQuarantineAndRecovery(t *testing.T) {
 		t.Errorf("health failures grew after recovery: %d -> %d",
 			before.Pools["mickey"].HealthFailures, after.Pools["mickey"].HealthFailures)
 	}
-	if after.Pools["mickey"].SegmentsChecked <= before.Pools["mickey"].SegmentsChecked {
-		t.Error("online tests stopped running after recovery")
-	}
-
-	// --- Phase D: a forced checkout error surfaces as 503, then heals ---
-	faultinject.Arm(fpCheckout, 1)
-	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=64"); status != http.StatusServiceUnavailable {
-		t.Fatalf("injected checkout fault: status %d, want 503", status)
-	}
-	if got := faultinject.Fired(fpCheckout); got != 1 {
-		t.Fatalf("checkout failpoint fired %d times, want 1", got)
-	}
-	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=64"); status != http.StatusOK {
-		t.Fatalf("request after one-shot checkout fault: status %d, want 200", status)
-	}
 }
 
 // Two identically-faulted servers must serve identical bytes, and those
-// bytes must match the library stream under the same fault — the
-// discard/reseed episode itself is deterministic, not just the healthy
+// bytes must be the library stream with the condemned segment skipped —
+// the fault episode itself is deterministic, not just the healthy
 // prefix.
 func TestChaosDoubleRunByteIdentical(t *testing.T) {
 	if !faultinject.Available() {
@@ -239,24 +220,11 @@ func TestChaosDoubleRunByteIdentical(t *testing.T) {
 
 	run := func() []byte {
 		faultinject.Reset()
-		// Armed BEFORE the server exists: with a single shard and a single
-		// worker the Nth checked segment is the Nth produced segment,
-		// independent of request timing.
+		// Armed BEFORE the server exists: the Nth checked segment is
+		// segment N-1 of the pooled stream, independent of request
+		// timing.
 		faultinject.Arm(fpCorrupt, corruptNth)
-		s, err := New(Config{
-			Seed:         seed,
-			Algorithms:   []core.Algorithm{core.MICKEY},
-			ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: core.SegmentBytes,
-			QuarantineAfter: 100, // a single healed fault must not eject the shard
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(s.Handler())
-		defer func() {
-			ts.Close()
-			s.Shutdown(context.Background())
-		}()
+		_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.MICKEY}})
 		var out []byte
 		for i := 0; i < segments; i++ {
 			status, body, _ := get(t, ts.URL+"/bytes?alg=mickey&n=2048")
@@ -277,32 +245,11 @@ func TestChaosDoubleRunByteIdentical(t *testing.T) {
 		t.Fatal("identically-faulted servers served different bytes")
 	}
 
-	// The library stream with the same per-check corruption hook defines
-	// the expected bytes of the whole episode (core keys the replacement
-	// segment from the same reseed epoch derivation).
-	checker := health.NewChecker(health.Config{})
-	var n atomic.Uint64
-	hook := func(seg []byte) error {
-		if n.Add(1) == corruptNth {
-			for i := range seg {
-				seg[i] = 0
-			}
-		}
-		return checker.Check(seg)
-	}
-	ref, err := core.NewStream(core.MICKEY, seed, core.StreamConfig{
-		Workers: 1, StagingBytes: core.SegmentBytes, Health: hook,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := make([]byte, len(a))
-	if _, err := ref.Read(want); err != nil {
-		t.Fatal(err)
-	}
+	lib := domainOne(t, core.MICKEY, seed, (segments+1)*core.SegmentBytes)
+	skip := (corruptNth - 1) * core.SegmentBytes
+	want := append(lib[:skip:skip], lib[skip+core.SegmentBytes:]...)
 	if !bytes.Equal(a, want) {
-		t.Fatal("served chaos bytes diverge from the library stream under the same fault")
+		t.Fatal("served chaos bytes are not the library stream less the condemned segment")
 	}
 	zero := make([]byte, core.SegmentBytes)
 	for off := 0; off < len(a); off += core.SegmentBytes {
@@ -313,13 +260,12 @@ func TestChaosDoubleRunByteIdentical(t *testing.T) {
 }
 
 // MaxInflight sheds excess load with 429 + Retry-After instead of
-// queueing it on shard checkout, and the shed requests are visible in
-// the admission metrics.
+// queueing it on a source, and the shed requests are visible in the
+// admission metrics.
 func TestAdmissionControlShedsLoad(t *testing.T) {
 	s, err := New(Config{
-		Seed:         5,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:        5,
+		Algorithms:  []core.Algorithm{core.GRAIN},
 		MaxInflight: 1,
 	})
 	if err != nil {
@@ -379,12 +325,11 @@ func TestAdmissionControlShedsLoad(t *testing.T) {
 	}
 }
 
-// /healthz carries the per-algorithm pool state as JSON while keeping
+// /healthz carries the per-algorithm source state as JSON while keeping
 // the 200-when-ok contract, and reports nothing checked when the online
 // tests are disabled.
 func TestHealthzReportsPoolState(t *testing.T) {
-	cfg := Config{Seed: 2, ShardsPerAlg: 2, WorkersPerShard: 1, StagingBytes: 2048}
-	_, ts := newTestServer(t, cfg)
+	_, ts := newTestServer(t, Config{Seed: 2})
 
 	if status, _, _ := get(t, ts.URL+"/bytes?alg=grain&n=2048"); status != http.StatusOK {
 		t.Fatal("priming request failed")
@@ -404,28 +349,31 @@ func TestHealthzReportsPoolState(t *testing.T) {
 		t.Errorf("status %q, want ok", hz.Status)
 	}
 	if len(hz.Pools) != len(core.ServedAlgorithms) {
-		t.Errorf("healthz reports %d pools, want %d", len(hz.Pools), len(core.ServedAlgorithms))
+		t.Errorf("healthz reports %d sources, want %d", len(hz.Pools), len(core.ServedAlgorithms))
 	}
 	for _, alg := range core.ServedAlgorithms {
 		ph, ok := hz.Pools[alg.String()]
 		if !ok {
-			t.Errorf("pool %v missing from healthz", alg)
+			t.Errorf("source %v missing from healthz", alg)
 			continue
 		}
-		if ph.Shards != 2 || ph.Quarantined != 0 {
-			t.Errorf("pool %v state %+v, want 2 shards, none quarantined", alg, ph)
+		if ph.Degraded || ph.HealthFailures != 0 {
+			t.Errorf("source %v state %+v, want healthy", alg, ph)
 		}
 	}
-	if hz.Pools["grain"].SegmentsChecked == 0 {
-		t.Error("grain pool served traffic but reports zero checked segments")
+	// One refill checked one pass; untouched algorithms checked nothing.
+	if got := hz.Pools["grain"].SegmentsChecked; got != 64 {
+		t.Errorf("grain source checked %d segments, want 64", got)
+	}
+	if got := hz.Pools["mickey"].SegmentsChecked; got != 0 {
+		t.Errorf("idle mickey source checked %d segments, want 0", got)
 	}
 
 	// With the online tests disabled, nothing is checked and nothing can
-	// quarantine — but the endpoint still reports the pool shape.
+	// degrade.
 	_, ts2 := newTestServer(t, Config{
-		Seed:         2,
-		Algorithms:   []core.Algorithm{core.MICKEY},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
+		Seed:          2,
+		Algorithms:    []core.Algorithm{core.MICKEY},
 		DisableHealth: true,
 	})
 	if status, _, _ := get(t, ts2.URL+"/bytes?alg=mickey&n=2048"); status != http.StatusOK {
@@ -435,7 +383,7 @@ func TestHealthzReportsPoolState(t *testing.T) {
 	if status != http.StatusOK || hz2.Status != "ok" {
 		t.Fatalf("health-off healthz: status=%d %+v", status, hz2)
 	}
-	if ph := hz2.Pools["mickey"]; ph.Shards != 1 || ph.SegmentsChecked != 0 || ph.HealthFailures != 0 {
-		t.Errorf("health-off pool state %+v, want 1 shard and zero health activity", ph)
+	if ph := hz2.Pools["mickey"]; ph.Degraded || ph.SegmentsChecked != 0 || ph.HealthFailures != 0 {
+		t.Errorf("health-off source state %+v, want zero health activity", ph)
 	}
 }

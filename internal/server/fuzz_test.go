@@ -11,8 +11,8 @@ import (
 )
 
 // FuzzServeQuery feeds raw query strings to /bytes and /stream of a
-// 1-shard server. Whatever the query, the response status is one the
-// endpoints document — never a 500, never a panic — and a binary 200
+// two-algorithm server. Whatever the query, the response status is one
+// the endpoints document — never a 500, never a panic — and a binary 200
 // carries exactly the n the parser resolved. An addressed or lease 200
 // is the HTTP leg of the canonical-stream invariant: its body equals
 // core.NewSegmentReader at the parsed (Domain, Offset), byte for byte.
@@ -38,9 +38,8 @@ func FuzzServeQuery(f *testing.F) {
 	}
 
 	s, err := New(Config{
-		Seed:         seed,
-		Algorithms:   []core.Algorithm{core.GRAIN, core.AESCTR},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:            seed,
+		Algorithms:      []core.Algorithm{core.GRAIN, core.AESCTR},
 		MaxRequestBytes: 64 << 10,
 	})
 	if err != nil {

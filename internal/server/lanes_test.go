@@ -17,7 +17,7 @@ func TestBytesWidthIndependence(t *testing.T) {
 	const path = "/bytes?alg=grain&n=8192"
 	fetch := func(lanes int) []byte {
 		cfg := Config{Seed: 99, Algorithms: []core.Algorithm{core.GRAIN},
-			ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 4096, Lanes: lanes}
+			Lanes: lanes}
 		_, ts := newTestServer(t, cfg)
 		status, body, _ := get(t, ts.URL+path)
 		if status != http.StatusOK {
@@ -37,7 +37,7 @@ func TestBytesWidthIndependence(t *testing.T) {
 // traffic; run under -race this pins down the engines' sharing discipline.
 func TestWideLaneConcurrentRequests(t *testing.T) {
 	cfg := Config{Seed: 5, Algorithms: []core.Algorithm{core.TRIVIUM},
-		ShardsPerAlg: 2, WorkersPerShard: 2, StagingBytes: 4096, Lanes: 256}
+		Lanes: 256}
 	_, ts := newTestServer(t, cfg)
 
 	const clients = 8
@@ -68,7 +68,7 @@ func TestWideLaneConcurrentRequests(t *testing.T) {
 // first request.
 func TestConfigRejectsBadLanes(t *testing.T) {
 	for _, lanes := range []int{-1, 1, 63, 128, 1024} {
-		if _, err := New(Config{ShardsPerAlg: 1, WorkersPerShard: 1, Lanes: lanes}); err == nil {
+		if _, err := New(Config{Lanes: lanes}); err == nil {
 			t.Errorf("Lanes=%d accepted", lanes)
 		}
 	}
@@ -77,7 +77,7 @@ func TestConfigRejectsBadLanes(t *testing.T) {
 // The 400 response for an unknown algorithm must name the valid set so
 // a client can self-correct, and parsing must be case-insensitive.
 func TestBadAlgorithmResponseListsValidSet(t *testing.T) {
-	cfg := Config{Seed: 1, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 1}
 	_, ts := newTestServer(t, cfg)
 
 	status, body, _ := get(t, ts.URL+"/bytes?alg=rot13&n=16")

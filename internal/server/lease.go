@@ -21,15 +21,15 @@ import (
 // core.NewSegmentReader and verify any sub-range byte-for-byte.
 //
 // POST /lease allocates each lease its own domain from a reserved range
-// far above the shard-worker domains, starting at segment 0, so leased
-// streams never overlap the pooled /bytes /stream traffic. Allocation
-// is a boot-local counter: after a restart new leases reuse domains
-// (deterministically — the bytes are the same), while previously issued
-// tokens stay valid forever.
+// far above the pooled domain, starting at segment 0, so leased streams
+// never overlap the pooled /bytes /stream traffic. Allocation is a
+// boot-local counter per algorithm: after a restart new leases reuse
+// domains (deterministically — the bytes are the same), while
+// previously issued tokens stay valid forever.
 
 const (
-	// leaseDomainBase separates lease domains from stream-worker domains
-	// (small integers: worker w serves domain w+1).
+	// leaseDomainBase separates lease domains from the small domains
+	// (pooled mode serves domain 1).
 	leaseDomainBase = uint64(1) << 32
 	// maxLeaseStartSegment bounds start segments (and /stream segment=)
 	// so offset arithmetic stays far from uint64 wrap.
@@ -141,7 +141,7 @@ func (s *Server) handleLeaseCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	l := Lease{
 		Alg:      q.Alg,
-		Domain:   leaseDomainBase + s.leaseCounter.Add(1),
+		Domain:   leaseDomainBase + s.leases[q.Alg].Add(1),
 		Segments: uint64(q.N),
 	}
 	s.leasesIssued.Inc()
@@ -159,7 +159,7 @@ func (s *Server) handleLeaseGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("invalid lease token: %v", err), http.StatusBadRequest)
 		return
 	}
-	if _, ok := s.pools[l.Alg]; !ok {
+	if _, ok := s.pooled[l.Alg]; !ok {
 		s.leaseRequests.With(l.Alg.String(), strconv.Itoa(http.StatusNotFound)).Inc()
 		http.Error(w, fmt.Sprintf("lease algorithm %v not served here", l.Alg), http.StatusNotFound)
 		return

@@ -41,9 +41,8 @@ func post(t *testing.T, url string) (int, leaseDoc, []byte) {
 // token, and the failure modes are specific.
 func TestLeaseAPI(t *testing.T) {
 	cfg := Config{
-		Seed:         9,
-		Algorithms:   []core.Algorithm{core.GRAIN, core.MICKEY},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:             9,
+		Algorithms:       []core.Algorithm{core.GRAIN, core.MICKEY},
 		MaxLeaseSegments: 16,
 	}
 	_, ts := newTestServer(t, cfg)
@@ -59,7 +58,7 @@ func TestLeaseAPI(t *testing.T) {
 		t.Errorf("lease bytes %d, want %d", doc.Bytes, 4*core.SegmentBytes)
 	}
 	if doc.Domain < leaseDomainBase {
-		t.Errorf("lease domain %d inside the stream-worker range", doc.Domain)
+		t.Errorf("lease domain %d inside the pooled-domain range", doc.Domain)
 	}
 	if !strings.HasPrefix(doc.StreamPath, "/stream?lease=") {
 		t.Errorf("stream path %q", doc.StreamPath)
@@ -114,6 +113,34 @@ func TestLeaseAPI(t *testing.T) {
 	}
 }
 
+// Lease domains are allocated per algorithm: one algorithm's lease
+// sequence does not depend on how other algorithms' lease requests
+// interleave with it, so multi-algorithm runs hand out the same domains
+// whatever the arrival order.
+func TestLeaseDomainsPerAlgorithm(t *testing.T) {
+	domains := func(order ...string) map[string]uint64 {
+		_, ts := newTestServer(t, Config{Seed: 4,
+			Algorithms: []core.Algorithm{core.GRAIN, core.TRIVIUM}})
+		out := map[string]uint64{}
+		for _, alg := range order {
+			status, doc, body := post(t, ts.URL+"/lease?alg="+alg+"&segments=2")
+			if status != http.StatusCreated {
+				t.Fatalf("create %s: status %d (%s)", alg, status, body)
+			}
+			out[alg] = doc.Domain
+		}
+		return out
+	}
+	a := domains("grain", "trivium")
+	b := domains("trivium", "grain")
+	if a["grain"] != b["grain"] || a["trivium"] != b["trivium"] {
+		t.Fatalf("lease domains depend on arrival order: %v vs %v", a, b)
+	}
+	if a["grain"] != leaseDomainBase+1 {
+		t.Errorf("first grain lease domain %d, want %d", a["grain"], leaseDomainBase+1)
+	}
+}
+
 // Satellite differential: a lease window served over /stream survives a
 // daemon restart and is byte-identical at lanes 64/256/512 — to itself,
 // to the library SegmentReader, and when resumed mid-segment — because
@@ -123,10 +150,9 @@ func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 	const seed = 77
 	boot := func(lanes int) (*httptest.Server, func()) {
 		s, err := New(Config{
-			Seed:         seed,
-			Algorithms:   []core.Algorithm{core.TRIVIUM},
-			ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
-			Lanes: lanes,
+			Seed:       seed,
+			Algorithms: []core.Algorithm{core.TRIVIUM},
+			Lanes:      lanes,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ const (
 
 // Modes of a parsed query: where its bytes come from.
 const (
-	// ModePooled is the continuation of a checked-out shard stream.
+	// ModePooled is the next bytes of the algorithm's pooled source.
 	ModePooled = "pooled"
 	// ModeAddressed is a named window of the (seed, domain, segment)
 	// address space.

@@ -11,11 +11,10 @@ import (
 )
 
 // TestResponseBufferPoolReuse pins the chunk buffer pooling of the
-// addressed /stream path, the pool's only user: the first request warms
-// the pool, later ones reuse it, and the reuse counter is exported on
-// /metrics.
+// response path: the first request warms the pool, later ones reuse it,
+// and the reuse counter is exported on /metrics.
 func TestResponseBufferPoolReuse(t *testing.T) {
-	cfg := Config{Seed: 3, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 3}
 	s, ts := newTestServer(t, cfg)
 
 	for i := 0; i < 3; i++ {
@@ -38,12 +37,11 @@ func TestResponseBufferPoolReuse(t *testing.T) {
 }
 
 // TestMixedHexBinaryContinuation alternates hex and binary requests on
-// one shard and checks the concatenated payloads are the canonical
-// stream — the hex writer wrapper advances the shard's cursor by exactly
-// n, like the binary path, including mid-chunk handoffs (n is never
-// chunk-aligned here).
+// one pooled source and checks the concatenated payloads are the
+// canonical stream — the hex writer wrapper advances the source's cursor
+// by exactly n, like the binary path (n is never segment-aligned here).
 func TestMixedHexBinaryContinuation(t *testing.T) {
-	cfg := Config{Seed: 11, ShardsPerAlg: 1, WorkersPerShard: 2, StagingBytes: 2048}
+	cfg := Config{Seed: 11}
 	_, ts := newTestServer(t, cfg)
 
 	var got bytes.Buffer
@@ -67,7 +65,7 @@ func TestMixedHexBinaryContinuation(t *testing.T) {
 		}
 	}
 
-	ref, err := core.NewStream(core.TRIVIUM, 11, core.StreamConfig{Workers: 2, StagingBytes: 2048})
+	ref, err := core.NewStream(core.TRIVIUM, 11, core.StreamConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

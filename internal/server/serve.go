@@ -19,42 +19,44 @@ import (
 //
 // ParseQuery picks the mode, and the mode picks the source:
 //
-//   - pooled: the request checks a shard out of the algorithm's pool
-//     and rides the zero-copy Stream.WriteTo path, each staging chunk
-//     copied once (chunk → ResponseWriter). The bytes are whatever the
-//     shared shard stream serves next. /bytes is always pooled, and so
-//     is a /stream without addressing params.
+//   - pooled: the request takes the next bytes of its algorithm's pooled
+//     source (source.go), the domain-1 segment stream of the seed. /bytes
+//     is always pooled, and so is a /stream without addressing params.
 //
 //   - addressed (/stream with segment=, domain=, off= or lanes=): the
 //     request names a window of the deterministic (seed, domain,
 //     segment) address space and reads it through the algorithm's
-//     core.WindowSource — no shard is held, and the response is
-//     byte-reproducible by anyone holding the seed. The source packs the
-//     segments of every concurrent addressed and lease request into
-//     shared 64-lane passes (DESIGN.md §12.5). lanes= is validated but
-//     picks nothing: the bytes are identical at every width.
+//     core.WindowSource, so the response is byte-reproducible by anyone
+//     holding the seed. The source packs the segments of every
+//     concurrent addressed and lease request into shared 64-lane passes
+//     (DESIGN.md §12.5). lanes= is validated but picks nothing: the
+//     bytes are identical at every width.
 //
 //   - lease (/stream?lease=<id>): like addressed, but the window comes
 //     from a lease token issued by POST /lease; off= resumes mid-window
 //     after a disconnect (absolute resume position = lease start + off).
 //
-// Addressed and lease responses are copied in chunks of at most one
-// pass (64 segments) through a buffer sized to the response; chunks
-// after the first are segment-aligned, so a long window fills whole
-// passes.
+// Either source is copied in chunks of at most one pass (64 segments)
+// through a pooled buffer sized to the response, and each pump stops
+// after exactly n bytes. A pooled chunk is one lock hold on the source;
+// addressed and lease chunks after the first are segment-aligned, so a
+// long window fills whole passes.
 //
-// The source writes into one writer stack. limitedWriter stops it after
-// exactly n bytes, so a shard stream's cursor advances by exactly what
-// the response consumed. Below it, hex=1 on /bytes adds a hex encoder,
-// which reports the raw bytes it consumed, so the cursor contract holds
-// for hex output too. At the bottom, /stream adds chunkWriter: flush per
-// chunk, and end at a chunk boundary on client disconnect or drain.
-// /bytes instead carries a Content-Length (binary) and runs to
-// completion.
+// The pump writes into one writer stack. hex=1 on /bytes adds a hex
+// encoder, which reports the raw bytes it consumed. At the bottom,
+// /stream adds chunkWriter: flush per chunk, and end at a chunk boundary
+// on client disconnect or drain. /bytes instead carries a Content-Length
+// (binary) and runs to completion. A pooled source that yields no
+// healthy segment answers 503 if nothing was written yet, and otherwise
+// ends the response early.
 
 // errStreamDraining ends an in-flight /stream at the next chunk
 // boundary when the server starts draining.
 var errStreamDraining = errors.New("server: draining")
+
+// errSourceDry ends a pooled response when a refill of its source
+// yields no healthy segment.
+var errSourceDry = errors.New("server: no healthy segment")
 
 // serve returns the pipeline handler of /bytes or /stream.
 func (s *Server) serve(endpoint string) http.HandlerFunc {
@@ -71,9 +73,8 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 		}
 		defer s.inflight.Done()
 
-		// Admission control: when the in-flight budget is spent (e.g. a
-		// quarantine shrank the pool under sustained load), shed the
-		// request at once instead of piling it onto checkout. A
+		// Admission control: when the in-flight budget is spent, shed
+		// the request at once instead of queueing it on a source. A
 		// long-lived /stream holds one slot for its whole duration.
 		inflight := s.inflightNow.Add(1)
 		defer s.inflightNow.Add(-1)
@@ -104,46 +105,39 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 		if q.Hex {
 			dst = hex.NewEncoder(dst)
 		}
-		lw := &limitedWriter{w: dst, n: q.N}
 
+		// The pump's error is the client gone, a drain or a dry pooled
+		// source; served says how far the response got.
 		var served int64
+		var err error
+		var buf []byte
 		if q.Mode == ModePooled {
-			p := s.pools[q.Alg]
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			t0 := time.Now()
-			sh, err := p.checkout(ctx)
-			cancel()
-			s.checkoutLat.Observe(time.Since(t0).Seconds())
-			if err != nil {
-				s.fail(w, endpoint, &q, &httpError{http.StatusServiceUnavailable, "all shards busy"})
-				return
-			}
-			s.shardsBusy.Add(1)
-			defer func() {
-				p.handback(sh)
-				s.shardsBusy.Add(-1)
-			}()
 			if s.testHookServing != nil {
 				s.testHookServing()
 			}
 			if !stream {
 				h.Set("X-Bsrng-Algorithm", q.Alg.String())
 			}
-			h.Set("X-Bsrng-Shard", strconv.Itoa(sh.id))
-			// The error is the budget spent, the client gone, a drain or
-			// a closed stream; served says how far the response got.
-			served, _ = sh.stream.Load().WriteTo(lw)
+			buf = s.getRespBuf(int(min(q.N, passBytes)))
+			var wait time.Duration
+			served, wait, err = streamPooled(dst, s.pooled[q.Alg], buf, q.N)
+			s.checkoutLat.Observe(wait.Seconds())
 		} else {
-			src, err := s.windowSource(q.Alg)
-			if err != nil {
-				s.fail(w, endpoint, &q, badRequest("%v", err))
+			src, werr := s.windowSource(q.Alg)
+			if werr != nil {
+				s.fail(w, endpoint, &q, badRequest("%v", werr))
 				return
 			}
 			h.Set("X-Bsrng-Domain", strconv.FormatUint(q.Domain, 10))
 			h.Set("X-Bsrng-Offset", strconv.FormatUint(q.Offset, 10))
-			buf := s.getRespBuf(int(min(q.N, respBufBytes)))
-			served, _ = streamWindow(lw, src, q.Domain, q.Offset, buf, q.N)
-			s.respBufs.Put(&buf)
+			buf = s.getRespBuf(int(min(q.N, passBytes)))
+			served, err = streamWindow(dst, src, q.Domain, q.Offset, buf, q.N)
+		}
+		s.respBufs.Put(&buf)
+		if served == 0 && errors.Is(err, errSourceDry) {
+			s.fail(w, endpoint, &q, &httpError{http.StatusServiceUnavailable,
+				fmt.Sprintf("%v has no healthy segment to serve", q.Alg)})
+			return
 		}
 
 		if stream {
@@ -152,7 +146,7 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 				s.leaseStreams.Inc()
 			}
 			if served < q.N {
-				// Ended early: client went away, drain began, or the pool closed.
+				// Ended early: client went away, drain began, or the source went dry.
 				s.streamDisconnects.Inc()
 			}
 		} else if q.Hex {
@@ -183,9 +177,9 @@ func (s *Server) record(endpoint string, q *Query, status int) {
 	}
 }
 
-// respBufBytes caps the chunk buffer of the addressed and lease paths:
-// one 64-lane pass of segments.
-const respBufBytes = 64 * core.SegmentBytes
+// passBytes is one 64-lane pass of segments. It caps a response's
+// chunk buffer, and a pooled source refills one pass at a time.
+const passBytes = 64 * core.SegmentBytes
 
 // getRespBuf checks a chunk buffer of n bytes out of the pool, counting
 // reuse. A pooled buffer too small for n is dropped for a new one, so
@@ -198,34 +192,26 @@ func (s *Server) getRespBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// errResponseFull marks a response whose byte budget has been spent; it
-// stops the source after exactly the requested count.
-var errResponseFull = errors.New("server: response budget spent")
-
-// limitedWriter forwards to w until n bytes have been written, then
-// fails with errResponseFull. An oversized write is truncated to the
-// remaining budget, so the source's cursor advances by exactly the
-// bytes the response consumed.
-type limitedWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (lw *limitedWriter) Write(p []byte) (int, error) {
-	if lw.n <= 0 {
-		return 0, errResponseFull
+// streamPooled pumps n bytes of src to w in chunks of at most len(buf)
+// and reports how far it got and how long it waited for the source. It
+// stops at w's first error — disconnect, drain — or with errSourceDry
+// when a refill yields no healthy segment.
+func streamPooled(w io.Writer, src *source, buf []byte, n int64) (int64, time.Duration, error) {
+	var served int64
+	var wait time.Duration
+	for served < n {
+		k, wt := src.read(buf[:min(n-served, int64(len(buf)))])
+		wait += wt
+		if k == 0 {
+			return served, wait, errSourceDry
+		}
+		wk, err := w.Write(buf[:k])
+		served += int64(wk)
+		if err != nil {
+			return served, wait, err
+		}
 	}
-	trunc := false
-	if int64(len(p)) > lw.n {
-		p = p[:lw.n]
-		trunc = true
-	}
-	k, err := lw.w.Write(p)
-	lw.n -= int64(k)
-	if err == nil && (trunc || lw.n == 0) {
-		err = errResponseFull
-	}
-	return k, err
+	return served, wait, nil
 }
 
 // streamWindow pumps the n bytes at (domain, offset) from src to w in

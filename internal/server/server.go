@@ -1,17 +1,17 @@
-// Package server is bsrngd's serving layer: an HTTP front end over a
-// sharded pool of deterministic core.Stream worker pools — the paper's
-// bitsliced engines operated as a bulk entropy service. Each algorithm
-// gets its own shard set; requests check a shard out (round-robin),
-// stream bytes from it, and return it. Everything is instrumented
-// through internal/metrics and exposed on /metrics.
+// Package server is bsrngd's serving layer: an HTTP front end over the
+// paper's bitsliced engines operated as a bulk entropy service. Every
+// served byte is a function of (algorithm, seed, domain, segment).
+// Pooled requests take the next bytes of their algorithm's pooled
+// source, the domain-1 segment stream of the seed (see source.go);
+// addressed and lease requests name their window of that address space.
+// Everything is instrumented through internal/metrics and exposed on
+// /metrics.
 //
-// Every shard stream runs the continuous online health tests of
-// internal/health against each produced segment. A shard whose stream
-// trips repeated failures is quarantined: ejected from rotation,
-// reseeded in the background, re-admitted only after a clean probation
-// pass. /healthz degrades to 503 while any algorithm's pool is fully
-// quarantined, and optional admission control (MaxInflight) sheds load
-// with 429 + Retry-After while the pool is shrunk.
+// Every pooled segment runs the continuous online health tests of
+// internal/health. A condemned segment is skipped, never served; after
+// three consecutive condemned segments the algorithm is degraded and
+// /healthz answers 503 until a refill yields a clean segment. Optional
+// admission control (MaxInflight) sheds load with 429 + Retry-After.
 //
 // Endpoints:
 //
@@ -25,7 +25,7 @@
 //	                                        stateless token over the
 //	                                        deterministic address space)
 //	GET /lease/{id}                       — resolve a lease token
-//	GET /healthz                          — per-algorithm pool state as
+//	GET /healthz                          — per-algorithm source state as
 //	                                        JSON; 200 ok / 503 degraded
 //	                                        or draining
 //	GET /metrics                          — text exposition
@@ -36,10 +36,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/health"
@@ -48,32 +46,23 @@ import (
 
 // Config tunes the service; zero values select the documented defaults.
 type Config struct {
-	// Seed is the deterministic base seed. Shard 0 of every algorithm
-	// serves exactly the byte stream of core.NewStream(alg, Seed, ...).
+	// Seed is the deterministic base seed. Pooled requests of an
+	// algorithm are served, in arrival order, the byte stream of
+	// core.NewSegmentReader(alg, Seed, 1, 64, 0) — a 1-worker
+	// core.NewStream — less any segment the health tests condemn.
 	Seed uint64
 	// Algorithms to serve; nil means core.ServedAlgorithms.
 	Algorithms []core.Algorithm
-	// ShardsPerAlg is the number of independent streams per algorithm
-	// (default 2). More shards = more concurrent pooled requests per
-	// algorithm before checkout blocks.
-	ShardsPerAlg int
-	// WorkersPerShard is the core.Stream worker count per shard
-	// (default: NumCPU spread evenly over all shards, min 1).
-	WorkersPerShard int
-	// StagingBytes is the per-worker chunk size (default 64 KiB).
-	StagingBytes int
-	// Lanes is the engine lane width of every shard stream: any value in
-	// core.SupportedLanes is accepted (default core.DefaultLanes). Every
-	// width runs the 64-lane datapath, so the served bytes are identical.
+	// Lanes is the engine lane width: any value in core.SupportedLanes
+	// is accepted (default core.DefaultLanes). Every width runs the
+	// 64-lane datapath, so the served bytes are identical.
 	Lanes int
 	// MaxRequestBytes caps n on /bytes and /stream, and is a /stream's
 	// default n (default 16 MiB).
 	MaxRequestBytes int64
-	// RequestTimeout bounds shard checkout + generation (default 30s).
-	RequestTimeout time.Duration
 	// MaxInflight caps concurrent requests across /bytes and /stream;
 	// excess requests get 429 with a Retry-After header instead of
-	// queueing on checkout. A long-lived /stream holds one slot for its
+	// queueing on a source. A long-lived /stream holds one slot for its
 	// whole duration. 0 disables admission control.
 	MaxInflight int
 	// MaxLeaseSegments caps the window of one segment lease (default
@@ -81,28 +70,23 @@ type Config struct {
 	// names no size).
 	MaxLeaseSegments int
 	// DisableHealth turns off the continuous online health tests (and
-	// with them shard quarantine). They are ON by default: healthy
-	// engines never trip the cutoffs, so the served bytes are unchanged.
+	// with them segment skipping and the degraded state). They are ON by
+	// default: healthy engines never trip the cutoffs, so the served
+	// bytes are unchanged.
 	DisableHealth bool
 	// Health overrides the per-test cutoffs (zero fields = defaults,
 	// negative fields are rejected; see health.Config).
 	Health health.Config
-	// QuarantineAfter is the number of consecutive checkouts observing
-	// new health failures before a shard is quarantined (default 3).
-	QuarantineAfter int
-	// ProbationSegments is the number of clean segments a reseeded
-	// shard must produce before re-admission (default 4).
-	ProbationSegments int
-	// ProbationInterval is the delay between failed probation attempts
-	// (default 1s).
-	ProbationInterval time.Duration
 }
 
-// Server owns the shard pools, the metrics registry and the HTTP mux.
+// Server owns the pooled sources, the metrics registry and the HTTP mux.
 type Server struct {
 	cfg    Config
 	limits Limits // the bounds ParseQuery enforces for this server
-	pools  map[core.Algorithm]*pool
+	pooled map[core.Algorithm]*source
+	// leases counts POST /lease allocations per served algorithm, so
+	// one algorithm's lease domains do not depend on another's traffic.
+	leases map[core.Algorithm]*atomic.Uint64
 	// windows serve the bytes of addressed and lease /stream requests:
 	// one gathered-pass source per algorithm, shared by every request
 	// and built on first use (see windowSource).
@@ -115,11 +99,10 @@ type Server struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	bytesServed   *metrics.Counter
-	requests      *metrics.LabeledCounter
-	checkoutLat   *metrics.Histogram
-	streamsActive *metrics.Gauge
-	shardsBusy    *metrics.Gauge
+	bytesServed  *metrics.Counter
+	requests     *metrics.LabeledCounter
+	checkoutLat  *metrics.Histogram
+	pooledPasses *metrics.Counter
 
 	streamRequests    *metrics.LabeledCounter
 	streamBytes       *metrics.Counter
@@ -129,32 +112,26 @@ type Server struct {
 	leaseRequests     *metrics.LabeledCounter
 	leasesIssued      *metrics.Counter
 	leaseStreams      *metrics.Counter
-	leaseCounter      atomic.Uint64
 
 	inflightNow       atomic.Int64
 	healthFailures    *metrics.LabeledCounter
-	healthQuarantines *metrics.LabeledCounter
-	healthReseeds     *metrics.LabeledCounter
-	healthReadmits    *metrics.LabeledCounter
-	healthQuarantined *metrics.LabeledGauge
+	healthDegraded    *metrics.LabeledGauge
 	admissionRejected *metrics.Counter
 
 	windowPasses *metrics.LabeledCounter
 	windowLanes  *metrics.LabeledCounter
 
-	// respBufs recycles the per-request chunk buffer of addressed and
-	// lease /stream responses (pooled responses stream shard chunks
-	// zero-copy via WriteTo and need no buffer). Get returns nil on a
-	// cold pool.
+	// respBufs recycles the per-request chunk buffer of /bytes and
+	// /stream responses. Get returns nil on a cold pool.
 	respBufs      sync.Pool
 	respBufReused *metrics.Counter
 
-	// testHookServing, when set, runs while a pooled request holds its
-	// shard — it lets tests freeze a request in flight.
+	// testHookServing, when set, runs when a pooled request starts
+	// serving — it lets tests freeze a request in flight.
 	testHookServing func()
 }
 
-// New builds the pools and registers the metric set.
+// New builds the pooled sources and registers the metric set.
 func New(cfg Config) (*Server, error) {
 	if cfg.Algorithms == nil {
 		cfg.Algorithms = core.ServedAlgorithms
@@ -162,23 +139,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Algorithms) == 0 {
 		return nil, fmt.Errorf("server: no algorithms configured")
 	}
-	if cfg.ShardsPerAlg == 0 {
-		cfg.ShardsPerAlg = 2
-	}
-	if cfg.ShardsPerAlg < 1 {
-		return nil, fmt.Errorf("server: shards per algorithm %d out of range", cfg.ShardsPerAlg)
-	}
-	if cfg.WorkersPerShard == 0 {
-		cfg.WorkersPerShard = runtime.NumCPU() / (len(cfg.Algorithms) * cfg.ShardsPerAlg)
-		if cfg.WorkersPerShard < 1 {
-			cfg.WorkersPerShard = 1
-		}
-	}
 	if cfg.MaxRequestBytes == 0 {
 		cfg.MaxRequestBytes = 16 << 20
-	}
-	if cfg.RequestTimeout == 0 {
-		cfg.RequestTimeout = 30 * time.Second
 	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d out of range", cfg.MaxInflight)
@@ -188,21 +150,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxLeaseSegments < 1 || uint64(cfg.MaxLeaseSegments) > maxLeaseSegmentsHard {
 		return nil, fmt.Errorf("server: max lease segments %d out of range", cfg.MaxLeaseSegments)
-	}
-	if cfg.QuarantineAfter == 0 {
-		cfg.QuarantineAfter = 3
-	}
-	if cfg.QuarantineAfter < 1 {
-		return nil, fmt.Errorf("server: quarantine-after %d out of range", cfg.QuarantineAfter)
-	}
-	if cfg.ProbationSegments == 0 {
-		cfg.ProbationSegments = 4
-	}
-	if cfg.ProbationSegments < 1 {
-		return nil, fmt.Errorf("server: probation segments %d out of range", cfg.ProbationSegments)
-	}
-	if cfg.ProbationInterval == 0 {
-		cfg.ProbationInterval = time.Second
 	}
 	for _, h := range []struct {
 		name string
@@ -221,7 +168,8 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		pools:   make(map[core.Algorithm]*pool, len(cfg.Algorithms)),
+		pooled:  make(map[core.Algorithm]*source, len(cfg.Algorithms)),
+		leases:  make(map[core.Algorithm]*atomic.Uint64, len(cfg.Algorithms)),
 		windows: make(map[core.Algorithm]*core.WindowSource, len(cfg.Algorithms)),
 		reg:     metrics.NewRegistry(),
 		mux:     http.NewServeMux(),
@@ -230,7 +178,7 @@ func New(cfg Config) (*Server, error) {
 		MaxBytes:         cfg.MaxRequestBytes,
 		MaxLeaseSegments: cfg.MaxLeaseSegments,
 		Served: func(alg core.Algorithm) bool {
-			_, ok := s.pools[alg]
+			_, ok := s.pooled[alg]
 			return ok
 		},
 	}
@@ -239,23 +187,15 @@ func New(cfg Config) (*Server, error) {
 	s.requests = s.reg.NewLabeledCounter("bsrngd_requests_total",
 		"Requests to /bytes by algorithm and HTTP status.", "alg", "status")
 	s.checkoutLat = s.reg.NewHistogram("bsrngd_shard_checkout_seconds",
-		"Time spent acquiring a stream shard.",
+		"Time a pooled request waited for its algorithm's pooled source, summed over its chunks; one observation per request.",
 		[]float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1})
-	s.streamsActive = s.reg.NewGauge("bsrngd_streams_active",
-		"Live core.Stream pools (shards) across all algorithms.")
-	s.shardsBusy = s.reg.NewGauge("bsrngd_shards_busy",
-		"Shards currently checked out by requests.")
+	s.pooledPasses = s.reg.NewCounter("bsrngd_engine_chunks_produced_total",
+		"64-segment passes generated by the pooled sources.")
 	s.healthFailures = s.reg.NewLabeledCounter("bsrngd_health_failures_total",
 		"Segments condemned by the continuous online health tests, by algorithm and test.",
 		"alg", "test")
-	s.healthQuarantines = s.reg.NewLabeledCounter("bsrngd_health_quarantines_total",
-		"Shards ejected from rotation after repeated health failures.", "alg")
-	s.healthReseeds = s.reg.NewLabeledCounter("bsrngd_health_reseeds_total",
-		"Background shard stream reseeds attempted during rehabilitation.", "alg")
-	s.healthReadmits = s.reg.NewLabeledCounter("bsrngd_health_readmits_total",
-		"Quarantined shards re-admitted after a clean probation pass.", "alg")
-	s.healthQuarantined = s.reg.NewLabeledGauge("bsrngd_health_quarantined_shards",
-		"Shards currently quarantined.", "alg")
+	s.healthDegraded = s.reg.NewLabeledGauge("bsrngd_health_degraded",
+		"1 while the algorithm's pooled source is degraded by consecutive condemned segments, else 0.", "alg")
 	s.admissionRejected = s.reg.NewCounter("bsrngd_admission_rejected_total",
 		"Requests shed with 429 by MaxInflight admission control.")
 	s.streamRequests = s.reg.NewLabeledCounter("bsrngd_stream_requests_total",
@@ -268,7 +208,7 @@ func New(cfg Config) (*Server, error) {
 	s.streamOpen = s.reg.NewGauge("bsrngd_stream_open",
 		"Currently open /stream responses.")
 	s.streamDisconnects = s.reg.NewCounter("bsrngd_stream_disconnects_total",
-		"Streams ended before their byte budget: client disconnect, drain or pool shutdown.")
+		"Streams ended before their byte budget: client disconnect, drain or a degraded source.")
 	s.leaseRequests = s.reg.NewLabeledCounter("bsrngd_lease_requests_total",
 		"Requests to the lease endpoints by algorithm and HTTP status.", "alg", "status")
 	s.leasesIssued = s.reg.NewCounter("bsrngd_leases_issued_total",
@@ -286,62 +226,25 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.inflightNow.Load()) })
 
 	for _, alg := range cfg.Algorithms {
-		if _, dup := s.pools[alg]; dup {
+		if _, dup := s.pooled[alg]; dup {
 			return nil, fmt.Errorf("server: algorithm %v configured twice", alg)
 		}
-		algL := alg.String()
-		s.healthQuarantined.With(algL).Set(0)
-		p, err := newPool(poolConfig{
-			alg:               alg,
-			seed:              cfg.Seed,
-			shards:            cfg.ShardsPerAlg,
-			workers:           cfg.WorkersPerShard,
-			staging:           cfg.StagingBytes,
-			lanes:             cfg.Lanes,
-			healthOff:         cfg.DisableHealth,
-			healthCfg:         cfg.Health,
-			quarantineAfter:   cfg.QuarantineAfter,
-			probationSegments: cfg.ProbationSegments,
-			probationInterval: cfg.ProbationInterval,
-			onFailure:         func(test string) { s.healthFailures.With(algL, test).Inc() },
-			onQuarantine: func() {
-				s.healthQuarantines.With(algL).Inc()
-				s.healthQuarantined.With(algL).Add(1)
-			},
-			onReseed: func() { s.healthReseeds.With(algL).Inc() },
-			onReadmit: func() {
-				s.healthReadmits.With(algL).Inc()
-				s.healthQuarantined.With(algL).Add(-1)
-			},
-		})
+		src, err := newSource(s, alg)
 		if err != nil {
-			s.closePools()
 			return nil, err
 		}
-		s.pools[alg] = p
+		s.pooled[alg] = src
+		s.leases[alg] = new(atomic.Uint64)
 	}
-	s.streamsActive.Set(int64(len(cfg.Algorithms) * cfg.ShardsPerAlg))
-	s.reg.NewGaugeFunc("bsrngd_engine_chunks_produced_total",
-		"Staging chunks produced by stream workers, summed over shards.",
-		func() float64 { return float64(s.poolStats().ChunksProduced) })
-	s.reg.NewGaugeFunc("bsrngd_engine_bytes_delivered_total",
-		"Bytes delivered by stream Read, summed over shards.",
-		func() float64 { return float64(s.poolStats().BytesDelivered) })
-	s.reg.NewGaugeFunc("bsrngd_engine_recycle_hits_total",
-		"Staging buffers recycled from the free list, summed over shards.",
-		func() float64 { return float64(s.poolStats().RecycleHits) })
 	s.reg.NewGaugeFunc("bsrngd_health_segments_checked_total",
-		"Segments evaluated by the continuous health tests across all pools.",
+		"Segments evaluated by the continuous health tests across all pooled sources.",
 		func() float64 {
 			var sum uint64
-			for _, p := range s.pools {
-				sum += p.healthSnapshot().SegmentsChecked
+			for _, src := range s.pooled {
+				sum += src.health().SegmentsChecked
 			}
 			return float64(sum)
 		})
-	s.reg.NewGaugeFunc("bsrngd_health_engine_reseeds_total",
-		"In-stream engine reseeds triggered by condemned segments, summed over shards.",
-		func() float64 { return float64(s.poolStats().EngineReseeds) })
 
 	s.mux.HandleFunc("GET /bytes", s.serve(EndpointBytes))
 	s.mux.HandleFunc("GET /stream", s.serve(EndpointStream))
@@ -377,17 +280,6 @@ func (s *Server) windowSource(alg core.Algorithm) (*core.WindowSource, error) {
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func (s *Server) poolStats() core.StreamStats {
-	var sum core.StreamStats
-	for _, p := range s.pools {
-		st := p.stats()
-		sum.ChunksProduced += st.ChunksProduced
-		sum.BytesDelivered += st.BytesDelivered
-		sum.RecycleHits += st.RecycleHits
-	}
-	return sum
-}
-
 // enter registers an in-flight request unless the server is draining.
 func (s *Server) enter() bool {
 	s.mu.RLock()
@@ -400,11 +292,10 @@ func (s *Server) enter() bool {
 }
 
 // Shutdown drains the service: new /bytes, /stream and /healthz
-// requests get 503, in-flight requests run to completion (an open
-// /stream ends at its next chunk boundary), then the stream pools are
-// closed. If ctx expires first the pools are closed anyway, cutting
-// stragglers short (their stream reads return core.ErrClosed), and the
-// context error is returned. Shutdown is idempotent.
+// requests get 503 and in-flight requests run to completion (an open
+// /stream ends at its next chunk boundary). If ctx expires first,
+// Shutdown returns the context error without waiting further. Shutdown
+// is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.draining
@@ -419,31 +310,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.inflight.Wait()
 		close(done)
 	}()
-	var err error
 	select {
 	case <-done:
 	case <-ctx.Done():
-		err = ctx.Err()
+		return ctx.Err()
 	}
-	s.closePools()
-	s.streamsActive.Set(0)
-	return err
-}
-
-func (s *Server) closePools() {
-	for _, p := range s.pools {
-		p.close()
-	}
+	return nil
 }
 
 // healthzResponse is the /healthz document: overall status plus the
-// per-algorithm pool state.
+// per-algorithm pooled source state.
 type healthzResponse struct {
-	// Status is "ok", "degraded" (some algorithm's pool is fully
-	// quarantined) or "draining" (shutdown in progress). The non-ok
-	// states respond 503.
-	Status string                `json:"status"`
-	Pools  map[string]poolHealth `json:"pools"`
+	// Status is "ok", "degraded" (some algorithm's pooled source is
+	// degraded) or "draining" (shutdown in progress). The non-ok states
+	// respond 503.
+	Status string                  `json:"status"`
+	Pools  map[string]sourceHealth `json:"pools"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -451,10 +333,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 
-	resp := healthzResponse{Status: "ok", Pools: make(map[string]poolHealth, len(s.pools))}
-	for alg, p := range s.pools {
-		resp.Pools[alg.String()] = p.healthSnapshot()
-		if p.fullyQuarantined() {
+	resp := healthzResponse{Status: "ok", Pools: make(map[string]sourceHealth, len(s.pooled))}
+	for alg, src := range s.pooled {
+		src.probe()
+		h := src.health()
+		resp.Pools[alg.String()] = h
+		if h.Degraded {
 			resp.Status = "degraded"
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -47,7 +46,7 @@ func get(t *testing.T, url string) (int, []byte, http.Header) {
 // The acceptance contract: /bytes?alg=mickey&n=1024 on a freshly seeded
 // server returns exactly the prefix of the equivalent library stream.
 func TestBytesDeterministicSeededOutput(t *testing.T) {
-	cfg := Config{Seed: 42, ShardsPerAlg: 1, WorkersPerShard: 2, StagingBytes: 2048}
+	cfg := Config{Seed: 42}
 	_, ts := newTestServer(t, cfg)
 
 	status, body, hdr := get(t, ts.URL+"/bytes?alg=mickey&n=1024")
@@ -61,7 +60,7 @@ func TestBytesDeterministicSeededOutput(t *testing.T) {
 		t.Errorf("algorithm header %q", hdr.Get("X-Bsrng-Algorithm"))
 	}
 
-	ref, err := core.NewStream(core.MICKEY, 42, core.StreamConfig{Workers: 2, StagingBytes: 2048})
+	ref, err := core.NewStream(core.MICKEY, 42, core.StreamConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestBytesDeterministicSeededOutput(t *testing.T) {
 		t.Fatal("served bytes diverge from library stream prefix")
 	}
 
-	// A second request continues the same shard stream, not a reset.
+	// A second request continues the same pooled stream, not a reset.
 	status, body2, _ := get(t, ts.URL+"/bytes?alg=mickey&n=1024")
 	if status != http.StatusOK {
 		t.Fatalf("second request status %d", status)
@@ -83,7 +82,7 @@ func TestBytesDeterministicSeededOutput(t *testing.T) {
 }
 
 func TestBytesHexOutput(t *testing.T) {
-	cfg := Config{Seed: 7, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 7}
 	_, ts := newTestServer(t, cfg)
 	status, body, hdr := get(t, ts.URL+"/bytes?alg=grain&n=16&hex=1")
 	if status != http.StatusOK {
@@ -100,7 +99,7 @@ func TestBytesHexOutput(t *testing.T) {
 	if !strings.HasPrefix(hdr.Get("Content-Type"), "text/plain") {
 		t.Errorf("hex content type %q", hdr.Get("Content-Type"))
 	}
-	ref, _ := core.NewStream(core.GRAIN, 7, core.StreamConfig{Workers: 1, StagingBytes: 1024})
+	ref, _ := core.NewStream(core.GRAIN, 7, core.StreamConfig{Workers: 1})
 	defer ref.Close()
 	want := make([]byte, 16)
 	ref.Read(want)
@@ -110,7 +109,7 @@ func TestBytesHexOutput(t *testing.T) {
 }
 
 func TestMetricsAfterRequest(t *testing.T) {
-	cfg := Config{Seed: 1, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 1}
 	_, ts := newTestServer(t, cfg)
 	if status, _, _ := get(t, ts.URL+"/bytes?alg=trivium&n=4096"); status != http.StatusOK {
 		t.Fatalf("bytes status %d", status)
@@ -124,27 +123,18 @@ func TestMetricsAfterRequest(t *testing.T) {
 		"bsrngd_bytes_served_total 4096",
 		`bsrngd_requests_total{alg="trivium",status="200"} 1`,
 		"bsrngd_shard_checkout_seconds_count 1",
-		fmt.Sprintf("bsrngd_streams_active %d", len(core.ServedAlgorithms)), // default algorithms × 1 shard
-		"bsrngd_shards_busy 0",
+		"bsrngd_engine_chunks_produced_total 1", // one pass covers the request
+		`bsrngd_health_degraded{alg="trivium"} 0`,
+		"bsrngd_health_segments_checked_total 64",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
-	// Engine-level gauges must be live and non-zero after traffic.
-	for _, name := range []string{
-		"bsrngd_engine_chunks_produced_total",
-		"bsrngd_engine_bytes_delivered_total",
-	} {
-		if strings.Contains(out, name+" 0\n") {
-			t.Errorf("%s still zero after a request:\n%s", name, out)
-		}
-	}
 }
 
 func TestBadRequests(t *testing.T) {
-	cfg := Config{Seed: 1, ShardsPerAlg: 1, WorkersPerShard: 1,
-		StagingBytes: 1024, MaxRequestBytes: 1 << 10}
+	cfg := Config{Seed: 1, MaxRequestBytes: 1 << 10}
 	_, ts := newTestServer(t, cfg)
 	for _, tc := range []struct {
 		path string
@@ -172,8 +162,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestAlgorithmNotServed(t *testing.T) {
-	cfg := Config{Seed: 1, Algorithms: []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 1, Algorithms: []core.Algorithm{core.GRAIN}}
 	_, ts := newTestServer(t, cfg)
 	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=16"); status != http.StatusBadRequest {
 		t.Errorf("unserved algorithm status %d, want 400", status)
@@ -183,10 +172,10 @@ func TestAlgorithmNotServed(t *testing.T) {
 	}
 }
 
-// Shutdown must 503 new work, wait for in-flight requests, then close
-// the pools — the SIGTERM drain path of cmd/bsrngd.
+// Shutdown must 503 new work and wait for in-flight requests — the
+// SIGTERM drain path of cmd/bsrngd.
 func TestShutdownDrainsInFlight(t *testing.T) {
-	cfg := Config{Seed: 3, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: 3}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +212,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		reqDone <- result{resp.StatusCode, len(body)}
 	}()
-	<-entered // request is in flight, holding its shard
+	<-entered // request is in flight
 
 	shutDone := make(chan error, 1)
 	go func() { shutDone <- s.Shutdown(context.Background()) }()
@@ -260,62 +249,23 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
-// A held shard plus a short request timeout produces 503, not a hang.
-func TestCheckoutTimeout(t *testing.T) {
-	cfg := Config{Seed: 3, ShardsPerAlg: 1, WorkersPerShard: 1,
-		StagingBytes: 1024, RequestTimeout: 50 * time.Millisecond}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	s.testHookServing = func() {
-		select {
-		case entered <- struct{}{}:
-			<-release
-		default: // later requests pass straight through
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	})
-
-	go http.Get(ts.URL + "/bytes?alg=grain&n=64") //nolint:errcheck
-	<-entered
-
-	start := time.Now()
-	status, body, _ := get(t, ts.URL+"/bytes?alg=grain&n=64")
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("contended request got %d (%q), want 503", status, body)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("503 took %v; timeout not honored", elapsed)
-	}
-	close(release)
-}
-
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Algorithms: []core.Algorithm{}}); err == nil {
 		t.Error("empty algorithm list accepted")
 	}
-	if _, err := New(Config{ShardsPerAlg: -1}); err == nil {
-		t.Error("negative shards accepted")
+	if _, err := New(Config{MaxInflight: -1}); err == nil {
+		t.Error("negative max in-flight accepted")
 	}
-	if _, err := New(Config{Algorithms: []core.Algorithm{core.GRAIN, core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1}); err == nil {
+	if _, err := New(Config{Algorithms: []core.Algorithm{core.GRAIN, core.GRAIN}}); err == nil {
 		t.Error("duplicate algorithm accepted")
 	}
-	if _, err := New(Config{Algorithms: []core.Algorithm{core.Algorithm(99)},
-		ShardsPerAlg: 1, WorkersPerShard: 1}); err == nil {
+	if _, err := New(Config{Algorithms: []core.Algorithm{core.Algorithm(99)}}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	for _, h := range []health.Config{
 		{RCTCutoff: -1}, {APTWindow: -1}, {APTCutoff: -1}, {MonobitSlack: -1}, {LongRunBits: -1},
 	} {
-		_, err := New(Config{ShardsPerAlg: 1, WorkersPerShard: 1, Health: h})
+		_, err := New(Config{Health: h})
 		if err == nil || !strings.Contains(err.Error(), "out of range") {
 			t.Errorf("negative health cutoff %+v: got %v, want out of range", h, err)
 		}
@@ -323,7 +273,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestShutdownIdempotent(t *testing.T) {
-	s, err := New(Config{Seed: 1, ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024})
+	s, err := New(Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,275 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/faultinject"
+)
+
+// tile locates each body in ref and checks the bodies occupy disjoint
+// ranges; with contiguous set, they must also cover ref[:total] with no
+// gap. It returns the covered prefix length.
+func tile(t *testing.T, ref []byte, bodies [][]byte, contiguous bool) int {
+	t.Helper()
+	type span struct{ off, n int }
+	spans := make([]span, 0, len(bodies))
+	for i, b := range bodies {
+		off := bytes.Index(ref, b)
+		if off < 0 {
+			t.Fatalf("body %d (%d bytes) is not a slice of the pooled stream", i, len(b))
+		}
+		spans = append(spans, span{off, len(b)})
+	}
+	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	end := 0
+	for _, sp := range spans {
+		switch {
+		case sp.off < end:
+			t.Fatalf("bodies overlap at stream offset %d", sp.off)
+		case contiguous && sp.off > end:
+			t.Fatalf("gap in the pooled stream at offset %d (next body at %d)", end, sp.off)
+		}
+		end = sp.off + sp.n
+	}
+	return end
+}
+
+// The pooled contract, sequentially: mixed /bytes (binary and hex) and
+// pooled /stream bodies, concatenated in service order, are the domain-1
+// stream of the seed — what NewSegmentReader(alg, Seed, 1, 64, 0) and a
+// 1-worker core.Stream serve. The sizes straddle pass boundaries.
+func TestPooledContractSequential(t *testing.T) {
+	const seed = 17
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.XORGENS}})
+
+	var got []byte
+	for i, path := range []string{
+		"/bytes?alg=xorgens&n=1500",
+		"/bytes?alg=xorgens&n=700&hex=1",
+		"/stream?alg=xorgens&n=100000",
+		"/bytes?alg=xorgens&n=131072",
+		"/bytes?alg=xorgens&n=3&hex=1",
+		"/stream?alg=xorgens&n=300001",
+		"/bytes?alg=xorgens&n=2048",
+	} {
+		status, body, _ := get(t, ts.URL+path)
+		if status != http.StatusOK {
+			t.Fatalf("request %d (%s): status %d", i, path, status)
+		}
+		if strings.Contains(path, "hex=1") {
+			raw, err := hex.DecodeString(strings.TrimSuffix(string(body), "\n"))
+			if err != nil {
+				t.Fatalf("request %d: %v", i, err)
+			}
+			body = raw
+		}
+		got = append(got, body...)
+	}
+	if !bytes.Equal(got, domainOne(t, core.XORGENS, seed, len(got))) {
+		t.Fatal("pooled bodies in service order diverge from the domain-1 stream")
+	}
+}
+
+// The pooled contract, concurrently: each pooled /bytes of at most one
+// pass is one contiguous slice of the domain-1 stream, and together the
+// bodies tile a prefix of it with no gap and no overlap.
+func TestPooledContractConcurrent(t *testing.T) {
+	const (
+		seed     = 23
+		clients  = 8
+		requests = 10
+	)
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.GRAIN}})
+
+	var mu sync.Mutex
+	var bodies [][]byte
+	total := 0
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				n := 64 + (c*7919+i*104729)%(passBytes-63) // 64 B … one pass
+				resp, err := http.Get(fmt.Sprintf("%s/bytes?alg=grain&n=%d", ts.URL, n))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(body) != n {
+					t.Errorf("client %d request %d: status %d, %d of %d bytes, %v", c, i, resp.StatusCode, len(body), n, err)
+					return
+				}
+				mu.Lock()
+				bodies = append(bodies, body)
+				total += n
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if end := tile(t, domainOne(t, core.GRAIN, seed, total), bodies, true); end != total {
+		t.Fatalf("bodies cover %d bytes, want %d", end, total)
+	}
+}
+
+// A storm of pooled requests whose clients give up at random points,
+// racing requests that complete, must neither wedge the pooled source
+// nor serve one byte to two requests. Abandoned requests may consume
+// bytes nobody receives, so completed bodies may leave gaps. Runs under
+// -race in CI.
+func TestCheckoutCancellationStorm(t *testing.T) {
+	const seed = 11
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.MICKEY}})
+
+	var mu sync.Mutex
+	var bodies [][]byte
+	var wg sync.WaitGroup
+	fetch := func(n int, timeout time.Duration) {
+		defer wg.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet,
+			fmt.Sprintf("%s/bytes?alg=mickey&n=%d", ts.URL, n), nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return // gave up before the response started
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != n {
+			return // gave up mid-body
+		}
+		mu.Lock()
+		bodies = append(bodies, body)
+		mu.Unlock()
+	}
+	for i := 0; i < 32; i++ {
+		wg.Add(2)
+		go fetch(65536, time.Duration(i%5)*time.Millisecond)
+		go fetch(4096, 10*time.Second)
+	}
+	wg.Wait()
+
+	_, mbody, _ := get(t, ts.URL+"/metrics")
+	passes := int(metricValue(t, mbody, "bsrngd_engine_chunks_produced_total"))
+	tile(t, domainOne(t, core.MICKEY, seed, passes*passBytes), bodies, false)
+
+	// The source is not wedged: a fresh request is served at once.
+	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=64"); status != http.StatusOK {
+		t.Fatalf("request after the storm: status %d, want 200", status)
+	}
+}
+
+// The skip-and-degrade lifecycle of one pooled source, driven
+// deterministically by the corruption failpoint: condemned segments are
+// skipped and counted; three in a row degrade the algorithm even while
+// healthy bytes are unread; /healthz lets a degraded source try a
+// refill, whose bytes are served next, and a clean one recovers it; a
+// refill with no healthy segment answers 503 and keeps the unread bytes
+// for the next request.
+func TestPooledSkipAndDegrade(t *testing.T) {
+	if !faultinject.Available() {
+		t.Skip("faultinject compiled out")
+	}
+	t.Cleanup(faultinject.Reset)
+
+	const seed = 9
+	seg := core.SegmentBytes
+	fp := "server.segment.corrupt." + core.TRIVIUM.String()
+	faultinject.Reset()
+	// The last three segments of the first pass.
+	faultinject.ArmRange(fp, 62, 64)
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.TRIVIUM}})
+	lib := domainOne(t, core.TRIVIUM, seed, 6*passBytes)
+
+	gauge := func(want float64) {
+		t.Helper()
+		_, mbody, _ := get(t, ts.URL+"/metrics")
+		if got := metricValue(t, mbody, `bsrngd_health_degraded{alg="trivium"}`); got != want {
+			t.Fatalf("degraded gauge %v, want %v", got, want)
+		}
+	}
+	healthz := func(want int) {
+		t.Helper()
+		status, hz := getHealthz(t, ts.URL)
+		if status != want || hz.Pools["trivium"].Degraded != (want != http.StatusOK) {
+			t.Fatalf("healthz: status %d %+v, want %d", status, hz, want)
+		}
+	}
+	pull := func(n, want int) []byte {
+		t.Helper()
+		status, body, _ := get(t, fmt.Sprintf("%s/bytes?alg=trivium&n=%d", ts.URL, n))
+		if status != want {
+			t.Fatalf("pull %d: status %d, want %d", n, status, want)
+		}
+		return body
+	}
+
+	// Pass 0: segments 61..63 are condemned and skipped; the trailing run
+	// of three degrades the algorithm with 60 healthy segments unread.
+	got := pull(seg, http.StatusOK)
+	gauge(1)
+	// /healthz refills pass 1 behind them, which is clean: recovered.
+	healthz(http.StatusOK)
+	gauge(0)
+	got = append(got, pull(60*seg, http.StatusOK)...)
+	got = append(got, pull(63*seg, http.StatusOK)...)
+	want := append(append([]byte(nil), lib[:61*seg]...), lib[64*seg:127*seg]...)
+	if !bytes.Equal(got, want) {
+		t.Fatal("served bytes are not the stream less segments 61..63")
+	}
+
+	// Every later segment is condemned. A request for more than the one
+	// unread segment refills pass 2, which yields nothing: 503, and the
+	// unread segment stays for the next request.
+	faultinject.ArmRange(fp, 1, 1<<40)
+	pull(2*seg, http.StatusServiceUnavailable)
+	gauge(1)
+	if !bytes.Equal(pull(seg, http.StatusOK), lib[127*seg:128*seg]) {
+		t.Fatal("the unread segment was not kept through the failed refill")
+	}
+	healthz(http.StatusServiceUnavailable) // its probe condemns pass 3
+	if got := faultinject.Fired(fp); got != 128 {
+		t.Fatalf("failpoint fired %d times, want 128 (passes 2 and 3)", got)
+	}
+	_, mbody, _ := get(t, ts.URL+"/metrics")
+	var failures float64
+	for _, line := range strings.Split(string(mbody), "\n") {
+		if strings.HasPrefix(line, `bsrngd_health_failures_total{alg="trivium"`) {
+			var v float64
+			fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v)
+			failures += v
+		}
+	}
+	if failures != 3+128 {
+		t.Fatalf("health failures counted %v, want %d", failures, 3+128)
+	}
+
+	// Healed: the next probe refills pass 4 and its bytes come next.
+	faultinject.Disarm(fp)
+	healthz(http.StatusOK)
+	if !bytes.Equal(pull(2*seg, http.StatusOK), lib[256*seg:258*seg]) {
+		t.Fatal("bytes after recovery are not pass 4")
+	}
+}

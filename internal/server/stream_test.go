@@ -44,16 +44,15 @@ func waitMetric(t *testing.T, url, name string, want float64) {
 	}
 }
 
-// The streaming tentpole's core contract: /stream rides the same
-// zero-copy shard path as /bytes — chunked, flushed, deterministic, and
-// the shard's stream cursor advances by exactly the bytes served so the
-// next request continues the canonical stream.
+// The streaming contract: pooled /stream rides the same pooled source as
+// /bytes — chunked, flushed, deterministic, and the source's cursor
+// advances by exactly the bytes served so the next request continues
+// the canonical stream.
 func TestStreamPooledDeterministicAndContinues(t *testing.T) {
 	const seed = 42
 	cfg := Config{
-		Seed:         seed,
-		Algorithms:   []core.Algorithm{core.MICKEY},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
+		Seed:       seed,
+		Algorithms: []core.Algorithm{core.MICKEY},
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -79,7 +78,7 @@ func TestStreamPooledDeterministicAndContinues(t *testing.T) {
 		t.Fatalf("got %d bytes, want 6144", len(body))
 	}
 
-	ref, err := core.NewStream(core.MICKEY, seed, core.StreamConfig{Workers: 1, StagingBytes: 2048})
+	ref, err := core.NewStream(core.MICKEY, seed, core.StreamConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +91,7 @@ func TestStreamPooledDeterministicAndContinues(t *testing.T) {
 		t.Fatal("/stream bytes diverge from the library stream prefix")
 	}
 
-	// The shard's cursor advanced by exactly 6144: /bytes continues there.
+	// The source's cursor advanced by exactly 6144: /bytes continues there.
 	status, next, _ := get(t, ts.URL+"/bytes?alg=mickey&n=2048")
 	if status != http.StatusOK {
 		t.Fatalf("follow-up /bytes status %d", status)
@@ -105,8 +104,8 @@ func TestStreamPooledDeterministicAndContinues(t *testing.T) {
 	if got := metricValue(t, mbody, "bsrngd_stream_bytes_total"); got != 6144 {
 		t.Errorf("stream_bytes_total = %v, want 6144", got)
 	}
-	if got := metricValue(t, mbody, "bsrngd_stream_chunks_flushed_total"); got < 3 {
-		t.Errorf("chunks_flushed_total = %v, want ≥ 3 (2048-byte staging chunks)", got)
+	if got := metricValue(t, mbody, "bsrngd_stream_chunks_flushed_total"); got != 1 {
+		t.Errorf("chunks_flushed_total = %v, want 1 (a chunk is up to one pass)", got)
 	}
 	if got := metricValue(t, mbody,
 		`bsrngd_stream_requests_total{alg="mickey",mode="pooled",status="200"}`); got != 1 {
@@ -119,13 +118,12 @@ func TestStreamPooledDeterministicAndContinues(t *testing.T) {
 
 // Addressed /stream serves a named window of the deterministic address
 // space: byte-identical to core.NewSegmentReader, identical at every
-// lane width, and repeatable because no shard state is consumed.
+// lane width, and repeatable because no pooled state is consumed.
 func TestStreamAddressedWindow(t *testing.T) {
 	const seed = 5
 	cfg := Config{
-		Seed:         seed,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
+		Seed:            seed,
+		Algorithms:      []core.Algorithm{core.GRAIN},
 		MaxRequestBytes: 65536,
 	}
 	_, ts := newTestServer(t, cfg)
@@ -173,14 +171,14 @@ func TestStreamAddressedWindow(t *testing.T) {
 	}
 }
 
-// Satellite regression: a client that disconnects mid-/stream must not
-// leak its shard token or leave the pool degraded — bsrngd_shards_busy
-// returns to 0 and the next request is served normally. (Run with -race.)
+// Regression: a client that disconnects mid-/stream ends the stream at a
+// chunk boundary and leaves the pooled source serving —
+// bsrngd_stream_open returns to 0 and the next request is served
+// normally. (Run with -race.)
 func TestStreamClientDisconnectReleasesShard(t *testing.T) {
 	cfg := Config{
-		Seed:         11,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
+		Seed:       11,
+		Algorithms: []core.Algorithm{core.GRAIN},
 	}
 	_, ts := newTestServer(t, cfg)
 
@@ -197,16 +195,14 @@ func TestStreamClientDisconnectReleasesShard(t *testing.T) {
 	if _, err := io.ReadFull(resp.Body, head); err != nil {
 		t.Fatalf("reading stream head: %v", err)
 	}
-	waitMetric(t, ts.URL, "bsrngd_shards_busy", 1)
 	waitMetric(t, ts.URL, "bsrngd_stream_open", 1)
 
 	cancel() // client walks away mid-stream
 	resp.Body.Close()
 
-	waitMetric(t, ts.URL, "bsrngd_shards_busy", 0)
 	waitMetric(t, ts.URL, "bsrngd_stream_open", 0)
 
-	// The shard token came back: the single shard serves the next request.
+	// The source is free: it serves the next request.
 	if status, _, _ := get(t, ts.URL+"/bytes?alg=grain&n=64"); status != http.StatusOK {
 		t.Fatalf("request after disconnect: status %d, want 200", status)
 	}
@@ -221,9 +217,8 @@ func TestStreamClientDisconnectReleasesShard(t *testing.T) {
 // and the client sees a clean (short) end of body.
 func TestStreamEndsAtChunkBoundaryOnDrain(t *testing.T) {
 	cfg := Config{
-		Seed:         13,
-		Algorithms:   []core.Algorithm{core.MICKEY},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 2048,
+		Seed:       13,
+		Algorithms: []core.Algorithm{core.MICKEY},
 	}
 	s, ts := newTestServer(t, cfg)
 
@@ -261,9 +256,8 @@ func TestStreamEndsAtChunkBoundaryOnDrain(t *testing.T) {
 // budget.
 func TestByteCapsAndAdmissionAcrossEndpoints(t *testing.T) {
 	s, err := New(Config{
-		Seed:         3,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:            3,
+		Algorithms:      []core.Algorithm{core.GRAIN},
 		MaxRequestBytes: 4096,
 		MaxInflight:     1,
 	})
@@ -366,9 +360,8 @@ func TestByteCapsAndAdmissionAcrossEndpoints(t *testing.T) {
 // Malformed /stream requests fail closed with specific statuses.
 func TestStreamParamValidation(t *testing.T) {
 	cfg := Config{
-		Seed:         7,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:            7,
+		Algorithms:      []core.Algorithm{core.GRAIN},
 		MaxRequestBytes: 8192,
 	}
 	_, ts := newTestServer(t, cfg)
@@ -413,9 +406,8 @@ func TestStreamParamValidation(t *testing.T) {
 // place and the chunk writer adds only atomic bookkeeping.
 func TestStreamChunkSteadyStateAllocs(t *testing.T) {
 	s, err := New(Config{
-		Seed:         8,
-		Algorithms:   []core.Algorithm{core.GRAIN},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024,
+		Seed:       8,
+		Algorithms: []core.Algorithm{core.GRAIN},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +418,7 @@ func TestStreamChunkSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, respBufBytes)
+	buf := make([]byte, passBytes)
 	cw := &chunkWriter{s: s, w: io.Discard, ctx: context.Background()}
 	var off uint64
 	if _, err := streamWindow(cw, src, 0, off, buf, int64(len(buf))); err != nil {

@@ -19,8 +19,7 @@ import (
 // touched segment is counted as exactly one lane.
 func TestWindowPassMetrics(t *testing.T) {
 	const seed = 6
-	cfg := Config{Seed: seed, Algorithms: []core.Algorithm{core.TRIVIUM},
-		ShardsPerAlg: 1, WorkersPerShard: 1, StagingBytes: 1024}
+	cfg := Config{Seed: seed, Algorithms: []core.Algorithm{core.TRIVIUM}}
 	_, ts := newTestServer(t, cfg)
 	want := func(domain, offset uint64, n int) []byte {
 		r, err := core.NewSegmentReader(core.TRIVIUM, seed, domain, 0, offset)
