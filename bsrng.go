@@ -24,11 +24,16 @@
 //	defer s.Close()
 //	s.Read(buf)
 //
+// Stream and Fill produce one byte sequence for a given algorithm and
+// seed, whatever their worker count: the domain-1 segment stream,
+// NewSegmentReader(alg, seed, 1, DefaultLanes, 0). So output made on
+// many cores can be regenerated, or resumed at any offset, on one.
+//
 // Stream's datapath is zero-copy: each worker's engine writes segments
 // straight into the staging chunk it hands to the consumer, so the
 // steady state allocates nothing and each output byte is copied at most
 // once (chunk → your buffer). To skip that last copy too, consume via
-// s.WriteTo(w) or s.NextChunk()/s.Recycle().
+// s.WriteTo(w), which hands each chunk itself to w.
 //
 // The repository also contains the paper's full evaluation apparatus: the
 // naive baselines, the cuRAND generator family, an NIST SP 800-22
@@ -117,18 +122,18 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 }
 
 // Stream is the multi-core generator: one bitsliced engine per worker,
-// deterministic output for a fixed configuration. Consume it with Read
-// (io.Reader), WriteTo (io.WriterTo; copies each staging chunk exactly
-// once, into the writer) or NextChunk/Recycle (zero-copy chunk handoff).
+// all serving the domain-1 segment stream of the seed, so the output is
+// deterministic for (algorithm, seed) whatever the configuration.
+// Consume it with Read (io.Reader) or WriteTo (io.WriterTo; copies each
+// staging chunk exactly once, into the writer).
 type Stream = core.Stream
 
 // StreamConfig tunes the Stream (zero values = all CPUs, 64 KiB staging,
 // DefaultLanes-wide engines).
 type StreamConfig = core.StreamConfig
 
-// StreamStats is a snapshot of a Stream's throughput and health
-// counters (chunks produced, bytes delivered, free-list recycle hits,
-// condemned segments, engine reseeds).
+// StreamStats is a snapshot of a Stream's health counter: the segments
+// its health hook condemned and the stream skipped.
 type StreamStats = core.StreamStats
 
 // ErrStreamClosed is returned by Stream.Read once Close has been
@@ -141,7 +146,8 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 }
 
 // Fill writes len(dst) deterministic pseudo-random bytes using the given
-// number of workers (0 = all CPUs).
+// number of workers (0 = all CPUs): the first len(dst) bytes of every
+// Stream of (alg, seed).
 func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	return core.Fill(alg, seed, workers, dst)
 }
@@ -164,9 +170,10 @@ type HealthConfig = health.Config
 //	checker := bsrng.NewHealthChecker(bsrng.HealthConfig{})
 //	s, _ := bsrng.NewStream(bsrng.MICKEY, 42, bsrng.StreamConfig{Health: checker.Check})
 //
-// A condemned segment is discarded, the producing engine reseeds with
-// fresh material and the slot is regenerated before delivery;
-// StreamStats counts the events.
+// A condemned segment is skipped, never delivered, and counted in
+// StreamStats; the stream is the domain-1 stream less exactly its
+// condemned segments. A run of condemned segments ends the stream with
+// an error wrapping the last HealthFailure.
 type HealthChecker = health.Checker
 
 // HealthFailure is the error a HealthChecker returns for a condemned

@@ -5,6 +5,9 @@
 //	bsrng -alg mickey -seed 42 -n 1048576 -workers 8 > random.bin
 //	bsrng -alg grain -n 16 -hex
 //	bsrng -alg 'chaotic(xorgens)' -n 16 -hex
+//
+// The output is the seed's domain-1 segment stream (the bytes of
+// bsrng.NewSegmentReader(alg, seed, 1, 64, 0)) at every -workers.
 package main
 
 import (
@@ -22,7 +25,7 @@ func main() {
 	algName := flag.String("alg", "mickey", "algorithm: mickey, grain, aes-ctr, trivium, xorgens or chaotic(<name>)")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	n := flag.Int64("n", 1<<20, "number of bytes to generate")
-	workers := flag.Int("workers", 1, "worker engines (>1 uses the parallel stream)")
+	workers := flag.Int("workers", 1, "worker engines (0 = all CPUs); every count emits the same bytes")
 	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the output is identical")
 	useHex := flag.Bool("hex", false, "emit lowercase hex instead of raw bytes")
 	flag.Parse()
@@ -42,21 +45,13 @@ func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, 
 		return fmt.Errorf("negative byte count")
 	}
 
-	var src interface{ Read([]byte) (int, error) }
-	if workers > 1 {
-		s, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers, Lanes: lanes})
-		if err != nil {
-			return err
-		}
-		defer s.Close()
-		src = s
-	} else {
-		g, err := bsrng.NewWithLanes(alg, seed, lanes)
-		if err != nil {
-			return err
-		}
-		src = g
+	// Every worker count reads the same bytes: the seed's domain-1
+	// stream.
+	src, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers, Lanes: lanes})
+	if err != nil {
+		return err
 	}
+	defer src.Close()
 
 	out := bufio.NewWriterSize(w, 1<<20)
 	buf := make([]byte, 64<<10)
@@ -65,7 +60,9 @@ func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, 
 		if k > n {
 			k = n
 		}
-		src.Read(buf[:k])
+		if _, err := io.ReadFull(src, buf[:k]); err != nil {
+			return err
+		}
 		if useHex {
 			if _, err := out.WriteString(hex.EncodeToString(buf[:k])); err != nil {
 				return err

@@ -14,11 +14,11 @@ func TestRunRawMatchesLibrary(t *testing.T) {
 	if err := run(&out, "grain", 5, 1000, 1, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := bsrng.New(bsrng.GRAIN, 5)
+	g, _ := bsrng.NewSegmentReader(bsrng.GRAIN, 5, 1, 64, 0)
 	want := make([]byte, 1000)
 	g.Read(want)
 	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatal("CLI output diverges from library output")
+		t.Fatal("CLI output diverges from the library's domain-1 stream")
 	}
 }
 
@@ -64,6 +64,13 @@ func TestRunParallelStreamDeterminism(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("parallel CLI output is not deterministic")
+	}
+	var one bytes.Buffer
+	if err := run(&one, "trivium", 9, 100000, 1, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one.Bytes(), a.Bytes()) {
+		t.Fatal("-workers 1 output diverges from -workers 3")
 	}
 }
 

@@ -56,22 +56,24 @@ var hotPackages = []string{
 }
 
 // hotFuncs names, per package, the functions on the segment
-// fill/transpose/WriteTo path: the steady-state work between two
-// reseeds, and the per-pass rekey. Constructors (New*) are deliberately
+// fill/transpose/WriteTo path: the steady-state work of every pass,
+// and the per-pass rekey. Constructors (New*) are deliberately
 // absent — they run once per engine and are allowed to allocate. Every
 // name must match a function declaration in its package (a renamed or
 // deleted function is a finding, not a silent hole in the gate).
 var hotFuncs = map[string][]string{
 	"internal/core": {
-		// Stream steady state: the chunk pipeline and its workers.
-		"Read", "WriteTo", "NextChunk", "Recycle", "advance", "run", "checkSegment",
-		// Generator/engine steady state; rekey and pass also name the
-		// lane cipher's per-pass calls into the engines.
-		"fillPass", "advancePass", "rekey", "nextBlock", "nextBlocks",
+		// Stream steady state: the chunk pipeline, its workers and the
+		// health screen of a chunk.
+		"Read", "WriteTo", "advance", "run", "screen",
+		// Generator/engine steady state: the index rule and the per-pass
+		// keying; rekey and pass also name the lane cipher's per-pass
+		// calls into the engines.
+		"segment", "keyLanes", "fillPass", "advancePass", "rekey", "nextBlocks",
 		// Gathered-pass window source steady state.
 		"ReadWindow", "lead", "gather", "runPass", "key", "pass",
-		// Per-segment-window material derivation (in place by design).
-		"derive", "deriveLane", "keyPass", "next", "fill", "deriveChaoticX0s", "chaoticX0",
+		// Per-segment material derivation (in place by design).
+		"deriveLane", "next", "fill", "chaoticX0",
 	},
 	"internal/bitslice": {
 		// PackBits/UnpackBits/UnpackWords/ExtractLane allocate their

@@ -22,5 +22,5 @@ func (s *Source64) Int63() int64 { return int64(s.g.Uint64() >> 1) }
 
 // Seed is a no-op: the underlying cipher engines are seeded at
 // construction (stream-cipher key schedules cannot be cheaply re-run).
-// Build a new Source64 to reseed.
+// Build a new Source64 to change the seed.
 func (s *Source64) Seed(int64) {}

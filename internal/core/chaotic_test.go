@@ -84,9 +84,7 @@ func TestChaoticComposition(t *testing.T) {
 		t.Fatal("chaotic mode did not change the stream")
 	}
 
-	var x0 [1]uint64
-	deriveChaoticX0s(x0[:], seed, 0, 0, 0)
-	chaotic.Unpost(post, x0[0])
+	chaotic.Unpost(post, chaoticX0(seed, 0, 0))
 	if !bytes.Equal(base, post) {
 		t.Fatal("chaotic stream is not Post(base stream) under the documented x_0 schedule")
 	}
@@ -112,11 +110,9 @@ func TestChaoticStreamsDecorrelated(t *testing.T) {
 	if bytes.Equal(a, read(Chaotic(MICKEY), 1)) {
 		t.Error("chaotic streams identical across base engines")
 	}
-	var x0 [1]uint64
-	deriveChaoticX0s(x0[:], 1, 0, 0, 0)
 	sm := splitMix64{s: 1 ^ 0xD1342543DE82EF95*0}
 	sm.next()
-	if x0[0] == sm.next() {
+	if chaoticX0(1, 0, 0) == sm.next() {
 		t.Error("x_0 schedule collides with inner key material schedule")
 	}
 }

@@ -90,29 +90,39 @@ func TestGeneratorUint64AndWords(t *testing.T) {
 	}
 }
 
-// Each worker domain must produce a distinct stream.
+// Distinct seed domains must produce distinct streams.
 func TestSeedDomainSeparation(t *testing.T) {
 	for _, alg := range Algorithms {
-		e1, err := newSegmented(alg, 5, 1, 0)
+		r1, err := NewSegmentReader(alg, 5, 1, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e2, err := newSegmented(alg, 5, 2, 0)
+		r2, err := NewSegmentReader(alg, 5, 2, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a := make([]byte, SegmentBytes)
 		b := make([]byte, SegmentBytes)
-		e1.nextBlock(a)
-		e2.nextBlock(b)
+		r1.Read(a)
+		r2.Read(b)
 		if bytes.Equal(a, b) {
 			t.Errorf("%v: domains 1 and 2 produced identical blocks", alg)
 		}
 	}
 }
 
+// segmentMaterial derives the key and IV strings of segments
+// base..base+lanes-1 of (seed, domain), lane l for segment base+l.
+func segmentMaterial(seed, domain, base uint64, lanes, keyLen, ivLen int) (keys, ivs [][]byte) {
+	m := newLaneMaterial(lanes, keyLen, ivLen)
+	for l := range lanes {
+		m.deriveLane(l, seed, domain, base+uint64(l))
+	}
+	return m.keys, m.ivs
+}
+
 func TestSegmentMaterialDistinct(t *testing.T) {
-	keys, ivs := segmentMaterial(1, 0, 0, 0, 64, 10, 10)
+	keys, ivs := segmentMaterial(1, 0, 0, 64, 10, 10)
 	seen := map[string]bool{}
 	for l := 0; l < 64; l++ {
 		k := string(keys[l]) + "|" + string(ivs[l])
@@ -122,20 +132,21 @@ func TestSegmentMaterialDistinct(t *testing.T) {
 		seen[k] = true
 	}
 	// Different seeds must give different material.
-	keys2, _ := segmentMaterial(2, 0, 0, 0, 64, 10, 10)
+	keys2, _ := segmentMaterial(2, 0, 0, 64, 10, 10)
 	if bytes.Equal(keys[0], keys2[0]) {
 		t.Error("seed does not influence segment material")
 	}
 }
 
-// Segment material must depend only on the absolute segment index — the
-// property that makes the canonical stream identical at every lane width.
+// Segment material must depend only on the absolute segment index, not
+// on the lane that derives it — the property that lets a pass key any
+// lane for any segment.
 func TestSegmentMaterialIndexedAbsolutely(t *testing.T) {
-	wide, wideIVs := segmentMaterial(9, 3, 0, 0, 512, 10, 8)
+	wide, wideIVs := segmentMaterial(9, 3, 0, 512, 10, 8)
 	for _, l := range []int{0, 1, 63, 64, 255, 256, 511} {
-		one, oneIV := segmentMaterial(9, 3, uint64(l), 0, 1, 10, 8)
+		one, oneIV := segmentMaterial(9, 3, uint64(l), 1, 10, 8)
 		if !bytes.Equal(wide[l], one[0]) || !bytes.Equal(wideIVs[l], oneIV[0]) {
-			t.Fatalf("segment %d material depends on the batch shape", l)
+			t.Fatalf("segment %d material depends on the lane that derives it", l)
 		}
 	}
 }
@@ -162,26 +173,29 @@ func TestStreamDeterministicAcrossRuns(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%v: stream is not deterministic across runs", alg)
 		}
+		if !bytes.Equal(a, domainOne(t, alg, 11, len(a))) {
+			t.Errorf("%v: 3-worker stream diverges from the domain-1 stream", alg)
+		}
 	}
 }
 
 func TestStreamMatchesSingleWorkerComposition(t *testing.T) {
-	// A 1-worker stream must equal the domain-1 engine's raw output.
-	s, err := NewStream(MICKEY, 9, StreamConfig{Workers: 1, StagingBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 4096)
-	s.Read(got)
-	s.Close()
-
-	eng, _ := newSegmented(MICKEY, 9, 1, 0)
-	want := make([]byte, 4096)
-	for off := 0; off < len(want); off += SegmentBytes {
-		eng.nextBlock(want[off : off+SegmentBytes])
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("1-worker stream diverges from its engine")
+	// A stream must equal the domain-1 engine's raw output, for one
+	// worker and for several.
+	eng, _ := newSegmented(MICKEY, 9, 1, 0, 1, 1, 0)
+	want := make([]byte, 8*SegmentBytes)
+	eng.nextBlocks(want)
+	for _, workers := range []int{1, 3} {
+		s, err := NewStream(MICKEY, 9, StreamConfig{Workers: workers, StagingBytes: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(want))
+		s.Read(got)
+		s.Close()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d-worker stream diverges from the domain-1 engine", workers)
+		}
 	}
 }
 

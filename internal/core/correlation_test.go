@@ -20,7 +20,7 @@ func TestLaneDecorrelation(t *testing.T) {
 	const bytesPerLane = 8192
 	laneStreams := func(alg Algorithm) [][]uint8 {
 		t.Helper()
-		keys, ivs := segmentMaterial(4242, 0, 0, 0, lanes, 10, 10)
+		keys, ivs := segmentMaterial(4242, 0, 0, lanes, 10, 10)
 		bufs := make([][]byte, lanes)
 		for l := range bufs {
 			bufs[l] = make([]byte, bytesPerLane)

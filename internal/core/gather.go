@@ -112,7 +112,13 @@ var errWindowRange = errors.New("core: window reaches past the last addressable 
 // seed. onPass, when non-nil, is called after every pass with the number
 // of lanes that served a demand.
 func NewWindowSource(alg Algorithm, seed uint64, onPass func(lanes int)) (*WindowSource, error) {
-	c, err := newCipher(alg, seed, 0, 0)
+	// Construction keys lane l for segment l of domain 0; every pass
+	// rekeys the lanes it uses.
+	c, err := newCipher(alg, func(c *laneCipher) {
+		for l := range passLanes {
+			c.key(l, seed, 0, uint64(l))
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +248,7 @@ func (ws *WindowSource) runPass(ps *passScratch, n int) {
 			continue
 		}
 		s := &ps.slots[l]
-		ws.c.key(l, ws.seed, s.req.domain, s.seg, 0)
+		ws.c.key(l, ws.seed, s.req.domain, s.seg)
 		if len(s.dst) == SegmentBytes {
 			ps.cur[l] = s.dst
 		}

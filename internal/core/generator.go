@@ -123,9 +123,10 @@ var ServedAlgorithms = []Algorithm{MICKEY, GRAIN, AESCTR, TRIVIUM, XORGENS, Chao
 // SegmentBytes is the unit of the canonical BSRNG byte stream: the stream
 // of one (seed, domain) pair is the concatenation of fixed-size segments,
 // and segment j is keystream from a cipher instance keyed by
-// PRF(seed, domain, j) (see segmentMaterial). An engine computes 64
-// consecutive segments in one lock-step pass of the 64-lane datapath;
-// how many segments a pass holds never changes their bytes.
+// PRF(seed, domain, j) (see laneMaterial.deriveLane). An engine
+// computes 64 segments in one lock-step pass of the 64-lane datapath,
+// each lane keyed for its own; which segments share a pass never
+// changes their bytes.
 const SegmentBytes = 2048
 
 // passLanes is the width of every cipher pass: the 64-lane uint64
@@ -154,37 +155,48 @@ func ValidateLanes(lanes int) error {
 	return fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
 }
 
-// segmented drives a 64-lane cipher through the segment stream of one
-// (seed, domain) pair: one lock-step pass fills passLanes segment
-// buffers (lane l = segment base+l), nextBlock hands them out in order,
-// and an exhausted pass rekeys the cipher for the next passLanes
-// segment indices.
+// segmented drives a 64-lane cipher through segments of one (seed,
+// domain) stream by one index rule: the i-th segment it emits is
+//
+//	((i/spc)·workers + w)·spc + i%spc
+//
+// that is, runs of spc consecutive segments, one run in every workers.
+// Worker w of a Stream with spc segments per staging chunk emits
+// exactly the chunks c ≡ w (mod workers); a Generator is the workers = 1
+// case, whose i-th segment is segment i, and starts at the emission
+// index of its first segment.
+//
+// One lock-step pass fills passLanes segment buffers, lane l with the
+// (i+l)-th segment; nextBlocks hands them out in order, and an exhausted
+// pass keys every lane for the next passLanes. Lanes key independently,
+// so no lane is wasted however spc splits a pass.
 //
 // The pass destination is chosen per fill: nextBlocks aims as many lane
 // buffers as fit directly at the caller's destination (the cipher then
 // writes those segments exactly once, into their final resting place)
 // and parks only the overhang lanes in the engine's private buffers for
-// later copy-out. The private buffers also carry every health-reseed
-// regeneration — see reseed.
+// later copy-out.
 type segmented struct {
-	priv         [passLanes][]byte // SegmentBytes private buffers, one backing array
-	cur          [passLanes][]byte // current pass destination per lane: priv[l] or a dst subslice
-	emit         int               // next segment slot to hand out
-	filled       bool              // cur[emit..passLanes-1] hold generated segments
-	base         uint64            // absolute segment index of the current pass's slot 0
-	epoch        uint64            // reseed generation; 0 = canonical stream
-	seed, domain uint64
-	c            *laneCipher
+	priv            [passLanes][]byte // SegmentBytes private buffers, one backing array
+	cur             [passLanes][]byte // current pass destination per lane: priv[l] or a dst subslice
+	emit            int               // next segment slot to hand out
+	filled          bool              // cur[emit..passLanes-1] hold generated segments
+	i               uint64            // emission index of the current pass's slot 0
+	spc, workers, w uint64            // the index rule
+	seed, domain    uint64
+	c               *laneCipher
 }
 
-// newSegmented builds the engine of one (seed, domain) pair, keyed once,
-// directly for the pass whose slot 0 is absolute segment index base.
-func newSegmented(alg Algorithm, seed, domain, base uint64) (*segmented, error) {
-	c, err := newCipher(alg, seed, domain, base)
+// newSegmented builds the engine of one (seed, domain) stream under the
+// index rule (spc, workers, w), keyed once, directly for the pass whose
+// slot 0 is emission index i.
+func newSegmented(alg Algorithm, seed, domain, i, spc, workers, w uint64) (*segmented, error) {
+	e := &segmented{i: i, spc: spc, workers: workers, w: w, seed: seed, domain: domain}
+	c, err := newCipher(alg, e.keyLanes)
 	if err != nil {
 		return nil, err
 	}
-	e := &segmented{base: base, seed: seed, domain: domain, c: c}
+	e.c = c
 	backing := make([]byte, passLanes*SegmentBytes)
 	for l := range e.priv {
 		e.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
@@ -194,17 +206,24 @@ func newSegmented(alg Algorithm, seed, domain, base uint64) (*segmented, error) 
 	return e, nil
 }
 
-// rekey keys every lane for the pass at e.base under e.epoch.
-func (e *segmented) rekey() {
-	e.c.keyPass(e.seed, e.domain, e.base, e.epoch)
-	e.c.rekey()
+// segment is the stream index of the i-th emitted segment.
+func (e *segmented) segment(i uint64) uint64 {
+	return (i/e.spc*e.workers+e.w)*e.spc + i%e.spc
+}
+
+// keyLanes derives c's lane l material for the (e.i+l)-th emitted
+// segment.
+func (e *segmented) keyLanes(c *laneCipher) {
+	for l := range passLanes {
+		c.key(l, e.seed, e.domain, e.segment(e.i+uint64(l)))
+	}
 }
 
 // fillPass generates the current pass. Lanes whose segment slots land
 // inside dst are aimed straight at it — the cipher writes them in place
-// — and the rest go to the private buffers. dst is segment-aligned, and
-// nil on the nextBlock (copy-out) path. Only called with emit==0: a
-// pass is always generated from its first slot.
+// — and the rest go to the private buffers. dst is segment-aligned.
+// Only called with emit==0: a pass is always generated from its first
+// slot.
 func (e *segmented) fillPass(dst []byte) {
 	e.cur = e.priv
 	for l := range min(len(dst)/SegmentBytes, passLanes) {
@@ -214,34 +233,19 @@ func (e *segmented) fillPass(dst []byte) {
 	e.filled = true
 }
 
-// advancePass rekeys the cipher for the next passLanes segment indices.
+// advancePass keys the cipher for the next passLanes emitted segments.
 func (e *segmented) advancePass() {
-	e.base += passLanes
-	e.rekey()
+	e.i += passLanes
+	e.keyLanes(e.c)
+	e.c.rekey()
 	e.emit = 0
 	e.filled = false
 }
 
-// nextBlock writes the next segment into dst (SegmentBytes long).
-func (e *segmented) nextBlock(dst []byte) {
-	if e.emit == passLanes {
-		e.advancePass()
-	}
-	if !e.filled {
-		e.fillPass(nil)
-	}
-	if src := e.cur[e.emit]; &src[0] != &dst[0] {
-		copy(dst, src)
-	}
-	e.emit++
-}
-
 // nextBlocks writes the next len(dst)/SegmentBytes segments into dst, a
 // whole number of segments, letting whole lock-step passes land directly
-// in dst (the zero-copy fast path). check, when non-nil, runs on every
-// segment right after it lands in dst; it may call reseed and nextBlock
-// reentrantly to condemn and regenerate that segment.
-func (e *segmented) nextBlocks(dst []byte, check func(seg []byte)) {
+// in dst (the zero-copy fast path).
+func (e *segmented) nextBlocks(dst []byte) {
 	for len(dst) > 0 {
 		if e.emit == passLanes {
 			e.advancePass()
@@ -250,41 +254,15 @@ func (e *segmented) nextBlocks(dst []byte, check func(seg []byte)) {
 			e.fillPass(dst)
 		}
 		for e.emit < passLanes && len(dst) > 0 {
-			seg := dst[:SegmentBytes]
-			// cur[emit] either aliases seg (direct fill) or holds a
-			// parked segment in the private buffers; re-read it every
-			// iteration because check may reseed mid-pass.
-			if src := e.cur[e.emit]; &src[0] != &seg[0] {
-				copy(seg, src)
+			// cur[emit] either aliases dst (direct fill) or holds a
+			// parked segment in the private buffers.
+			if src := e.cur[e.emit]; &src[0] != &dst[0] {
+				copy(dst[:SegmentBytes], src)
 			}
 			e.emit++
 			dst = dst[SegmentBytes:]
-			if check != nil {
-				check(seg)
-			}
 		}
 	}
-}
-
-// reseed condemns the segment most recently emitted: it discards the
-// current lock-step pass under a bumped epoch and re-aims at the last
-// emitted segment slot, so the condemned segment (and every later one
-// from this engine) is regenerated from fresh, unrelated key/IV
-// material by the next nextBlock. The canonical epoch-0 stream is
-// untouched for engines whose segments never fail a health check.
-//
-// The regeneration always lands in the private buffers, never in a
-// caller's destination: earlier slots of a directly-filled pass have
-// already been delivered (possibly into the same destination buffer)
-// and must keep their bytes, so the refreshed pass is parked privately
-// and copied out slot by slot from the condemned one on.
-func (e *segmented) reseed() {
-	e.epoch++
-	if e.emit > 0 {
-		e.emit--
-	}
-	e.rekey()
-	e.fillPass(nil)
 }
 
 // cipher is the one contract every bitsliced engine meets for core: the
@@ -300,10 +278,10 @@ type cipher interface {
 // laneCipher is one keyed lock-step cipher: its per-lane key/IV
 // material and the 64-lane engine it keys. Lanes are independent cipher
 // instances, so each may be keyed for any (domain, segment) — the
-// segmented engine keys them for consecutive segments of one stream, a
-// WindowSource for whatever segments its callers are waiting on.
-// Chaotic modes carry a per-lane orbit start x0 and post-process every
-// lane's segment after the fill.
+// segmented engine keys them by its index rule, a WindowSource for
+// whatever segments its callers are waiting on. Chaotic modes carry a
+// per-lane orbit start x0 and post-process every lane's segment after
+// the fill.
 type laneCipher struct {
 	mat *laneMaterial
 	x0s []uint64 // chaotic modes only
@@ -311,18 +289,11 @@ type laneCipher struct {
 }
 
 // key derives lane l's material for segment seg of (seed, domain).
-func (c *laneCipher) key(l int, seed, domain, seg, epoch uint64) {
-	c.mat.deriveLane(l, seed, domain, seg, epoch)
+func (c *laneCipher) key(l int, seed, domain, seg uint64) {
+	c.mat.deriveLane(l, seed, domain, seg)
 	if c.x0s != nil {
-		c.x0s[l] = chaoticX0(seed, domain, seg, epoch)
+		c.x0s[l] = chaoticX0(seed, domain, seg)
 	}
-}
-
-// keyPass derives the material of segments base..base+passLanes-1, lane
-// l for segment base+l.
-func (c *laneCipher) keyPass(seed, domain, base, epoch uint64) {
-	c.mat.derive(seed, domain, base, epoch)
-	deriveChaoticX0s(c.x0s, seed, domain, base, epoch)
 }
 
 // rekey loads the derived material into every lane.
@@ -336,20 +307,19 @@ func (c *laneCipher) pass(bufs *[passLanes][]byte) {
 	}
 }
 
-// newCipher builds the 64-lane cipher of alg, keyed for segments
-// base..base+passLanes-1 of (seed, domain): construction is the only
-// keying an engine pays for its first pass, and the engine's
-// constructor is where the material's shape is checked, once. The
-// material scratch is sized here for good, so every later rekey reads
-// the shape that check accepted.
-func newCipher(alg Algorithm, seed, domain, base uint64) (*laneCipher, error) {
+// newCipher builds the 64-lane cipher of alg with the material keyLanes
+// derives for its first pass: construction is the only keying an engine
+// pays for that pass, and the engine's constructor is where the
+// material's shape is checked, once. The material scratch is sized here
+// for good, so every later rekey reads the shape that check accepted.
+func newCipher(alg Algorithm, keyLanes func(c *laneCipher)) (*laneCipher, error) {
 	c := &laneCipher{}
 	if alg.IsChaotic() {
 		c.x0s = make([]uint64, passLanes)
 	}
 	material := func(keyLen, ivLen int) (keys, ivs [][]byte) {
 		c.mat = newLaneMaterial(passLanes, keyLen, ivLen)
-		c.keyPass(seed, domain, base, 0)
+		keyLanes(c)
 		return c.mat.keys, c.mat.ivs
 	}
 	var err error
@@ -413,11 +383,11 @@ func (g *Generator) Read(p []byte) (int, error) {
 		p = p[k:]
 	}
 	if aligned := len(p) - len(p)%len(g.buf); aligned > 0 {
-		g.eng.nextBlocks(p[:aligned], nil)
+		g.eng.nextBlocks(p[:aligned])
 		p = p[aligned:]
 	}
 	if len(p) > 0 {
-		g.eng.nextBlock(g.buf)
+		g.eng.nextBlocks(g.buf)
 		g.pos = copy(p, g.buf)
 	}
 	return n, nil

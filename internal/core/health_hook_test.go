@@ -3,12 +3,40 @@ package core
 import (
 	"bytes"
 	"errors"
-	"sync/atomic"
+	"io"
+	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/health"
 )
+
+// domainOne reads the first n bytes of the domain-1 stream: the bytes
+// every Stream and Fill of (alg, seed) must produce.
+func domainOne(t testing.TB, alg Algorithm, seed uint64, n int) []byte {
+	return segmentReaderWindow(t, alg, seed, 1, 0, n)
+}
+
+// droppedSegments aligns got against the reference stream ref segment
+// by segment and returns the indices of the reference segments that got
+// lacks. It fails t unless got is ref with whole segments left out.
+func droppedSegments(t *testing.T, ref, got []byte) []int {
+	t.Helper()
+	var dropped []int
+	i := 0
+	for off := 0; off < len(got); off += SegmentBytes {
+		seg := got[off:min(off+SegmentBytes, len(got))]
+		for ; (i+1)*SegmentBytes <= len(ref) && !bytes.HasPrefix(ref[i*SegmentBytes:], seg); i++ {
+			dropped = append(dropped, i)
+		}
+		if (i+1)*SegmentBytes > len(ref) {
+			t.Fatalf("bytes at offset %d are not a segment of the reference stream", off)
+		}
+		i++
+	}
+	return dropped
+}
 
 // A clean stream under a real checker must deliver its canonical bytes:
 // the hook only observes, never perturbs, healthy output.
@@ -21,21 +49,15 @@ func TestHealthHookTransparentOnHealthyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer withHook.Close()
-	plain, err := NewStream(MICKEY, 42, StreamConfig{Workers: 2, StagingBytes: 2048})
-	if err != nil {
+
+	got := make([]byte, 16*SegmentBytes)
+	if _, err := io.ReadFull(withHook, got); err != nil {
 		t.Fatal(err)
 	}
-	defer plain.Close()
-
-	a := make([]byte, 16*SegmentBytes)
-	b := make([]byte, 16*SegmentBytes)
-	withHook.Read(a)
-	plain.Read(b)
-	if !bytes.Equal(a, b) {
+	if !bytes.Equal(got, domainOne(t, MICKEY, 42, len(got))) {
 		t.Fatal("health hook changed the bytes of a healthy stream")
 	}
-	st := withHook.Stats()
-	if st.HealthFailures != 0 || st.EngineReseeds != 0 || st.HealthUnrecovered != 0 {
+	if st := withHook.Stats(); st.HealthFailures != 0 {
 		t.Fatalf("healthy stream recorded health events: %+v", st)
 	}
 	if cs := checker.Stats(); cs.Segments == 0 {
@@ -43,87 +65,77 @@ func TestHealthHookTransparentOnHealthyStream(t *testing.T) {
 	}
 }
 
-// A corrupted segment must be condemned, the engine reseeded, and the
-// delivered replacement must pass the checker — and the whole episode
-// must be deterministic: two identically-faulted streams emit identical
-// bytes.
-func TestHealthHookDiscardsAndReseeds(t *testing.T) {
-	checker := health.NewChecker(health.Config{})
-	// Hook that zeroes the Nth checked segment before checking — a
-	// deterministic stand-in for an engine fault.
-	corruptingHook := func(nth uint64) func([]byte) error {
-		var n atomic.Uint64
-		return func(seg []byte) error {
-			if n.Add(1) == nth {
-				for i := range seg {
-					seg[i] = 0
+// A condemned segment is skipped, the server's rule: the stream is the
+// domain-1 stream less exactly the condemned segments, at one worker
+// and at several, and whether the core.segment.corrupt failpoint or an
+// engine fault the hook sees zeroes them.
+func TestHealthHookSkipsCondemnedSegments(t *testing.T) {
+	cases := []struct {
+		name      string
+		workers   int
+		staging   int
+		failpoint [2]uint64 // hit range the failpoint zeroes; 0 = unarmed
+		zero      []int     // segments the hook zeroes before checking
+		want      []int     // segments the stream must lack; nil = any failpoint hits
+	}{
+		{name: "w1-failpoint-run", workers: 1, staging: 2048, failpoint: [2]uint64{2, 3}, want: []int{1, 2}},
+		{name: "w1-failpoint-chunk-tail", workers: 1, staging: 4 * SegmentBytes, failpoint: [2]uint64{8, 8}, want: []int{7}},
+		{name: "w1-hook", workers: 1, staging: 3 * SegmentBytes, zero: []int{0, 5, 6, 7, 20}, want: []int{0, 5, 6, 7, 20}},
+		{name: "w3-hook", workers: 3, staging: 2 * SegmentBytes, zero: []int{0, 3, 4, 9, 17}, want: []int{0, 3, 4, 9, 17}},
+		{name: "w3-failpoint", workers: 3, staging: 2048, failpoint: [2]uint64{4, 6}},
+	}
+	const seed, kept = 7, 24 // segments read from each stream
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.failpoint[0] != 0 {
+				if !faultinject.Available() {
+					t.Skip("faultinject compiled out")
 				}
+				t.Cleanup(faultinject.Reset)
+				faultinject.ArmRange(FailpointSegmentCorrupt, tc.failpoint[0], tc.failpoint[1])
 			}
-			return checker.Check(seg)
-		}
-	}
-
-	run := func() ([]byte, StreamStats) {
-		s, err := NewStream(GRAIN, 7, StreamConfig{
-			Workers: 1, StagingBytes: 2048, Health: corruptingHook(3),
+			ref := domainOne(t, GRAIN, seed, (kept+16)*SegmentBytes)
+			zero := map[string]bool{}
+			for _, i := range tc.zero {
+				zero[string(ref[i*SegmentBytes:(i+1)*SegmentBytes])] = true
+			}
+			checker := health.NewChecker(health.Config{})
+			s, err := NewStream(GRAIN, seed, StreamConfig{
+				Workers: tc.workers, StagingBytes: tc.staging,
+				Health: func(seg []byte) error {
+					if zero[string(seg)] {
+						clear(seg)
+					}
+					return checker.Check(seg)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			got := make([]byte, kept*SegmentBytes)
+			if _, err := io.ReadFull(s, got); err != nil {
+				t.Fatal(err)
+			}
+			dropped := droppedSegments(t, ref, got)
+			if tc.want != nil && !slices.Equal(dropped, tc.want) {
+				t.Fatalf("stream lacks segments %v, want exactly %v", dropped, tc.want)
+			}
+			if fired := faultinject.Fired(FailpointSegmentCorrupt); tc.want == nil && uint64(len(dropped)) != fired {
+				t.Fatalf("stream lacks segments %v, want the %d the failpoint zeroed", dropped, fired)
+			}
+			if st := s.Stats(); st.HealthFailures < uint64(len(dropped)) {
+				t.Fatalf("HealthFailures = %d, but %d segments were skipped", st.HealthFailures, len(dropped))
+			}
+			if cs := checker.Stats(); cs.Failures[health.RCT]+cs.Failures[health.Monobit]+cs.Failures[health.LongRun] == 0 {
+				t.Fatalf("checker did not attribute the corruption: %+v", cs)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		out := make([]byte, 8*SegmentBytes)
-		if _, err := s.Read(out); err != nil {
-			t.Fatal(err)
-		}
-		return out, s.Stats()
-	}
-
-	got, st := run()
-	if st.HealthFailures != 1 {
-		t.Fatalf("HealthFailures = %d, want 1", st.HealthFailures)
-	}
-	if st.EngineReseeds != 1 {
-		t.Fatalf("EngineReseeds = %d, want 1", st.EngineReseeds)
-	}
-	if st.HealthUnrecovered != 0 {
-		t.Fatalf("HealthUnrecovered = %d, want 0", st.HealthUnrecovered)
-	}
-
-	// No delivered segment may be the zeroed one.
-	zero := make([]byte, SegmentBytes)
-	for off := 0; off < len(got); off += SegmentBytes {
-		if bytes.Equal(got[off:off+SegmentBytes], zero) {
-			t.Fatalf("zeroed segment at offset %d was delivered", off)
-		}
-	}
-
-	// The first two segments are canonical; segment 3 onward comes from
-	// the reseeded (epoch-1) engine and must diverge from the canonical
-	// stream.
-	ref, err := NewStream(GRAIN, 7, StreamConfig{Workers: 1, StagingBytes: 2048})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	want := make([]byte, 8*SegmentBytes)
-	ref.Read(want)
-	if !bytes.Equal(got[:2*SegmentBytes], want[:2*SegmentBytes]) {
-		t.Fatal("pre-fault segments diverge from the canonical stream")
-	}
-	if bytes.Equal(got[2*SegmentBytes:3*SegmentBytes], want[2*SegmentBytes:3*SegmentBytes]) {
-		t.Fatal("condemned segment slot was not regenerated from fresh material")
-	}
-
-	// Reproducibility: the identical fault yields identical bytes.
-	got2, _ := run()
-	if !bytes.Equal(got, got2) {
-		t.Fatal("identically-faulted streams diverged")
 	}
 }
 
-// The core.segment.corrupt failpoint drives the same loop without a
-// corrupting hook: armed on the Nth produced segment, it must trip the
-// checker and be healed by a reseed.
+// The core.segment.corrupt failpoint armed on the Nth produced segment
+// must trip the checker, and the segment is skipped, never delivered.
 func TestFailpointSegmentCorrupt(t *testing.T) {
 	if !faultinject.Available() {
 		t.Skip("faultinject compiled out")
@@ -140,49 +152,77 @@ func TestFailpointSegmentCorrupt(t *testing.T) {
 	}
 	defer s.Close()
 	out := make([]byte, 6*SegmentBytes)
-	if _, err := s.Read(out); err != nil {
+	if _, err := io.ReadFull(s, out); err != nil {
 		t.Fatal(err)
 	}
 	if got := faultinject.Fired(FailpointSegmentCorrupt); got != 1 {
 		t.Fatalf("failpoint fired %d times, want 1", got)
 	}
-	st := s.Stats()
-	if st.HealthFailures != 1 || st.EngineReseeds != 1 {
-		t.Fatalf("stats %+v, want exactly one failure and one reseed", st)
+	if st := s.Stats(); st.HealthFailures != 1 {
+		t.Fatalf("stats %+v, want exactly one failure", st)
 	}
-	zero := make([]byte, SegmentBytes)
-	for off := 0; off < len(out); off += SegmentBytes {
-		if bytes.Equal(out[off:off+SegmentBytes], zero) {
-			t.Fatalf("zeroed segment delivered at offset %d", off)
-		}
+	ref := domainOne(t, TRIVIUM, 99, 7*SegmentBytes)
+	if want := append(ref[:SegmentBytes:SegmentBytes], ref[2*SegmentBytes:]...); !bytes.Equal(out, want) {
+		t.Fatal("stream is not the domain-1 stream less its second segment")
 	}
 	if cs := checker.Stats(); cs.Failures[health.RCT]+cs.Failures[health.Monobit]+cs.Failures[health.LongRun] == 0 {
 		t.Fatalf("checker did not attribute the corruption: %+v", cs)
 	}
 }
 
-// A hook that condemns everything must exhaust the reseed budget and
-// surface HealthUnrecovered instead of livelocking the workers.
+// A hook that condemns everything must end the stream with its error —
+// wrapped, after every byte before the condemned run — instead of
+// livelocking the workers.
 func TestHealthHookUnrecoverableBudget(t *testing.T) {
-	reject := errors.New("always bad")
-	s, err := NewStream(MICKEY, 5, StreamConfig{
-		Workers: 1, StagingBytes: 2048,
-		Health: func([]byte) error { return reject },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	out := make([]byte, 2*SegmentBytes)
-	if _, err := s.Read(out); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.HealthUnrecovered == 0 {
-		t.Fatal("unrecoverable hook never surfaced in HealthUnrecovered")
-	}
-	if st.HealthFailures < st.HealthUnrecovered*(maxHealthReseeds+1) {
-		t.Fatalf("stats %+v: expected %d failures per unrecovered segment", st, maxHealthReseeds+1)
+	reject := &health.Failure{Test: health.Monobit}
+	for _, tc := range []struct {
+		workers, staging, good int // good = segments the hook passes first
+	}{
+		{workers: 1, staging: 2048, good: 0},
+		{workers: 1, staging: 3 * SegmentBytes, good: 5},
+		{workers: 3, staging: 2048, good: 0},
+		{workers: 3, staging: 2 * SegmentBytes, good: 7},
+	} {
+		ref := domainOne(t, MICKEY, 5, tc.good*SegmentBytes)
+		s, err := NewStream(MICKEY, 5, StreamConfig{
+			Workers: tc.workers, StagingBytes: tc.staging,
+			Health: func(seg []byte) error {
+				if bytes.Contains(ref, seg) {
+					return nil
+				}
+				return reject
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var got []byte
+		var rerr error
+		go func() {
+			defer close(done)
+			got, rerr = io.ReadAll(s)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			s.Close()
+			t.Fatalf("%+v: Read hangs on an always-failing hook", tc)
+		}
+		var f *health.Failure
+		if !errors.As(rerr, &f) || f != reject {
+			t.Fatalf("%+v: Read error = %v, want one wrapping the hook's failure", tc, rerr)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("%+v: delivered %d bytes before the error, want the %d healthy ones", tc, len(got), len(ref))
+		}
+		if _, err := s.Read(make([]byte, 1)); !errors.Is(err, rerr) {
+			t.Fatalf("%+v: a later Read returned %v, want the same error", tc, err)
+		}
+		if st := s.Stats(); st.HealthFailures < maxCondemnedRun {
+			t.Fatalf("%+v: HealthFailures = %d, want ≥ %d", tc, st.HealthFailures, maxCondemnedRun)
+		}
+		s.Close()
 	}
 }
 

@@ -48,10 +48,10 @@ func TestStreamWidthIndependence(t *testing.T) {
 		}
 		return buf
 	}
-	want := read(64)
-	for _, lanes := range []int{0, 256, 512} {
+	want := domainOne(t, GRAIN, 13, 200000)
+	for _, lanes := range []int{0, 64, 256, 512} {
 		if got := read(lanes); !bytes.Equal(got, want) {
-			t.Errorf("stream bytes at %d lanes diverge from 64 lanes", lanes)
+			t.Errorf("stream bytes at %d lanes diverge from the domain-1 stream", lanes)
 		}
 	}
 }
@@ -98,16 +98,18 @@ func TestLanesValidation(t *testing.T) {
 	}
 }
 
-// A stream built at a wide lane width under concurrent Read/Close/Stats pressure (run with
-// -race in CI): reads from multiple goroutines are serialized by the
-// callers here — the contract is one reader at a time — but Stats and
-// Close race freely against the reader.
+// A stream built at a wide lane width under concurrent Read/Close/Stats
+// pressure (run with -race in CI): reads from multiple goroutines are
+// serialized by the callers here — the contract is one reader at a time
+// — but Stats and Close race freely against the reader. The reads, in
+// lock order, are the domain-1 stream.
 func TestWideLaneStreamConcurrency(t *testing.T) {
 	s, err := NewStream(TRIVIUM, 3, StreamConfig{Workers: 4, StagingBytes: 8192, Lanes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex // serializes Read, per the Stream contract
+	var got []byte
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -117,8 +119,10 @@ func TestWideLaneStreamConcurrency(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				mu.Lock()
 				_, err := s.Read(buf)
+				got = append(got, buf...)
 				mu.Unlock()
 				if err != nil {
+					t.Error(err)
 					return
 				}
 				s.Stats()
@@ -127,7 +131,7 @@ func TestWideLaneStreamConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 	s.Close()
-	if got := s.Stats().BytesDelivered; got != 4*8*32768 {
-		t.Errorf("BytesDelivered = %d, want %d", got, 4*8*32768)
+	if !bytes.Equal(got, domainOne(t, TRIVIUM, 3, 4*8*32768)) {
+		t.Error("serialized reads diverge from the domain-1 stream")
 	}
 }

@@ -20,8 +20,8 @@ const maxSegmentIndex = uint64(1) << 52
 // NewSegmentReader returns a Generator positioned at absolute byte
 // offset `offset` of the canonical (seed, domain) stream: the first
 // byte it reads is byte `offset` of the stream a zero-offset reader
-// would produce. domain 0 with lanes DefaultLanes is exactly the
-// NewGenerator stream; worker w of a Stream serves domain w+1.
+// would produce. domain 0 is exactly the NewGenerator stream, and
+// domain 1 the bytes of every Stream and Fill of the seed.
 //
 // The reader's engine is keyed once, directly for the pass starting at
 // segment offset/SegmentBytes — no bytes before the offset are generated
@@ -36,7 +36,7 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 	if err := ValidateLanes(lanes); err != nil {
 		return nil, err
 	}
-	eng, err := newSegmented(alg, seed, domain, seg)
+	eng, err := newSegmented(alg, seed, domain, seg, 1, 1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 		// Generate the offset's segment into the one-block buffer and
 		// leave the cursor mid-segment; aligned reads continue in place
 		// from the next segment on.
-		eng.nextBlock(g.buf)
+		eng.nextBlocks(g.buf)
 		g.pos = int(skip)
 	}
 	return g, nil

@@ -46,12 +46,12 @@ func TestSegmentReaderMatchesGenerator(t *testing.T) {
 	}
 }
 
-// Domain d of the segment address space is worker d-1's share of a
-// Stream: a 1-worker Stream is exactly domain 1, so a SegmentReader on
-// domain 1 must reproduce (and be able to resume) the Stream's bytes.
+// Every Stream is exactly domain 1 of the segment address space, so a
+// SegmentReader on domain 1 must reproduce (and be able to resume) the
+// Stream's bytes.
 func TestSegmentReaderMatchesStreamWorkerDomain(t *testing.T) {
 	const seed = 7
-	st, err := NewStream(GRAIN, seed, StreamConfig{Workers: 1, StagingBytes: SegmentBytes})
+	st, err := NewStream(GRAIN, seed, StreamConfig{Workers: 2, StagingBytes: SegmentBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

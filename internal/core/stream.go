@@ -15,80 +15,58 @@ import (
 var ErrClosed = errors.New("core: stream closed")
 
 // Stream is the multi-core BSRNG: W workers, each owning an independent
-// 64-lane bitsliced engine, mirror the paper's CUDA thread blocks. Every
-// worker accumulates output in a private staging buffer (the shared-memory
-// staging of §4.5) and hands full chunks to the consumer, which assembles
-// them in a fixed worker-round-robin order — so the stream is
-// deterministic for a given (algorithm, seed, workers, staging) tuple
-// regardless of scheduling.
+// 64-lane bitsliced engine, mirror the paper's CUDA thread blocks. The
+// stream is the domain-1 segment stream of the seed — the bytes
+// NewSegmentReader(alg, seed, 1, lanes, 0) reads — cut into staging
+// chunks of spc = max(StagingBytes/SegmentBytes, 1) segments: chunk c
+// holds segments [c·spc, (c+1)·spc). Worker w produces the chunks
+// c ≡ w (mod W) in private staging buffers (the shared-memory staging of
+// §4.5), and the consumer reads the chunks in order of c. So the bytes
+// are deterministic for (algorithm, seed), whatever the worker count,
+// staging size, lane width, read sizes or scheduling.
 type Stream struct {
-	alg     Algorithm
 	workers int
-	staging int
 	health  func(seg []byte) error
 
-	chunks []chan []byte // per-worker ordered chunk delivery
-	free   chan []byte   // recycled buffers
+	chunks []chan chunk // per-worker ordered chunk delivery
+	free   chan []byte  // recycled buffers
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	once   sync.Once
 
 	cur  []byte // chunk currently being consumed
 	pos  int
-	next int // worker whose chunk is consumed next
+	next int   // worker whose chunk is consumed next
+	err  error // ends the stream once cur is consumed
 
-	chunksProduced atomic.Uint64
-	bytesDelivered atomic.Uint64
-	recycleHits    atomic.Uint64
-
-	healthFailures    atomic.Uint64
-	engineReseeds     atomic.Uint64
-	healthUnrecovered atomic.Uint64
+	healthFailures atomic.Uint64
 }
 
-// StreamStats is a point-in-time snapshot of a Stream's internal
-// throughput counters, for engine-level observability (bsrngd exports
-// them on /metrics).
+// chunk is one staging chunk on its way to the consumer: its healthy
+// segments and, from a worker that hit maxCondemnedRun, the error that
+// ends the stream after them.
+type chunk struct {
+	b   []byte
+	err error
+}
+
+// StreamStats is a point-in-time snapshot of a Stream's health counter.
 type StreamStats struct {
-	// ChunksProduced counts staging chunks the workers handed to the
-	// consumer side.
-	ChunksProduced uint64
-	// BytesDelivered counts bytes copied out by Read.
-	BytesDelivered uint64
-	// RecycleHits counts staging buffers reused from the free list
-	// instead of freshly allocated.
-	RecycleHits uint64
 	// HealthFailures counts segments condemned by the configured health
-	// hook (each one was discarded, never delivered as-is).
+	// hook. Each one was dropped from its chunk, never delivered.
 	HealthFailures uint64
-	// EngineReseeds counts engine reseeds triggered by health failures:
-	// the offending worker's engine rekeyed itself with fresh material
-	// and regenerated the condemned segment's slot.
-	EngineReseeds uint64
-	// HealthUnrecovered counts segments delivered after exhausting the
-	// reseed retry budget with the hook still objecting — it stays zero
-	// unless the hook rejects independently regenerated segments, which
-	// indicates a broken hook (or cutoffs set into healthy range) rather
-	// than a broken engine.
-	HealthUnrecovered uint64
 }
 
 // Stats returns a snapshot of the stream's counters. It is safe to call
 // concurrently with Read and Close.
 func (s *Stream) Stats() StreamStats {
-	return StreamStats{
-		ChunksProduced:    s.chunksProduced.Load(),
-		BytesDelivered:    s.bytesDelivered.Load(),
-		RecycleHits:       s.recycleHits.Load(),
-		HealthFailures:    s.healthFailures.Load(),
-		EngineReseeds:     s.engineReseeds.Load(),
-		HealthUnrecovered: s.healthUnrecovered.Load(),
-	}
+	return StreamStats{HealthFailures: s.healthFailures.Load()}
 }
 
 // StreamConfig tunes the Stream; zero values select defaults
 // (runtime.NumCPU() workers, 64 KiB staging chunks, DefaultLanes-wide
-// engines).
+// engines). Workers, StagingBytes and Lanes never change the bytes,
+// only how they are produced.
 type StreamConfig struct {
 	Workers int
 	// StagingBytes is the per-worker chunk size. The paper determines the
@@ -102,24 +80,27 @@ type StreamConfig struct {
 	// against every SegmentBytes-sized segment at production time, from
 	// the producing worker's goroutine (so it must be safe for
 	// concurrent use — health.Checker.Check qualifies). A non-nil error
-	// condemns the segment: it is discarded, the worker's engine is
-	// reseeded with fresh material, and the slot is regenerated (up to
-	// maxHealthReseeds times) before delivery. StreamStats counts the
-	// events. A nil hook — the default — leaves the hot path untouched.
+	// condemns the segment: it is dropped from its chunk and counted in
+	// StreamStats, so the stream is the domain-1 stream less exactly the
+	// condemned segments. After maxCondemnedRun consecutive condemned
+	// segments from one worker the stream fails: Read and WriteTo
+	// deliver every byte before that point, then return an error
+	// wrapping the hook's last error. A nil hook — the default — leaves
+	// the hot path untouched.
 	Health func(seg []byte) error
 }
 
-// maxHealthReseeds bounds regeneration attempts per condemned segment.
-// Independent reseeds draw unrelated key material, so hitting the bound
-// means the hook fails healthy output; the stream then delivers the
-// last regenerated segment and counts it in HealthUnrecovered instead
-// of livelocking the worker.
-const maxHealthReseeds = 4
+// maxCondemnedRun is the bound on a broken hook. Healthy output trips
+// the default health tests far less than once in 2^40 segments
+// (DESIGN.md §8), so this many consecutive condemned segments from one
+// worker mean the hook, or the engine, fails everything; the stream then
+// ends with the hook's error instead of livelocking the worker.
+const maxCondemnedRun = 8
 
 // FailpointSegmentCorrupt is the faultinject site, hit once per
 // produced segment (only when a health hook is configured), that
-// zeroes the segment when fired — the chaos lever that proves the
-// discard/reseed path end to end.
+// zeroes the segment when fired — the chaos lever that proves the skip
+// path end to end.
 const FailpointSegmentCorrupt = "core.segment.corrupt"
 
 // NewStream starts the worker pool. Close must be called to release the
@@ -142,45 +123,37 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 	}
 
 	s := &Stream{
-		alg:     alg,
 		workers: cfg.Workers,
-		staging: cfg.StagingBytes,
 		health:  cfg.Health,
-		chunks:  make([]chan []byte, cfg.Workers),
+		chunks:  make([]chan chunk, cfg.Workers),
 		free:    make(chan []byte, 4*cfg.Workers),
 		stop:    make(chan struct{}),
 	}
+	spc := max(cfg.StagingBytes/SegmentBytes, 1)
 	engines := make([]*segmented, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		eng, err := newSegmented(alg, seed, uint64(w)+1, 0)
+	for w := range engines {
+		eng, err := newSegmented(alg, seed, 1, 0, uint64(spc), uint64(cfg.Workers), uint64(w))
 		if err != nil {
 			return nil, err
 		}
 		engines[w] = eng
-		s.chunks[w] = make(chan []byte, 2)
+		s.chunks[w] = make(chan chunk, 2)
 	}
-	for w := 0; w < cfg.Workers; w++ {
+	for w, eng := range engines {
 		s.wg.Add(1)
-		go s.run(w, engines[w])
+		go s.run(w, eng, spc*SegmentBytes)
 	}
 	return s, nil
 }
 
-// run is one worker: generate into a staging buffer, deliver, repeat.
-// The engine writes segments straight into the staging chunk (nextBlocks
-// aims the cipher's lane buffers at it), so in steady state each output
-// byte is produced in place and copied at most once more, by the
-// consumer.
-func (s *Stream) run(w int, eng *segmented) {
+// run is one worker: generate a chunk into a staging buffer, screen it,
+// deliver, repeat. The engine writes segments straight into the staging
+// chunk (nextBlocks aims the cipher's lane buffers at it), so in steady
+// state each output byte is produced in place and copied at most once
+// more, by the consumer. A worker whose chunk carries an error stops.
+func (s *Stream) run(w int, eng *segmented, chunkLen int) {
 	defer s.wg.Done()
-	// Round the chunk down to whole segments.
-	chunkLen := max(s.staging/SegmentBytes, 1) * SegmentBytes
-	// One check closure per worker, hoisted so the hot loop allocates
-	// nothing.
-	var check func(seg []byte)
-	if s.health != nil {
-		check = func(seg []byte) { s.checkSegment(eng, seg) }
-	}
+	condemned := 0 // consecutive condemned segments, across chunks
 	for {
 		var buf []byte
 		select {
@@ -189,52 +162,58 @@ func (s *Stream) run(w int, eng *segmented) {
 		}
 		if cap(buf) < chunkLen {
 			buf = make([]byte, chunkLen)
-		} else {
-			s.recycleHits.Add(1)
 		}
 		buf = buf[:chunkLen]
-		eng.nextBlocks(buf, check)
-		// Counted at generation time, before delivery, so a consumer
-		// that has received a chunk always observes it in Stats.
-		s.chunksProduced.Add(1)
+		eng.nextBlocks(buf)
+		c := chunk{b: buf}
+		if s.health != nil {
+			c = s.screen(buf, &condemned)
+		}
 		select {
-		case s.chunks[w] <- buf:
+		case s.chunks[w] <- c:
 		case <-s.stop:
 			return
 		}
+		if c.err != nil {
+			return
+		}
 	}
 }
 
-// checkSegment runs the continuous health test on one freshly produced
-// segment. A condemned segment is never delivered as produced: the
-// engine reseeds with fresh material and regenerates the slot, bounded
-// by maxHealthReseeds.
-func (s *Stream) checkSegment(eng *segmented, seg []byte) {
-	if faultinject.Hit(FailpointSegmentCorrupt) {
-		for i := range seg {
-			seg[i] = 0
+// screen runs the health hook on every segment of a freshly produced
+// chunk and drops the condemned ones, packing the healthy segments in
+// order. run counts the worker's consecutive condemned segments across
+// chunks; when it reaches maxCondemnedRun the chunk ends there, carrying
+// the error that ends the stream.
+func (s *Stream) screen(buf []byte, run *int) chunk {
+	n := 0
+	for off := 0; off < len(buf); off += SegmentBytes {
+		seg := buf[off : off+SegmentBytes]
+		if faultinject.Hit(FailpointSegmentCorrupt) {
+			clear(seg)
 		}
+		if err := s.health(seg); err != nil {
+			s.healthFailures.Add(1)
+			if *run++; *run == maxCondemnedRun {
+				return chunk{buf[:n], fmt.Errorf("core: health hook condemned a run of segments: %w", err)}
+			}
+			continue
+		}
+		*run = 0
+		if n != off {
+			copy(buf[n:], seg)
+		}
+		n += SegmentBytes
 	}
-	for try := 0; ; try++ {
-		if err := s.health(seg); err == nil {
-			return
-		}
-		s.healthFailures.Add(1)
-		if try == maxHealthReseeds {
-			s.healthUnrecovered.Add(1)
-			return
-		}
-		eng.reseed()
-		s.engineReseeds.Add(1)
-		eng.nextBlock(seg)
-	}
+	return chunk{b: buf[:n]}
 }
 
-// Read assembles the deterministic stream. It fails only when the
-// Stream is closed: a Read racing (or following) Close returns the
-// bytes copied so far and ErrClosed. Read must not be called from more
-// than one goroutine at a time, but it is safe against a concurrent
-// Close.
+// Read assembles the deterministic stream. It fails when the Stream is
+// closed — a Read racing (or following) Close returns the bytes copied
+// so far and ErrClosed — or when the health hook condemned
+// maxCondemnedRun consecutive segments, after the bytes before them.
+// Read must not be called from more than one goroutine at a time, but
+// it is safe against a concurrent Close.
 func (s *Stream) Read(p []byte) (int, error) {
 	select {
 	case <-s.stop:
@@ -245,7 +224,6 @@ func (s *Stream) Read(p []byte) (int, error) {
 	for len(p) > 0 {
 		if s.pos == len(s.cur) {
 			if err := s.advance(); err != nil {
-				s.bytesDelivered.Add(uint64(n - len(p)))
 				return n - len(p), err
 			}
 		}
@@ -253,41 +231,49 @@ func (s *Stream) Read(p []byte) (int, error) {
 		s.pos += k
 		p = p[k:]
 	}
-	s.bytesDelivered.Add(uint64(n))
 	return n, nil
 }
 
-// advance recycles the consumed chunk and receives the next one in the
-// fixed worker-round-robin order. It returns ErrClosed once Close has
-// been observed.
+// advance recycles the consumed chunk and receives the next non-empty
+// one in the fixed worker-round-robin order. It returns ErrClosed once
+// Close has been observed, and a worker's health error once the chunk
+// that carried it is consumed.
 func (s *Stream) advance() error {
-	if s.cur != nil {
-		select {
-		case s.free <- s.cur:
-		default:
+	for {
+		if s.cur != nil {
+			select {
+			case s.free <- s.cur:
+			default:
+			}
+			s.cur = nil
 		}
-		s.cur = nil
+		if s.err != nil {
+			return s.err
+		}
+		var c chunk
+		select {
+		case c = <-s.chunks[s.next]:
+		case <-s.stop:
+			return ErrClosed
+		}
+		s.next = (s.next + 1) % s.workers
+		s.cur, s.pos, s.err = c.b, 0, c.err
+		if len(s.cur) > 0 {
+			return nil
+		}
 	}
-	select {
-	case s.cur = <-s.chunks[s.next]:
-	case <-s.stop:
-		return ErrClosed
-	}
-	s.next = (s.next + 1) % s.workers
-	s.pos = 0
-	return nil
 }
 
-// WriteTo streams to w until w returns an error or the Stream is closed,
-// copying each staging chunk exactly once (straight from the chunk the
-// engine filled into the writer). The stream is unbounded, so WriteTo
-// only returns on error: wrap w so it fails after the wanted byte count
-// (bsrngd serves bulk /bytes responses this way), or Close the stream.
-// A short write advances the stream by only the bytes actually written —
-// the unread remainder is delivered by the next Read/WriteTo/NextChunk —
-// and, per the io.Writer contract, reports io.ErrShortWrite if w gave no
-// error. WriteTo shares the consumer cursor with Read/NextChunk: one
-// consuming goroutine at a time, Close may race.
+// WriteTo streams to w until w returns an error or the Stream fails,
+// copying each staging chunk exactly once: w.Write receives the chunk
+// the engine filled itself, which the stream overwrites after Write
+// returns, so w must not retain it. The stream is unbounded, so WriteTo
+// only returns on error: wrap w so it fails after the wanted byte
+// count, or Close the stream. A short write advances the stream by only
+// the bytes actually written — the unread remainder is delivered by the
+// next Read/WriteTo — and, per the io.Writer contract, reports
+// io.ErrShortWrite if w gave no error. WriteTo shares the consumer
+// cursor with Read: one consuming goroutine at a time, Close may race.
 func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 	select {
 	case <-s.stop:
@@ -305,7 +291,6 @@ func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 		if k > 0 {
 			s.pos += k
 			n += int64(k)
-			s.bytesDelivered.Add(uint64(k))
 		}
 		if err != nil {
 			return n, err
@@ -313,44 +298,6 @@ func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 		if s.pos != len(s.cur) {
 			return n, io.ErrShortWrite
 		}
-	}
-}
-
-// NextChunk hands out the next span of the stream without copying: the
-// returned slice is the staging chunk the engine filled (or its unread
-// remainder after a partial Read/WriteTo). It stays valid until the next
-// consuming call (Read, WriteTo, NextChunk) or Recycle, whichever comes
-// first — consume it, then let the stream reuse the buffer. Shares the
-// consumer cursor with Read/WriteTo: one consuming goroutine at a time,
-// Close may race (NextChunk then returns ErrClosed).
-func (s *Stream) NextChunk() ([]byte, error) {
-	select {
-	case <-s.stop:
-		return nil, ErrClosed
-	default:
-	}
-	if s.pos == len(s.cur) {
-		if err := s.advance(); err != nil {
-			return nil, err
-		}
-	}
-	c := s.cur[s.pos:]
-	s.pos = len(s.cur)
-	s.bytesDelivered.Add(uint64(len(c)))
-	return c, nil
-}
-
-// Recycle returns the chunk handed out by NextChunk to the stream's
-// free list immediately, instead of waiting for the next consuming call.
-// It is a no-op if there is nothing fully consumed to recycle.
-func (s *Stream) Recycle() {
-	if s.cur != nil && s.pos == len(s.cur) {
-		select {
-		case s.free <- s.cur:
-		default:
-		}
-		s.cur = nil
-		s.pos = 0
 	}
 }
 
@@ -381,10 +328,11 @@ func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 }
 
 // FillLanes generates len(dst) bytes using all workers in one parallel
-// one-shot: dst is split into contiguous per-worker regions (the
-// "coalesced write" layout of §4.5) that are filled concurrently. The
-// output is deterministic for a given (algorithm, seed, workers) and
-// independent of StagingBytes and of the lane width.
+// one-shot: dst is split into contiguous, segment-aligned per-worker
+// regions (the "coalesced write" layout of §4.5), and worker w reads its
+// region straight out of the domain-1 stream at the region's offset. So
+// dst receives exactly the first len(dst) bytes of a Stream of the seed,
+// whatever the worker count and lane width.
 func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error {
 	if workers < 1 {
 		workers = runtime.NumCPU()
@@ -394,43 +342,23 @@ func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error
 	}
 	// Regions are whole segments except the last.
 	per := max((len(dst)/workers+SegmentBytes-1)/SegmentBytes, 1) * SegmentBytes
-	var wg sync.WaitGroup
-	var firstErr error
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		if lo >= len(dst) {
-			break
+	var readers []*Generator
+	for lo := 0; lo < len(dst); lo += per {
+		r, err := NewSegmentReader(alg, seed, 1, lanes, uint64(lo))
+		if err != nil {
+			return err
 		}
-		hi := min(lo+per, len(dst))
+		readers = append(readers, r)
+	}
+	var wg sync.WaitGroup
+	for i, r := range readers {
+		lo := i * per
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			// Worker w uses seed domain w+1, the same derivation as the
-			// Stream workers.
-			eng, err := newSegmented(alg, seed, uint64(w)+1, 0)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			// Whole segments are generated straight into dst; only a
-			// trailing partial segment passes through a scratch buffer.
-			n := hi - lo
-			aligned := n / SegmentBytes * SegmentBytes
-			if aligned > 0 {
-				eng.nextBlocks(dst[lo:lo+aligned], nil)
-			}
-			if aligned < n {
-				tail := make([]byte, SegmentBytes)
-				eng.nextBlock(tail)
-				copy(dst[lo+aligned:hi], tail)
-			}
-		}(w, lo, hi)
+			r.Read(dst[lo:min(lo+per, len(dst))])
+		}()
 	}
 	wg.Wait()
-	return firstErr
+	return nil
 }

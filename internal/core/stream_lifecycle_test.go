@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"sync"
 	"testing"
 )
@@ -45,80 +46,86 @@ func TestStreamConcurrentReadClose(t *testing.T) {
 	}
 }
 
-// Stats must move with traffic and be safe to snapshot concurrently.
+// Stats must count every skipped segment and be safe to snapshot
+// concurrently and after Close.
 func TestStreamStats(t *testing.T) {
-	s, err := NewStream(GRAIN, 1, StreamConfig{Workers: 2, StagingBytes: 1024})
+	// The hook condemns the segments whose first byte is below 16: about
+	// one in 16, chosen by the bytes alone.
+	s, err := NewStream(GRAIN, 1, StreamConfig{
+		Workers: 2, StagingBytes: 1024,
+		Health: func(seg []byte) error {
+			if seg[0] < 16 {
+				return errors.New("condemned")
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.Stats(); st.BytesDelivered != 0 {
-		t.Fatalf("fresh stream reports %d bytes delivered", st.BytesDelivered)
-	}
-	buf := make([]byte, 100000)
-	if _, err := s.Read(buf); err != nil {
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Stats()
+			}
+		}
+	}()
+	got := make([]byte, 100*SegmentBytes)
+	_, err = io.ReadFull(s, got)
+	close(stop)
+	wg.Wait()
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
-	if st.BytesDelivered != 100000 {
-		t.Errorf("BytesDelivered = %d, want 100000", st.BytesDelivered)
+	ref := domainOne(t, GRAIN, 1, 200*SegmentBytes)
+	dropped := droppedSegments(t, ref, got)
+	for _, i := range dropped {
+		if ref[i*SegmentBytes] >= 16 {
+			t.Fatalf("segment %d was skipped but not condemned", i)
+		}
 	}
-	// 100000 bytes at one-segment chunks: at least 48 chunks were handed over.
-	if st.ChunksProduced < 100000/SegmentBytes {
-		t.Errorf("ChunksProduced = %d, want ≥ %d", st.ChunksProduced, 100000/SegmentBytes)
-	}
-	// Sustained reading recycles staging buffers from the free list.
-	if _, err := s.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if st = s.Stats(); st.RecycleHits == 0 {
-		t.Error("RecycleHits = 0 after 200 KB of traffic")
+	if len(dropped) == 0 {
+		t.Fatal("no segment condemned in 100; the hook never ran")
 	}
 	s.Close()
-	closed := s.Stats() // safe after Close
-	if closed.BytesDelivered != 200000 {
-		t.Errorf("post-Close BytesDelivered = %d, want 200000", closed.BytesDelivered)
+	if st := s.Stats(); st.HealthFailures < uint64(len(dropped)) { // safe after Close
+		t.Errorf("HealthFailures = %d, want ≥ the %d skipped segments", st.HealthFailures, len(dropped))
 	}
 }
 
-// The determinism contract between the two parallel paths: worker w of
-// a Stream and worker w of Fill run the identical engine (same seed
-// domain w+1), so de-interleaving a Stream read by staging chunk must
-// reproduce Fill's contiguous per-worker regions.
+// Fill and Stream share one byte definition: Fill's contiguous
+// per-worker regions hold exactly the domain-1 stream at their offsets,
+// which is what a Stream of any worker count reads.
 func TestFillMatchesStreamWorkerRegions(t *testing.T) {
-	const (
-		workers  = 3
-		staging  = SegmentBytes // one chunk = one engine block
-		perChunk = staging
-		rounds   = 4 // chunks consumed per worker
-		region   = rounds * perChunk
-		total    = workers * region
-	)
-	for _, alg := range Algorithms {
-		s, err := NewStream(alg, 77, StreamConfig{Workers: workers, StagingBytes: staging})
-		if err != nil {
-			t.Fatal(err)
-		}
-		interleaved := make([]byte, total)
-		if _, err := s.Read(interleaved); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-
-		// Chunk i of the round-robin stream belongs to worker i % workers.
-		regions := make([][]byte, workers)
-		for i := 0; i*perChunk < total; i++ {
-			w := i % workers
-			regions[w] = append(regions[w], interleaved[i*perChunk:(i+1)*perChunk]...)
-		}
-
-		filled := make([]byte, total)
-		if err := Fill(alg, 77, workers, filled); err != nil {
-			t.Fatal(err)
-		}
-		for w := 0; w < workers; w++ {
-			want := filled[w*region : (w+1)*region]
-			if !bytes.Equal(regions[w], want) {
-				t.Errorf("%v: worker %d region diverges between Stream and Fill", alg, w)
+	const total = 3*4*SegmentBytes + 100
+	for _, alg := range ServedAlgorithms {
+		want := domainOne(t, alg, 77, total)
+		for _, workers := range []int{1, 3, 5} {
+			filled := make([]byte, total)
+			if err := Fill(alg, 77, workers, filled); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(filled, want) {
+				t.Errorf("%v: %d-worker Fill diverges from the domain-1 stream", alg, workers)
+			}
+			s, err := NewStream(alg, 77, StreamConfig{Workers: workers, StagingBytes: SegmentBytes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := make([]byte, total)
+			if _, err := io.ReadFull(s, streamed); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if !bytes.Equal(streamed, want) {
+				t.Errorf("%v: %d-worker Stream diverges from the domain-1 stream", alg, workers)
 			}
 		}
 	}

@@ -6,23 +6,9 @@ import (
 	"io"
 	"sync"
 	"testing"
-)
 
-// refStreamBytes reads n bytes of the (alg, seed, workers, staging)
-// stream through plain Read — the reference for the other consumers.
-func refStreamBytes(t *testing.T, alg Algorithm, seed uint64, workers, staging, n int) []byte {
-	t.Helper()
-	s, err := NewStream(alg, seed, StreamConfig{Workers: workers, StagingBytes: staging})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(s, buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf
-}
+	"repro/internal/health"
+)
 
 // errSink stops accepting writes after n bytes, like the server's
 // response budget writer.
@@ -46,9 +32,8 @@ func (e *errSink) Write(p []byte) (int, error) {
 
 func TestStreamWriteToMatchesRead(t *testing.T) {
 	const n = 1 << 20
+	want := domainOne(t, TRIVIUM, 7, n)
 	for _, workers := range []int{1, 3} {
-		want := refStreamBytes(t, TRIVIUM, 7, workers, 8192, n)
-
 		s, err := NewStream(TRIVIUM, 7, StreamConfig{Workers: workers, StagingBytes: 8192})
 		if err != nil {
 			t.Fatal(err)
@@ -63,17 +48,17 @@ func TestStreamWriteToMatchesRead(t *testing.T) {
 			t.Fatalf("workers=%d: WriteTo wrote %d bytes, want %d", workers, got, n)
 		}
 		if !bytes.Equal(sink.buf.Bytes(), want) {
-			t.Fatalf("workers=%d: WriteTo bytes differ from Read bytes", workers)
+			t.Fatalf("workers=%d: WriteTo bytes differ from the domain-1 stream", workers)
 		}
 	}
 }
 
-// TestStreamConsumerInterleaving drives one stream through all three
-// consumption APIs in turn — Read, WriteTo (with a mid-chunk cutoff),
-// NextChunk — and checks the concatenation is the canonical stream.
+// TestStreamConsumerInterleaving drives one stream through both
+// consumption APIs in turn — Read, and WriteTo with a mid-chunk cutoff —
+// and checks the concatenation is the canonical stream.
 func TestStreamConsumerInterleaving(t *testing.T) {
 	const n = 1 << 20
-	want := refStreamBytes(t, GRAIN, 99, 2, 8192, n)
+	want := domainOne(t, GRAIN, 99, n)
 
 	s, err := NewStream(GRAIN, 99, StreamConfig{Workers: 2, StagingBytes: 8192})
 	if err != nil {
@@ -84,41 +69,34 @@ func TestStreamConsumerInterleaving(t *testing.T) {
 	var got bytes.Buffer
 	buf := make([]byte, 3000) // deliberately not chunk-aligned
 	for round := 0; got.Len() < n; round++ {
-		switch round % 3 {
-		case 0:
+		if round%2 == 0 {
 			if _, err := io.ReadFull(s, buf); err != nil {
 				t.Fatal(err)
 			}
 			got.Write(buf)
-		case 1:
-			// Cut WriteTo off mid-chunk; the remainder must surface in
-			// the next consumer call.
-			sink := &errSink{n: 5000}
-			k, err := s.WriteTo(sink)
-			if !errors.Is(err, errSinkFull) {
-				t.Fatalf("WriteTo err = %v", err)
-			}
-			if k != 5000 {
-				t.Fatalf("WriteTo wrote %d, want 5000", k)
-			}
-			got.Write(sink.buf.Bytes())
-		case 2:
-			c, err := s.NextChunk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got.Write(c)
-			s.Recycle()
+			continue
 		}
+		// Cut WriteTo off mid-chunk; the remainder must surface in the
+		// next consumer call.
+		sink := &errSink{n: 5000}
+		k, err := s.WriteTo(sink)
+		if !errors.Is(err, errSinkFull) {
+			t.Fatalf("WriteTo err = %v", err)
+		}
+		if k != 5000 {
+			t.Fatalf("WriteTo wrote %d, want 5000", k)
+		}
+		got.Write(sink.buf.Bytes())
 	}
 	if !bytes.Equal(got.Bytes()[:n], want) {
-		t.Fatal("interleaved Read/WriteTo/NextChunk bytes differ from canonical stream")
+		t.Fatal("interleaved Read/WriteTo bytes differ from canonical stream")
 	}
 }
 
-// TestNextChunkConcurrentClose hammers the chunk-handoff path against a
-// concurrent Close (run under -race in CI).
-func TestNextChunkConcurrentClose(t *testing.T) {
+// TestWriteToConcurrentClose hammers the writer handoff against a
+// concurrent Close (run under -race in CI): WriteTo must return
+// ErrClosed, never deadlock.
+func TestWriteToConcurrentClose(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		s, err := NewStream(MICKEY, uint64(i), StreamConfig{Workers: 2, StagingBytes: 2048})
 		if err != nil {
@@ -128,19 +106,8 @@ func TestNextChunkConcurrentClose(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				c, err := s.NextChunk()
-				if err != nil {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("NextChunk err = %v, want ErrClosed", err)
-					}
-					return
-				}
-				if len(c) == 0 {
-					t.Error("NextChunk returned empty chunk")
-					return
-				}
-				s.Recycle()
+			if _, err := s.WriteTo(io.Discard); !errors.Is(err, ErrClosed) {
+				t.Errorf("WriteTo err = %v, want ErrClosed", err)
 			}
 		}()
 		s.Close()
@@ -153,33 +120,41 @@ func TestNextChunkConcurrentClose(t *testing.T) {
 // handoff and consumption — runs without heap allocations.
 func TestSteadyStateAllocs(t *testing.T) {
 	for _, alg := range Algorithms {
-		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
-			s, err := NewStream(alg, 5, StreamConfig{Workers: 1, StagingBytes: 64 << 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			buf := make([]byte, 64<<10)
-			// Warm up: populate the free list and retire the constructor's
-			// lazily-allocated first chunks.
-			for i := 0; i < 8; i++ {
-				if _, err := io.ReadFull(s, buf); err != nil {
+			for _, cfg := range []StreamConfig{
+				{Workers: 1, StagingBytes: 64 << 10},
+				{Workers: 3, StagingBytes: 64 << 10},
+				{Workers: 1, StagingBytes: 64 << 10, Health: health.NewChecker(health.Config{}).Check},
+			} {
+				s, err := NewStream(alg, 5, cfg)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			// Each round reads a full staging chunk, so sustained reading
-			// crosses engine pass boundaries (one rekey per 128 KiB at 64
-			// lanes) — the rekey path must be allocation-free too.
-			avg := testing.AllocsPerRun(32, func() {
-				if _, err := io.ReadFull(s, buf); err != nil {
-					t.Fatal(err)
+				buf := make([]byte, 64<<10)
+				// Warm up: populate the free list and retire the
+				// constructor's lazily-allocated first chunks.
+				for i := 0; i < 16; i++ {
+					if _, err := io.ReadFull(s, buf); err != nil {
+						t.Fatal(err)
+					}
 				}
-			})
-			// The producer goroutine's allocations land in the same global
-			// counter; allow a tiny residue for channel scheduling noise.
-			if avg > 0.5 {
-				t.Fatalf("steady-state Read allocates %.2f objects per 64KiB chunk, want ~0", avg)
+				// Each round reads a full staging chunk, so sustained
+				// reading crosses engine pass boundaries (one rekey per
+				// 128 KiB per worker) — the rekey path, and the health
+				// screen when a hook is set, must be allocation-free too.
+				avg := testing.AllocsPerRun(32, func() {
+					if _, err := io.ReadFull(s, buf); err != nil {
+						t.Fatal(err)
+					}
+				})
+				s.Close()
+				// The producer goroutines' allocations land in the same
+				// global counter; allow a tiny residue for channel
+				// scheduling noise.
+				if avg > 0.5 {
+					t.Fatalf("workers=%d health=%t: steady-state Read allocates %.2f objects per 64KiB chunk, want ~0",
+						cfg.Workers, cfg.Health != nil, avg)
+				}
 			}
 		})
 	}

@@ -6,22 +6,21 @@ import (
 	"go/types"
 )
 
-// ChunkAliasing guards the zero-copy chunk handoff (DESIGN.md §10): a
-// slice obtained from a NextChunk call is live only until the matching
-// Recycle, and the p argument of an io.Writer Write is live only until
-// Write returns — the WriteTo path hands both a staging chunk that the
-// stream will overwrite in place. Retaining such a slice (storing it to
-// a field, a package-level variable, an element of either, a channel,
-// or capturing it in a goroutine) aliases memory whose contents are
-// about to change under the holder.
+// ChunkAliasing guards the zero-copy chunk handoff (DESIGN.md §10): the
+// p argument of an io.Writer Write is live only until Write returns —
+// Stream.WriteTo hands writers the staging chunk itself, which the
+// stream will overwrite in place. Retaining it (storing it to a field,
+// a package-level variable, an element of either, a channel, or
+// capturing it in a goroutine) aliases memory whose contents are about
+// to change under the holder.
 //
-// The check is flow-insensitive and intra-procedural: local aliases
-// (`d := c`, `c = c[1:]`) are followed within the function, but a chunk
-// escaping through an opaque call is the callee's problem (its own
-// Write method is checked by the same rule).
+// The check is flow-insensitive and intra-procedural: a reslice,
+// append or composite literal of p is p, but a slice escaping through an
+// opaque call is the callee's problem (its own Write method is checked
+// by the same rule).
 var ChunkAliasing = &Analyzer{
 	Name: "chunk-aliasing",
-	Doc:  "NextChunk slices and Write(p) arguments must not outlive the handoff",
+	Doc:  "Write(p) arguments must not outlive the handoff",
 	Run:  runChunkAliasing,
 }
 
@@ -36,64 +35,10 @@ func runChunkAliasing(m *Module, cfg *Config, report func(token.Pos, string, ...
 				if !ok || fd.Body == nil {
 					continue
 				}
-				checkChunkLocals(pkg, fd, report)
 				checkWriteRetention(pkg, fd, report)
 			}
 		}
 	}
-}
-
-// checkChunkLocals flags retention of locals bound (directly or through
-// local aliases) to the result of a NextChunk call.
-func checkChunkLocals(pkg *Package, fd *ast.FuncDecl, report func(token.Pos, string, ...any)) {
-	tainted := map[*types.Var]bool{}
-	// Seed: locals assigned from a call to a method named NextChunk
-	// that yields a []byte. Then propagate through plain local
-	// assignments until the set is stable (flow-insensitive fixpoint).
-	for {
-		grew := false
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			fromChunk := false
-			if len(as.Rhs) == 1 {
-				if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok && isNextChunkCall(pkg.Info, call) {
-					fromChunk = true
-				}
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				v := localVar(pkg.Info, id)
-				if v == nil || tainted[v] || !isByteSlice(v.Type()) {
-					continue
-				}
-				// A NextChunk assignment taints the slice result;
-				// other assignments taint when the RHS aliases an
-				// already-tainted local (reslicing — not copies).
-				taint := fromChunk
-				if !taint && len(as.Rhs) == len(as.Lhs) {
-					taint = aliasesTainted(pkg.Info, as.Rhs[i], tainted)
-				}
-				if taint {
-					tainted[v] = true
-					grew = true
-				}
-			}
-			return true
-		})
-		if !grew {
-			break
-		}
-	}
-	if len(tainted) == 0 {
-		return
-	}
-	reportRetention(pkg, fd.Body, tainted, "a NextChunk slice", report)
 }
 
 // checkWriteRetention enforces the io.Writer no-retention contract on
@@ -247,20 +192,6 @@ func usesTainted(info *types.Info, e ast.Expr, tainted map[*types.Var]bool) bool
 		return true
 	})
 	return found
-}
-
-// isNextChunkCall reports a call to any method named NextChunk whose
-// first result is a []byte.
-func isNextChunkCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Name() != "NextChunk" {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Results().Len() == 0 {
-		return false
-	}
-	return isByteSlice(sig.Results().At(0).Type())
 }
 
 // localVar resolves an identifier to the local variable it defines or

@@ -49,10 +49,9 @@ type Config struct {
 	// match.
 	MetricNamePattern *regexp.Regexp
 	// ZeroCopyPackages are the import paths participating in the
-	// zero-copy chunk handoff: slices obtained from a NextChunk call
-	// and io.Writer Write parameters must not be retained past the
-	// call (stored to a field, a global, a channel, or captured by a
-	// goroutine).
+	// zero-copy chunk handoff: io.Writer Write parameters must not be
+	// retained past the call (stored to a field, a global, a channel,
+	// or captured by a goroutine).
 	ZeroCopyPackages []string
 	// ImmutableTypes are fully qualified type names ("pkgpath.Type")
 	// whose fields and backing slices/maps may only be written inside

@@ -1,72 +1,39 @@
-// Package chunkalias exercises the chunk-aliasing analyzer: slices
-// obtained from NextChunk and Write(p) arguments are live only for the
-// handoff and must not be retained.
+// Package chunkalias exercises the chunk-aliasing analyzer: the p
+// argument of a Write method is live only for the handoff and must not
+// be retained.
 package chunkalias
-
-type stream struct{}
-
-func (s *stream) NextChunk() ([]byte, error) { return nil, nil }
-func (s *stream) Recycle(c []byte)           {}
-
-type holder struct {
-	held  []byte
-	slots [4][]byte
-}
 
 var global []byte
 var sink = make(chan []byte, 1)
 
-func retains(s *stream, h *holder) {
-	c, err := s.NextChunk()
-	if err != nil {
-		return
-	}
-	h.held = c     // want `\[chunk-aliasing\] a NextChunk slice is stored to field held`
-	h.slots[0] = c // want `\[chunk-aliasing\] a NextChunk slice is stored to field slots`
-	global = c     // want `\[chunk-aliasing\] a NextChunk slice is stored to package-level variable global`
-	sink <- c      // want `\[chunk-aliasing\] a NextChunk slice is sent on a channel`
-	go leak(c)     // want `\[chunk-aliasing\] a NextChunk slice is captured by a goroutine`
-	s.Recycle(c)
-}
-
-func leak(c []byte) { _ = c }
-
-func retainsViaAlias(s *stream) {
-	c, _ := s.NextChunk()
-	d := c[8:]
-	global = d // want `\[chunk-aliasing\] a NextChunk slice is stored to package-level variable global`
-	s.Recycle(c)
-}
-
-// clean uses the chunk strictly within the handoff window: reslicing,
-// copying out, and passing it onward are all fine.
-func clean(s *stream, h *holder) {
-	c, err := s.NextChunk()
-	if err != nil {
-		return
-	}
-	c = c[1:]
-	consume(c)
-	h.held = append([]byte(nil), c...)
-	s.Recycle(c)
-}
-
-func consume(c []byte) {}
-
 type badWriter struct {
-	last []byte
+	last  []byte
+	slots [4][]byte
 }
 
 func (w *badWriter) Write(p []byte) (int, error) {
-	w.last = p // want `\[chunk-aliasing\] the Write argument p is stored to field last`
+	w.last = p            // want `\[chunk-aliasing\] the Write argument p is stored to field last`
+	w.slots[0] = p[8:]    // want `\[chunk-aliasing\] the Write argument p is stored to field slots`
+	global = append(p, 0) // want `\[chunk-aliasing\] the Write argument p is stored to package-level variable global`
+	sink <- p             // want `\[chunk-aliasing\] the Write argument p is sent on a channel`
+	go leak(p)            // want `\[chunk-aliasing\] the Write argument p is captured by a goroutine`
 	return len(p), nil
 }
 
+func leak(p []byte) { _ = p }
+
+// goodWriter uses p strictly within the call: reslicing, copying out and
+// passing it onward are all fine.
 type goodWriter struct {
-	n int
+	n    int
+	kept []byte
 }
 
 func (w *goodWriter) Write(p []byte) (int, error) {
 	w.n += len(p)
+	consume(p[1:])
+	w.kept = append([]byte(nil), p...)
 	return len(p), nil
 }
+
+func consume(p []byte) { _ = p }

@@ -133,7 +133,7 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 			buf = s.getRespBuf(int(min(q.N, passBytes)))
 			served, err = streamWindow(dst, src, q.Domain, q.Offset, buf, q.N)
 		}
-		s.respBufs.Put(&buf)
+		s.putRespBuf(buf)
 		if served == 0 && errors.Is(err, errSourceDry) {
 			s.fail(w, endpoint, &q, &httpError{http.StatusServiceUnavailable,
 				fmt.Sprintf("%v has no healthy segment to serve", q.Alg)})
@@ -181,15 +181,37 @@ func (s *Server) record(endpoint string, q *Query, status int) {
 // chunk buffer, and a pooled source refills one pass at a time.
 const passBytes = 64 * core.SegmentBytes
 
-// getRespBuf checks a chunk buffer of n bytes out of the pool, counting
-// reuse. A pooled buffer too small for n is dropped for a new one, so
-// the pool settles on the sizes the traffic asks for.
+// maxFreeRespBufs bounds the response buffer free list: one buffer per
+// concurrent request of a busy daemon, at most a pass each.
+const maxFreeRespBufs = 16
+
+// getRespBuf checks a chunk buffer of n bytes out of the free list,
+// counting reuse. A listed buffer too small for n is dropped for a new
+// one, so the list settles on the sizes the traffic asks for.
 func (s *Server) getRespBuf(n int) []byte {
-	if b, ok := s.respBufs.Get().(*[]byte); ok && cap(*b) >= n {
+	s.respBufs.Lock()
+	var b []byte
+	if k := len(s.respBufs.free); k > 0 {
+		b = s.respBufs.free[k-1]
+		s.respBufs.free[k-1] = nil
+		s.respBufs.free = s.respBufs.free[:k-1]
+	}
+	s.respBufs.Unlock()
+	if b != nil && cap(b) >= n {
 		s.respBufReused.Inc()
-		return (*b)[:n]
+		return b[:n]
 	}
 	return make([]byte, n)
+}
+
+// putRespBuf returns a response's chunk buffer to the free list, or
+// drops it when the list is full.
+func (s *Server) putRespBuf(b []byte) {
+	s.respBufs.Lock()
+	if len(s.respBufs.free) < maxFreeRespBufs {
+		s.respBufs.free = append(s.respBufs.free, b)
+	}
+	s.respBufs.Unlock()
 }
 
 // streamPooled pumps n bytes of src to w in chunks of at most len(buf)

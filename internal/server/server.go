@@ -48,8 +48,9 @@ import (
 type Config struct {
 	// Seed is the deterministic base seed. Pooled requests of an
 	// algorithm are served, in arrival order, the byte stream of
-	// core.NewSegmentReader(alg, Seed, 1, 64, 0) — a 1-worker
-	// core.NewStream — less any segment the health tests condemn.
+	// core.NewSegmentReader(alg, Seed, 1, 64, 0) — what every
+	// core.Stream of Seed reads — less any segment the health tests
+	// condemn.
 	Seed uint64
 	// Algorithms to serve; nil means core.ServedAlgorithms.
 	Algorithms []core.Algorithm
@@ -121,9 +122,14 @@ type Server struct {
 	windowPasses *metrics.LabeledCounter
 	windowLanes  *metrics.LabeledCounter
 
-	// respBufs recycles the per-request chunk buffer of /bytes and
-	// /stream responses. Get returns nil on a cold pool.
-	respBufs      sync.Pool
+	// respBufs is the free list of per-request chunk buffers of /bytes
+	// and /stream responses, at most maxFreeRespBufs long. (A free list
+	// rather than a sync.Pool: the race detector makes a Pool drop
+	// items at random.)
+	respBufs struct {
+		sync.Mutex
+		free [][]byte
+	}
 	respBufReused *metrics.Counter
 
 	// testHookServing, when set, runs when a pooled request starts
@@ -216,7 +222,7 @@ func New(cfg Config) (*Server, error) {
 	s.leaseStreams = s.reg.NewCounter("bsrngd_lease_streams_total",
 		"Stream requests addressed through a lease token.")
 	s.respBufReused = s.reg.NewCounter("bsrngd_response_buffers_reused_total",
-		"Per-request response buffers reused from the pool instead of freshly allocated.")
+		"Per-request response buffers reused from the free list instead of freshly allocated.")
 	s.windowPasses = s.reg.NewLabeledCounter("bsrngd_window_passes_total",
 		"Gathered 64-lane passes run for addressed and lease /stream windows, by algorithm.", "alg")
 	s.windowLanes = s.reg.NewLabeledCounter("bsrngd_window_lanes_total",
