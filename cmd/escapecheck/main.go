@@ -63,15 +63,14 @@ var hotPackages = []string{
 // deleted function is a finding, not a silent hole in the gate).
 var hotFuncs = map[string][]string{
 	"internal/core": {
-		// Stream steady state: the chunk pipeline, its workers and the
-		// health screen of a chunk.
-		"Read", "WriteTo", "advance", "run", "screen",
-		// Generator/engine steady state: the index rule and the per-pass
-		// keying; rekey and pass also name the lane cipher's per-pass
-		// calls into the engines.
-		"segment", "keyLanes", "fillPass", "advancePass", "rekey", "nextBlocks",
+		// Stream steady state: the chunk pipeline, its workers, and the
+		// segment health screen shared with the server's pooled sources.
+		"Read", "WriteTo", "advance", "run", "check", "Screen",
+		// Generator/engine steady state: the index rule, the per-pass
+		// keying and the pass runner's key, aim and run (listed above).
+		"segment", "keyLanes", "nextBlocks", "key", "aim",
 		// Gathered-pass window source steady state.
-		"ReadWindow", "lead", "gather", "runPass", "key", "pass",
+		"ReadWindow", "lead", "gather",
 		// Per-segment material derivation (in place by design).
 		"deriveLane", "next", "fill", "chaoticX0",
 	},

@@ -23,13 +23,17 @@ import (
 // passes immediately.
 
 // WindowSource serves byte windows of the canonical (seed, domain)
-// streams of one algorithm through one keyed 64-lane cipher. ReadWindow
-// returns exactly the bytes NewSegmentReader would; it is safe for
-// concurrent use, and concurrent callers share passes.
+// streams of one algorithm through one pass runner. ReadWindow returns
+// exactly the bytes NewSegmentReader would; it is safe for concurrent
+// use, and concurrent callers share passes.
 type WindowSource struct {
 	seed   uint64
-	c      *laneCipher     // driven only by the leader
 	onPass func(lanes int) // nil-able; lanes = segments the pass served
+
+	// The leader's: only the caller leading runs passes, so the
+	// source's own runner and slots are all the scratch a pass needs.
+	r     *passRunner
+	slots [passLanes]windowSlot // the demand each lane of the pass serves
 
 	mu      sync.Mutex
 	pending []*windowReq // callers with demands not yet in a pass, oldest first
@@ -53,55 +57,13 @@ type windowReq struct {
 	wake chan bool
 }
 
-// passScratch is the private lane buffers and bookkeeping of one
-// gathered pass. One process-wide free list serves every WindowSource:
-// only leaders hold a scratch, and only while they run passes, so the
-// list holds at most one scratch per source that ever led concurrently
-// with another. (A free list rather than a sync.Pool: the race detector
-// makes a Pool drop items at random.)
-type passScratch struct {
-	priv  [passLanes][]byte // SegmentBytes each, one backing array
-	cur   [passLanes][]byte // pass destination per lane: priv or a caller's segment
-	slots [passLanes]windowSlot
-}
-
 // windowSlot is the demand lane l of a pass serves: bytes
-// [within, within+len(dst)) of segment seg of the req's domain. last
-// marks the slot that completed its request.
+// [within, within+len(dst)) of segment seg of the req's domain.
 type windowSlot struct {
 	req    *windowReq
 	seg    uint64
 	within int
 	dst    []byte
-	last   bool
-}
-
-var passScratches = struct {
-	sync.Mutex
-	free []*passScratch
-}{}
-
-func getPassScratch() *passScratch {
-	passScratches.Lock()
-	defer passScratches.Unlock()
-	if n := len(passScratches.free); n > 0 {
-		ps := passScratches.free[n-1]
-		passScratches.free = passScratches.free[:n-1]
-		return ps
-	}
-	ps := new(passScratch)
-	backing := make([]byte, passLanes*SegmentBytes)
-	for l := range ps.priv {
-		ps.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
-	}
-	return ps
-}
-
-func putPassScratch(ps *passScratch) {
-	clear(ps.cur[:]) // drop references to callers' buffers
-	passScratches.Lock()
-	passScratches.free = append(passScratches.free, ps)
-	passScratches.Unlock()
 }
 
 // errWindowRange rejects a window that reaches past the addressable
@@ -114,15 +76,15 @@ var errWindowRange = errors.New("core: window reaches past the last addressable 
 func NewWindowSource(alg Algorithm, seed uint64, onPass func(lanes int)) (*WindowSource, error) {
 	// Construction keys lane l for segment l of domain 0; every pass
 	// rekeys the lanes it uses.
-	c, err := newCipher(alg, func(c *laneCipher) {
+	r, err := newPassRunner(alg, func(r *passRunner) {
 		for l := range passLanes {
-			c.key(l, seed, 0, uint64(l))
+			r.key(l, seed, 0, uint64(l))
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &WindowSource{seed: seed, c: c, onPass: onPass}, nil
+	return &WindowSource{seed: seed, r: r, onPass: onPass}, nil
 }
 
 // ReadWindow fills p with bytes [offset, offset+len(p)) of the canonical
@@ -162,66 +124,68 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 // to the oldest waiting caller. me is the oldest pending request when
 // lead begins, so its demands go first.
 func (ws *WindowSource) lead(me *windowReq) {
-	ps := getPassScratch()
-	defer putPassScratch(ps)
 	for {
 		if ws.testHookPass != nil {
 			ws.testHookPass()
 		}
 		ws.mu.Lock()
-		n := ws.gather(ps)
+		n := ws.gather()
 		ws.mu.Unlock()
 
-		ws.runPass(ps, n)
+		// Lane l serves slot l: a slot covering a whole segment is
+		// filled in place in its caller's buffer, the rest are copied
+		// out of the private buffers. Lanes past n are not keyed.
+		for l := range ws.slots[:n] {
+			s := &ws.slots[l]
+			ws.r.key(l, ws.seed, s.req.domain, s.seg)
+			ws.r.aim(l, s.dst)
+		}
+		ws.r.run()
+		for l := range ws.slots[:n] {
+			if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
+				copy(s.dst, ws.r.priv[l][s.within:])
+			}
+		}
 		if ws.onPass != nil {
 			ws.onPass(n)
 		}
 
+		// The slots are released before leadership is, so a new leader
+		// never gathers into slots this one is still clearing. Each
+		// wake channel gets exactly one message, so the sends never
+		// block.
 		ws.mu.Lock()
-		for i := range ps.slots[:n] {
-			s := &ps.slots[i]
-			s.req.left--
-			s.last = s.req.left == 0 && s.req != me
+		for i := range ws.slots[:n] {
+			s := &ws.slots[i]
+			if s.req.left--; s.req.left == 0 && s.req != me {
+				s.req.wake <- false
+			}
+			*s = windowSlot{}
 		}
 		finished := me.left == 0
-		var next *windowReq
-		if finished {
-			if len(ws.pending) > 0 {
-				next = ws.pending[0]
-			} else {
-				ws.leading = false
-			}
+		if finished && len(ws.pending) > 0 {
+			ws.pending[0].wake <- true
+		} else if finished {
+			ws.leading = false
 		}
 		ws.mu.Unlock()
-
-		// Each wake channel gets exactly one message, so these sends
-		// never block.
-		for i := range ps.slots[:n] {
-			if ps.slots[i].last {
-				ps.slots[i].req.wake <- false
-			}
-			ps.slots[i] = windowSlot{}
-		}
 		if finished {
-			if next != nil {
-				next.wake <- true
-			}
 			return
 		}
 	}
 }
 
-// gather moves the oldest ≤64 pending segment demands into ps's slots
+// gather moves the oldest ≤64 pending segment demands into the slots
 // and returns how many it took. Requests whose every demand is taken
 // leave the pending queue. Called with ws.mu held.
-func (ws *WindowSource) gather(ps *passScratch) int {
+func (ws *WindowSource) gather() int {
 	n, done := 0, 0
 	for _, r := range ws.pending {
 		for r.next < r.end && n < passLanes {
 			seg, within := r.next/SegmentBytes, r.next%SegmentBytes
 			k := min(r.end-r.next, SegmentBytes-within)
 			o := r.next - r.offset
-			ps.slots[n] = windowSlot{req: r, seg: seg, within: int(within), dst: r.p[o : o+k]}
+			ws.slots[n] = windowSlot{req: r, seg: seg, within: int(within), dst: r.p[o : o+k]}
 			r.next += k
 			n++
 		}
@@ -234,31 +198,4 @@ func (ws *WindowSource) gather(ps *passScratch) int {
 	clear(ws.pending[k:])
 	ws.pending = ws.pending[:k]
 	return n
-}
-
-// runPass keys lane l for slot l's segment, runs one lock-step pass and
-// delivers each slot's slice. A slot covering a whole segment is filled
-// in place in its caller's buffer; the rest are copied out of the
-// private buffers. Lanes past n keep stale material and their output is
-// discarded.
-func (ws *WindowSource) runPass(ps *passScratch, n int) {
-	for l := 0; l < passLanes; l++ {
-		ps.cur[l] = ps.priv[l]
-		if l >= n {
-			continue
-		}
-		s := &ps.slots[l]
-		ws.c.key(l, ws.seed, s.req.domain, s.seg)
-		if len(s.dst) == SegmentBytes {
-			ps.cur[l] = s.dst
-		}
-	}
-	ws.c.rekey()
-	ws.c.pass(&ps.cur)
-	for l := range ps.slots[:n] {
-		s := &ps.slots[l]
-		if len(s.dst) != SegmentBytes {
-			copy(s.dst, ps.priv[l][s.within:])
-		}
-	}
 }

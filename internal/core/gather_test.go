@@ -148,9 +148,54 @@ func TestWindowSourceSharesPasses(t *testing.T) {
 	}
 }
 
-// A warm 8 KiB window read allocates nothing: the request record and the
-// pass scratch come from free lists, and keying a lane derives its material
-// in place.
+// Leadership changes hands constantly when callers issue windows back
+// to back: whole passes (as bsrngd's pooled refills read them) mixed
+// with small windows. A leader that goes idle and the next caller to
+// lead share the source's slots and lane buffers one after the other,
+// never at once, and every window comes back byte-identical. Runs under
+// -race in CI.
+func TestWindowSourceLeaderTurnover(t *testing.T) {
+	const callers, reads = 8, 24
+	type window struct {
+		domain, offset uint64
+		want           []byte
+	}
+	windows := make([][]window, callers)
+	for c := range windows {
+		for i := range reads {
+			// Even callers read whole passes, as bsrngd's pooled
+			// refills do; odd callers read small windows.
+			domain, offset, n := uint64(c%2), uint64(c*1000003+i*4099), 1+(c*37+i*101)%3000
+			if c%2 == 0 {
+				offset, n = uint64(c*reads+i)*64*SegmentBytes, 64*SegmentBytes
+			}
+			windows[c] = append(windows[c], window{domain, offset, segmentReaderWindow(t, TRIVIUM, 3, domain, offset, n)})
+		}
+	}
+	ws, err := NewWindowSource(TRIVIUM, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for c := range windows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, w := range windows[c] {
+				p := make([]byte, len(w.want))
+				if err := ws.ReadWindow(p, w.domain, w.offset); err != nil || !bytes.Equal(p, w.want) {
+					t.Errorf("caller %d window %d: %v or wrong bytes", c, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A warm 8 KiB window read allocates nothing: the request record comes
+// from the source's free list, the pass runs in the source's own lane
+// buffers, and keying a lane derives its material in place.
 func TestWindowSourceReadAllocs(t *testing.T) {
 	for _, alg := range ServedAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {

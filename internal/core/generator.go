@@ -5,13 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/aes"
 	"repro/internal/bitslice"
-	"repro/internal/chaotic"
-	"repro/internal/grain"
-	"repro/internal/mickey"
-	"repro/internal/trivium"
-	"repro/internal/xorgens"
 )
 
 // Algorithm selects the underlying bitsliced CSPRNG.
@@ -155,8 +149,8 @@ func ValidateLanes(lanes int) error {
 	return fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
 }
 
-// segmented drives a 64-lane cipher through segments of one (seed,
-// domain) stream by one index rule: the i-th segment it emits is
+// segmented drives a pass runner through segments of one (seed, domain)
+// stream by one index rule: the i-th segment it emits is
 //
 //	((i/spc)·workers + w)·spc + i%spc
 //
@@ -166,43 +160,32 @@ func ValidateLanes(lanes int) error {
 // case, whose i-th segment is segment i, and starts at the emission
 // index of its first segment.
 //
-// One lock-step pass fills passLanes segment buffers, lane l with the
-// (i+l)-th segment; nextBlocks hands them out in order, and an exhausted
-// pass keys every lane for the next passLanes. Lanes key independently,
-// so no lane is wasted however spc splits a pass.
-//
-// The pass destination is chosen per fill: nextBlocks aims as many lane
-// buffers as fit directly at the caller's destination (the cipher then
-// writes those segments exactly once, into their final resting place)
-// and parks only the overhang lanes in the engine's private buffers for
-// later copy-out.
+// One pass fills passLanes segments, lane l with the (i+l)-th; nextBlocks
+// hands them out in order, and a spent pass keys every lane for the next
+// passLanes. Lanes key independently, so no lane is wasted however spc
+// splits a pass. A pass runs on the first emit after it is keyed, so it
+// can aim as many lanes as fit straight at the caller's destination (the
+// cipher then writes those segments exactly once, into their final
+// resting place); only the overhang lanes land in the runner's private
+// buffers for later copy-out.
 type segmented struct {
-	priv            [passLanes][]byte // SegmentBytes private buffers, one backing array
-	cur             [passLanes][]byte // current pass destination per lane: priv[l] or a dst subslice
-	emit            int               // next segment slot to hand out
-	filled          bool              // cur[emit..passLanes-1] hold generated segments
-	i               uint64            // emission index of the current pass's slot 0
-	spc, workers, w uint64            // the index rule
+	r               *passRunner
+	emit            int    // next lane to hand out; passLanes once spent, -1 before the keyed pass runs
+	i               uint64 // emission index of the current pass's lane 0
+	spc, workers, w uint64 // the index rule
 	seed, domain    uint64
-	c               *laneCipher
 }
 
 // newSegmented builds the engine of one (seed, domain) stream under the
 // index rule (spc, workers, w), keyed once, directly for the pass whose
-// slot 0 is emission index i.
+// lane 0 is emission index i.
 func newSegmented(alg Algorithm, seed, domain, i, spc, workers, w uint64) (*segmented, error) {
-	e := &segmented{i: i, spc: spc, workers: workers, w: w, seed: seed, domain: domain}
-	c, err := newCipher(alg, e.keyLanes)
+	e := &segmented{emit: -1, i: i, spc: spc, workers: workers, w: w, seed: seed, domain: domain}
+	r, err := newPassRunner(alg, e.keyLanes)
 	if err != nil {
 		return nil, err
 	}
-	e.c = c
-	backing := make([]byte, passLanes*SegmentBytes)
-	for l := range e.priv {
-		e.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
-	}
-	// The pass is generated lazily on the first emit so it can land
-	// directly in the first caller's destination.
+	e.r = r
 	return e, nil
 }
 
@@ -211,137 +194,36 @@ func (e *segmented) segment(i uint64) uint64 {
 	return (i/e.spc*e.workers+e.w)*e.spc + i%e.spc
 }
 
-// keyLanes derives c's lane l material for the (e.i+l)-th emitted
-// segment.
-func (e *segmented) keyLanes(c *laneCipher) {
+// keyLanes keys r's lane l for the (e.i+l)-th emitted segment.
+func (e *segmented) keyLanes(r *passRunner) {
 	for l := range passLanes {
-		c.key(l, e.seed, e.domain, e.segment(e.i+uint64(l)))
+		r.key(l, e.seed, e.domain, e.segment(e.i+uint64(l)))
 	}
-}
-
-// fillPass generates the current pass. Lanes whose segment slots land
-// inside dst are aimed straight at it — the cipher writes them in place
-// — and the rest go to the private buffers. dst is segment-aligned.
-// Only called with emit==0: a pass is always generated from its first
-// slot.
-func (e *segmented) fillPass(dst []byte) {
-	e.cur = e.priv
-	for l := range min(len(dst)/SegmentBytes, passLanes) {
-		e.cur[l] = dst[l*SegmentBytes : (l+1)*SegmentBytes]
-	}
-	e.c.pass(&e.cur)
-	e.filled = true
-}
-
-// advancePass keys the cipher for the next passLanes emitted segments.
-func (e *segmented) advancePass() {
-	e.i += passLanes
-	e.keyLanes(e.c)
-	e.c.rekey()
-	e.emit = 0
-	e.filled = false
 }
 
 // nextBlocks writes the next len(dst)/SegmentBytes segments into dst, a
-// whole number of segments, letting whole lock-step passes land directly
-// in dst (the zero-copy fast path).
+// whole number of segments, letting whole passes land directly in dst
+// (the zero-copy fast path).
 func (e *segmented) nextBlocks(dst []byte) {
 	for len(dst) > 0 {
 		if e.emit == passLanes {
-			e.advancePass()
+			e.i += passLanes
+			e.keyLanes(e.r)
+			e.emit = -1
 		}
-		if !e.filled {
-			e.fillPass(dst)
-		}
-		for e.emit < passLanes && len(dst) > 0 {
-			// cur[emit] either aliases dst (direct fill) or holds a
-			// parked segment in the private buffers.
-			if src := e.cur[e.emit]; &src[0] != &dst[0] {
-				copy(dst[:SegmentBytes], src)
+		if e.emit < 0 {
+			k := min(len(dst)/SegmentBytes, passLanes)
+			for l := range k {
+				e.r.aim(l, dst[l*SegmentBytes:(l+1)*SegmentBytes])
 			}
-			e.emit++
+			e.r.run()
+			e.emit, dst = k, dst[k*SegmentBytes:]
+		}
+		for ; e.emit < passLanes && len(dst) > 0; e.emit++ {
+			copy(dst, e.r.priv[e.emit])
 			dst = dst[SegmentBytes:]
 		}
 	}
-}
-
-// cipher is the one contract every bitsliced engine meets for core: the
-// two calls a pass makes. Rekey loads one key and one IV per lane from
-// material whose shape the engine's constructor checked; Fill writes
-// lane l's keystream into bufs[l], 64 buffers of one equal length.
-// Neither checks anything or can fail.
-type cipher interface {
-	Rekey(keys, ivs [][]byte)
-	Fill(bufs *[passLanes][]byte)
-}
-
-// laneCipher is one keyed lock-step cipher: its per-lane key/IV
-// material and the 64-lane engine it keys. Lanes are independent cipher
-// instances, so each may be keyed for any (domain, segment) — the
-// segmented engine keys them by its index rule, a WindowSource for
-// whatever segments its callers are waiting on. Chaotic modes carry a
-// per-lane orbit start x0 and post-process every lane's segment after
-// the fill.
-type laneCipher struct {
-	mat *laneMaterial
-	x0s []uint64 // chaotic modes only
-	eng cipher
-}
-
-// key derives lane l's material for segment seg of (seed, domain).
-func (c *laneCipher) key(l int, seed, domain, seg uint64) {
-	c.mat.deriveLane(l, seed, domain, seg)
-	if c.x0s != nil {
-		c.x0s[l] = chaoticX0(seed, domain, seg)
-	}
-}
-
-// rekey loads the derived material into every lane.
-func (c *laneCipher) rekey() { c.eng.Rekey(c.mat.keys, c.mat.ivs) }
-
-// pass fills one SegmentBytes buffer per lane.
-func (c *laneCipher) pass(bufs *[passLanes][]byte) {
-	c.eng.Fill(bufs)
-	for l, x0 := range c.x0s {
-		chaotic.Post(bufs[l], x0)
-	}
-}
-
-// newCipher builds the 64-lane cipher of alg with the material keyLanes
-// derives for its first pass: construction is the only keying an engine
-// pays for that pass, and the engine's constructor is where the
-// material's shape is checked, once. The material scratch is sized here
-// for good, so every later rekey reads the shape that check accepted.
-func newCipher(alg Algorithm, keyLanes func(c *laneCipher)) (*laneCipher, error) {
-	c := &laneCipher{}
-	if alg.IsChaotic() {
-		c.x0s = make([]uint64, passLanes)
-	}
-	material := func(keyLen, ivLen int) (keys, ivs [][]byte) {
-		c.mat = newLaneMaterial(passLanes, keyLen, ivLen)
-		keyLanes(c)
-		return c.mat.keys, c.mat.ivs
-	}
-	var err error
-	switch alg.Base() {
-	case MICKEY:
-		keys, ivs := material(mickey.KeySize, mickey.MaxIVBits/8)
-		c.eng, err = mickey.NewSlicedVec[bitslice.V64](keys, ivs, mickey.MaxIVBits)
-	case GRAIN:
-		c.eng, err = grain.NewSlicedVec[bitslice.V64](material(grain.KeySize, grain.IVSize))
-	case AESCTR:
-		c.eng, err = aes.NewSlicedCTRVec[bitslice.V64](material(16, 8))
-	case TRIVIUM:
-		c.eng, err = trivium.NewSlicedVec[bitslice.V64](material(trivium.KeySize, trivium.IVSize))
-	case XORGENS:
-		c.eng, err = xorgens.NewSlicedVec[bitslice.V64](material(xorgens.KeySize, xorgens.IVSize))
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Generator is a deterministic single-engine BSRNG byte stream: one

@@ -1,0 +1,117 @@
+package core
+
+import (
+	"fmt"
+
+	"repro/internal/aes"
+	"repro/internal/bitslice"
+	"repro/internal/chaotic"
+	"repro/internal/grain"
+	"repro/internal/mickey"
+	"repro/internal/trivium"
+	"repro/internal/xorgens"
+)
+
+// cipher is the one contract every bitsliced engine meets for core: the
+// two calls a pass makes. Rekey loads one key and one IV per lane from
+// material whose shape the engine's constructor checked; Fill writes
+// lane l's keystream into bufs[l], 64 buffers of one equal length.
+// Neither checks anything or can fail.
+type cipher interface {
+	Rekey(keys, ivs [][]byte)
+	Fill(bufs *[passLanes][]byte)
+}
+
+// passRunner is the one place a pass is produced: a keyed 64-lane
+// cipher, its 64 private SegmentBytes lane buffers and each lane's
+// destination in the next pass. Lanes are independent cipher instances,
+// so the owner (segmented, WindowSource) keys each lane for any
+// (domain, segment), aims the lanes whose segment lands whole in caller
+// memory at that memory, and runs the pass; it copies the other lanes
+// out of their private buffers. Chaotic modes carry a per-lane orbit
+// start x0 and post-process every lane's segment after the fill.
+type passRunner struct {
+	mat   *laneMaterial
+	x0s   []uint64 // chaotic modes only
+	eng   cipher
+	stale bool              // some lane was keyed since eng last loaded mat
+	priv  [passLanes][]byte // SegmentBytes each, one backing array
+	dst   [passLanes][]byte // next pass's destination per lane: priv[l] or caller memory
+}
+
+// newPassRunner builds the pass runner of alg with the material keyLanes
+// derives for its first pass: construction is the only keying an engine
+// pays for that pass, and the engine's constructor is where the
+// material's shape is checked, once. The material scratch is sized here
+// for good, so every later rekey reads the shape that check accepted.
+func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, error) {
+	r := &passRunner{}
+	if alg.IsChaotic() {
+		r.x0s = make([]uint64, passLanes)
+	}
+	material := func(keyLen, ivLen int) (keys, ivs [][]byte) {
+		r.mat = newLaneMaterial(passLanes, keyLen, ivLen)
+		keyLanes(r)
+		return r.mat.keys, r.mat.ivs
+	}
+	var err error
+	switch alg.Base() {
+	case MICKEY:
+		keys, ivs := material(mickey.KeySize, mickey.MaxIVBits/8)
+		r.eng, err = mickey.NewSlicedVec[bitslice.V64](keys, ivs, mickey.MaxIVBits)
+	case GRAIN:
+		r.eng, err = grain.NewSlicedVec[bitslice.V64](material(grain.KeySize, grain.IVSize))
+	case AESCTR:
+		r.eng, err = aes.NewSlicedCTRVec[bitslice.V64](material(16, 8))
+	case TRIVIUM:
+		r.eng, err = trivium.NewSlicedVec[bitslice.V64](material(trivium.KeySize, trivium.IVSize))
+	case XORGENS:
+		r.eng, err = xorgens.NewSlicedVec[bitslice.V64](material(xorgens.KeySize, xorgens.IVSize))
+	default:
+		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.stale = false // the constructor loaded what keyLanes derived
+	backing := make([]byte, passLanes*SegmentBytes)
+	for l := range r.priv {
+		r.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
+	}
+	r.dst = r.priv
+	return r, nil
+}
+
+// key derives lane l's material for segment seg of (seed, domain); the
+// next run loads it.
+func (r *passRunner) key(l int, seed, domain, seg uint64) {
+	r.mat.deriveLane(l, seed, domain, seg)
+	if r.x0s != nil {
+		r.x0s[l] = chaoticX0(seed, domain, seg)
+	}
+	r.stale = true
+}
+
+// aim points lane l's next segment at dst when dst is one whole segment;
+// a lane not aimed writes its private buffer.
+func (r *passRunner) aim(l int, dst []byte) {
+	if len(dst) == SegmentBytes {
+		r.dst[l] = dst
+	}
+}
+
+// run runs one pass: it loads the material if a lane was keyed since the
+// last load, fills one segment per lane and aims every lane back at its
+// private buffer. A lane not keyed for this pass repeats stale material;
+// its owner discards the output.
+func (r *passRunner) run() {
+	if r.stale {
+		r.eng.Rekey(r.mat.keys, r.mat.ivs)
+		r.stale = false
+	}
+	r.eng.Fill(&r.dst)
+	for l, x0 := range r.x0s {
+		chaotic.Post(r.dst[l], x0)
+	}
+	r.dst = r.priv
+}

@@ -36,7 +36,7 @@ func (s *splitMix64) fill(dst []byte) {
 // flat backing array resliced into per-lane key and IV strings, so the
 // lock-step rekey at every segment-pass boundary derives fresh material
 // with zero allocations. Its shape — passLanes strings of keyLen and
-// ivLen bytes — is fixed when newCipher sizes it, and the engine's
+// ivLen bytes — is fixed when newPassRunner sizes it, and the engine's
 // constructor checks that shape once; every later Rekey reads the same
 // strings unchecked. Engines copy the material into their own state
 // during Rekey and never retain the slices, which is what makes the

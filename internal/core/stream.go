@@ -167,7 +167,9 @@ func (s *Stream) run(w int, eng *segmented, chunkLen int) {
 		eng.nextBlocks(buf)
 		c := chunk{b: buf}
 		if s.health != nil {
-			c = s.screen(buf, &condemned)
+			var n int
+			n, c.err = Screen(buf, FailpointSegmentCorrupt, s.check, &condemned, maxCondemnedRun)
+			c.b = buf[:n]
 		}
 		select {
 		case s.chunks[w] <- c:
@@ -180,22 +182,32 @@ func (s *Stream) run(w int, eng *segmented, chunkLen int) {
 	}
 }
 
-// screen runs the health hook on every segment of a freshly produced
-// chunk and drops the condemned ones, packing the healthy segments in
-// order. run counts the worker's consecutive condemned segments across
-// chunks; when it reaches maxCondemnedRun the chunk ends there, carrying
-// the error that ends the stream.
-func (s *Stream) screen(buf []byte, run *int) chunk {
+// check runs the health hook on one segment, counting a condemned one.
+func (s *Stream) check(seg []byte) error {
+	err := s.health(seg)
+	if err != nil {
+		s.healthFailures.Add(1)
+	}
+	return err
+}
+
+// Screen is the health screen of freshly produced segments, shared by
+// Stream workers and bsrngd's pooled sources. Each segment of buf hits
+// the failpoint fp, which zeroes it when fired, then check. Condemned
+// segments (check errs) are dropped, the healthy ones packed in order at
+// the front of buf, and Screen returns their length. *run counts
+// consecutive condemned segments across calls; when it reaches stop (0:
+// never), Screen ends there with an error wrapping check's.
+func Screen(buf []byte, fp string, check func(seg []byte) error, run *int, stop int) (int, error) {
 	n := 0
 	for off := 0; off < len(buf); off += SegmentBytes {
 		seg := buf[off : off+SegmentBytes]
-		if faultinject.Hit(FailpointSegmentCorrupt) {
+		if faultinject.Hit(fp) {
 			clear(seg)
 		}
-		if err := s.health(seg); err != nil {
-			s.healthFailures.Add(1)
-			if *run++; *run == maxCondemnedRun {
-				return chunk{buf[:n], fmt.Errorf("core: health hook condemned a run of segments: %w", err)}
+		if err := check(seg); err != nil {
+			if *run++; *run == stop {
+				return n, fmt.Errorf("core: health check condemned a run of segments: %w", err)
 			}
 			continue
 		}
@@ -205,7 +217,7 @@ func (s *Stream) screen(buf []byte, run *int) chunk {
 		}
 		n += SegmentBytes
 	}
-	return chunk{b: buf[:n]}
+	return n, nil
 }
 
 // Read assembles the deterministic stream. It fails when the Stream is

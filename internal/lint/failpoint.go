@@ -24,8 +24,11 @@ import (
 // Names are resolved through one level of dataflow: direct string
 // literals, typed constants, and consts/vars/struct fields whose
 // initializers carry a literal or a literal prefix ("server.segment.corrupt."
-// + alg). Unresolvable names (built at runtime from non-literal parts)
-// are skipped, not guessed at. The registry's own package is exempt —
+// + alg). A Hit whose name is a parameter of its function (a shared
+// screen that callers hand their failpoint) is resolved at the call
+// sites instead, each defining the failpoint in the caller's package.
+// Unresolvable names (built at runtime from non-literal parts) are
+// skipped, not guessed at. The registry's own package is exempt —
 // its unit tests exercise the mechanism with scheme-free names.
 var FailpointName = &Analyzer{
 	Name: "failpoint-name",
@@ -88,6 +91,8 @@ func runFailpointName(m *Module, cfg *Config, report func(token.Pos, string, ...
 		}
 	}
 
+	forwarded := map[types.Object]bool{} // variables a Hit reads its name from
+	resolvers := map[*Package]func(ast.Expr) (fpName, bool){}
 	for _, pkg := range m.Packages {
 		if pkg.ImportPath == cfg.FaultinjectPath {
 			continue
@@ -109,6 +114,7 @@ func runFailpointName(m *Module, cfg *Config, report func(token.Pos, string, ...
 			}
 			return fpName{}, false
 		}
+		resolvers[pkg] = resolve
 
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -122,10 +128,13 @@ func runFailpointName(m *Module, cfg *Config, report func(token.Pos, string, ...
 					return true
 				}
 				name, ok := resolve(call.Args[0])
+				defines := fn.Name() == "Hit"
 				if !ok {
+					if v, isVar := exprObject(pkg.Info, call.Args[0]).(*types.Var); isVar && defines {
+						forwarded[v] = true
+					}
 					return true
 				}
-				defines := fn.Name() == "Hit"
 				validate(name, pkg.Name, defines)
 				if defines {
 					hits = append(hits, name)
@@ -162,6 +171,38 @@ func runFailpointName(m *Module, cfg *Config, report func(token.Pos, string, ...
 				}
 				validate(name, enclosing, false)
 				refs = append(refs, name)
+				return true
+			})
+		}
+	}
+
+	// Forwarded names: a call that passes a name to a parameter some Hit
+	// reads defines that failpoint, in the calling package.
+	for _, pkg := range m.Packages {
+		resolve := resolvers[pkg]
+		if resolve == nil || len(forwarded) == 0 {
+			continue
+		}
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := calleeFunc(pkg.Info, call)
+				if fn == nil {
+					return true
+				}
+				params := fn.Type().(*types.Signature).Params()
+				for i := 0; i < params.Len() && i < len(call.Args); i++ {
+					if !forwarded[params.At(i)] {
+						continue
+					}
+					if name, ok := resolve(call.Args[i]); ok {
+						validate(name, pkg.Name, true)
+						hits = append(hits, name)
+					}
+				}
 				return true
 			})
 		}

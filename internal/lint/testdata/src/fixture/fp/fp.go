@@ -32,3 +32,11 @@ func Work() {
 func (w *worker) Run() bool {
 	return faultinject.Hit(w.fpCheckout)
 }
+
+// screen hits the failpoint each caller names, in the caller's package.
+func screen(fp string) bool { return faultinject.Hit(fp) }
+
+func Screened() {
+	screen("fp.screen.corrupt")
+	screen("other.screen.corrupt") // want `claims package "other" but lives in package "fp"`
+}

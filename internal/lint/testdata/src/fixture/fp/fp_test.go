@@ -24,3 +24,9 @@ func TestDead(t *testing.T) {
 	defer faultinject.Reset()
 	Work()
 }
+
+func TestForwarded(t *testing.T) {
+	faultinject.Arm("fp.screen.corrupt", 1)
+	defer faultinject.Reset()
+	Screened()
+}

@@ -1,11 +1,12 @@
 // Package server is bsrngd's serving layer: an HTTP front end over the
 // paper's bitsliced engines operated as a bulk entropy service. Every
-// served byte is a function of (algorithm, seed, domain, segment).
+// served byte is a function of (algorithm, seed, domain, segment), made
+// by the algorithm's one engine, its core.WindowSource. Addressed and
+// lease requests read their window of that address space through it.
 // Pooled requests take the next bytes of their algorithm's pooled
-// source, the domain-1 segment stream of the seed (see source.go);
-// addressed and lease requests name their window of that address space.
-// Everything is instrumented through internal/metrics and exposed on
-// /metrics.
+// source, the domain-1 segment stream of the seed (see source.go), which
+// refills with 64-segment demands on the same engine. Everything is
+// instrumented through internal/metrics and exposed on /metrics.
 //
 // Every pooled segment runs the continuous online health tests of
 // internal/health. A condemned segment is skipped, never served; after
@@ -88,9 +89,8 @@ type Server struct {
 	// leases counts POST /lease allocations per served algorithm, so
 	// one algorithm's lease domains do not depend on another's traffic.
 	leases map[core.Algorithm]*atomic.Uint64
-	// windows serve the bytes of addressed and lease /stream requests:
-	// one gathered-pass source per algorithm, shared by every request
-	// and built on first use (see windowSource).
+	// windows are the engines, one gathered-pass source per algorithm:
+	// New builds the served algorithms', windowSource any other's.
 	windowsMu sync.Mutex
 	windows   map[core.Algorithm]*core.WindowSource
 	reg       *metrics.Registry
@@ -137,7 +137,8 @@ type Server struct {
 	testHookServing func()
 }
 
-// New builds the pooled sources and registers the metric set.
+// New builds each served algorithm's engine and pooled source and
+// registers the metric set.
 func New(cfg Config) (*Server, error) {
 	if cfg.Algorithms == nil {
 		cfg.Algorithms = core.ServedAlgorithms
@@ -147,6 +148,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxRequestBytes == 0 {
 		cfg.MaxRequestBytes = 16 << 20
+	}
+	if err := core.ValidateLanes(cfg.Lanes); err != nil {
+		return nil, err
 	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d out of range", cfg.MaxInflight)
@@ -224,9 +228,9 @@ func New(cfg Config) (*Server, error) {
 	s.respBufReused = s.reg.NewCounter("bsrngd_response_buffers_reused_total",
 		"Per-request response buffers reused from the free list instead of freshly allocated.")
 	s.windowPasses = s.reg.NewLabeledCounter("bsrngd_window_passes_total",
-		"Gathered 64-lane passes run for addressed and lease /stream windows, by algorithm.", "alg")
+		"64-lane passes run by the algorithm's engine, its window source: pooled refills and addressed and lease /stream windows, by algorithm.", "alg")
 	s.windowLanes = s.reg.NewLabeledCounter("bsrngd_window_lanes_total",
-		"Lanes of gathered passes that served a window segment, by algorithm; lanes / (64 × passes) is the lane occupancy.", "alg")
+		"Lanes of the algorithm's engine passes that served a segment demand (64 per pooled refill), by algorithm; lanes / (64 × passes) is the lane occupancy.", "alg")
 	s.reg.NewGaugeFunc("bsrngd_inflight_requests",
 		"Concurrent /bytes and /stream requests currently being served.",
 		func() float64 { return float64(s.inflightNow.Load()) })
@@ -235,11 +239,11 @@ func New(cfg Config) (*Server, error) {
 		if _, dup := s.pooled[alg]; dup {
 			return nil, fmt.Errorf("server: algorithm %v configured twice", alg)
 		}
-		src, err := newSource(s, alg)
+		ws, err := s.windowSource(alg)
 		if err != nil {
 			return nil, err
 		}
-		s.pooled[alg] = src
+		s.pooled[alg] = newSource(s, alg, ws)
 		s.leases[alg] = new(atomic.Uint64)
 	}
 	s.reg.NewGaugeFunc("bsrngd_health_segments_checked_total",
@@ -262,8 +266,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // windowSource returns alg's gathered-pass window source, building it on
-// first use: a lease token may name any algorithm, served or not, and
-// only the algorithms requests actually name pay for a keyed cipher.
+// first use: a lease token may name any algorithm, and an unserved one
+// pays for a keyed cipher only once a request names it.
 func (s *Server) windowSource(alg core.Algorithm) (*core.WindowSource, error) {
 	s.windowsMu.Lock()
 	defer s.windowsMu.Unlock()

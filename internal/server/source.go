@@ -1,33 +1,34 @@
 package server
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/health"
 	"repro/internal/metrics"
 )
 
-// Pooled mode. Each served algorithm has one pooled source: the domain-1
-// segment stream of Config.Seed — what a 1-worker core.Stream serves —
-// read one 64-segment pass at a time into a reused buffer behind a
-// mutex. A request takes the next unread bytes, copying at most one pass
-// per lock hold and writing outside the lock. Nothing runs in the
-// background: a request that finds too few unread bytes refills.
+// Pooled mode. Each served algorithm has one engine, its
+// core.WindowSource, and one pooled source on it: the domain-1 segment
+// stream of Config.Seed — what a 1-worker core.Stream serves — read
+// behind a mutex into a reused buffer by refills, each a 64-segment
+// demand on the engine that shares its passes with addressed and lease
+// windows. A request copies its bytes under the lock and writes them
+// outside it. Nothing runs in the background: a request that finds too
+// few unread bytes refills, until enough are unread.
 //
-// Every segment of a refill goes through the server.segment.corrupt.<alg>
-// failpoint and then the online health tests. A condemned segment is
-// skipped (the healthy ones are packed behind the unread bytes) and
-// counted in bsrngd_health_failures_total. After degradeAfter
-// consecutive condemned segments the algorithm is degraded: /healthz
-// answers 503 until a refill yields a clean segment. A refill that
-// yields no healthy segment leaves the unread bytes in place and fails
-// the read, so a request never spins. With no condemned segment, pooled
-// bytes in service order are the domain-1 stream.
+// Each refill runs core.Screen: every segment goes through the
+// server.segment.corrupt.<alg> failpoint, then the online health tests.
+// A condemned segment is skipped (the healthy ones are packed behind the
+// unread bytes) and counted in bsrngd_health_failures_total. After
+// degradeAfter consecutive condemned segments the algorithm is degraded:
+// /healthz answers 503 until a refill yields a clean segment. A refill
+// that yields no healthy segment leaves the unread bytes in place and
+// fails the read, so a request gets all its bytes or none and never
+// spins. With no condemned segment, pooled bytes in service order are
+// the domain-1 stream.
 
 // degradeAfter is the run of consecutive condemned segments that
 // degrades an algorithm.
@@ -39,8 +40,9 @@ const pooledDomain = 1
 // source is one algorithm's pooled byte source.
 type source struct {
 	mu       sync.Mutex
-	r        *core.Generator
-	buf      []byte // two passes; buf[pos:end] are the unread healthy bytes
+	ws       *core.WindowSource // the algorithm's engine
+	next     uint64             // domain-1 offset of the next refill
+	buf      []byte             // two passes; buf[pos:end] are the unread healthy bytes
 	pos, end int
 	run      int // consecutive condemned segments, across refills
 
@@ -53,15 +55,12 @@ type source struct {
 	lastFailure atomic.Pointer[string]
 }
 
-// newSource builds alg's pooled source, wired to s's health metrics.
-func newSource(s *Server, alg core.Algorithm) (*source, error) {
-	r, err := core.NewSegmentReader(alg, s.cfg.Seed, pooledDomain, s.cfg.Lanes, 0)
-	if err != nil {
-		return nil, err
-	}
+// newSource builds alg's pooled source over its window source ws, wired
+// to s's health metrics.
+func newSource(s *Server, alg core.Algorithm, ws *core.WindowSource) *source {
 	algL := alg.String()
 	src := &source{
-		r:         r,
+		ws:        ws,
 		buf:       make([]byte, 2*passBytes),
 		fpCorrupt: "server.segment.corrupt." + algL,
 		onFailure: func(test string) { s.healthFailures.With(algL, test).Inc() },
@@ -71,27 +70,27 @@ func newSource(s *Server, alg core.Algorithm) (*source, error) {
 	if !s.cfg.DisableHealth {
 		src.checker = health.NewChecker(s.cfg.Health)
 	}
-	return src, nil
+	return src
 }
 
-// read copies the next unread pooled bytes into p (at most one pass) and
-// reports how many, and how long it waited for the source. It refills at
-// most once, when fewer than len(p) bytes are unread, so the bytes one
-// call copies are contiguous in service order unless the refill
-// condemned a segment. It returns 0 only when the refill yielded no
-// healthy segment; the unread bytes then stay for a later read.
+// read copies the next len(p) unread pooled bytes into p (at most one
+// pass) and reports how many, and how long it waited for the source. It
+// refills until enough bytes are unread, so it copies all of p or, when
+// a refill yields no healthy segment, nothing; the unread bytes then
+// stay for a later read. The bytes one call copies are contiguous in
+// service order unless a refill condemned a segment.
 func (src *source) read(p []byte) (int, time.Duration) {
 	t0 := time.Now()
 	src.mu.Lock()
+	defer src.mu.Unlock()
 	wait := time.Since(t0)
-	if src.end-src.pos < len(p) && !src.refill() {
-		src.mu.Unlock()
-		return 0, wait
+	for src.end-src.pos < len(p) {
+		if !src.refill() {
+			return 0, wait
+		}
 	}
-	n := copy(p, src.buf[src.pos:src.end])
-	src.pos += n
-	src.mu.Unlock()
-	return n, wait
+	src.pos += copy(p, src.buf[src.pos:src.end])
+	return len(p), wait
 }
 
 // refill moves the unread bytes to the front of the buffer, reads the
@@ -101,44 +100,35 @@ func (src *source) read(p []byte) (int, time.Duration) {
 func (src *source) refill() bool {
 	src.end = copy(src.buf, src.buf[src.pos:src.end])
 	src.pos = 0
-	start := src.end
-	pass := src.buf[start : start+passBytes]
-	src.r.Read(pass)
+	pass := src.buf[src.end : src.end+passBytes]
+	if src.ws.ReadWindow(pass, pooledDomain, src.next) != nil {
+		return false // past the last addressable segment
+	}
+	src.next += passBytes
 	src.passes.Inc()
-	for off := 0; off < passBytes; off += core.SegmentBytes {
-		seg := pass[off : off+core.SegmentBytes]
-		if src.checker != nil {
-			if faultinject.Hit(src.fpCorrupt) {
-				clear(seg)
-			}
-			if err := src.checker.Check(seg); err != nil {
-				src.condemn(err)
-				continue
-			}
+	n := passBytes
+	if src.checker != nil {
+		n, _ = core.Screen(pass, src.fpCorrupt, src.check, &src.run, 0)
+		var degraded int64
+		if src.run >= degradeAfter {
+			degraded = 1
 		}
-		src.run = 0
-		if src.end != start+off {
-			copy(src.buf[src.end:], seg)
-		}
-		src.end += core.SegmentBytes
+		src.degraded.Set(degraded)
 	}
-	var degraded int64
-	if src.run >= degradeAfter {
-		degraded = 1
-	}
-	src.degraded.Set(degraded)
-	return src.end > start
+	src.end += n
+	return n > 0
 }
 
-// condemn records one skipped segment.
-func (src *source) condemn(err error) {
-	src.run++
-	var f *health.Failure
-	if errors.As(err, &f) {
+// check runs the health tests on one segment and records a condemned
+// one.
+func (src *source) check(seg []byte) error {
+	err := src.checker.Check(seg)
+	if f, ok := err.(*health.Failure); ok {
 		name := f.Test.String()
 		src.lastFailure.Store(&name)
 		src.onFailure(name)
 	}
+	return err
 }
 
 // probe lets a degraded source try one refill, so it recovers without

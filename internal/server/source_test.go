@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -81,9 +82,12 @@ func TestPooledContractSequential(t *testing.T) {
 	}
 }
 
-// The pooled contract, concurrently: each pooled /bytes of at most one
-// pass is one contiguous slice of the domain-1 stream, and together the
-// bodies tile a prefix of it with no gap and no overlap.
+// The pooled contract, concurrently, sharing the engine with windows:
+// each pooled /bytes of at most one pass is one contiguous slice of the
+// domain-1 stream, and together the bodies tile a prefix of it with no
+// gap and no overlap. Addressed and lease /stream clients run alongside
+// on the same algorithm, so pooled refills and windows share passes,
+// and every window equals NewSegmentReader at its address.
 func TestPooledContractConcurrent(t *testing.T) {
 	const (
 		seed     = 23
@@ -92,31 +96,80 @@ func TestPooledContractConcurrent(t *testing.T) {
 	)
 	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.GRAIN}})
 
+	fetch := func(method, url string) (int, []byte, error) {
+		req, err := http.NewRequest(method, url, nil)
+		if err != nil {
+			return 0, nil, err
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return resp.StatusCode, body, err
+	}
+	window := func(domain, offset uint64, n int) []byte {
+		r, err := core.NewSegmentReader(core.GRAIN, seed, domain, 0, offset)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		b := make([]byte, n)
+		io.ReadFull(r, b)
+		return b
+	}
+
 	var mu sync.Mutex
 	var bodies [][]byte
 	total := 0
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
+		wg.Add(3)
+		go func(c int) { // pooled
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
 				n := 64 + (c*7919+i*104729)%(passBytes-63) // 64 B … one pass
-				resp, err := http.Get(fmt.Sprintf("%s/bytes?alg=grain&n=%d", ts.URL, n))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				body, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK || len(body) != n {
-					t.Errorf("client %d request %d: status %d, %d of %d bytes, %v", c, i, resp.StatusCode, len(body), n, err)
+				status, body, err := fetch(http.MethodGet, fmt.Sprintf("%s/bytes?alg=grain&n=%d", ts.URL, n))
+				if err != nil || status != http.StatusOK || len(body) != n {
+					t.Errorf("pooled client %d request %d: status %d, %d of %d bytes, %v", c, i, status, len(body), n, err)
 					return
 				}
 				mu.Lock()
 				bodies = append(bodies, body)
 				total += n
 				mu.Unlock()
+			}
+		}(c)
+		go func(c int) { // addressed
+			defer wg.Done()
+			for i := 0; i < requests; i++ {
+				domain, off, n := uint64(c%3), uint64(c*100003+i*7777), 1+(c*31+i*4099)%(3*core.SegmentBytes)
+				status, body, err := fetch(http.MethodGet, fmt.Sprintf("%s/stream?alg=grain&domain=%d&off=%d&n=%d", ts.URL, domain, off, n))
+				if err != nil || status != http.StatusOK || !bytes.Equal(body, window(domain, off, n)) {
+					t.Errorf("addressed client %d request %d: status %d, %v, or wrong bytes", c, i, status, err)
+					return
+				}
+			}
+		}(c)
+		go func(c int) { // lease
+			defer wg.Done()
+			for i := 0; i < requests/2; i++ {
+				status, raw, err := fetch(http.MethodPost, ts.URL+"/lease?alg=grain&segments=2")
+				var doc leaseDoc
+				if err == nil && status == http.StatusCreated {
+					err = json.Unmarshal(raw, &doc)
+				}
+				if err != nil || status != http.StatusCreated {
+					t.Errorf("lease client %d: create status %d, %v", c, status, err)
+					return
+				}
+				status, body, err := fetch(http.MethodGet, ts.URL+doc.StreamPath)
+				if err != nil || status != http.StatusOK ||
+					!bytes.Equal(body, window(doc.Domain, doc.StartSegment*core.SegmentBytes, int(doc.Bytes))) {
+					t.Errorf("lease client %d: status %d, %v, or wrong bytes", c, status, err)
+					return
+				}
 			}
 		}(c)
 	}
@@ -271,5 +324,38 @@ func TestPooledSkipAndDegrade(t *testing.T) {
 	healthz(http.StatusOK)
 	if !bytes.Equal(pull(2*seg, http.StatusOK), lib[256*seg:258*seg]) {
 		t.Fatal("bytes after recovery are not pass 4")
+	}
+}
+
+// A pooled /bytes gets all of its bytes or a 503, never a body shorter
+// than its Content-Length. With the corruption failpoint armed from its
+// second hit, the first refill keeps one segment and the next keeps
+// none: a 4 KiB /bytes answers 503, and the kept segment is served to
+// the next request.
+func TestPooledBytesAllOrNothing(t *testing.T) {
+	if !faultinject.Available() {
+		t.Skip("faultinject compiled out")
+	}
+	t.Cleanup(faultinject.Reset)
+
+	const seed = 12
+	fp := "server.segment.corrupt." + core.TRIVIUM.String()
+	faultinject.Reset()
+	faultinject.ArmRange(fp, 2, 1<<40)
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.TRIVIUM}})
+
+	status, body, _ := get(t, ts.URL+"/bytes?alg=trivium&n=4096")
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("4 KiB /bytes over one healthy segment: status %d with %d bytes, want 503", status, len(body))
+	}
+	faultinject.Disarm(fp)
+	status, body, _ = get(t, ts.URL+"/bytes?alg=trivium&n=4096")
+	if status != http.StatusOK {
+		t.Fatalf("/bytes after healing: status %d, want 200", status)
+	}
+	lib := domainOne(t, core.TRIVIUM, seed, 3*passBytes)
+	want := append(append([]byte(nil), lib[:core.SegmentBytes]...), lib[2*passBytes:2*passBytes+core.SegmentBytes]...)
+	if !bytes.Equal(body, want) {
+		t.Fatal("/bytes after healing is not the kept segment followed by the next refill's first")
 	}
 }

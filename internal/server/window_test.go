@@ -80,3 +80,51 @@ func TestWindowPassMetrics(t *testing.T) {
 		t.Errorf("8 windows ran %v passes, want 1..%d", got, callers)
 	}
 }
+
+// Each algorithm has one engine. New builds exactly one window source
+// per served algorithm, and the pooled source refills through it, so a
+// pooled refill counts as one full pass of the window counters. A lease
+// stream for an algorithm the server does not serve builds that
+// algorithm's window source on first use.
+func TestOneEnginePerAlgorithm(t *testing.T) {
+	const seed = 5
+	algs := []core.Algorithm{core.GRAIN, core.TRIVIUM}
+	s, ts := newTestServer(t, Config{Seed: seed, Algorithms: algs})
+	if len(s.windows) != len(algs) {
+		t.Fatalf("New built %d window sources, want %d", len(s.windows), len(algs))
+	}
+	for _, alg := range algs {
+		if ws := s.windows[alg]; ws == nil || s.pooled[alg].ws != ws {
+			t.Errorf("%v: pooled source does not read through the algorithm's window source", alg)
+		}
+	}
+
+	if status, _, _ := get(t, ts.URL+"/bytes?alg=grain&n=4096"); status != http.StatusOK {
+		t.Fatalf("pooled /bytes: status %d", status)
+	}
+	_, mbody, _ := get(t, ts.URL+"/metrics")
+	if p, l := metricValue(t, mbody, `bsrngd_window_passes_total{alg="grain"}`),
+		metricValue(t, mbody, `bsrngd_window_lanes_total{alg="grain"}`); p != 1 || l != 64 {
+		t.Errorf("one pooled refill counted %v passes and %v lanes, want 1 and 64", p, l)
+	}
+
+	lease := Lease{Alg: core.MICKEY, Domain: leaseDomainBase + 1, Segments: 2}
+	status, body, _ := get(t, ts.URL+"/stream?lease="+lease.id())
+	if status != http.StatusOK {
+		t.Fatalf("lease stream for an unserved algorithm: status %d", status)
+	}
+	r, err := core.NewSegmentReader(core.MICKEY, seed, lease.Domain, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, lease.Bytes())
+	io.ReadFull(r, want)
+	if !bytes.Equal(body, want) {
+		t.Error("unserved lease window diverges from NewSegmentReader")
+	}
+	s.windowsMu.Lock()
+	defer s.windowsMu.Unlock()
+	if len(s.windows) != len(algs)+1 || s.windows[core.MICKEY] == nil {
+		t.Errorf("after the unserved lease stream: %d window sources, want %d including mickey", len(s.windows), len(algs)+1)
+	}
+}
