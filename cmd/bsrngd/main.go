@@ -26,11 +26,6 @@
 // Retry-After. The bsrngd_health_* metric family on /metrics covers
 // failures and the degraded state.
 //
-// -shards, -workers, -staging, -timeout, -quarantine-after,
-// -probation-segments and -probation-interval configured the shard pool
-// that the pooled source replaced. They still parse, so existing
-// command lines keep working, and are ignored.
-//
 // Cluster mode: -router turns the process into the consistent-hash
 // router tier over the N bsrngd nodes named in -ring (a ring.json
 // membership file, reloaded on SIGHUP):
@@ -54,7 +49,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -81,12 +75,6 @@ func main() {
 	aptCutoff := flag.Int("health-apt-cutoff", 0, "APT failing occurrence count (0 = 48)")
 	monobitSlack := flag.Int("health-monobit-slack", 0, "monobit allowed |ones − bits/2| per segment (0 = 1024)")
 	longRunBits := flag.Int("health-longrun-bits", 0, "long-run failing run of identical bits (0 = 64)")
-	for _, name := range []string{"shards", "workers", "staging", "quarantine-after", "probation-segments"} {
-		flag.Int(name, 0, "ignored: configured the removed shard pool")
-	}
-	for _, name := range []string{"timeout", "probation-interval"} {
-		flag.Duration(name, 0, "ignored: configured the removed shard pool")
-	}
 	flag.Parse()
 
 	if *router {
@@ -97,7 +85,7 @@ func main() {
 		return
 	}
 
-	algorithms, err := parseAlgs(*algs)
+	algorithms, err := core.ParseAlgorithms(*algs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsrngd:", err)
 		os.Exit(2)
@@ -196,21 +184,4 @@ func runRouter(addr, ringPath string, drainTimeout time.Duration) error {
 			return fmt.Errorf("listen: %w", err)
 		}
 	}
-}
-
-// parseAlgs maps a comma-separated algorithm list to core.Algorithms;
-// empty input selects every engine.
-func parseAlgs(s string) ([]core.Algorithm, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []core.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		alg, err := core.ParseAlgorithm(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, alg)
-	}
-	return out, nil
 }

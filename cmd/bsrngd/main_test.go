@@ -1,26 +1,6 @@
 package main
 
-import (
-	"testing"
-
-	"repro/internal/core"
-)
-
-func TestParseAlgs(t *testing.T) {
-	if algs, err := parseAlgs(""); err != nil || algs != nil {
-		t.Errorf("empty list: %v, %v (want nil, nil = all algorithms)", algs, err)
-	}
-	algs, err := parseAlgs("mickey, trivium")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(algs) != 2 || algs[0] != core.MICKEY || algs[1] != core.TRIVIUM {
-		t.Errorf("parsed %v", algs)
-	}
-	if _, err := parseAlgs("mickey,rot13"); err == nil {
-		t.Error("bad algorithm accepted")
-	}
-}
+import "testing"
 
 func TestRunRouterUsage(t *testing.T) {
 	if err := runRouter(":0", "", 0); err == nil {

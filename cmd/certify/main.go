@@ -53,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		segments     = fs.Int("segments", 0, "segments pulled per cell (default 64)")
 		reqSegments  = fs.Int("req-segments", 0, "segments per GET /bytes request (default 16)")
 		streams      = fs.Int("streams", 0, "battery bit streams per cell (default 16)")
-		_            = fs.Int("workers", 0, "ignored: the served bytes no longer depend on a worker count")
-		_            = fs.Int("staging", 0, "ignored: the served bytes no longer depend on a staging size")
 		fast         = fs.Bool("fast", false, "skip the slow linear-complexity test")
 		short        = fs.Bool("short", false, "smoke mode: 8 segments, 4 streams, -fast")
 		noCrossCheck = fs.Bool("no-crosscheck", false, "skip the byte-for-byte library comparison (foreign-seed servers)")
@@ -80,14 +78,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !*quiet {
 		cfg.Logf = func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
 	}
-	if *algs != "" {
-		list, err := parseAlgs(*algs)
-		if err != nil {
-			fmt.Fprintln(stderr, "certify:", err)
-			return 2
-		}
-		cfg.Algorithms = list
+	list, err := core.ParseAlgorithms(*algs)
+	if err != nil {
+		fmt.Fprintln(stderr, "certify:", err)
+		return 2
 	}
+	cfg.Algorithms = list
 	if *lanesSpec != "" {
 		list, err := parseLanes(*lanesSpec)
 		if err != nil {
@@ -143,18 +139,6 @@ func writeReport(rep *certify.Report, path string, stdout io.Writer, render func
 		return err
 	}
 	return f.Close()
-}
-
-func parseAlgs(s string) ([]core.Algorithm, error) {
-	var out []core.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		alg, err := core.ParseAlgorithm(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, alg)
-	}
-	return out, nil
 }
 
 func parseLanes(s string) ([]int, error) {

@@ -70,7 +70,7 @@ var hotFuncs = map[string][]string{
 		// keying and the pass runner's key, aim and run (listed above).
 		"segment", "keyLanes", "nextBlocks", "key", "aim",
 		// Gathered-pass window source steady state.
-		"ReadWindow", "lead", "gather",
+		"ReadWindow", "pass", "gather",
 		// Per-segment material derivation (in place by design).
 		"deriveLane", "next", "fill", "chaoticX0",
 	},

@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clusterN = fs.Int("cluster", 0, "boot an N-node cluster behind the consistent-hash router and drive the load through it (boot mode only)")
 		fchaos   = fs.Int("cluster-chaos", 0, "fire N pulsed forward-failure faults inside the router during a -cluster run")
 		fchaosSd = fs.Uint64("cluster-chaos-seed", 1, "failpoint trigger seed for -cluster-chaos")
-		_        = fs.Int("shards", 0, "ignored: configured the removed shard pool")
 		lanes    = fs.Int("lanes", 0, "boot mode: engine lane width: 64, 256 or 512 are accepted (0 = 64); the served bytes are identical at every width")
 		inflight = fs.Int("max-inflight", 0, "boot mode: admission-control cap (default off)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
@@ -106,15 +105,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		cfg.Mix = mix
 	}
-	if *algs != "" {
-		list, err := parseAlgs(*algs)
-		if err != nil {
-			fmt.Fprintln(stderr, "loadgen:", err)
-			return 2
-		}
-		cfg.Algorithms = list
-		cfg.Server.Algorithms = list
+	list, err := core.ParseAlgorithms(*algs)
+	if err != nil {
+		fmt.Fprintln(stderr, "loadgen:", err)
+		return 2
 	}
+	cfg.Algorithms = list
+	cfg.Server.Algorithms = list
 	if *chaos > 0 {
 		cfg.Chaos = &loadtest.ChaosConfig{
 			Cycles:        *chaos,
@@ -192,16 +189,4 @@ func parseMix(s string) (loadtest.Mix, error) {
 		return loadtest.Mix{}, fmt.Errorf("mix %q: all weights zero", s)
 	}
 	return loadtest.Mix{Bytes: w[0], Stream: w[1], Lease: w[2]}, nil
-}
-
-func parseAlgs(s string) ([]core.Algorithm, error) {
-	var out []core.Algorithm
-	for _, name := range strings.Split(s, ",") {
-		alg, err := core.ParseAlgorithm(strings.TrimSpace(name))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, alg)
-	}
-	return out, nil
 }

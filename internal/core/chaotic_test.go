@@ -37,6 +37,32 @@ func TestParseAlgorithmChaotic(t *testing.T) {
 	}
 }
 
+func TestParseAlgorithms(t *testing.T) {
+	for _, blank := range []string{"", "  "} {
+		if algs, err := ParseAlgorithms(blank); err != nil || algs != nil {
+			t.Errorf("ParseAlgorithms(%q) = %v, %v; want nil, nil (the default set)", blank, algs, err)
+		}
+	}
+	algs, err := ParseAlgorithms(" mickey,\tTrivium ,chaotic(grain),aes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Algorithm{MICKEY, TRIVIUM, Chaotic(GRAIN), AESCTR}
+	if len(algs) != len(want) {
+		t.Fatalf("parsed %v, want %v", algs, want)
+	}
+	for i := range want {
+		if algs[i] != want[i] {
+			t.Errorf("parsed %v, want %v", algs, want)
+		}
+	}
+	for _, bad := range []string{"mickey,rot13", "grain,", "chaotic(grain"} {
+		if _, err := ParseAlgorithms(bad); err == nil {
+			t.Errorf("ParseAlgorithms(%q) accepted", bad)
+		}
+	}
+}
+
 // The chaotic mode must preserve the canonical-stream property: byte
 // streams identical at every lane width, for both the Generator and the
 // Stream front doors.

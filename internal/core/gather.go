@@ -13,14 +13,14 @@ import (
 // windows of every concurrent caller at once: a 4 KiB window no longer
 // costs a whole 64-segment pass of its own.
 //
-// Combining is caller-driven. The first caller to find no pass running
-// becomes the leader: it packs the oldest ≤64 pending segment demands
-// into a pass, runs it, copies each lane's slice into its caller's
-// buffer, and repeats. The leader's own demands are always the oldest,
-// so it finishes after its own passes and hands leadership to the oldest
-// caller still waiting; it never serves others indefinitely. No
-// goroutine, timer or batching delay is involved: a lone caller runs its
-// passes immediately.
+// Combining is caller-driven, under one mutex and one condition
+// variable. A caller queues its segment demands, then waits until its
+// window is written; whenever no pass is running, the waiting caller
+// that takes the lock runs the next one. A pass takes the oldest ≤64
+// pending demands, runs unlocked, copies each lane's slice into its
+// caller's buffer, and under the lock again releases its slots, marks
+// itself done and broadcasts to every waiter. No goroutine, timer or
+// batching delay is involved: a lone caller runs its passes immediately.
 
 // WindowSource serves byte windows of the canonical (seed, domain)
 // streams of one algorithm through one pass runner. ReadWindow returns
@@ -30,17 +30,18 @@ type WindowSource struct {
 	seed   uint64
 	onPass func(lanes int) // nil-able; lanes = segments the pass served
 
-	// The leader's: only the caller leading runs passes, so the
-	// source's own runner and slots are all the scratch a pass needs.
+	// The running pass's: one pass runs at a time, so the source's own
+	// runner and slots are all the scratch a pass needs.
 	r     *passRunner
 	slots [passLanes]windowSlot // the demand each lane of the pass serves
 
 	mu      sync.Mutex
+	done    sync.Cond    // on mu; broadcast when a pass ends
 	pending []*windowReq // callers with demands not yet in a pass, oldest first
-	leading bool         // some caller is running passes
+	running bool         // a pass is running: it owns r and slots
 	free    []*windowReq // request records of finished calls, for reuse
 
-	// testHookPass, when set, runs before the leader gathers each pass.
+	// testHookPass, when set, runs unlocked before each pass gathers.
 	testHookPass func()
 }
 
@@ -52,9 +53,6 @@ type windowReq struct {
 	domain, offset uint64
 	next, end      uint64
 	left           int
-	// wake carries one message to a waiting caller: true hands it
-	// leadership, false reports its window written.
-	wake chan bool
 }
 
 // windowSlot is the demand lane l of a pass serves: bytes
@@ -84,7 +82,9 @@ func NewWindowSource(alg Algorithm, seed uint64, onPass func(lanes int)) (*Windo
 	if err != nil {
 		return nil, err
 	}
-	return &WindowSource{seed: seed, r: r, onPass: onPass}, nil
+	ws := &WindowSource{seed: seed, r: r, onPass: onPass}
+	ws.done.L = &ws.mu
+	return ws, nil
 }
 
 // ReadWindow fills p with bytes [offset, offset+len(p)) of the canonical
@@ -102,77 +102,65 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 	if n := len(ws.free); n > 0 {
 		r, ws.free = ws.free[n-1], ws.free[:n-1]
 	} else {
-		r = &windowReq{wake: make(chan bool, 1)}
+		r = &windowReq{}
 	}
 	r.p, r.domain, r.offset, r.next, r.end = p, domain, offset, offset, end
 	r.left = int((end-1)/SegmentBytes - offset/SegmentBytes + 1)
 	ws.pending = append(ws.pending, r)
-	lead := !ws.leading
-	ws.leading = true
-	ws.mu.Unlock()
-	if lead || <-r.wake {
-		ws.lead(r)
+	for r.left > 0 {
+		if ws.running {
+			ws.done.Wait()
+		} else {
+			ws.pass()
+		}
 	}
 	r.p = nil
-	ws.mu.Lock()
 	ws.free = append(ws.free, r)
 	ws.mu.Unlock()
 	return nil
 }
 
-// lead runs passes until me's window is written, then hands leadership
-// to the oldest waiting caller. me is the oldest pending request when
-// lead begins, so its demands go first.
-func (ws *WindowSource) lead(me *windowReq) {
-	for {
-		if ws.testHookPass != nil {
-			ws.testHookPass()
-		}
-		ws.mu.Lock()
-		n := ws.gather()
+// pass runs one pass over the oldest ≤64 pending demands, which need
+// not be the caller's own. Called with ws.mu held and no pass running;
+// it unlocks while the pass runs and returns with ws.mu held again.
+func (ws *WindowSource) pass() {
+	ws.running = true
+	if ws.testHookPass != nil {
 		ws.mu.Unlock()
-
-		// Lane l serves slot l: a slot covering a whole segment is
-		// filled in place in its caller's buffer, the rest are copied
-		// out of the private buffers. Lanes past n are not keyed.
-		for l := range ws.slots[:n] {
-			s := &ws.slots[l]
-			ws.r.key(l, ws.seed, s.req.domain, s.seg)
-			ws.r.aim(l, s.dst)
-		}
-		ws.r.run()
-		for l := range ws.slots[:n] {
-			if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
-				copy(s.dst, ws.r.priv[l][s.within:])
-			}
-		}
-		if ws.onPass != nil {
-			ws.onPass(n)
-		}
-
-		// The slots are released before leadership is, so a new leader
-		// never gathers into slots this one is still clearing. Each
-		// wake channel gets exactly one message, so the sends never
-		// block.
+		ws.testHookPass()
 		ws.mu.Lock()
-		for i := range ws.slots[:n] {
-			s := &ws.slots[i]
-			if s.req.left--; s.req.left == 0 && s.req != me {
-				s.req.wake <- false
-			}
-			*s = windowSlot{}
-		}
-		finished := me.left == 0
-		if finished && len(ws.pending) > 0 {
-			ws.pending[0].wake <- true
-		} else if finished {
-			ws.leading = false
-		}
-		ws.mu.Unlock()
-		if finished {
-			return
+	}
+	n := ws.gather()
+	ws.mu.Unlock()
+
+	// Lane l serves slot l: a slot covering a whole segment is filled
+	// in place in its caller's buffer, the rest are copied out of the
+	// private buffers. Lanes past n keep stale material, and their
+	// output is discarded.
+	for l := range ws.slots[:n] {
+		s := &ws.slots[l]
+		ws.r.key(l, ws.seed, s.req.domain, s.seg)
+		ws.r.aim(l, s.dst)
+	}
+	ws.r.run()
+	for l := range ws.slots[:n] {
+		if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
+			copy(s.dst, ws.r.priv[l][s.within:])
 		}
 	}
+	if ws.onPass != nil {
+		ws.onPass(n)
+	}
+
+	// The slots are released in the critical section that ends the
+	// pass, so the next pass never gathers into slots still in use.
+	ws.mu.Lock()
+	for l := range ws.slots[:n] {
+		ws.slots[l].req.left--
+		ws.slots[l] = windowSlot{}
+	}
+	ws.running = false
+	ws.done.Broadcast()
 }
 
 // gather moves the oldest ≤64 pending segment demands into the slots

@@ -143,17 +143,16 @@ func TestWindowSourceSharesPasses(t *testing.T) {
 			t.Errorf("caller %d got the wrong window", i)
 		}
 	}
-	if ws.leading || len(ws.pending) != 0 {
-		t.Error("source left a leader or pending demands behind")
+	if ws.running || len(ws.pending) != 0 {
+		t.Error("source left a running pass or pending demands behind")
 	}
 }
 
-// Leadership changes hands constantly when callers issue windows back
-// to back: whole passes (as bsrngd's pooled refills read them) mixed
-// with small windows. A leader that goes idle and the next caller to
-// lead share the source's slots and lane buffers one after the other,
-// never at once, and every window comes back byte-identical. Runs under
-// -race in CI.
+// The caller that runs the next pass changes constantly when callers
+// issue windows back to back: whole passes (as bsrngd's pooled refills
+// read them) mixed with small windows. Successive passes share the
+// source's slots and lane buffers one after the other, never at once,
+// and every window comes back byte-identical. Runs under -race in CI.
 func TestWindowSourceLeaderTurnover(t *testing.T) {
 	const callers, reads = 8, 24
 	type window struct {

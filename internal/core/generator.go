@@ -106,6 +106,24 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("core: unknown algorithm %q (want one of %s)", s, strings.Join(AlgorithmNames, ", "))
 }
 
+// ParseAlgorithms maps a comma-separated list of names to Algorithms,
+// each name as ParseAlgorithm reads it. An empty or all-blank list
+// returns nil, which the commands read as their default set.
+func ParseAlgorithms(s string) ([]Algorithm, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, nil
+	}
+	var out []Algorithm
+	for _, name := range strings.Split(s, ",") {
+		alg, err := ParseAlgorithm(name)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, alg)
+	}
+	return out, nil
+}
+
 // Algorithms lists all base engines.
 var Algorithms = []Algorithm{MICKEY, GRAIN, AESCTR, TRIVIUM, XORGENS}
 

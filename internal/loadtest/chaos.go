@@ -42,7 +42,7 @@ func (r *runner) runChaos() (*ChaosReport, error) {
 	defer faultinject.Disarm(fp)
 
 	failures := `bsrngd_health_failures_total{alg="` + alg.String() + `",`
-	before := r.metricSum(failures)
+	before := metricSum(r.metricsBody(), failures)
 
 	for cyc := 0; cyc < cc.Cycles; cyc++ {
 		// The seeded draw places the cycle's first condemned check; every
@@ -72,7 +72,7 @@ func (r *runner) runChaos() (*ChaosReport, error) {
 	return &ChaosReport{
 		Algorithm: alg.String(),
 		Cycles:    cc.Cycles,
-		Skipped:   r.metricSum(failures) - before,
+		Skipped:   metricSum(r.metricsBody(), failures) - before,
 	}, nil
 }
 
@@ -112,20 +112,26 @@ func (r *runner) waitHealthz(timeout time.Duration, drive func(), ok func(health
 	}
 }
 
-// metricSum adds up every sample whose name and labels start with prefix
-// (0 when none, or unreachable) in the daemon's /metrics exposition.
-func (r *runner) metricSum(prefix string) float64 {
+// metricsBody fetches the /metrics exposition of the daemon or router
+// under test ("" when unreachable).
+func (r *runner) metricsBody() string {
 	resp, err := r.client.Get(r.base + "/metrics")
 	if err != nil {
-		return 0
+		return ""
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		return 0
+		return ""
 	}
+	return string(body)
+}
+
+// metricSum adds up every sample of a /metrics body whose name and
+// labels start with prefix (0 when none).
+func metricSum(body, prefix string) float64 {
 	var sum float64
-	for _, line := range strings.Split(string(body), "\n") {
+	for _, line := range strings.Split(body, "\n") {
 		if !strings.HasPrefix(line, prefix) {
 			continue
 		}

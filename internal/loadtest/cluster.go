@@ -181,11 +181,12 @@ func (r *runner) primeStream() {
 
 // clusterReport reads the router's own accounting off its /metrics.
 func (r *runner) clusterReport(pulses int) *ClusterReport {
+	body := r.metricsBody()
 	return &ClusterReport{
 		Nodes:           r.cfg.Cluster.Nodes,
-		Retries:         r.metricSum("bsrngd_cluster_retries_total "),
-		Failovers:       r.metricSum("bsrngd_cluster_failovers_total "),
-		ForwardFailures: r.metricFamilySum("bsrngd_cluster_forward_failures_total"),
+		Retries:         metricSum(body, "bsrngd_cluster_retries_total "),
+		Failovers:       metricSum(body, "bsrngd_cluster_failovers_total "),
+		ForwardFailures: metricSum(body, "bsrngd_cluster_forward_failures_total{"),
 		ForwardPulses:   pulses,
 	}
 }
@@ -240,38 +241,4 @@ func parseNodeSample(s string) (string, int64, bool) {
 		return "", 0, false
 	}
 	return node, v, true
-}
-
-// metricFamilySum sums every sample of a labeled metric family.
-func (r *runner) metricFamilySum(name string) float64 {
-	body := r.metricsBody()
-	var sum float64
-	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, name+"{") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp < 0 {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(line[sp+1:], "%g", &v); err == nil {
-			sum += v
-		}
-	}
-	return sum
-}
-
-// metricsBody fetches the full /metrics exposition ("" on failure).
-func (r *runner) metricsBody() string {
-	resp, err := r.client.Get(r.base + "/metrics")
-	if err != nil {
-		return ""
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return ""
-	}
-	return string(body)
 }

@@ -141,7 +141,7 @@ func (s *Server) handleLeaseCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	l := Lease{
 		Alg:      q.Alg,
-		Domain:   leaseDomainBase + s.leases[q.Alg].Add(1),
+		Domain:   leaseDomainBase + s.engines[q.Alg].leases.Add(1),
 		Segments: uint64(q.N),
 	}
 	s.leasesIssued.Inc()
@@ -159,7 +159,7 @@ func (s *Server) handleLeaseGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("invalid lease token: %v", err), http.StatusBadRequest)
 		return
 	}
-	if _, ok := s.pooled[l.Alg]; !ok {
+	if _, ok := s.engines[l.Alg]; !ok {
 		s.leaseRequests.With(l.Alg.String(), strconv.Itoa(http.StatusNotFound)).Inc()
 		http.Error(w, fmt.Sprintf("lease algorithm %v not served here", l.Alg), http.StatusNotFound)
 		return

@@ -55,8 +55,9 @@ type Limits struct {
 	// MaxLeaseSegments caps segments= on POST /lease (413 above it) and
 	// is its default.
 	MaxLeaseSegments int
-	// Served reports whether an algorithm named by alg= is served; nil
-	// accepts every algorithm.
+	// Served reports whether an algorithm named by alg= or by a lease
+	// token is served; nil accepts every algorithm (the router, which
+	// routes every query to some node).
 	Served func(core.Algorithm) bool
 }
 
@@ -81,9 +82,10 @@ func badRequest(format string, args ...any) *httpError {
 // byte cap, or to the rest of the lease window when that is smaller
 // (and a larger n is clamped to the window: resume semantics, not an
 // error). segment=, domain=, off= or lanes= make a /stream addressed;
-// lease=<token>&off= resumes a lease window. A refused query comes back
-// with a non-nil *httpError and the Query parsed so far, whose Mode and
-// label the refusal is counted under.
+// lease=<token>&off= resumes a lease window. An algorithm lim.Served
+// rejects, named by alg= or by the lease token, is refused with 400. A
+// refused query comes back with a non-nil *httpError and the Query
+// parsed so far, whose Mode and label the refusal is counted under.
 func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError) {
 	v := r.URL.Query()
 	q := Query{Mode: ModePooled, label: "invalid"}
@@ -118,6 +120,9 @@ func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError
 				if alg != l.Alg {
 					return q, badRequest("alg=%s contradicts the lease's algorithm %s", a, l.Alg)
 				}
+			}
+			if lim.Served != nil && !lim.Served(l.Alg) {
+				return q, badRequest("algorithm %v not served", l.Alg)
 			}
 			if off >= l.Bytes() {
 				return q, &httpError{http.StatusRequestedRangeNotSatisfiable,

@@ -111,6 +111,7 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 		var served int64
 		var err error
 		var buf []byte
+		e := s.engines[q.Alg] // ParseQuery refused every unserved algorithm
 		if q.Mode == ModePooled {
 			if s.testHookServing != nil {
 				s.testHookServing()
@@ -120,18 +121,13 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 			}
 			buf = s.getRespBuf(int(min(q.N, passBytes)))
 			var wait time.Duration
-			served, wait, err = streamPooled(dst, s.pooled[q.Alg], buf, q.N)
+			served, wait, err = streamPooled(dst, e.pooled, buf, q.N)
 			s.checkoutLat.Observe(wait.Seconds())
 		} else {
-			src, werr := s.windowSource(q.Alg)
-			if werr != nil {
-				s.fail(w, endpoint, &q, badRequest("%v", werr))
-				return
-			}
 			h.Set("X-Bsrng-Domain", strconv.FormatUint(q.Domain, 10))
 			h.Set("X-Bsrng-Offset", strconv.FormatUint(q.Offset, 10))
 			buf = s.getRespBuf(int(min(q.N, passBytes)))
-			served, err = streamWindow(dst, src, q.Domain, q.Offset, buf, q.N)
+			served, err = streamWindow(dst, e.ws, q.Domain, q.Offset, buf, q.N)
 		}
 		s.putRespBuf(buf)
 		if served == 0 && errors.Is(err, errSourceDry) {

@@ -1,18 +1,22 @@
 // Package server is bsrngd's serving layer: an HTTP front end over the
 // paper's bitsliced engines operated as a bulk entropy service. Every
 // served byte is a function of (algorithm, seed, domain, segment), made
-// by the algorithm's one engine, its core.WindowSource. Addressed and
-// lease requests read their window of that address space through it.
-// Pooled requests take the next bytes of their algorithm's pooled
-// source, the domain-1 segment stream of the seed (see source.go), which
-// refills with 64-segment demands on the same engine. Everything is
-// instrumented through internal/metrics and exposed on /metrics.
+// by the algorithm's one engine, its core.WindowSource. New builds the
+// engine of every served algorithm into a table that no request writes;
+// a request naming any other algorithm, by alg= or by a lease token, is
+// refused. Addressed and lease requests read their window of the
+// address space through the engine. Pooled requests take the next bytes
+// of their algorithm's pooled source, the domain-1 segment stream of the
+// seed (see source.go), which refills with 64-segment demands on the
+// same engine. Everything is instrumented through internal/metrics and
+// exposed on /metrics.
 //
 // Every pooled segment runs the continuous online health tests of
 // internal/health. A condemned segment is skipped, never served; after
 // three consecutive condemned segments the algorithm is degraded and
-// /healthz answers 503 until a refill yields a clean segment. Optional
-// admission control (MaxInflight) sheds load with 429 + Retry-After.
+// /healthz answers 503 until the segment its next refill starts with is
+// clean. Optional admission control (MaxInflight) sheds load with 429 +
+// Retry-After.
 //
 // Endpoints:
 //
@@ -81,20 +85,16 @@ type Config struct {
 	Health health.Config
 }
 
-// Server owns the pooled sources, the metrics registry and the HTTP mux.
+// Server owns the served algorithms' engines, the metrics registry and
+// the HTTP mux.
 type Server struct {
 	cfg    Config
 	limits Limits // the bounds ParseQuery enforces for this server
-	pooled map[core.Algorithm]*source
-	// leases counts POST /lease allocations per served algorithm, so
-	// one algorithm's lease domains do not depend on another's traffic.
-	leases map[core.Algorithm]*atomic.Uint64
-	// windows are the engines, one gathered-pass source per algorithm:
-	// New builds the served algorithms', windowSource any other's.
-	windowsMu sync.Mutex
-	windows   map[core.Algorithm]*core.WindowSource
-	reg       *metrics.Registry
-	mux       *http.ServeMux
+	// engines holds every served algorithm's engine. New fills it and
+	// nothing writes it afterwards, so requests read it without a lock.
+	engines map[core.Algorithm]*engine
+	reg     *metrics.Registry
+	mux     *http.ServeMux
 
 	mu       sync.RWMutex // guards draining against inflight.Add
 	draining bool
@@ -135,6 +135,16 @@ type Server struct {
 	// testHookServing, when set, runs when a pooled request starts
 	// serving — it lets tests freeze a request in flight.
 	testHookServing func()
+}
+
+// engine is one served algorithm's: its gathered-pass window source,
+// the pooled source that refills through it, and the count of POST
+// /lease allocations, so one algorithm's lease domains do not depend on
+// another's traffic.
+type engine struct {
+	ws     *core.WindowSource
+	pooled *source
+	leases atomic.Uint64
 }
 
 // New builds each served algorithm's engine and pooled source and
@@ -178,9 +188,7 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:     cfg,
-		pooled:  make(map[core.Algorithm]*source, len(cfg.Algorithms)),
-		leases:  make(map[core.Algorithm]*atomic.Uint64, len(cfg.Algorithms)),
-		windows: make(map[core.Algorithm]*core.WindowSource, len(cfg.Algorithms)),
+		engines: make(map[core.Algorithm]*engine, len(cfg.Algorithms)),
 		reg:     metrics.NewRegistry(),
 		mux:     http.NewServeMux(),
 	}
@@ -188,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		MaxBytes:         cfg.MaxRequestBytes,
 		MaxLeaseSegments: cfg.MaxLeaseSegments,
 		Served: func(alg core.Algorithm) bool {
-			_, ok := s.pooled[alg]
+			_, ok := s.engines[alg]
 			return ok
 		},
 	}
@@ -236,22 +244,26 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.inflightNow.Load()) })
 
 	for _, alg := range cfg.Algorithms {
-		if _, dup := s.pooled[alg]; dup {
+		if _, dup := s.engines[alg]; dup {
 			return nil, fmt.Errorf("server: algorithm %v configured twice", alg)
 		}
-		ws, err := s.windowSource(alg)
+		algL := alg.String()
+		passes, lanes := s.windowPasses.With(algL), s.windowLanes.With(algL)
+		ws, err := core.NewWindowSource(alg, cfg.Seed, func(n int) {
+			passes.Inc()
+			lanes.Add(uint64(n))
+		})
 		if err != nil {
 			return nil, err
 		}
-		s.pooled[alg] = newSource(s, alg, ws)
-		s.leases[alg] = new(atomic.Uint64)
+		s.engines[alg] = &engine{ws: ws, pooled: newSource(s, alg, ws)}
 	}
 	s.reg.NewGaugeFunc("bsrngd_health_segments_checked_total",
 		"Segments evaluated by the continuous health tests across all pooled sources.",
 		func() float64 {
 			var sum uint64
-			for _, src := range s.pooled {
-				sum += src.health().SegmentsChecked
+			for _, e := range s.engines {
+				sum += e.pooled.health().SegmentsChecked
 			}
 			return float64(sum)
 		})
@@ -263,28 +275,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
-}
-
-// windowSource returns alg's gathered-pass window source, building it on
-// first use: a lease token may name any algorithm, and an unserved one
-// pays for a keyed cipher only once a request names it.
-func (s *Server) windowSource(alg core.Algorithm) (*core.WindowSource, error) {
-	s.windowsMu.Lock()
-	defer s.windowsMu.Unlock()
-	if ws := s.windows[alg]; ws != nil {
-		return ws, nil
-	}
-	algL := alg.String()
-	passes, lanes := s.windowPasses.With(algL), s.windowLanes.With(algL)
-	ws, err := core.NewWindowSource(alg, s.cfg.Seed, func(n int) {
-		passes.Inc()
-		lanes.Add(uint64(n))
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.windows[alg] = ws
-	return ws, nil
 }
 
 // Handler returns the service's HTTP handler.
@@ -343,10 +333,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	draining := s.draining
 	s.mu.RUnlock()
 
-	resp := healthzResponse{Status: "ok", Pools: make(map[string]sourceHealth, len(s.pooled))}
-	for alg, src := range s.pooled {
-		src.probe()
-		h := src.health()
+	resp := healthzResponse{Status: "ok", Pools: make(map[string]sourceHealth, len(s.engines))}
+	for alg, e := range s.engines {
+		e.pooled.probe()
+		h := e.pooled.health()
 		resp.Pools[alg.String()] = h
 		if h.Degraded {
 			resp.Status = "degraded"

@@ -24,7 +24,8 @@ import (
 // A condemned segment is skipped (the healthy ones are packed behind the
 // unread bytes) and counted in bsrngd_health_failures_total. After
 // degradeAfter consecutive condemned segments the algorithm is degraded:
-// /healthz answers 503 until a refill yields a clean segment. A refill
+// /healthz answers 503 until a refill yields a clean segment, or until a
+// /healthz probe finds the segment the next refill starts with clean. A refill
 // that yields no healthy segment leaves the unread bytes in place and
 // fails the read, so a request gets all its bytes or none and never
 // spins. With no condemned segment, pooled bytes in service order are
@@ -131,19 +132,27 @@ func (src *source) check(seg []byte) error {
 	return err
 }
 
-// probe lets a degraded source try one refill, so it recovers without
-// pooled traffic (a cluster router stops sending a degraded node any).
-// The bytes it keeps are served next. A source holding more than one
-// pass of unread bytes waits for requests to drain them first.
+// probe lets a degraded source recover without pooled traffic (a
+// cluster router stops sending a degraded node any). It regenerates the
+// segment the next refill starts with into a scratch segment and
+// screens it; a healthy one clears the degraded state. It consumes
+// nothing and leaves the buffer alone: the next refill serves that
+// segment, since its bytes are a function of its address.
 func (src *source) probe() {
 	if src.degraded.Value() == 0 {
 		return
 	}
 	src.mu.Lock()
-	if src.end-src.pos <= passBytes {
-		src.refill()
+	defer src.mu.Unlock()
+	seg := make([]byte, core.SegmentBytes)
+	if src.ws.ReadWindow(seg, pooledDomain, src.next) != nil {
+		return
 	}
-	src.mu.Unlock()
+	var run int
+	if n, _ := core.Screen(seg, src.fpCorrupt, src.check, &run, 0); n > 0 {
+		src.run = 0
+		src.degraded.Set(0)
+	}
 }
 
 // sourceHealth is the /healthz view of one algorithm's pooled source.

@@ -237,10 +237,10 @@ func TestCheckoutCancellationStorm(t *testing.T) {
 // The skip-and-degrade lifecycle of one pooled source, driven
 // deterministically by the corruption failpoint: condemned segments are
 // skipped and counted; three in a row degrade the algorithm even while
-// healthy bytes are unread; /healthz lets a degraded source try a
-// refill, whose bytes are served next, and a clean one recovers it; a
-// refill with no healthy segment answers 503 and keeps the unread bytes
-// for the next request.
+// healthy bytes are unread; /healthz lets a degraded source screen the
+// segment its next refill starts with, consuming nothing, and a clean
+// one recovers it; a refill with no healthy segment answers 503 and
+// keeps the unread bytes for the next request.
 func TestPooledSkipAndDegrade(t *testing.T) {
 	if !faultinject.Available() {
 		t.Skip("faultinject compiled out")
@@ -283,7 +283,8 @@ func TestPooledSkipAndDegrade(t *testing.T) {
 	// of three degrades the algorithm with 60 healthy segments unread.
 	got := pull(seg, http.StatusOK)
 	gauge(1)
-	// /healthz refills pass 1 behind them, which is clean: recovered.
+	// /healthz screens the first segment of pass 1, which is clean:
+	// recovered.
 	healthz(http.StatusOK)
 	gauge(0)
 	got = append(got, pull(60*seg, http.StatusOK)...)
@@ -302,9 +303,9 @@ func TestPooledSkipAndDegrade(t *testing.T) {
 	if !bytes.Equal(pull(seg, http.StatusOK), lib[127*seg:128*seg]) {
 		t.Fatal("the unread segment was not kept through the failed refill")
 	}
-	healthz(http.StatusServiceUnavailable) // its probe condemns pass 3
-	if got := faultinject.Fired(fp); got != 128 {
-		t.Fatalf("failpoint fired %d times, want 128 (passes 2 and 3)", got)
+	healthz(http.StatusServiceUnavailable) // its probe condemns pass 3's first segment
+	if got := faultinject.Fired(fp); got != 65 {
+		t.Fatalf("failpoint fired %d times, want 65 (pass 2 and the probe)", got)
 	}
 	_, mbody, _ := get(t, ts.URL+"/metrics")
 	var failures float64
@@ -315,15 +316,16 @@ func TestPooledSkipAndDegrade(t *testing.T) {
 			failures += v
 		}
 	}
-	if failures != 3+128 {
-		t.Fatalf("health failures counted %v, want %d", failures, 3+128)
+	if failures != 3+65 {
+		t.Fatalf("health failures counted %v, want %d", failures, 3+65)
 	}
 
-	// Healed: the next probe refills pass 4 and its bytes come next.
+	// Healed: the next probe finds pass 3's first segment clean, and
+	// the probes consumed nothing, so pass 3 comes next.
 	faultinject.Disarm(fp)
 	healthz(http.StatusOK)
-	if !bytes.Equal(pull(2*seg, http.StatusOK), lib[256*seg:258*seg]) {
-		t.Fatal("bytes after recovery are not pass 4")
+	if !bytes.Equal(pull(2*seg, http.StatusOK), lib[192*seg:194*seg]) {
+		t.Fatal("bytes after recovery are not pass 3")
 	}
 }
 
@@ -357,5 +359,40 @@ func TestPooledBytesAllOrNothing(t *testing.T) {
 	want := append(append([]byte(nil), lib[:core.SegmentBytes]...), lib[2*passBytes:2*passBytes+core.SegmentBytes]...)
 	if !bytes.Equal(body, want) {
 		t.Fatal("/bytes after healing is not the kept segment followed by the next refill's first")
+	}
+}
+
+// A degraded source recovers through /healthz however many healthy
+// bytes it holds unread. Each round arms the corruption failpoint on
+// hits 62–64, so a refill keeps 61 segments and still ends in a
+// condemned run. Before probes screened one segment, two such probe
+// refills left more than a pass unread, probes stopped refilling, and
+// /healthz stayed 503 until pooled reads (which a router no longer
+// sends a demoted node) drained the buffer.
+func TestDegradedSourceRecoversWithBytesUnread(t *testing.T) {
+	if !faultinject.Available() {
+		t.Skip("faultinject compiled out")
+	}
+	t.Cleanup(faultinject.Reset)
+
+	fp := "server.segment.corrupt." + core.GRAIN.String()
+	faultinject.Reset()
+	_, ts := newTestServer(t, Config{Seed: 13, Algorithms: []core.Algorithm{core.GRAIN}})
+
+	faultinject.ArmRange(fp, 62, 64)
+	if status, _, _ := get(t, ts.URL+"/bytes?alg=grain&n=4096"); status != http.StatusOK {
+		t.Fatalf("/bytes: status %d", status)
+	}
+	_, mbody, _ := get(t, ts.URL+"/metrics")
+	if got := metricValue(t, mbody, `bsrngd_health_degraded{alg="grain"}`); got != 1 {
+		t.Fatalf("degraded gauge %v after a refill ending in a condemned run, want 1", got)
+	}
+	for range 2 {
+		faultinject.ArmRange(fp, 62, 64)
+		getHealthz(t, ts.URL)
+	}
+	faultinject.Disarm(fp)
+	if status, hz := getHealthz(t, ts.URL); status != http.StatusOK || hz.Pools["grain"].Degraded {
+		t.Fatalf("healthz after the fault cleared: status %d %+v, want 200", status, hz)
 	}
 }

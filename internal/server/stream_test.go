@@ -361,7 +361,7 @@ func TestByteCapsAndAdmissionAcrossEndpoints(t *testing.T) {
 func TestStreamParamValidation(t *testing.T) {
 	cfg := Config{
 		Seed:            7,
-		Algorithms:      []core.Algorithm{core.GRAIN},
+		Algorithms:      []core.Algorithm{core.GRAIN, core.AESCTR},
 		MaxRequestBytes: 8192,
 	}
 	_, ts := newTestServer(t, cfg)
@@ -414,10 +414,7 @@ func TestStreamChunkSteadyStateAllocs(t *testing.T) {
 	}
 	defer s.Shutdown(context.Background())
 
-	src, err := s.windowSource(core.GRAIN)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := s.engines[core.GRAIN].ws
 	buf := make([]byte, passBytes)
 	cw := &chunkWriter{s: s, w: io.Discard, ctx: context.Background()}
 	var off uint64

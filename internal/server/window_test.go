@@ -84,17 +84,17 @@ func TestWindowPassMetrics(t *testing.T) {
 // Each algorithm has one engine. New builds exactly one window source
 // per served algorithm, and the pooled source refills through it, so a
 // pooled refill counts as one full pass of the window counters. A lease
-// stream for an algorithm the server does not serve builds that
-// algorithm's window source on first use.
+// stream for an algorithm the server does not serve is refused with 400
+// and builds no engine: the table New fills is never written again.
 func TestOneEnginePerAlgorithm(t *testing.T) {
 	const seed = 5
 	algs := []core.Algorithm{core.GRAIN, core.TRIVIUM}
 	s, ts := newTestServer(t, Config{Seed: seed, Algorithms: algs})
-	if len(s.windows) != len(algs) {
-		t.Fatalf("New built %d window sources, want %d", len(s.windows), len(algs))
+	if len(s.engines) != len(algs) {
+		t.Fatalf("New built %d engines, want %d", len(s.engines), len(algs))
 	}
 	for _, alg := range algs {
-		if ws := s.windows[alg]; ws == nil || s.pooled[alg].ws != ws {
+		if e := s.engines[alg]; e == nil || e.ws == nil || e.pooled.ws != e.ws {
 			t.Errorf("%v: pooled source does not read through the algorithm's window source", alg)
 		}
 	}
@@ -109,22 +109,13 @@ func TestOneEnginePerAlgorithm(t *testing.T) {
 	}
 
 	lease := Lease{Alg: core.MICKEY, Domain: leaseDomainBase + 1, Segments: 2}
-	status, body, _ := get(t, ts.URL+"/stream?lease="+lease.id())
-	if status != http.StatusOK {
-		t.Fatalf("lease stream for an unserved algorithm: status %d", status)
+	if status, body, _ := get(t, ts.URL+"/stream?lease="+lease.id()); status != http.StatusBadRequest {
+		t.Fatalf("lease stream for an unserved algorithm: status %d (%s), want 400", status, body)
 	}
-	r, err := core.NewSegmentReader(core.MICKEY, seed, lease.Domain, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	if status, _, _ := get(t, ts.URL+"/lease/"+lease.id()); status != http.StatusNotFound {
+		t.Fatalf("GET /lease for an unserved algorithm: status %d, want 404", status)
 	}
-	want := make([]byte, lease.Bytes())
-	io.ReadFull(r, want)
-	if !bytes.Equal(body, want) {
-		t.Error("unserved lease window diverges from NewSegmentReader")
-	}
-	s.windowsMu.Lock()
-	defer s.windowsMu.Unlock()
-	if len(s.windows) != len(algs)+1 || s.windows[core.MICKEY] == nil {
-		t.Errorf("after the unserved lease stream: %d window sources, want %d including mickey", len(s.windows), len(algs)+1)
+	if len(s.engines) != len(algs) || s.engines[core.MICKEY] != nil {
+		t.Errorf("after the unserved lease stream: %d engines, want %d and none for mickey", len(s.engines), len(algs))
 	}
 }
