@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt serve cover nofaultinject
+.PHONY: verify fmt-check vet lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
 
 verify: fmt-check vet lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
 	@echo "verify: all checks passed"
@@ -136,6 +136,15 @@ cover:
 
 fmt:
 	gofmt -w .
+
+# Rewrite the committed generated kernels from their generators: MICKEY's
+# straight-line clock (internal/mickey/clockkg_gen.go, from the cipher
+# tables) and the straight-line 64x64 transpose
+# (internal/bitslice/transpose64_gen.go). `make test` fails whenever a
+# committed file and its generator disagree.
+generate:
+	$(GO) test ./internal/mickey -run '^TestClockKGGenerated$$' -update
+	$(GO) test ./internal/bitslice -run '^TestTranspose64Generated$$' -update
 
 serve:
 	$(GO) run ./cmd/bsrngd

@@ -81,7 +81,7 @@ var hotFuncs = map[string][]string{
 		// which returns a fixed-size array by value, and the key/IV
 		// packer PackBytes. Shape's checks run only at the engines'
 		// front doors and are deliberately absent too.
-		"Transpose32", "Transpose64", "TransposeVec", "PackWords", "PackBytes",
+		"Transpose64", "TransposeVec", "PackWords", "PackBytes",
 		"Broadcast", "SetLaneBit", "LaneBit",
 	},
 	// Every engine's per-pass contract: Rekey and Fill (and the fill
@@ -92,11 +92,11 @@ var hotFuncs = map[string][]string{
 	},
 	"internal/grain": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "clock", "output", "push", "Reseed",
+		"ClockVec", "clock", "output", "push", "rebase", "Reseed",
 		"Rekey", "Fill", "fill",
 	},
 	"internal/trivium": {
-		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "Reseed",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "rebase", "Reseed",
 		"Rekey", "load", "Fill", "fill",
 	},
 	"internal/aes": {

@@ -8,43 +8,21 @@
 // advances all lanes at once, and the shift-and-mask work of an LFSR
 // becomes plain register renaming.
 //
-// The package provides the representation change itself: bit-matrix
-// transposition (the 64x64 and 32x32 kernels), lane packing/unpacking, and
-// small helpers shared by every bitsliced engine in this repository.
+// The package provides the representation change itself: the 64x64
+// bit-matrix transposition (Transpose64, generated straight-line code in
+// transpose64_gen.go), lane packing/unpacking, and small helpers shared by
+// every bitsliced engine in this repository.
 package bitslice
 
 // W is the native lane count: one uint64 plane carries W independent
 // instances.
 const W = 64
 
-// W32 is the lane count of the narrow (uint32) datapath, matching the
-// paper's single-precision CUDA registers.
-const W32 = 32
-
 // V64 is one 64-lane plane wrapped in a one-word array. It survives only
 // because the bench/ module declares its block buffers as [64]V64 and
 // instantiates the engine constructors with it; every engine runs on
 // plain uint64 planes.
 type V64 [1]uint64
-
-// Transpose64 performs an in-place 64x64 bit-matrix transposition:
-// afterwards, bit j of a[k] is the former bit k of a[j].
-//
-// With a[t] holding the lane-parallel output word of clock t (bit L =
-// lane L), the transposed a[L] holds 64 consecutive keystream bits of
-// lane L (bit t = clock t).
-func Transpose64(a *[64]uint64) {
-	m := uint64(0x00000000FFFFFFFF)
-	for j := uint(32); j != 0; {
-		for k := 0; k < 64; k = (k + int(j) + 1) &^ int(j) {
-			t := ((a[k] >> j) ^ a[k+int(j)]) & m
-			a[k+int(j)] ^= t
-			a[k] ^= t << j
-		}
-		j >>= 1
-		m ^= m << j
-	}
-}
 
 // TransposeVec is Transpose64 on V64 planes, kept for the bench/ module.
 func TransposeVec(a *[64]V64) {
@@ -55,21 +33,6 @@ func TransposeVec(a *[64]V64) {
 	Transpose64(&t)
 	for i := range a {
 		a[i][0] = t[i]
-	}
-}
-
-// Transpose32 performs an in-place 32x32 bit-matrix transposition on
-// uint32 words; the narrow-datapath analogue of Transpose64.
-func Transpose32(a *[32]uint32) {
-	m := uint32(0x0000FFFF)
-	for j := uint(16); j != 0; {
-		for k := 0; k < 32; k = (k + int(j) + 1) &^ int(j) {
-			t := ((a[k] >> j) ^ a[k+int(j)]) & m
-			a[k+int(j)] ^= t
-			a[k] ^= t << j
-		}
-		j >>= 1
-		m ^= m << j
 	}
 }
 

@@ -53,39 +53,6 @@ func TestTranspose64Diagonal(t *testing.T) {
 	}
 }
 
-func TestTranspose32Definition(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var a, b [32]uint32
-	for i := range a {
-		a[i] = rng.Uint32()
-	}
-	b = a
-	Transpose32(&b)
-	for k := 0; k < 32; k++ {
-		for j := 0; j < 32; j++ {
-			got := (b[k] >> uint(j)) & 1
-			want := (a[j] >> uint(k)) & 1
-			if got != want {
-				t.Fatalf("bit (%d,%d): got %d want %d", k, j, got, want)
-			}
-		}
-	}
-}
-
-func TestTranspose32Identity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	var a, orig [32]uint32
-	for i := range a {
-		a[i] = rng.Uint32()
-	}
-	orig = a
-	Transpose32(&a)
-	Transpose32(&a)
-	if a != orig {
-		t.Fatal("double transpose did not restore matrix")
-	}
-}
-
 func TestPackUnpackBitsRoundTrip(t *testing.T) {
 	f := func(seed int64, lanes8 uint8, n8 uint8) bool {
 		lanes := int(lanes8%64) + 1
@@ -263,16 +230,5 @@ func BenchmarkTranspose64(b *testing.B) {
 	b.SetBytes(64 * 8)
 	for i := 0; i < b.N; i++ {
 		Transpose64(&a)
-	}
-}
-
-func BenchmarkTranspose32(b *testing.B) {
-	var a [32]uint32
-	for i := range a {
-		a[i] = uint32(i) * 0x9e3779b9
-	}
-	b.SetBytes(32 * 4)
-	for i := 0; i < b.N; i++ {
-		Transpose32(&a)
 	}
 }

@@ -221,3 +221,72 @@ func BenchmarkSlicedKeystream64Lanes(b *testing.B) {
 		}
 	}
 }
+
+// clockBlock is what keystreamBlock must equal: 64 ClockVec calls, clock
+// i's plane moved bit by bit into bit i^7 of every lane's word (bytes
+// MSB-first), with no transpose kernel involved.
+func clockBlock(g *Sliced) (out [64]uint64) {
+	for i := 0; i < 64; i++ {
+		z := g.ClockVec()
+		for l := range out {
+			out[l] |= (z >> uint(l) & 1) << uint(i^7)
+		}
+	}
+	return out
+}
+
+// The block kernel rebases a window that ClockVec calls left at any
+// origin, and leaves the engine in step with one that only clocks.
+func TestKeystreamBlockMatchesClockVec(t *testing.T) {
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(71)), 64)
+	for k := 0; k < 64; k++ {
+		got, err := NewSlicedVec[bitslice.V64](keys, ivs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := NewSlicedVec[bitslice.V64](keys, ivs)
+		for i := 0; i < k; i++ {
+			got.ClockVec()
+			want.ClockVec()
+		}
+		for blk := 0; blk < 2; blk++ {
+			var out [64]uint64
+			got.keystreamBlock(&out)
+			if out != clockBlock(want) {
+				t.Fatalf("after %d ClockVec calls, block %d differs from 64 ClockVec calls", k, blk)
+			}
+		}
+		if got.ClockVec() != want.ClockVec() {
+			t.Fatalf("after %d ClockVec calls and two blocks, the engines are out of step", k)
+		}
+	}
+}
+
+func TestKeystreamBlockVecAfterReseed(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	keys, ivs := diffMaterial(rng, 64)
+	got, err := NewSlicedVec[bitslice.V64](keys, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewSlicedVec[bitslice.V64](keys, ivs)
+	got.ClockVec() // leave the old window off origin 0
+	keys, ivs = diffMaterial(rng, 64)
+	if err := got.Reseed(keys, ivs); err != nil {
+		t.Fatal(err)
+	}
+	if err := want.Reseed(keys, ivs); err != nil {
+		t.Fatal(err)
+	}
+	// Grain's 160 init clocks end mid-window: the block must rebase first.
+	if got.pos != initClocks%window {
+		t.Fatalf("Reseed left pos %d, want %d", got.pos, initClocks%window)
+	}
+	var out [64]bitslice.V64
+	got.KeystreamBlockVec(&out)
+	for l, w := range clockBlock(want) {
+		if out[l][0] != w {
+			t.Fatalf("lane %d: block after Reseed differs from 64 ClockVec calls", l)
+		}
+	}
+}

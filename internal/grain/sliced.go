@@ -118,10 +118,16 @@ func (g *Sliced) push(ns, nb uint64) {
 	g.b[g.pos+regBits] = nb
 	g.pos++
 	if g.pos == window {
-		copy(g.s[:regBits], g.s[window:])
-		copy(g.b[:regBits], g.b[window:])
-		g.pos = 0
+		g.rebase()
 	}
+}
+
+// rebase moves the live window to origin 0: state bit i moves from
+// buffer index pos+i to i, so no state bit changes.
+func (g *Sliced) rebase() {
+	copy(g.s[:regBits], g.s[g.pos:])
+	copy(g.b[:regBits], g.b[g.pos:])
+	g.pos = 0
 }
 
 // ClockVec emits one keystream plane (bit L = lane L's next bit) and
@@ -155,10 +161,43 @@ func (g *Sliced) ClockVec() uint64 {
 // keystreamBlock runs 64 clocks and transposes so that out[L], written
 // little-endian, is 8 keystream bytes of lane L with MSB-first bit
 // packing (byte-compatible with Ref.Keystream).
+//
+// It is the block kernel: ClockVec's body inlined into one loop over
+// the buffers as fixed-size arrays, so no tap index is bounds checked
+// and the buffers are rebased once, after the block. A window left off
+// origin 0 (by ClockVec calls, or the 160 init clocks, which end at
+// pos 32) is rebased first; that moves no state bit, so the block runs
+// the same clocks in the same order as 64 ClockVec calls.
 func (g *Sliced) keystreamBlock(out *[64]uint64) {
-	for t := 0; t < 64; t++ {
-		out[(t&^7)|(7-t&7)] = g.ClockVec()
+	if g.pos != 0 {
+		g.rebase()
 	}
+	sb := (*[regBits + window]uint64)(g.s)
+	bb := (*[regBits + window]uint64)(g.b)
+	for t := 0; t < window; t++ {
+		s := sb[t:][:regBits+1]
+		b := bb[t:][:regBits+1]
+		x0, x1, x2, x3, x4 := s[3], s[25], s[46], s[64], b[63]
+		h := x1 ^ x4 ^ x0&x3 ^ x2&x3 ^ x3&x4 ^
+			x0&x1&x2 ^ x0&x2&x3 ^ x0&x2&x4 ^ x1&x2&x4 ^ x2&x3&x4
+		a := b[1] ^ b[2] ^ b[4] ^ b[10] ^ b[31] ^ b[43] ^ b[56]
+
+		lin := b[62] ^ b[60] ^ b[52] ^ b[45] ^ b[37] ^ b[33] ^
+			b[28] ^ b[21] ^ b[14] ^ b[9] ^ b[0]
+		nl := x4&b[60] ^ b[37]&b[33] ^ b[15]&b[9] ^
+			b[60]&b[52]&b[45] ^ b[33]&b[28]&b[21] ^
+			x4&b[45]&b[28]&b[9] ^ b[60]&b[52]&b[37]&b[33] ^
+			x4&b[60]&b[21]&b[15] ^
+			x4&b[60]&b[52]&b[45]&b[37] ^
+			b[33]&b[28]&b[21]&b[15]&b[9] ^
+			b[52]&b[45]&b[37]&b[33]&b[28]&b[21]
+		s[regBits] = s[62] ^ s[51] ^ s[38] ^ s[23] ^ s[13] ^ s[0]
+		b[regBits] = s[0] ^ lin ^ nl
+		// Clock t's plane goes to row t^7: MSB-first bits per byte.
+		out[(t^7)&63] = a ^ h
+	}
+	g.pos = window
+	g.rebase()
 	bitslice.Transpose64(out)
 }
 

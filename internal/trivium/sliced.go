@@ -115,21 +115,53 @@ func (t *Sliced) ClockVec() uint64 {
 	c[p+lenC] = n2
 	t.pos++
 	if t.pos == window {
-		copy(a[:lenA], a[window:])
-		copy(b[:lenB], b[window:])
-		copy(c[:lenC], c[window:])
-		t.pos = 0
+		t.rebase()
 	}
 	return z
+}
+
+// rebase moves every register's live window to origin 0: s_j moves
+// from buf[pos+len-j] to buf[len-j], so no state bit changes, only the
+// buffer index of the origin.
+func (t *Sliced) rebase() {
+	copy(t.a[:lenA], t.a[t.pos:])
+	copy(t.b[:lenB], t.b[t.pos:])
+	copy(t.c[:lenC], t.c[t.pos:])
+	t.pos = 0
 }
 
 // keystreamBlock runs 64 clocks and transposes so that out[L], written
 // little-endian, is 8 keystream bytes of lane L, MSB-first per byte
 // (byte-compatible with Ref.Keystream).
+//
+// It is the block kernel: ClockVec's body inlined into one loop over
+// the registers as fixed-size arrays, so no tap index is bounds checked
+// and the append log is rebased once, after the block. A window that
+// ClockVec calls left off origin 0 is rebased first; that moves no
+// state bit, so the block runs the same clocks in the same order as 64
+// ClockVec calls.
 func (t *Sliced) keystreamBlock(out *[64]uint64) {
-	for i := 0; i < 64; i++ {
-		out[(i&^7)|(7-i&7)] = t.ClockVec()
+	if t.pos != 0 {
+		t.rebase()
 	}
+	a := (*[lenA + window]uint64)(t.a)
+	b := (*[lenB + window]uint64)(t.b)
+	c := (*[lenC + window]uint64)(t.c)
+	for p := 0; p < window; p++ {
+		t1 := a[p+lenA-66] ^ a[p+lenA-93]
+		t2 := b[p+lenB-69] ^ b[p+lenB-84]
+		t3 := c[p+lenC-66] ^ c[p+lenC-111]
+		n1 := t1 ^ a[p+lenA-91]&a[p+lenA-92] ^ b[p+lenB-78]
+		n2 := t2 ^ b[p+lenB-82]&b[p+lenB-83] ^ c[p+lenC-87]
+		n3 := t3 ^ c[p+lenC-109]&c[p+lenC-110] ^ a[p+lenA-69]
+		a[p+lenA] = n3
+		b[p+lenB] = n1
+		c[p+lenC] = n2
+		// Clock p's plane goes to row p^7: MSB-first bits per byte.
+		out[(p^7)&63] = t1 ^ t2 ^ t3
+	}
+	t.pos = window
+	t.rebase()
 	bitslice.Transpose64(out)
 }
 
