@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check vet lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
+.PHONY: verify fmt-check vet cross lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
 
-verify: fmt-check vet lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
+verify: fmt-check vet cross lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
 	@echo "verify: all checks passed"
 
 fmt-check:
@@ -16,6 +16,14 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The portable file set: off amd64, Transpose64 is the generated Go form
+# alone (internal/bitslice/transpose64_other.go). Vetting and building
+# for arm64 keeps that set compiling; on amd64 itself, vet's asmdecl
+# check holds the assembly stubs' frames to their Go declarations.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # Repo-specific invariants (determinism, failpoint names, metric names,
 # atomic/plain mixes, goroutine hygiene, error conventions) — see
@@ -139,9 +147,10 @@ fmt:
 
 # Rewrite the committed generated kernels from their generators: MICKEY's
 # straight-line clock (internal/mickey/clockkg_gen.go, from the cipher
-# tables) and the straight-line 64x64 transpose
-# (internal/bitslice/transpose64_gen.go). `make test` fails whenever a
-# committed file and its generator disagree.
+# tables) and both 64x64 transpose kernels, the straight-line Go form
+# (internal/bitslice/transpose64_gen.go) and the amd64 AVX-512/GFNI
+# kernel with its gate's stubs (internal/bitslice/transpose64_amd64.s).
+# `make test` fails whenever a committed file and its generator disagree.
 generate:
 	$(GO) test ./internal/mickey -run '^TestClockKGGenerated$$' -update
 	$(GO) test ./internal/bitslice -run '^TestTranspose64Generated$$' -update

@@ -77,27 +77,31 @@ var hotFuncs = map[string][]string{
 	"internal/bitslice": {
 		// PackBits/UnpackBits/UnpackWords/ExtractLane allocate their
 		// result by contract and are deliberately absent: the
-		// steady-state kernels use Transpose64 in place, PackWords,
-		// which returns a fixed-size array by value, and the key/IV
-		// packer PackBytes. Shape's checks run only at the engines'
-		// front doors and are deliberately absent too.
-		"Transpose64", "TransposeVec", "PackWords", "PackBytes",
-		"Broadcast", "SetLaneBit", "LaneBit",
+		// steady-state kernels use Transpose64 in place (its dispatch
+		// and its generated Go kernel; the vector kernel is assembly),
+		// the tiled lane store every engine's fill writes through
+		// (Store), PackWords, which returns a fixed-size array by
+		// value, and the key/IV packer PackBytes. Shape's checks run
+		// only at the engines' front doors and are deliberately absent
+		// too.
+		"Transpose64", "transpose64Generic", "Store", "TransposeVec",
+		"PackWords", "PackBytes", "Broadcast", "SetLaneBit", "LaneBit",
 	},
-	// Every engine's per-pass contract: Rekey and Fill (and the fill
-	// and load helpers behind them) run on every segment pass.
+	// Every engine's per-pass contract: Rekey and Fill (and the fill,
+	// block source and load helpers behind them) run on every segment
+	// pass.
 	"internal/mickey": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "clockKG", "Reseed",
-		"Rekey", "load", "Fill", "fill",
+		"Rekey", "load", "Fill", "fill", "blocks",
 	},
 	"internal/grain": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec",
 		"ClockVec", "clock", "output", "push", "rebase", "Reseed",
-		"Rekey", "Fill", "fill",
+		"Rekey", "Fill", "fill", "blocks",
 	},
 	"internal/trivium": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "rebase", "Reseed",
-		"Rekey", "load", "Fill", "fill",
+		"Rekey", "load", "Fill", "fill", "blocks",
 	},
 	"internal/aes": {
 		// PackBlocks allocates by contract and only serves the
@@ -107,11 +111,11 @@ var hotFuncs = map[string][]string{
 		"Keystream", "NextBatch", "nextBlockPlanes", "incCounterPlanes",
 		"EncryptBlocks", "subShiftP", "subShiftXorP", "mixColumnsARKP",
 		"addRoundKeyFromP", "bpSbox", "Reseed",
-		"Rekey", "rekey", "Fill", "fill",
+		"Rekey", "rekey", "Fill", "fill", "blocks",
 	},
 	"internal/xorgens": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
-		"Rekey", "Fill", "fill",
+		"Rekey", "Fill", "fill", "blocks",
 	},
 	"internal/chaotic": {
 		"Post", "Unpost",

@@ -135,6 +135,7 @@ type SlicedCTR struct {
 	noncePl [64]uint64 // planes of block bytes 0..7: the per-lane nonces
 	ctrPl   [64]uint64 // planes of block bytes 8..15: the big-endian counters
 	st      [128]uint64
+	tile    bitslice.Tile // lane store staging, reused by every fill
 }
 
 // BatchSize is the output of one SlicedCTR batch: 64 lanes × 16 bytes.
@@ -252,12 +253,16 @@ func (g *SlicedCTR) Keystream(bufs [][]byte) error {
 // multiple of BlockSize; Fill checks nothing.
 func (g *SlicedCTR) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.aes.lanes]) }
 
-func (g *SlicedCTR) fill(bufs [][]byte) {
-	for off := 0; off+BlockSize <= len(bufs[0]); off += BlockSize {
+func (g *SlicedCTR) fill(bufs [][]byte) { g.tile.Store(bufs, g.blocks) }
+
+// blocks is the lane store's block source. One CTR block per lane is
+// two consecutive 8-byte rows: its low words (g.st[0:64]) and then its
+// high words (g.st[64:128]). The buffers are multiples of BlockSize, so
+// rows always come in pairs.
+func (g *SlicedCTR) blocks(rows [][64]uint64) {
+	for i := 0; i < len(rows); i += 2 {
 		g.nextBlockPlanes()
-		for l, b := range bufs {
-			binary.LittleEndian.PutUint64(b[off:off+8], g.st[l])
-			binary.LittleEndian.PutUint64(b[off+8:off+16], g.st[64+l])
-		}
+		rows[i] = [64]uint64(g.st[0:64])
+		rows[i+1] = [64]uint64(g.st[64:128])
 	}
 }

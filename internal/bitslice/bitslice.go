@@ -9,14 +9,34 @@
 // becomes plain register renaming.
 //
 // The package provides the representation change itself: the 64x64
-// bit-matrix transposition (Transpose64, generated straight-line code in
-// transpose64_gen.go), lane packing/unpacking, and small helpers shared by
-// every bitsliced engine in this repository.
+// bit-matrix transposition (Transpose64: an AVX-512 VBMI + GFNI kernel in
+// transpose64_amd64.s where the CPU has one, generated straight-line Go
+// in transpose64_gen.go everywhere else), the tiled lane store every
+// engine writes its keystream through (Tile), lane packing/unpacking,
+// and small helpers shared by every bitsliced engine in this repository.
 package bitslice
 
 // W is the native lane count: one uint64 plane carries W independent
 // instances.
 const W = 64
+
+// Transpose64 performs an in-place 64x64 bit-matrix transposition:
+// afterwards, bit j of a[k] is the former bit k of a[j].
+//
+// With a[t] holding the lane-parallel output word of clock t (bit L =
+// lane L), the transposed a[L] holds 64 consecutive keystream bits of
+// lane L (bit t = clock t).
+//
+// It runs the vector kernel when the CPU passed its gate at start-up
+// (hasVec) and the generated Go form otherwise; both compute the same
+// function of a.
+func Transpose64(a *[64]uint64) {
+	if hasVec {
+		transpose64Vec(a)
+		return
+	}
+	transpose64Generic(a)
+}
 
 // V64 is one 64-lane plane wrapped in a one-word array. It survives only
 // because the bench/ module declares its block buffers as [64]V64 and

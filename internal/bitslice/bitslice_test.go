@@ -222,13 +222,19 @@ func assertPanics(t *testing.T, name string, f func()) {
 	f()
 }
 
+// BenchmarkTranspose64 times the dispatching Transpose64 and each kernel
+// this machine runs.
 func BenchmarkTranspose64(b *testing.B) {
 	var a [64]uint64
 	for i := range a {
 		a[i] = uint64(i) * 0x9e3779b97f4a7c15
 	}
-	b.SetBytes(64 * 8)
-	for i := 0; i < b.N; i++ {
-		Transpose64(&a)
+	for _, k := range append([]kernel{{"dispatch", Transpose64}}, transpose64Kernels(b)...) {
+		b.Run(k.name, func(b *testing.B) {
+			b.SetBytes(64 * 8)
+			for i := 0; i < b.N; i++ {
+				k.fn(&a)
+			}
+		})
 	}
 }

@@ -119,24 +119,19 @@ func FuzzTransposeVec(f *testing.F) {
 	})
 }
 
-// FuzzTranspose64 holds the generated straight-line Transpose64 to its
-// loop form, transpose64Loop, and checks that it is an involution.
+// FuzzTranspose64 holds each Transpose64 kernel this machine runs (the
+// generated Go form always, the vector kernel when its gate passes) to
+// the loop form, transpose64Loop, and checks that it is an involution.
 func FuzzTranspose64(f *testing.F) {
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x01, 0x80, 0x7F, 0xFE})
 	f.Add([]byte("straight-line transpose"))
+	kernels := transpose64Kernels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a [64]uint64
 		copy(a[:], fuzzWords(data, 64))
-		orig, want := a, a
-		transpose64Loop(&want)
-		Transpose64(&a)
-		if a != want {
-			t.Fatal("Transpose64 diverges from transpose64Loop")
-		}
-		Transpose64(&a)
-		if a != orig {
-			t.Fatal("Transpose64 is not an involution")
+		for _, k := range kernels {
+			checkTranspose64(t, k.name, k.fn, &a)
 		}
 	})
 }

@@ -1,10 +1,6 @@
 package grain
 
-import (
-	"encoding/binary"
-
-	"repro/internal/bitslice"
-)
+import "repro/internal/bitslice"
 
 // window is the number of clocks run between buffer rebases. Instead of
 // shifting 160 planes every clock (the naive cost the paper's §4.3
@@ -20,6 +16,7 @@ type Sliced struct {
 	s, b  []uint64 // plane buffers of length regBits+window
 	pos   int      // window origin: state bit i of the current clock is s[pos+i]
 	lanes int
+	tile  bitslice.Tile // lane store staging, reused by every fill
 }
 
 // shape is the engine's material and buffer contract.
@@ -226,12 +223,12 @@ func (g *Sliced) Keystream(bufs [][]byte) error {
 // of 8; Fill checks nothing.
 func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.lanes]) }
 
-func (g *Sliced) fill(bufs [][]byte) {
-	var blk [64]uint64
-	for off := 0; off+8 <= len(bufs[0]); off += 8 {
-		g.keystreamBlock(&blk)
-		for l, b := range bufs {
-			binary.LittleEndian.PutUint64(b[off:], blk[l])
-		}
+func (g *Sliced) fill(bufs [][]byte) { g.tile.Store(bufs, g.blocks) }
+
+// blocks is the lane store's block source: the next keystream block
+// into each row.
+func (g *Sliced) blocks(rows [][64]uint64) {
+	for i := range rows {
+		g.keystreamBlock(&rows[i])
 	}
 }

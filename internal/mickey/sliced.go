@@ -1,10 +1,6 @@
 package mickey
 
-import (
-	"encoding/binary"
-
-	"repro/internal/bitslice"
-)
+import "repro/internal/bitslice"
 
 // Sliced is the bitsliced MICKEY 2.0 engine of paper §4.4 (Fig. 9): the
 // two 100-bit registers become 200 uint64 planes (plane i, bit L = state
@@ -26,7 +22,8 @@ type Sliced struct {
 	r, s   *[regBits]uint64 // current planes
 	nr, ns *[regBits]uint64 // scratch planes (swapped in after every clock)
 	lanes  int
-	ivBits int // IV bits every Rekey loads, fixed by the front doors
+	ivBits int           // IV bits every Rekey loads, fixed by the front doors
+	tile   bitslice.Tile // lane store staging, reused by every fill
 }
 
 // shape is the engine's material contract under an IV of ivBits bits:
@@ -149,12 +146,12 @@ func (m *Sliced) Keystream(bufs [][]byte) error {
 // of 8; Fill checks nothing.
 func (m *Sliced) Fill(bufs *[bitslice.W][]byte) { m.fill(bufs[:m.lanes]) }
 
-func (m *Sliced) fill(bufs [][]byte) {
-	var blk [64]uint64
-	for off := 0; off+8 <= len(bufs[0]); off += 8 {
-		m.keystreamBlock(&blk)
-		for l, b := range bufs {
-			binary.LittleEndian.PutUint64(b[off:], blk[l])
-		}
+func (m *Sliced) fill(bufs [][]byte) { m.tile.Store(bufs, m.blocks) }
+
+// blocks is the lane store's block source: the next keystream block
+// into each row.
+func (m *Sliced) blocks(rows [][64]uint64) {
+	for i := range rows {
+		m.keystreamBlock(&rows[i])
 	}
 }

@@ -1,10 +1,6 @@
 package trivium
 
-import (
-	"encoding/binary"
-
-	"repro/internal/bitslice"
-)
+import "repro/internal/bitslice"
 
 // window is the number of clocks between buffer rebases (the same
 // append-and-rebase scheme as the bitsliced Grain engine).
@@ -26,6 +22,7 @@ type Sliced struct {
 	a, b, c []uint64
 	pos     int
 	lanes   int
+	tile    bitslice.Tile // lane store staging, reused by every fill
 }
 
 // shape is the engine's material and buffer contract.
@@ -190,12 +187,12 @@ func (t *Sliced) Keystream(bufs [][]byte) error {
 // of 8; Fill checks nothing.
 func (t *Sliced) Fill(bufs *[bitslice.W][]byte) { t.fill(bufs[:t.lanes]) }
 
-func (t *Sliced) fill(bufs [][]byte) {
-	var blk [64]uint64
-	for off := 0; off+8 <= len(bufs[0]); off += 8 {
-		t.keystreamBlock(&blk)
-		for l, b := range bufs {
-			binary.LittleEndian.PutUint64(b[off:], blk[l])
-		}
+func (t *Sliced) fill(bufs [][]byte) { t.tile.Store(bufs, t.blocks) }
+
+// blocks is the lane store's block source: the next keystream block
+// into each row.
+func (t *Sliced) blocks(rows [][64]uint64) {
+	for i := range rows {
+		t.keystreamBlock(&rows[i])
 	}
 }

@@ -1,10 +1,6 @@
 package xorgens
 
-import (
-	"encoding/binary"
-
-	"repro/internal/bitslice"
-)
+import "repro/internal/bitslice"
 
 // Sliced is the bitsliced xorgens engine: one uint64 plane per state
 // bit, 64 independent generator instances per plane. The r-word ring
@@ -24,8 +20,9 @@ type Sliced struct {
 	// Reusable scratch, so keystream generation and Rekey allocate
 	// nothing in steady state (the engine rekeys at every segment-pass
 	// boundary).
-	t, v, blk, vals [64]uint64
-	st              []uint64 // lanes × r expanded state words (Rekey)
+	t, v, vals [64]uint64
+	st         []uint64      // lanes × r expanded state words (Rekey)
+	tile       bitslice.Tile // lane store staging
 }
 
 // shape is the engine's material and buffer contract.
@@ -146,11 +143,12 @@ func (g *Sliced) Keystream(bufs [][]byte) error {
 // of 8; Fill checks nothing.
 func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.lanes]) }
 
-func (g *Sliced) fill(bufs [][]byte) {
-	for off := 0; off+8 <= len(bufs[0]); off += 8 {
-		g.keystreamBlock(&g.blk)
-		for l, b := range bufs {
-			binary.LittleEndian.PutUint64(b[off:], g.blk[l])
-		}
+func (g *Sliced) fill(bufs [][]byte) { g.tile.Store(bufs, g.blocks) }
+
+// blocks is the lane store's block source: the next keystream block
+// into each row.
+func (g *Sliced) blocks(rows [][64]uint64) {
+	for i := range rows {
+		g.keystreamBlock(&rows[i])
 	}
 }
