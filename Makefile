@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check vet cross lint lint-test escape-gate build test race bench-smoke bench bench-compare certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
+.PHONY: verify fmt-check vet cross lint lint-test escape-gate build test race bench-smoke bench bench-compare layers certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
 
 verify: fmt-check vet cross lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
 	@echo "verify: all checks passed"
@@ -82,6 +82,20 @@ bench-compare: bench
 		-base - -new BENCH_cpu.json -fail-at $(BENCH_FAIL_AT) \
 		-strict '$(BENCH_STRICT)' \
 		-allow "$$(cat .benchallow 2>/dev/null || true)"
+
+# The committed layer table: one traced run of the repository benchmark
+# per workload — cipher kernels, transpose, rekey, Generator.Read,
+# Stream at 1 and 2 workers, health screen, HTTP handlers and router
+# hop — summarised, with the host environment the runs record, into
+# LAYERS.json. Takes a few minutes; run it on an otherwise idle host.
+layers:
+	@mkdir -p .bench_build
+	rm -f .bench_build/layers.jsonl
+	@for w in lib-bulk served-mix served-routed; do \
+		bash bench/run.sh --workload $$w --trace 1 --record .bench_build/layers.jsonl || exit 1; \
+	done
+	bash bench/run.sh --summarize .bench_build/layers.jsonl > .bench_build/LAYERS.json
+	mv .bench_build/LAYERS.json LAYERS.json
 
 # Served-path certification smoke cell (mirrors the CI verify step):
 # boots a real bsrngd, pulls served segments, cross-checks them against

@@ -4,11 +4,14 @@
 // Generators" (ICPP Workshops 2020).
 //
 // The library generates cryptographically-grade pseudo-random bytes with
-// bitsliced (column-major) implementations of the MICKEY 2.0 and Grain v1
-// stream ciphers and AES-128 in counter mode: one 64-bit word carries the
-// same state bit of 64 independent cipher instances, so every XOR/AND
-// advances 64 generators at once and the LFSR shift-and-mask work
-// disappears into register renaming.
+// bitsliced (column-major) implementations of the paper's three ciphers,
+// the MICKEY 2.0 and Grain v1 stream ciphers and AES-128 in counter
+// mode, and of two more families: the Trivium stream cipher and Brent's
+// xorgens4096 recurrence. Any of them can be post-processed by chaotic
+// iterations (Chaotic). One 64-bit word carries the same state bit of
+// 64 independent cipher instances, so every XOR/AND advances 64
+// generators at once and the LFSR shift-and-mask work disappears into
+// register renaming.
 //
 // Quick start:
 //
@@ -26,7 +29,7 @@
 //
 // Stream and Fill produce one byte sequence for a given algorithm and
 // seed, whatever their worker count: the domain-1 segment stream,
-// NewSegmentReader(alg, seed, 1, DefaultLanes, 0). So output made on
+// NewSegmentReader(alg, seed, 1, 0, 0). So output made on
 // many cores can be regenerated, or resumed at any offset, on one.
 //
 // Stream's datapath is zero-copy: each worker's engine writes segments
@@ -54,7 +57,7 @@ const (
 	// MICKEY is the bitsliced MICKEY 2.0 engine — the paper's headline
 	// generator.
 	MICKEY = core.MICKEY
-	// GRAIN is the bitsliced Grain v1 engine — the fastest engine on CPU.
+	// GRAIN is the bitsliced Grain v1 engine.
 	GRAIN = core.GRAIN
 	// AESCTR is the bitsliced AES-128 counter-mode engine.
 	AESCTR = core.AESCTR
@@ -82,27 +85,17 @@ var ServedAlgorithms = core.ServedAlgorithms
 // "trivium", "xorgens" or "chaotic(<name>)" to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
-// DefaultLanes is the engine datapath width used when none is chosen:
-// the native 64-lane uint64 datapath.
+// DefaultLanes is the width of the one datapath: 64 lanes, one per bit
+// of a uint64 plane.
 const DefaultLanes = core.DefaultLanes
-
-// SupportedLanes lists the accepted lane widths (64, 256 and 512). Every
-// width runs the 64-lane datapath, so the emitted bytes are identical.
-var SupportedLanes = core.SupportedLanes
 
 // Generator is a deterministic single-engine generator (a 64-lane
 // bitsliced cipher bank behind an io.Reader).
 type Generator = core.Generator
 
-// New builds a seeded Generator at the default lane width.
+// New builds a seeded Generator: the domain-0 stream of seed.
 func New(alg Algorithm, seed uint64) (*Generator, error) {
 	return core.NewGenerator(alg, seed)
-}
-
-// NewWithLanes builds a seeded Generator at an explicit lane width
-// (0 = DefaultLanes; see SupportedLanes).
-func NewWithLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
-	return core.NewGeneratorLanes(alg, seed, lanes)
 }
 
 // SegmentBytes is the unit of the canonical segment-addressed stream:
@@ -113,10 +106,11 @@ const SegmentBytes = core.SegmentBytes
 // NewSegmentReader opens the canonical segment stream of (alg, seed,
 // domain) at an absolute byte offset — including mid-segment — and
 // returns a Generator positioned there. The bytes are a pure function
-// of (alg, seed, domain, offset) at every supported lane width, which
-// is what makes bsrngd's addressed /stream windows and lease resume
-// verifiable offline: any holder of the seed can re-derive a served
-// window byte-for-byte.
+// of (alg, seed, domain, offset), which is what makes bsrngd's addressed
+// /stream windows and lease resume verifiable offline: any holder of
+// the seed can re-derive a served window byte-for-byte. lanes is
+// checked (0, 64, 256 or 512) and otherwise ignored; it stays only for
+// bench/, and ROADMAP item 5 removes it together with its bench/ change.
 func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
 	return core.NewSegmentReader(alg, seed, domain, lanes, offset)
 }
@@ -128,8 +122,7 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 // staging chunk exactly once, into the writer).
 type Stream = core.Stream
 
-// StreamConfig tunes the Stream (zero values = all CPUs, 64 KiB staging,
-// DefaultLanes-wide engines).
+// StreamConfig tunes the Stream (zero values = all CPUs, 64 KiB staging).
 type StreamConfig = core.StreamConfig
 
 // StreamStats is a snapshot of a Stream's health counter: the segments
@@ -150,12 +143,6 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 // Stream of (alg, seed).
 func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	return core.Fill(alg, seed, workers, dst)
-}
-
-// FillLanes is Fill at an explicit lane width (0 = DefaultLanes). The
-// output is identical at every width.
-func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error {
-	return core.FillLanes(alg, seed, workers, lanes, dst)
 }
 
 // HealthConfig sets the cutoffs of the continuous online health tests

@@ -7,7 +7,7 @@
 //	bsrng -alg 'chaotic(xorgens)' -n 16 -hex
 //
 // The output is the seed's domain-1 segment stream (the bytes of
-// bsrng.NewSegmentReader(alg, seed, 1, 64, 0)) at every -workers.
+// bsrng.NewSegmentReader(alg, seed, 1, 0, 0)) at every -workers.
 package main
 
 import (
@@ -26,17 +26,16 @@ func main() {
 	seed := flag.Uint64("seed", 1, "generator seed")
 	n := flag.Int64("n", 1<<20, "number of bytes to generate")
 	workers := flag.Int("workers", 1, "worker engines (0 = all CPUs); every count emits the same bytes")
-	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the output is identical")
 	useHex := flag.Bool("hex", false, "emit lowercase hex instead of raw bytes")
 	flag.Parse()
 
-	if err := run(os.Stdout, *algName, *seed, *n, *workers, *lanes, *useHex); err != nil {
+	if err := run(os.Stdout, *algName, *seed, *n, *workers, *useHex); err != nil {
 		fmt.Fprintln(os.Stderr, "bsrng:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, useHex bool) error {
+func run(w io.Writer, algName string, seed uint64, n int64, workers int, useHex bool) error {
 	alg, err := bsrng.ParseAlgorithm(algName)
 	if err != nil {
 		return err
@@ -47,7 +46,7 @@ func run(w io.Writer, algName string, seed uint64, n int64, workers, lanes int, 
 
 	// Every worker count reads the same bytes: the seed's domain-1
 	// stream.
-	src, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers, Lanes: lanes})
+	src, err := bsrng.NewStream(alg, seed, bsrng.StreamConfig{Workers: workers})
 	if err != nil {
 		return err
 	}

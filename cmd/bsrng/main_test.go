@@ -2,16 +2,21 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
+	"time"
 
 	bsrng "repro"
 )
 
 func TestRunRawMatchesLibrary(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "grain", 5, 1000, 1, 0, false); err != nil {
+	if err := run(&out, "grain", 5, 1000, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	g, _ := bsrng.NewSegmentReader(bsrng.GRAIN, 5, 1, 64, 0)
@@ -24,7 +29,7 @@ func TestRunRawMatchesLibrary(t *testing.T) {
 
 func TestRunHex(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "mickey", 1, 16, 1, 0, true); err != nil {
+	if err := run(&out, "mickey", 1, 16, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
@@ -36,37 +41,19 @@ func TestRunHex(t *testing.T) {
 	}
 }
 
-// -lanes changes the engine datapath width, never the bytes.
-func TestRunLaneWidthIndependence(t *testing.T) {
-	var narrow, wide bytes.Buffer
-	if err := run(&narrow, "mickey", 11, 20000, 1, 64, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&wide, "mickey", 11, 20000, 1, 256, false); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(narrow.Bytes(), wide.Bytes()) {
-		t.Fatal("-lanes 256 output diverges from -lanes 64")
-	}
-	var out bytes.Buffer
-	if err := run(&out, "mickey", 11, 16, 1, 100, false); err == nil {
-		t.Error("invalid lane width accepted")
-	}
-}
-
 func TestRunParallelStreamDeterminism(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := run(&a, "trivium", 9, 100000, 3, 0, false); err != nil {
+	if err := run(&a, "trivium", 9, 100000, 3, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&b, "trivium", 9, 100000, 3, 0, false); err != nil {
+	if err := run(&b, "trivium", 9, 100000, 3, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("parallel CLI output is not deterministic")
 	}
 	var one bytes.Buffer
-	if err := run(&one, "trivium", 9, 100000, 1, 0, false); err != nil {
+	if err := run(&one, "trivium", 9, 100000, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(one.Bytes(), a.Bytes()) {
@@ -96,21 +83,41 @@ func (w *failWriter) Write(p []byte) (int, error) {
 func TestRunReportsFlushError(t *testing.T) {
 	// 1000 bytes fit inside the 1 MiB bufio buffer, so the underlying
 	// write — and its error — happen at Flush.
-	if err := run(&failWriter{limit: 100}, "grain", 5, 1000, 1, 0, false); err == nil {
+	if err := run(&failWriter{limit: 100}, "grain", 5, 1000, 1, false); err == nil {
 		t.Fatal("write error at flush time was swallowed")
 	}
 	// And an error mid-stream (larger than the buffer) is reported too.
-	if err := run(&failWriter{limit: 100}, "grain", 5, 4<<20, 1, 0, false); err == nil {
+	if err := run(&failWriter{limit: 100}, "grain", 5, 4<<20, 1, false); err == nil {
 		t.Fatal("write error mid-stream was swallowed")
 	}
 }
 
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(&out, "nope", 1, 10, 1, 0, false); err == nil {
+	if err := run(&out, "nope", 1, 10, 1, false); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if err := run(&out, "mickey", 1, -1, 1, 0, false); err == nil {
+	if err := run(&out, "mickey", 1, -1, 1, false); err == nil {
 		t.Error("negative byte count accepted")
+	}
+}
+
+// The -lanes flag is gone: main refuses it like any unknown flag. The
+// test runs main in a child process, since flag.Parse exits.
+func TestMainRejectsLanes(t *testing.T) {
+	if os.Getenv("BSRNG_TEST_MAIN") == "1" {
+		os.Args = []string{"bsrng", "-lanes", "64", "-n", "16"}
+		main()
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMainRejectsLanes$")
+	cmd.Env = append(os.Environ(), "BSRNG_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
+		!strings.Contains(string(out), "flag provided but not defined: -lanes") {
+		t.Fatalf("bsrng -lanes 64: %v, output:\n%s", err, out)
 	}
 }

@@ -64,7 +64,6 @@ func main() {
 	ringPath := flag.String("ring", "", "router mode: ring membership config (JSON), reloaded on SIGHUP")
 	seed := flag.Uint64("seed", 1, "deterministic base seed")
 	algs := flag.String("algs", "", "comma-separated algorithms to serve, e.g. trivium,chaotic(grain) (default: every base engine plus chaotic(grain))")
-	lanes := flag.Int("lanes", 0, "engine lane width: 64, 256 or 512 are accepted (0 = 64); every width runs the 64-lane datapath and the served bytes are identical")
 	maxBytes := flag.Int64("max-bytes", 0, "per-request byte cap (0 = 16 MiB)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent /bytes + /stream requests; excess get 429 + Retry-After (0 = unlimited)")
@@ -93,7 +92,6 @@ func main() {
 	srv, err := server.New(server.Config{
 		Seed:             *seed,
 		Algorithms:       algorithms,
-		Lanes:            *lanes,
 		MaxRequestBytes:  *maxBytes,
 		MaxInflight:      *maxInflight,
 		MaxLeaseSegments: *maxLeaseSegments,

@@ -1,9 +1,9 @@
 // Command certify runs the served-path statistical certification
-// harness: it boots a real bsrngd serving stack per lane width (or
-// dials an existing one with -url), pulls segments per (algorithm,
-// lanes) cell over GET /bytes, cross-checks them byte-for-byte against
-// the deterministic library stream, re-runs the continuous health
-// checks, and runs the SP 800-22 battery on the served bytes. The
+// harness: it boots a real bsrngd serving stack (or dials an existing
+// one with -url), pulls segments per algorithm over GET /bytes,
+// cross-checks them byte-for-byte against the deterministic library
+// stream, re-runs the continuous health checks, and runs the SP 800-22
+// battery on the served bytes. The
 // machine-readable outcome lands in CERTIFY.json; the exit status is 0
 // only if every cell passes.
 //
@@ -12,7 +12,7 @@
 //	certify                                  # full boot-mode matrix
 //	certify -short                           # one smoke cell (PR CI)
 //	certify -url http://127.0.0.1:8080 -seed 42
-//	certify -algs trivium,xorgens -lanes 64 -md CERTIFY.md
+//	certify -algs trivium,xorgens -md CERTIFY.md
 //
 // In dial mode the cross-check mirrors each algorithm's stream from
 // its origin, so it only passes against a freshly started daemon whose
@@ -30,8 +30,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/certify"
@@ -49,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		baseURL      = fs.String("url", "", "dial an existing bsrngd instead of booting one (e.g. http://127.0.0.1:8080)")
 		seed         = fs.Uint64("seed", 1, "deterministic base seed (must match the dialed server's -seed)")
 		algs         = fs.String("algs", "", "comma-separated algorithms to certify (default: every served algorithm)")
-		lanesSpec    = fs.String("lanes", "", "comma-separated lane widths for boot mode, each of 64, 256 or 512 (default: 64); every width runs the 64-lane datapath and serves identical bytes")
 		segments     = fs.Int("segments", 0, "segments pulled per cell (default 64)")
 		reqSegments  = fs.Int("req-segments", 0, "segments per GET /bytes request (default 16)")
 		streams      = fs.Int("streams", 0, "battery bit streams per cell (default 16)")
@@ -84,14 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg.Algorithms = list
-	if *lanesSpec != "" {
-		list, err := parseLanes(*lanesSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "certify:", err)
-			return 2
-		}
-		cfg.LaneWidths = list
-	}
 	if *short {
 		// A PR-sized smoke cell: the full matrix is the nightly job.
 		if cfg.Segments == 0 {
@@ -139,19 +128,4 @@ func writeReport(rep *certify.Report, path string, stdout io.Writer, render func
 		return err
 	}
 	return f.Close()
-}
-
-func parseLanes(s string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil {
-			return nil, fmt.Errorf("bad lane width %q", tok)
-		}
-		if err := core.ValidateLanes(n); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -71,13 +71,15 @@ func TestRunJSONToStdout(t *testing.T) {
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-algs", "nope"},
-		{"-lanes", "63"},
-		{"-lanes", "abc"},
+		{"-lanes", "64"}, // deleted: every run has the one 64-lane datapath
 		{"-definitely-not-a-flag"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code != 2 {
 			t.Errorf("run(%v) = %d, want 2 (stderr: %s)", args, code, stderr.String())
+		}
+		if args[0] == "-lanes" && !strings.Contains(stderr.String(), "flag provided but not defined: -lanes") {
+			t.Errorf("run(%v): stderr %q does not name the undefined flag", args, stderr.String())
 		}
 	}
 }

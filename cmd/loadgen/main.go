@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clusterN = fs.Int("cluster", 0, "boot an N-node cluster behind the consistent-hash router and drive the load through it (boot mode only)")
 		fchaos   = fs.Int("cluster-chaos", 0, "fire N pulsed forward-failure faults inside the router during a -cluster run")
 		fchaosSd = fs.Uint64("cluster-chaos-seed", 1, "failpoint trigger seed for -cluster-chaos")
-		lanes    = fs.Int("lanes", 0, "boot mode: engine lane width: 64, 256 or 512 are accepted (0 = 64); the served bytes are identical at every width")
 		inflight = fs.Int("max-inflight", 0, "boot mode: admission-control cap (default off)")
 		timeout  = fs.Duration("timeout", 30*time.Second, "per-request HTTP timeout")
 		outPath  = fs.String("out", "LOAD.json", "JSON report path (\"-\" = stdout)")
@@ -90,7 +89,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Timeout:           *timeout,
 		Server: server.Config{
 			Seed:        *seed,
-			Lanes:       *lanes,
 			MaxInflight: *inflight,
 		},
 	}

@@ -105,6 +105,7 @@ func TestRunUsageErrors(t *testing.T) {
 		args []string
 	}{
 		{"bad flag", []string{"-definitely-not-a-flag"}},
+		{"lanes flag deleted", []string{"-lanes", "64"}},
 		{"bad alg", []string{"-algs", "nope"}},
 		{"bad mix shape", []string{"-mix", "1:2"}},
 		{"bad mix weight", []string{"-mix", "1:x:2"}},
@@ -119,6 +120,9 @@ func TestRunUsageErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run(append([]string{"-q"}, tc.args...), &stdout, &stderr); code != 2 {
 			t.Errorf("%s: exit %d, want 2 (stderr %q)", tc.name, code, stderr.String())
+		}
+		if tc.args[0] == "-lanes" && !strings.Contains(stderr.String(), "flag provided but not defined: -lanes") {
+			t.Errorf("%s: stderr %q does not name the undefined flag", tc.name, stderr.String())
 		}
 	}
 }

@@ -3,11 +3,11 @@
 // sources and their live health checks — are (a) byte-identical to the
 // deterministic library stream and (b) statistically sound under the
 // full SP 800-22 battery plus the continuous health checks, for every
-// (algorithm, lane-width) cell of the serving matrix.
+// served algorithm: one cell each.
 //
-// Two modes share one code path: boot mode constructs a real
-// internal/server instance per lane width and talks to it over a real
-// TCP loopback listener (nothing is stubbed — the HTTP handler, content
+// Two modes share one code path: boot mode constructs one real
+// internal/server instance and talks to it over a real TCP loopback
+// listener (nothing is stubbed — the HTTP handler, content
 // negotiation and the pooled source all run exactly as in production);
 // dial mode (Config.BaseURL) points the same puller at an
 // already-running bsrngd, producing one cell per algorithm.
@@ -39,19 +39,14 @@ import (
 // defaults.
 type Config struct {
 	// BaseURL, when non-empty, dials an existing bsrngd (e.g.
-	// "http://127.0.0.1:8080") instead of booting servers. Dial mode
-	// produces one cell per algorithm (the remote lane width is the
-	// server's business — the bytes are identical at every width).
+	// "http://127.0.0.1:8080") instead of booting a server.
 	BaseURL string
 	// Seed is the deterministic base seed; it must match the served
 	// instance's -seed in dial mode for the cross-check to hold.
 	Seed uint64
-	// Algorithms is the cell rows (default core.ServedAlgorithms).
+	// Algorithms is the cells, one per algorithm (default
+	// core.ServedAlgorithms).
 	Algorithms []core.Algorithm
-	// LaneWidths is the cell columns in boot mode (default
-	// core.DefaultLanes alone: every accepted width runs the 64-lane
-	// datapath and serves the same bytes). Ignored in dial mode.
-	LaneWidths []int
 	// Segments is the number of core.SegmentBytes segments pulled per
 	// cell (default 64: 128 KiB, 2^20 bits).
 	Segments int
@@ -76,9 +71,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.Algorithms == nil {
 		c.Algorithms = core.ServedAlgorithms
-	}
-	if c.LaneWidths == nil {
-		c.LaneWidths = []int{core.DefaultLanes}
 	}
 	if c.Segments == 0 {
 		c.Segments = 64
@@ -124,28 +116,20 @@ func Run(cfg Config) (*Report, error) {
 		BitsPerStream: bitsPerStream,
 		Pass:          true,
 	}
-	if cfg.BaseURL != "" {
-		rep.Mode = "dial"
-		for _, alg := range cfg.Algorithms {
-			cell := certifyCell(&cfg, cfg.BaseURL, alg, 0)
-			rep.add(cell)
-		}
-		return rep, nil
-	}
-	rep.Mode = "boot"
-	for _, lanes := range cfg.LaneWidths {
-		if err := core.ValidateLanes(lanes); err != nil {
-			return nil, fmt.Errorf("certify: %w", err)
-		}
-		baseURL, shutdown, err := bootServer(&cfg, lanes)
+	// A boot cell records the datapath width, 64; a dial cell records 0,
+	// the remote width not being known here.
+	baseURL, lanes := cfg.BaseURL, 0
+	rep.Mode = "dial"
+	if baseURL == "" {
+		booted, shutdown, err := bootServer(&cfg)
 		if err != nil {
-			return nil, fmt.Errorf("certify: booting %d-lane server: %w", lanes, err)
+			return nil, fmt.Errorf("certify: booting server: %w", err)
 		}
-		for _, alg := range cfg.Algorithms {
-			cell := certifyCell(&cfg, baseURL, alg, lanes)
-			rep.add(cell)
-		}
-		shutdown()
+		defer shutdown()
+		rep.Mode, baseURL, lanes = "boot", booted, core.DefaultLanes
+	}
+	for _, alg := range cfg.Algorithms {
+		rep.add(certifyCell(&cfg, baseURL, alg, lanes))
 	}
 	return rep, nil
 }
@@ -153,12 +137,8 @@ func Run(cfg Config) (*Report, error) {
 // bootServer stands up a real bsrngd serving stack on a loopback TCP
 // listener. Its pooled sources serve the canonical domain-1 byte
 // sequence the cross-check mirrors.
-func bootServer(cfg *Config, lanes int) (baseURL string, shutdown func(), err error) {
-	srv, err := server.New(server.Config{
-		Seed:       cfg.Seed,
-		Algorithms: cfg.Algorithms,
-		Lanes:      lanes,
-	})
+func bootServer(cfg *Config) (baseURL string, shutdown func(), err error) {
+	srv, err := server.New(server.Config{Seed: cfg.Seed, Algorithms: cfg.Algorithms})
 	if err != nil {
 		return "", nil, err
 	}

@@ -13,15 +13,14 @@ import (
 )
 
 // The real thing, scaled down: boot an actual serving stack, pull
-// segments over TCP, cross-check and run the battery. One algorithm and
-// one lane width keep the test inside CI budgets; the full matrix is
+// segments over TCP, cross-check and run the battery. One algorithm
+// keeps the test inside CI budgets; the full matrix is
 // the nightly certify workflow's job.
 func TestBootCertifySmoke(t *testing.T) {
 	var logged bytes.Buffer
 	rep, err := Run(Config{
 		Seed:          1,
 		Algorithms:    []core.Algorithm{core.TRIVIUM},
-		LaneWidths:    []int{64},
 		Segments:      8,
 		Streams:       4,
 		SkipExpensive: true,
@@ -64,7 +63,6 @@ func TestBootCertifyNewFamilies(t *testing.T) {
 	rep, err := Run(Config{
 		Seed:          2,
 		Algorithms:    []core.Algorithm{core.XORGENS, core.Chaotic(core.GRAIN)},
-		LaneWidths:    []int{64},
 		Segments:      8,
 		Streams:       4,
 		SkipExpensive: true,
@@ -337,9 +335,6 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{Segments: 1, Streams: 200}); err == nil {
 		t.Error("sub-128-bit streams accepted")
 	}
-	if _, err := Run(Config{LaneWidths: []int{7}}); err == nil {
-		t.Error("bogus lane width accepted")
-	}
 }
 
 func TestReportRendering(t *testing.T) {
@@ -351,7 +346,7 @@ func TestReportRendering(t *testing.T) {
 				CrossChecked: true, CrossCheckOK: true, Pass: true,
 				Tests:   []TestResult{{Name: "Frequency", Streams: 4, Uniformity: 0.5, Proportion: 1, Pass: true}},
 				Skipped: []string{"Universal"}},
-			{Algorithm: "trivium", Lanes: 256, Segments: 8,
+			{Algorithm: "grain", Lanes: 64, Segments: 8,
 				Error: "GET /bytes: status 503"},
 			{Algorithm: "xorgens", Lanes: 64, Segments: 8, Bytes: 16384,
 				CrossChecked: true, CrossCheckOK: false,
@@ -365,8 +360,10 @@ func TestReportRendering(t *testing.T) {
 	out := md.String()
 	for _, want := range []string{
 		"# Served-path certification: FAIL",
-		"| trivium | ✅ | ❌ |",
-		"| xorgens | ❌ | — |",
+		"| algorithm | 64 lanes |",
+		"| trivium | ✅ |",
+		"| grain | ❌ |",
+		"| xorgens | ❌ |",
 		"GET /bytes: status 503",
 		"| Frequency | 0.500000 | 1.0000 | Success |",
 		"skipped (not applicable at 32768 bits/stream): Universal",

@@ -20,9 +20,9 @@ type TestResult struct {
 	Pass    bool `json:"pass"`
 }
 
-// Cell is one (algorithm, lane-width) entry of the certification
-// matrix. Lanes 0 marks a dial-mode cell whose server-side width is not
-// locally known.
+// Cell is one algorithm's entry of the certification matrix. Lanes is
+// the datapath width, 64, of a boot-mode cell; 0 marks a dial-mode cell,
+// whose server-side width is not locally known.
 type Cell struct {
 	Algorithm      string       `json:"algorithm"`
 	Lanes          int          `json:"lanes,omitempty"`
@@ -76,46 +76,19 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	fmt.Fprintf(w, "mode %s, seed %d, %d segments/cell, %d streams × %d bits, α=%.2f\n\n",
 		r.Mode, r.Seed, r.Segments, r.Streams, r.BitsPerStream, r.Alpha)
 
-	// Matrix: one row per algorithm, one column per lane width.
-	lanes := []int{}
-	seenLanes := map[int]bool{}
-	algs := []string{}
-	seenAlgs := map[string]bool{}
-	byKey := map[string]Cell{}
+	// Matrix: one row per cell, under the lane label all cells of a run
+	// share.
+	label := ""
+	if len(r.Cells) > 0 {
+		label = laneLabel(r.Cells[0].Lanes)
+	}
+	fmt.Fprintf(w, "| algorithm | %s |\n|---|---|\n", label)
 	for _, c := range r.Cells {
-		if !seenLanes[c.Lanes] {
-			seenLanes[c.Lanes] = true
-			lanes = append(lanes, c.Lanes)
+		mark := "❌"
+		if c.Pass {
+			mark = "✅"
 		}
-		if !seenAlgs[c.Algorithm] {
-			seenAlgs[c.Algorithm] = true
-			algs = append(algs, c.Algorithm)
-		}
-		byKey[cellKey(c.Algorithm, c.Lanes)] = c
-	}
-	fmt.Fprint(w, "| algorithm |")
-	for _, l := range lanes {
-		fmt.Fprintf(w, " %s |", laneLabel(l))
-	}
-	fmt.Fprint(w, "\n|---|")
-	for range lanes {
-		fmt.Fprint(w, "---|")
-	}
-	fmt.Fprintln(w)
-	for _, a := range algs {
-		fmt.Fprintf(w, "| %s |", a)
-		for _, l := range lanes {
-			c, ok := byKey[cellKey(a, l)]
-			switch {
-			case !ok:
-				fmt.Fprint(w, " — |")
-			case c.Pass:
-				fmt.Fprint(w, " ✅ |")
-			default:
-				fmt.Fprint(w, " ❌ |")
-			}
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "| %s | %s |\n", c.Algorithm, mark)
 	}
 	fmt.Fprintln(w)
 
@@ -160,8 +133,6 @@ func (r *Report) WriteMarkdown(w io.Writer) error {
 	}
 	return nil
 }
-
-func cellKey(alg string, lanes int) string { return fmt.Sprintf("%s/%d", alg, lanes) }
 
 func laneLabel(lanes int) string {
 	if lanes == 0 {

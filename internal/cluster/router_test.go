@@ -127,8 +127,7 @@ func libWindow(t *testing.T, alg core.Algorithm, seed, domain, off uint64, n int
 
 // The tentpole differential: a routed addressed /stream window is
 // byte-identical to the library stream AND to the same request served
-// directly by every node — at every lane width, including a mid-segment
-// start. Determinism is what makes the router's failover sound, so this
+// directly by every node, from a mid-segment start. Determinism is what makes the router's failover sound, so this
 // is the contract everything else leans on.
 func TestRoutedAddressedStreamDifferential(t *testing.T) {
 	const seed = 42
@@ -144,27 +143,63 @@ func TestRoutedAddressedStreamDifferential(t *testing.T) {
 	abs := uint64(seg)*core.SegmentBytes + off
 	want := libWindow(t, core.GRAIN, seed, domain, abs, n)
 
-	for _, lanes := range core.SupportedLanes {
-		q := fmt.Sprintf("/stream?alg=grain&domain=%d&segment=%d&off=%d&lanes=%d&n=%d",
-			domain, seg, off, lanes, n)
-		status, body, hdr := get(t, rts.URL+q)
-		if status != http.StatusOK {
-			t.Fatalf("lanes %d: routed status %d", lanes, status)
+	q := fmt.Sprintf("/stream?alg=grain&domain=%d&segment=%d&off=%d&n=%d", domain, seg, off, n)
+	status, body, hdr := get(t, rts.URL+q)
+	if status != http.StatusOK {
+		t.Fatalf("routed status %d", status)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("routed bytes diverge from library stream")
+	}
+	if hdr.Get("X-Bsrng-Cluster-Node") == "" {
+		t.Error("no cluster node header")
+	}
+	// Every node — owner or not — serves the identical window.
+	for i, ts := range https {
+		st, direct, _ := get(t, ts.URL+q)
+		if st != http.StatusOK {
+			t.Fatalf("node %d: direct status %d", i, st)
 		}
-		if !bytes.Equal(body, want) {
-			t.Fatalf("lanes %d: routed bytes diverge from library stream", lanes)
+		if !bytes.Equal(direct, want) {
+			t.Fatalf("node %d: direct bytes diverge", i)
 		}
-		if hdr.Get("X-Bsrng-Cluster-Node") == "" {
-			t.Errorf("lanes %d: no cluster node header", lanes)
+	}
+}
+
+// lanes= is ignored, by the router as by the nodes: beside segment=,
+// whatever its value, a window has the owner and the bytes it has
+// without it, routed and served directly.
+func TestRoutedLanesParamIgnored(t *testing.T) {
+	const seed = 42
+	https, nodes := bootNodes(t, 3, nodeCfg(seed))
+	rt, rts := bootRouter(t, nodes, nil)
+
+	const q = "/stream?alg=grain&domain=5&segment=3000&off=9&n=5000"
+	want := libWindow(t, core.GRAIN, seed, 5, 3000*core.SegmentBytes+9, 5000)
+	ring := rt.Ring()
+	owner := func(path string) string {
+		k := rt.routeKey(httptest.NewRequest(http.MethodGet, path, nil), server.EndpointStream, ring)
+		if k == nil {
+			t.Fatalf("%s: no route key", path)
 		}
-		// Every node — owner or not — serves the identical window.
+		return ring.Owner(*k).Name
+	}
+	wantOwner := owner(q)
+	for _, v := range []string{"64", "65", "256", "x", ""} {
+		lq := q + "&lanes=" + v
+		if got := owner(lq); got != wantOwner {
+			t.Errorf("lanes=%q: owner %s, want %s", v, got, wantOwner)
+		}
+		status, body, hdr := get(t, rts.URL+lq)
+		if status != http.StatusOK || !bytes.Equal(body, want) {
+			t.Errorf("lanes=%q: routed status %d, body differs from the window without lanes=", v, status)
+		}
+		if got := hdr.Get("X-Bsrng-Cluster-Node"); got != wantOwner {
+			t.Errorf("lanes=%q: served by %q, want the owner %s", v, got, wantOwner)
+		}
 		for i, ts := range https {
-			st, direct, _ := get(t, ts.URL+q)
-			if st != http.StatusOK {
-				t.Fatalf("lanes %d node %d: direct status %d", lanes, i, st)
-			}
-			if !bytes.Equal(direct, want) {
-				t.Fatalf("lanes %d node %d: direct bytes diverge", lanes, i)
+			if st, direct, _ := get(t, ts.URL+lq); st != http.StatusOK || !bytes.Equal(direct, want) {
+				t.Errorf("lanes=%q node %d: direct status %d, body differs", v, i, st)
 			}
 		}
 	}
@@ -244,8 +279,7 @@ func createLease(t *testing.T, base string, segments int) leaseDoc {
 }
 
 // Lease issue, resolve, stream and mid-window resume all work through
-// the router, and the reassembled window is the library stream — at
-// every lane width.
+// the router, and the reassembled window is the library stream.
 func TestLeaseRoundTripThroughRouter(t *testing.T) {
 	const seed = 7
 	_, nodes := bootNodes(t, 3, nodeCfg(seed))
@@ -271,16 +305,13 @@ func TestLeaseRoundTripThroughRouter(t *testing.T) {
 
 	want := libWindow(t, core.GRAIN, seed, doc.Domain, doc.StartSegment*core.SegmentBytes, int(doc.Bytes))
 	half := doc.Bytes / 2
-	for _, lanes := range core.SupportedLanes {
-		st1, part1, _ := get(t, fmt.Sprintf("%s%s&n=%d&lanes=%d", rts.URL, doc.StreamPath, half, lanes))
-		st2, part2, _ := get(t, fmt.Sprintf("%s%s&off=%d&lanes=%d", rts.URL, doc.StreamPath, half, lanes))
-		if st1 != http.StatusOK || st2 != http.StatusOK {
-			t.Fatalf("lanes %d: stream statuses %d, %d", lanes, st1, st2)
-		}
-		got := append(append([]byte(nil), part1...), part2...)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("lanes %d: lease window reassembled through router diverges from library", lanes)
-		}
+	st1, part1, _ := get(t, fmt.Sprintf("%s%s&n=%d", rts.URL, doc.StreamPath, half))
+	st2, part2, _ := get(t, fmt.Sprintf("%s%s&off=%d", rts.URL, doc.StreamPath, half))
+	if st1 != http.StatusOK || st2 != http.StatusOK {
+		t.Fatalf("stream statuses %d, %d", st1, st2)
+	}
+	if got := append(append([]byte(nil), part1...), part2...); !bytes.Equal(got, want) {
+		t.Fatal("lease window reassembled through router diverges from library")
 	}
 }
 

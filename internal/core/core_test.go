@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -75,14 +76,15 @@ func TestGeneratorChunkingInvariance(t *testing.T) {
 	}
 }
 
+// Uint64 reads the stream's output words: the next 8 bytes, little-endian.
 func TestGeneratorUint64AndWords(t *testing.T) {
 	a, _ := NewGenerator(MICKEY, 3)
 	b, _ := NewGenerator(MICKEY, 3)
-	ws := make([]uint64, 10)
-	b.Words(ws)
-	for i, w := range ws {
-		if got := a.Uint64(); got != w {
-			t.Fatalf("word %d: %x vs %x", i, got, w)
+	raw := make([]byte, 10*8)
+	b.Read(raw)
+	for i := 0; i < len(raw); i += 8 {
+		if got, w := a.Uint64(), binary.LittleEndian.Uint64(raw[i:]); got != w {
+			t.Fatalf("word %d: %x vs %x", i/8, got, w)
 		}
 	}
 	if a.Algorithm() != MICKEY {

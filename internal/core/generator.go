@@ -145,26 +145,21 @@ const SegmentBytes = 2048
 // datapath, one plane bit per lane.
 const passLanes = bitslice.W
 
-// DefaultLanes is the lane width used when a caller does not choose one.
+// DefaultLanes is the width of the one datapath, 64 lanes: the value
+// to pass where a lanes parameter kept for bench/ asks for one.
 const DefaultLanes = passLanes
 
-// SupportedLanes lists the accepted lane widths. Every one of them runs
-// the 64-lane datapath and yields identical bytes; 256 and 512 remain
-// accepted so existing callers and URLs keep working.
-var SupportedLanes = []int{64, 256, 512}
-
-// ValidateLanes rejects lane counts outside SupportedLanes (0 selects
-// DefaultLanes and is accepted).
-func ValidateLanes(lanes int) error {
-	if lanes == 0 {
+// checkLanes is the one check of the lane-width parameters kept for
+// bench/ (NewGeneratorLanes, NewSegmentReader's lanes and
+// StreamConfig.Lanes): it accepts 0, 64, 256 and 512, the widths
+// callers could once choose. Every one runs the 64-lane datapath and
+// yields identical bytes.
+func checkLanes(lanes int) error {
+	switch lanes {
+	case 0, 64, 256, 512:
 		return nil
 	}
-	for _, n := range SupportedLanes {
-		if lanes == n {
-			return nil
-		}
-	}
-	return fmt.Errorf("core: unsupported lane count %d (want one of %v)", lanes, SupportedLanes)
+	return fmt.Errorf("core: unsupported lane count %d (want 64, 256 or 512)", lanes)
 }
 
 // segmented drives a pass runner through segments of one (seed, domain)
@@ -254,23 +249,21 @@ type Generator struct {
 	pos int // unread offset into buf; len(buf) when empty
 }
 
-// NewGenerator builds a seeded generator at the default lane width.
+// NewGenerator builds a seeded generator: the domain-0 stream of seed.
 func NewGenerator(alg Algorithm, seed uint64) (*Generator, error) {
-	return NewSegmentReader(alg, seed, 0, DefaultLanes, 0)
+	return NewSegmentReader(alg, seed, 0, 0, 0)
 }
 
-// NewGeneratorLanes builds a seeded generator, accepting any lane width
-// ValidateLanes accepts; every width yields the NewGenerator stream.
+// NewGeneratorLanes is NewGenerator with a lane width, which checkLanes
+// checks and nothing else reads. It stays only for bench/, which
+// compiles against it; ROADMAP item 5 removes it together with its
+// bench/ change.
 func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error) {
 	return NewSegmentReader(alg, seed, 0, lanes, 0)
 }
 
 // Algorithm reports which engine backs the generator.
 func (g *Generator) Algorithm() Algorithm { return g.alg }
-
-// Lanes reports the generator's datapath width: 64, whatever width it
-// was built with.
-func (g *Generator) Lanes() int { return passLanes }
 
 // Read fills p with pseudo-random bytes; it never fails. Whole segments
 // are generated directly into p — only a sub-segment head or tail passes
@@ -298,13 +291,4 @@ func (g *Generator) Uint64() uint64 {
 	var b [8]byte
 	g.Read(b[:])
 	return binary.LittleEndian.Uint64(b[:])
-}
-
-// Words fills dst with raw output words — the cheapest bulk path.
-func (g *Generator) Words(dst []uint64) {
-	var b [8]byte
-	for i := range dst {
-		g.Read(b[:])
-		dst[i] = binary.LittleEndian.Uint64(b[:])
-	}
 }

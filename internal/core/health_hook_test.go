@@ -232,7 +232,7 @@ func TestHealthHookUnrecoverableBudget(t *testing.T) {
 func TestHealthGateAcrossLaneWidths(t *testing.T) {
 	const segments = 64
 	for _, alg := range Algorithms {
-		for _, lanes := range SupportedLanes {
+		for _, lanes := range keptLanes {
 			checker := health.NewChecker(health.Config{})
 			g, err := NewGeneratorLanes(alg, 1234, lanes)
 			if err != nil {

@@ -6,9 +6,13 @@ import (
 	"testing"
 )
 
+// keptLanes are the widths the lane parameters kept for bench/
+// (NewGeneratorLanes, NewSegmentReader's lanes, StreamConfig.Lanes)
+// still accept besides 0.
+var keptLanes = []int{64, 256, 512}
+
 // The canonical stream is defined in segments keyed by absolute index, so
-// the emitted bytes must be bit-identical at every accepted lane width —
-// and every width runs, and reports, the 64-lane datapath.
+// the emitted bytes must be bit-identical at every accepted lane width.
 func TestGeneratorWidthIndependence(t *testing.T) {
 	for _, alg := range Algorithms {
 		base, err := NewGeneratorLanes(alg, 77, 64)
@@ -27,9 +31,6 @@ func TestGeneratorWidthIndependence(t *testing.T) {
 			g.Read(got)
 			if !bytes.Equal(got, want) {
 				t.Errorf("%v: %d-lane stream diverges from 64-lane stream", alg, lanes)
-			}
-			if g.Lanes() != DefaultLanes {
-				t.Errorf("%v: built at %d lanes, Lanes() = %d, want %d", alg, lanes, g.Lanes(), DefaultLanes)
 			}
 		}
 	}
@@ -56,20 +57,8 @@ func TestStreamWidthIndependence(t *testing.T) {
 	}
 }
 
-func TestFillWidthIndependence(t *testing.T) {
-	want := make([]byte, 100000)
-	if err := FillLanes(TRIVIUM, 5, 4, 64, want); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, len(want))
-	if err := FillLanes(TRIVIUM, 5, 4, 512, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("Fill bytes depend on the lane width")
-	}
-}
-
+// The lane parameters kept for bench/ accept exactly what they always
+// did, through one check.
 func TestLanesValidation(t *testing.T) {
 	cases := []struct {
 		lanes int
@@ -80,9 +69,6 @@ func TestLanesValidation(t *testing.T) {
 		{128, false}, {257, false}, {1024, false},
 	}
 	for _, tc := range cases {
-		if err := ValidateLanes(tc.lanes); (err == nil) != tc.ok {
-			t.Errorf("ValidateLanes(%d): err=%v, want ok=%v", tc.lanes, err, tc.ok)
-		}
 		_, err := NewStream(MICKEY, 1, StreamConfig{Workers: 1, Lanes: tc.lanes})
 		if (err == nil) != tc.ok {
 			t.Errorf("NewStream lanes=%d: err=%v, want ok=%v", tc.lanes, err, tc.ok)
@@ -91,9 +77,9 @@ func TestLanesValidation(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("NewGeneratorLanes(%d): err=%v, want ok=%v", tc.lanes, err, tc.ok)
 		}
-		err = FillLanes(MICKEY, 1, 1, tc.lanes, make([]byte, 64))
+		_, err = NewSegmentReader(MICKEY, 1, 1, tc.lanes, 0)
 		if (err == nil) != tc.ok {
-			t.Errorf("FillLanes lanes=%d: err=%v, want ok=%v", tc.lanes, err, tc.ok)
+			t.Errorf("NewSegmentReader lanes=%d: err=%v, want ok=%v", tc.lanes, err, tc.ok)
 		}
 	}
 }

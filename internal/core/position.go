@@ -5,7 +5,7 @@ import "fmt"
 // Resumable stream positioning: the canonical byte stream of one
 // (seed, domain) pair is the concatenation of SegmentBytes-sized
 // segments, and segment j's material depends only on (seed, domain, j)
-// — never on lane width or on how much of the stream was produced
+// — never on how much of the stream was produced
 // before it. That makes the stream randomly addressable: an engine can
 // be keyed directly for any segment index and emit the identical bytes
 // a from-the-start reader would have reached, which is what bsrngd's
@@ -26,14 +26,18 @@ const maxSegmentIndex = uint64(1) << 52
 // The reader's engine is keyed once, directly for the pass starting at
 // segment offset/SegmentBytes — no bytes before the offset are generated
 // — so positioning costs one keying plus, for a mid-segment offset, one
-// segment of keystream. The returned bytes are identical at every
-// supported lane width.
+// segment of keystream.
+//
+// lanes is checked (0, 64, 256 or 512) and otherwise ignored: every
+// reader runs the 64-lane datapath. The parameter stays only for
+// bench/, which compiles against it; ROADMAP item 5 removes it together
+// with its bench/ change.
 func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
 	seg, skip := offset/SegmentBytes, offset%SegmentBytes
 	if seg >= maxSegmentIndex {
 		return nil, fmt.Errorf("core: segment index %d out of range (max %d)", seg, maxSegmentIndex)
 	}
-	if err := ValidateLanes(lanes); err != nil {
+	if err := checkLanes(lanes); err != nil {
 		return nil, err
 	}
 	eng, err := newSegmented(alg, seed, domain, seg, 1, 1, 0)

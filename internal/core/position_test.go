@@ -28,7 +28,7 @@ func TestSegmentReaderMatchesGenerator(t *testing.T) {
 		if _, err := io.ReadFull(ref, prefix); err != nil {
 			t.Fatal(err)
 		}
-		for _, lanes := range SupportedLanes {
+		for _, lanes := range keptLanes {
 			for _, off := range offsets {
 				r, err := NewSegmentReader(alg, seed, 0, lanes, off)
 				if err != nil {

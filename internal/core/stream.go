@@ -16,14 +16,14 @@ var ErrClosed = errors.New("core: stream closed")
 
 // Stream is the multi-core BSRNG: W workers, each owning an independent
 // 64-lane bitsliced engine, mirror the paper's CUDA thread blocks. The
-// stream is the domain-1 segment stream of the seed — the bytes
-// NewSegmentReader(alg, seed, 1, lanes, 0) reads — cut into staging
+// stream is the domain-1 segment stream of the seed — the bytes a
+// NewSegmentReader of domain 1 reads from offset 0 — cut into staging
 // chunks of spc = max(StagingBytes/SegmentBytes, 1) segments: chunk c
 // holds segments [c·spc, (c+1)·spc). Worker w produces the chunks
 // c ≡ w (mod W) in private staging buffers (the shared-memory staging of
 // §4.5), and the consumer reads the chunks in order of c. So the bytes
 // are deterministic for (algorithm, seed), whatever the worker count,
-// staging size, lane width, read sizes or scheduling.
+// staging size, read sizes or scheduling.
 type Stream struct {
 	workers int
 	health  func(seg []byte) error
@@ -64,17 +64,18 @@ func (s *Stream) Stats() StreamStats {
 }
 
 // StreamConfig tunes the Stream; zero values select defaults
-// (runtime.NumCPU() workers, 64 KiB staging chunks, DefaultLanes-wide
-// engines). Workers, StagingBytes and Lanes never change the bytes,
-// only how they are produced.
+// (runtime.NumCPU() workers, 64 KiB staging chunks). Workers and
+// StagingBytes never change the bytes, only how they are produced.
 type StreamConfig struct {
 	Workers int
 	// StagingBytes is the per-worker chunk size. The paper determines the
 	// analogous shared-memory occupancy "by try and error" (§4.5); the
 	// BenchmarkStagingAblation bench sweeps it.
 	StagingBytes int
-	// Lanes is the engine lane width: any value ValidateLanes accepts.
-	// Every width runs the 64-lane datapath and yields identical bytes.
+	// Lanes is checked (0, 64, 256 or 512) and otherwise ignored: every
+	// stream runs the 64-lane datapath. It stays only for bench/, which
+	// compiles against it; ROADMAP item 5 removes it together with its
+	// bench/ change.
 	Lanes int
 	// Health, when non-nil, is a continuous online health test run
 	// against every SegmentBytes-sized segment at production time, from
@@ -118,7 +119,7 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 	if cfg.StagingBytes < 512 {
 		return nil, fmt.Errorf("core: staging buffer must be ≥ 512 bytes")
 	}
-	if err := ValidateLanes(cfg.Lanes); err != nil {
+	if err := checkLanes(cfg.Lanes); err != nil {
 		return nil, err
 	}
 
@@ -334,29 +335,23 @@ func (s *Stream) Close() {
 func (s *Stream) Workers() int { return s.workers }
 
 // Fill generates len(dst) bytes using all workers in one parallel
-// one-shot at the default lane width; see FillLanes.
-func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
-	return FillLanes(alg, seed, workers, DefaultLanes, dst)
-}
-
-// FillLanes generates len(dst) bytes using all workers in one parallel
 // one-shot: dst is split into contiguous, segment-aligned per-worker
 // regions (the "coalesced write" layout of §4.5), and worker w reads its
 // region straight out of the domain-1 stream at the region's offset. So
 // dst receives exactly the first len(dst) bytes of a Stream of the seed,
-// whatever the worker count and lane width.
-func FillLanes(alg Algorithm, seed uint64, workers, lanes int, dst []byte) error {
+// whatever the worker count.
+func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	if workers < 1 {
 		workers = runtime.NumCPU()
 	}
-	if err := ValidateLanes(lanes); err != nil || len(dst) == 0 {
-		return err
+	if len(dst) == 0 {
+		return nil
 	}
 	// Regions are whole segments except the last.
 	per := max((len(dst)/workers+SegmentBytes-1)/SegmentBytes, 1) * SegmentBytes
 	var readers []*Generator
 	for lo := 0; lo < len(dst); lo += per {
-		r, err := NewSegmentReader(alg, seed, 1, lanes, uint64(lo))
+		r, err := NewSegmentReader(alg, seed, 1, 0, uint64(lo))
 		if err != nil {
 			return err
 		}

@@ -151,8 +151,8 @@ type Result struct {
 	ZeroRuns int64 `json:"zero_runs"`
 	// WindowDigest is an order-insensitive digest (XOR of per-window
 	// SHA-256) over every addressed and leased window pulled. With a
-	// fixed Config and a single algorithm it is identical across runs,
-	// restarts and lane widths.
+	// fixed Config and a single algorithm it is identical across runs
+	// and restarts.
 	WindowDigest string       `json:"window_digest"`
 	Chaos        *ChaosReport `json:"chaos,omitempty"`
 	// PerNode is the router's forwarded-request distribution by node

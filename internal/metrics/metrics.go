@@ -68,57 +68,66 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum reports the running total of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// LabeledCounter is a family of counters keyed by label values
-// (a minimal CounterVec).
-type LabeledCounter struct {
+// family is a set of child metrics keyed by label values: the one
+// implementation behind LabeledCounter and LabeledGauge.
+type family[T any] struct {
 	labels []string
 	mu     sync.Mutex
-	kids   map[string]*Counter
+	kids   map[string]*T
 }
 
-// With returns (creating on first use) the child counter for the given
+// With returns (creating on first use) the child metric for the given
 // label values, which must match the declared label names in count and
 // order.
-func (lc *LabeledCounter) With(values ...string) *Counter {
-	if len(values) != len(lc.labels) {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), len(lc.labels)))
+func (f *family[T]) With(values ...string) *T {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), len(f.labels)))
 	}
 	key := strings.Join(values, "\x00")
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	c := lc.kids[key]
-	if c == nil {
-		c = &Counter{}
-		lc.kids[key] = c
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	m := f.kids[key]
+	if m == nil {
+		m = new(T)
+		f.kids[key] = m
 	}
-	return c
+	return m
 }
+
+// register adds the family to r under name: one sample line per child,
+// in sorted label order, holding the number value reads from it.
+func (f *family[T]) register(r *Registry, name, help, typ string, labels []string, value func(*T) any) {
+	f.labels, f.kids = labels, map[string]*T{}
+	r.register(metric{name, help, typ, func(w io.Writer, n string) {
+		f.mu.Lock()
+		keys := make([]string, 0, len(f.kids))
+		for k := range f.kids {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		vals := make([]any, len(keys))
+		for i, k := range keys {
+			vals[i] = value(f.kids[k])
+		}
+		f.mu.Unlock()
+		for i, k := range keys {
+			parts := strings.Split(k, "\x00")
+			pairs := make([]string, len(parts))
+			for j, v := range parts {
+				pairs[j] = fmt.Sprintf("%s=%q", f.labels[j], v)
+			}
+			fmt.Fprintf(w, "%s{%s} %d\n", n, strings.Join(pairs, ","), vals[i])
+		}
+	}})
+}
+
+// LabeledCounter is a family of counters keyed by label values
+// (a minimal CounterVec).
+type LabeledCounter struct{ family[Counter] }
 
 // LabeledGauge is a family of gauges keyed by label values
 // (a minimal GaugeVec).
-type LabeledGauge struct {
-	labels []string
-	mu     sync.Mutex
-	kids   map[string]*Gauge
-}
-
-// With returns (creating on first use) the child gauge for the given
-// label values, which must match the declared label names in count and
-// order.
-func (lg *LabeledGauge) With(values ...string) *Gauge {
-	if len(values) != len(lg.labels) {
-		panic(fmt.Sprintf("metrics: %d label values for %d labels", len(values), len(lg.labels)))
-	}
-	key := strings.Join(values, "\x00")
-	lg.mu.Lock()
-	defer lg.mu.Unlock()
-	g := lg.kids[key]
-	if g == nil {
-		g = &Gauge{}
-		lg.kids[key] = g
-	}
-	return g
-}
+type LabeledGauge struct{ family[Gauge] }
 
 // metric is one registered exposition entry.
 type metric struct {
@@ -198,63 +207,15 @@ func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram 
 // NewLabeledCounter registers a counter family with the given label
 // names.
 func (r *Registry) NewLabeledCounter(name, help string, labels ...string) *LabeledCounter {
-	lc := &LabeledCounter{labels: labels, kids: map[string]*Counter{}}
-	r.register(metric{name, help, "counter", func(w io.Writer, n string) {
-		lc.mu.Lock()
-		keys := make([]string, 0, len(lc.kids))
-		for k := range lc.kids {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		type row struct {
-			key string
-			val uint64
-		}
-		rows := make([]row, len(keys))
-		for i, k := range keys {
-			rows[i] = row{k, lc.kids[k].Value()}
-		}
-		lc.mu.Unlock()
-		for _, rw := range rows {
-			parts := strings.Split(rw.key, "\x00")
-			pairs := make([]string, len(parts))
-			for i, v := range parts {
-				pairs[i] = fmt.Sprintf("%s=%q", lc.labels[i], v)
-			}
-			fmt.Fprintf(w, "%s{%s} %d\n", n, strings.Join(pairs, ","), rw.val)
-		}
-	}})
+	lc := &LabeledCounter{}
+	lc.register(r, name, help, "counter", labels, func(c *Counter) any { return c.Value() })
 	return lc
 }
 
 // NewLabeledGauge registers a gauge family with the given label names.
 func (r *Registry) NewLabeledGauge(name, help string, labels ...string) *LabeledGauge {
-	lg := &LabeledGauge{labels: labels, kids: map[string]*Gauge{}}
-	r.register(metric{name, help, "gauge", func(w io.Writer, n string) {
-		lg.mu.Lock()
-		keys := make([]string, 0, len(lg.kids))
-		for k := range lg.kids {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		type row struct {
-			key string
-			val int64
-		}
-		rows := make([]row, len(keys))
-		for i, k := range keys {
-			rows[i] = row{k, lg.kids[k].Value()}
-		}
-		lg.mu.Unlock()
-		for _, rw := range rows {
-			parts := strings.Split(rw.key, "\x00")
-			pairs := make([]string, len(parts))
-			for i, v := range parts {
-				pairs[i] = fmt.Sprintf("%s=%q", lg.labels[i], v)
-			}
-			fmt.Fprintf(w, "%s{%s} %d\n", n, strings.Join(pairs, ","), rw.val)
-		}
-	}})
+	lg := &LabeledGauge{}
+	lg.register(r, name, help, "gauge", labels, func(g *Gauge) any { return g.Value() })
 	return lg
 }
 

@@ -2,75 +2,37 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// The service contract extends the core one: the bytes served for a
-// given (alg, seed) must not depend on the engine lane width.
+// The served bytes depend on no lane width. lanes=, which once chose
+// one, is ignored like any unknown parameter: beside segment= the body
+// is the same window's body without it, whatever the value, and alone
+// it leaves a /stream pooled.
 func TestBytesWidthIndependence(t *testing.T) {
-	const path = "/bytes?alg=grain&n=8192"
-	fetch := func(lanes int) []byte {
-		cfg := Config{Seed: 99, Algorithms: []core.Algorithm{core.GRAIN},
-			Lanes: lanes}
-		_, ts := newTestServer(t, cfg)
-		status, body, _ := get(t, ts.URL+path)
-		if status != http.StatusOK {
-			t.Fatalf("lanes=%d: status %d", lanes, status)
-		}
-		return body
+	_, ts := newTestServer(t, Config{Seed: 99, Algorithms: []core.Algorithm{core.GRAIN}})
+	const window = "/stream?alg=grain&domain=3&segment=5&off=100&n=5000"
+	status, want, _ := get(t, ts.URL+window)
+	if status != http.StatusOK {
+		t.Fatalf("window: status %d", status)
 	}
-	want := fetch(64)
-	for _, lanes := range []int{256, 512} {
-		if got := fetch(lanes); !bytes.Equal(got, want) {
-			t.Errorf("lanes=%d: served bytes diverge from 64-lane service", lanes)
+	for _, v := range []string{"64", "65", "256", "x", ""} {
+		status, got, hdr := get(t, ts.URL+window+"&lanes="+v)
+		if status != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("lanes=%q: status %d, body differs from the window without lanes=", v, status)
+		}
+		if mode := hdr.Get("X-Bsrng-Mode"); mode != ModeAddressed {
+			t.Errorf("lanes=%q: mode %q, want %s", v, mode, ModeAddressed)
 		}
 	}
-}
 
-// A server built at a wide lane width must survive concurrent /bytes
-// traffic; run under -race this pins down the engines' sharing discipline.
-func TestWideLaneConcurrentRequests(t *testing.T) {
-	cfg := Config{Seed: 5, Algorithms: []core.Algorithm{core.TRIVIUM},
-		Lanes: 256}
-	_, ts := newTestServer(t, cfg)
-
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body, _ := get(t, ts.URL+"/bytes?alg=trivium&n=16384")
-			if status != http.StatusOK {
-				errs <- fmt.Errorf("status %d", status)
-				return
-			}
-			if len(body) != 16384 {
-				errs <- fmt.Errorf("got %d bytes", len(body))
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-}
-
-// An invalid Lanes value must be rejected at construction, not at the
-// first request.
-func TestConfigRejectsBadLanes(t *testing.T) {
-	for _, lanes := range []int{-1, 1, 63, 128, 1024} {
-		if _, err := New(Config{Lanes: lanes}); err == nil {
-			t.Errorf("Lanes=%d accepted", lanes)
-		}
+	status, _, hdr := get(t, ts.URL+"/stream?alg=grain&lanes=64&n=4096")
+	if status != http.StatusOK || hdr.Get("X-Bsrng-Mode") != ModePooled {
+		t.Errorf("/stream with lanes= alone: status %d, mode %q, want 200 %s", status, hdr.Get("X-Bsrng-Mode"), ModePooled)
 	}
 }
 

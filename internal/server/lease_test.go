@@ -142,18 +142,14 @@ func TestLeaseDomainsPerAlgorithm(t *testing.T) {
 }
 
 // Satellite differential: a lease window served over /stream survives a
-// daemon restart and is byte-identical at lanes 64/256/512 — to itself,
-// to the library SegmentReader, and when resumed mid-segment — because
-// the token addresses the deterministic (seed, domain, segment) space,
-// not server state.
+// daemon restart and is byte-identical — to itself, to the library
+// SegmentReader, when resumed mid-segment, and with a lanes= parameter,
+// which is ignored — because the token addresses the deterministic
+// (seed, domain, segment) space, not server state.
 func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 	const seed = 77
-	boot := func(lanes int) (*httptest.Server, func()) {
-		s, err := New(Config{
-			Seed:       seed,
-			Algorithms: []core.Algorithm{core.TRIVIUM},
-			Lanes:      lanes,
-		})
+	boot := func() (*httptest.Server, func()) {
+		s, err := New(Config{Seed: seed, Algorithms: []core.Algorithm{core.TRIVIUM}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +161,7 @@ func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 	}
 
 	// First daemon life: issue the lease and pull the whole window.
-	tsA, closeA := boot(0)
+	tsA, closeA := boot()
 	status, doc, body := post(t, tsA.URL+"/lease?alg=trivium&segments=4")
 	if status != http.StatusCreated {
 		t.Fatalf("lease create: status %d (%s)", status, body)
@@ -197,37 +193,32 @@ func TestLeaseStreamRestartAndLanesDifferential(t *testing.T) {
 		t.Fatal("lease window diverges from core.NewSegmentReader")
 	}
 
-	for _, lanes := range core.SupportedLanes {
-		tsB, closeB := boot(lanes)
-		if status, _, _ := get(t, tsB.URL+"/lease/"+doc.ID); status != http.StatusOK {
-			t.Fatalf("lanes=%d: lease token did not survive the restart", lanes)
-		}
-		status, got, _ := get(t, fmt.Sprintf("%s%s&lanes=%d", tsB.URL, doc.StreamPath, lanes))
-		if status != http.StatusOK || !bytes.Equal(got, full) {
-			t.Fatalf("lanes=%d: restarted window (status %d) not byte-identical", lanes, status)
-		}
+	tsB, closeB := boot()
+	defer closeB()
+	if status, _, _ := get(t, tsB.URL+"/lease/"+doc.ID); status != http.StatusOK {
+		t.Fatal("lease token did not survive the restart")
+	}
+	status, got, _ := get(t, tsB.URL+doc.StreamPath+"&lanes=512")
+	if status != http.StatusOK || !bytes.Equal(got, full) {
+		t.Fatalf("restarted window (status %d) not byte-identical", status)
+	}
 
-		// Resume mid-segment after a simulated disconnect: off is absolute
-		// into the lease window, landing inside segment 1.
-		const off = core.SegmentBytes + 777
-		status, tail, hdr := get(t,
-			fmt.Sprintf("%s%s&off=%d&lanes=%d", tsB.URL, doc.StreamPath, off, lanes))
-		if status != http.StatusOK {
-			t.Fatalf("lanes=%d: resume status %d", lanes, status)
-		}
-		if hdr.Get("X-Bsrng-Mode") != "lease" {
-			t.Errorf("resume mode header %q", hdr.Get("X-Bsrng-Mode"))
-		}
-		if !bytes.Equal(tail, full[off:]) {
-			t.Fatalf("lanes=%d: resume from offset %d diverges from the original window", lanes, off)
-		}
-		// An n past the remaining window clamps to it (resume semantics).
-		status, clamped, _ := get(t,
-			fmt.Sprintf("%s%s&off=%d&n=%d&lanes=%d", tsB.URL, doc.StreamPath, off, doc.Bytes, lanes))
-		if status != http.StatusOK || len(clamped) != int(doc.Bytes)-off {
-			t.Fatalf("lanes=%d: clamped resume served %d bytes, want %d",
-				lanes, len(clamped), int(doc.Bytes)-off)
-		}
-		closeB()
+	// Resume mid-segment after a simulated disconnect: off is absolute
+	// into the lease window, landing inside segment 1.
+	const off = core.SegmentBytes + 777
+	status, tail, hdr := get(t, fmt.Sprintf("%s%s&off=%d", tsB.URL, doc.StreamPath, off))
+	if status != http.StatusOK {
+		t.Fatalf("resume status %d", status)
+	}
+	if hdr.Get("X-Bsrng-Mode") != "lease" {
+		t.Errorf("resume mode header %q", hdr.Get("X-Bsrng-Mode"))
+	}
+	if !bytes.Equal(tail, full[off:]) {
+		t.Fatalf("resume from offset %d diverges from the original window", off)
+	}
+	// An n past the remaining window clamps to it (resume semantics).
+	status, clamped, _ := get(t, fmt.Sprintf("%s%s&off=%d&n=%d", tsB.URL, doc.StreamPath, off, doc.Bytes))
+	if status != http.StatusOK || len(clamped) != int(doc.Bytes)-off {
+		t.Fatalf("clamped resume served %d bytes, want %d", len(clamped), int(doc.Bytes)-off)
 	}
 }

@@ -81,8 +81,9 @@ func badRequest(format string, args ...any) *httpError {
 // alg defaults to mickey. n defaults to 32 on /bytes; on /stream to the
 // byte cap, or to the rest of the lease window when that is smaller
 // (and a larger n is clamped to the window: resume semantics, not an
-// error). segment=, domain=, off= or lanes= make a /stream addressed;
-// lease=<token>&off= resumes a lease window. An algorithm lim.Served
+// error). segment=, domain= or off= make a /stream addressed;
+// lease=<token>&off= resumes a lease window. Any other parameter, lanes=
+// included, is ignored. An algorithm lim.Served
 // rejects, named by alg= or by the lease token, is refused with 400. A
 // refused query comes back with a non-nil *httpError and the Query
 // parsed so far, whose Mode and label the refusal is counted under.
@@ -157,7 +158,7 @@ func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError
 	}
 
 	if endpoint == EndpointStream && q.Mode == ModePooled &&
-		(v.Has("segment") || v.Has("domain") || v.Has("off") || v.Has("lanes")) {
+		(v.Has("segment") || v.Has("domain") || v.Has("off")) {
 		q.Mode = ModeAddressed
 		if s := v.Get("domain"); s != "" {
 			d, err := strconv.ParseUint(s, 10, 64)
@@ -175,14 +176,6 @@ func ParseQuery(r *http.Request, endpoint string, lim Limits) (Query, *httpError
 			}
 		}
 		q.Offset = seg*core.SegmentBytes + off
-	}
-	if s := v.Get("lanes"); s != "" && q.Mode != ModePooled {
-		// Still validated, but no longer a choice: windows are served by
-		// 64-lane gathered passes, and the bytes are identical at every
-		// width.
-		if lanes, err := strconv.Atoi(s); err != nil || core.ValidateLanes(lanes) != nil {
-			return q, badRequest("lanes must be one of %v", core.SupportedLanes)
-		}
 	}
 
 	q.N = 32

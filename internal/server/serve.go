@@ -23,14 +23,13 @@ import (
 //     source (source.go), the domain-1 segment stream of the seed. /bytes
 //     is always pooled, and so is a /stream without addressing params.
 //
-//   - addressed (/stream with segment=, domain=, off= or lanes=): the
-//     request names a window of the deterministic (seed, domain,
-//     segment) address space and reads it through the algorithm's
+//   - addressed (/stream with segment=, domain= or off=): the request
+//     names a window of the deterministic (seed, domain, segment)
+//     address space and reads it through the algorithm's
 //     core.WindowSource, so the response is byte-reproducible by anyone
 //     holding the seed. The source packs the segments of every
 //     concurrent addressed and lease request into shared 64-lane passes
-//     (DESIGN.md §12.5). lanes= is validated but picks nothing: the
-//     bytes are identical at every width.
+//     (DESIGN.md §12.5).
 //
 //   - lease (/stream?lease=<id>): like addressed, but the window comes
 //     from a lease token issued by POST /lease; off= resumes mid-window

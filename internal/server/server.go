@@ -24,8 +24,8 @@
 //	GET /stream?alg=&n=                   — chunked streaming delivery,
 //	                                        flushed per chunk; addressed
 //	                                        mode via segment=/domain=/
-//	                                        off=/lanes=, resumable lease
-//	                                        mode via lease=&off=
+//	                                        off=, resumable lease mode
+//	                                        via lease=&off=
 //	POST /lease?alg=&segments=            — issue a segment lease (a
 //	                                        stateless token over the
 //	                                        deterministic address space)
@@ -59,10 +59,6 @@ type Config struct {
 	Seed uint64
 	// Algorithms to serve; nil means core.ServedAlgorithms.
 	Algorithms []core.Algorithm
-	// Lanes is the engine lane width: any value in core.SupportedLanes
-	// is accepted (default core.DefaultLanes). Every width runs the
-	// 64-lane datapath, so the served bytes are identical.
-	Lanes int
 	// MaxRequestBytes caps n on /bytes and /stream, and is a /stream's
 	// default n (default 16 MiB).
 	MaxRequestBytes int64
@@ -158,9 +154,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxRequestBytes == 0 {
 		cfg.MaxRequestBytes = 16 << 20
-	}
-	if err := core.ValidateLanes(cfg.Lanes); err != nil {
-		return nil, err
 	}
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("server: max in-flight %d out of range", cfg.MaxInflight)
