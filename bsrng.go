@@ -33,7 +33,9 @@
 // many cores can be regenerated, or resumed at any offset, on one.
 //
 // Stream's datapath is zero-copy: each worker's engine writes segments
-// straight into the staging chunk it hands to the consumer, so the
+// straight into the staging chunk it hands to the consumer. Every
+// worker cycles through three fixed staging chunks, allocated by
+// NewStream, so it runs at most two chunks ahead of the consumer, the
 // steady state allocates nothing and each output byte is copied at most
 // once (chunk → your buffer). To skip that last copy too, consume via
 // s.WriteTo(w), which hands each chunk itself to w.

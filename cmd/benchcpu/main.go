@@ -144,8 +144,8 @@ func measureCell(alg core.Algorithm, workers int, minTime time.Duration) (result
 		return result{}, err
 	}
 	defer s.Close()
-	// Warm up: fill the staging pipeline and retire the lazily-allocated
-	// first chunks before the clock (and the allocation meter) starts.
+	// Warm up: fill the staging pipeline before the clock (and the
+	// allocation meter) starts.
 	warm := &benchSink{deadline: time.Now().Add(minTime / 10)}
 	if _, err := s.WriteTo(warm); err != nil && !errors.Is(err, errWindowDone) {
 		return result{}, err

@@ -54,7 +54,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/server"
 )
 
@@ -69,11 +68,6 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent /bytes + /stream requests; excess get 429 + Retry-After (0 = unlimited)")
 	maxLeaseSegments := flag.Int("max-lease-segments", 0, "per-lease window cap in segments (0 = 65536, i.e. 128 MiB)")
 	noHealth := flag.Bool("no-health", false, "disable the continuous online health tests and segment skipping")
-	rctCutoff := flag.Int("health-rct-cutoff", 0, "RCT failing run of identical bytes (0 = 8)")
-	aptWindow := flag.Int("health-apt-window", 0, "APT window size in bytes (0 = 512)")
-	aptCutoff := flag.Int("health-apt-cutoff", 0, "APT failing occurrence count (0 = 48)")
-	monobitSlack := flag.Int("health-monobit-slack", 0, "monobit allowed |ones − bits/2| per segment (0 = 1024)")
-	longRunBits := flag.Int("health-longrun-bits", 0, "long-run failing run of identical bits (0 = 64)")
 	flag.Parse()
 
 	if *router {
@@ -96,13 +90,6 @@ func main() {
 		MaxInflight:      *maxInflight,
 		MaxLeaseSegments: *maxLeaseSegments,
 		DisableHealth:    *noHealth,
-		Health: health.Config{
-			RCTCutoff:    *rctCutoff,
-			APTWindow:    *aptWindow,
-			APTCutoff:    *aptCutoff,
-			MonobitSlack: *monobitSlack,
-			LongRunBits:  *longRunBits,
-		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bsrngd:", err)

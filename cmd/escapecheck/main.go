@@ -68,7 +68,7 @@ var hotFuncs = map[string][]string{
 		"Read", "WriteTo", "advance", "run", "check", "Screen",
 		// Generator/engine steady state: the index rule, the per-pass
 		// keying and the pass runner's key, aim and run (listed above).
-		"segment", "keyLanes", "nextBlocks", "key", "aim",
+		"segment", "keyLanes", "read", "key", "aim",
 		// Gathered-pass window source steady state.
 		"ReadWindow", "pass", "gather",
 		// Per-segment material derivation (in place by design).

@@ -186,7 +186,7 @@ func TestStreamMatchesSingleWorkerComposition(t *testing.T) {
 	// worker and for several.
 	eng, _ := newSegmented(MICKEY, 9, 1, 0, 1, 1, 0)
 	want := make([]byte, 8*SegmentBytes)
-	eng.nextBlocks(want)
+	eng.read(want)
 	for _, workers := range []int{1, 3} {
 		s, err := NewStream(MICKEY, 9, StreamConfig{Workers: workers, StagingBytes: 1024})
 		if err != nil {

@@ -145,6 +145,9 @@ const SegmentBytes = 2048
 // datapath, one plane bit per lane.
 const passLanes = bitslice.W
 
+// passBytes is the output of one pass.
+const passBytes = passLanes * SegmentBytes
+
 // DefaultLanes is the width of the one datapath, 64 lanes: the value
 // to pass where a lanes parameter kept for bench/ asks for one.
 const DefaultLanes = passLanes
@@ -173,17 +176,18 @@ func checkLanes(lanes int) error {
 // case, whose i-th segment is segment i, and starts at the emission
 // index of its first segment.
 //
-// One pass fills passLanes segments, lane l with the (i+l)-th; nextBlocks
-// hands them out in order, and a spent pass keys every lane for the next
+// One pass fills passLanes segments, lane l with the (i+l)-th, and pos
+// is the byte cursor into it; a spent pass keys every lane for the next
 // passLanes. Lanes key independently, so no lane is wasted however spc
-// splits a pass. A pass runs on the first emit after it is keyed, so it
-// can aim as many lanes as fit straight at the caller's destination (the
-// cipher then writes those segments exactly once, into their final
-// resting place); only the overhang lanes land in the runner's private
-// buffers for later copy-out.
+// splits a pass. A pass runs on the first read after it is keyed, so it
+// can aim every lane whose whole segment lands in the caller's
+// destination straight at it (the cipher then writes those segments
+// exactly once, into their final resting place); only the other lanes
+// land in the runner's private buffers for later copy-out.
 type segmented struct {
 	r               *passRunner
-	emit            int    // next lane to hand out; passLanes once spent, -1 before the keyed pass runs
+	pos             int    // byte cursor into the current pass; passBytes once spent
+	ran             bool   // the current pass has run
 	i               uint64 // emission index of the current pass's lane 0
 	spc, workers, w uint64 // the index rule
 	seed, domain    uint64
@@ -191,9 +195,9 @@ type segmented struct {
 
 // newSegmented builds the engine of one (seed, domain) stream under the
 // index rule (spc, workers, w), keyed once, directly for the pass whose
-// lane 0 is emission index i.
+// lane 0 is emission index i, with its cursor at the start of that pass.
 func newSegmented(alg Algorithm, seed, domain, i, spc, workers, w uint64) (*segmented, error) {
-	e := &segmented{emit: -1, i: i, spc: spc, workers: workers, w: w, seed: seed, domain: domain}
+	e := &segmented{i: i, spc: spc, workers: workers, w: w, seed: seed, domain: domain}
 	r, err := newPassRunner(alg, e.keyLanes)
 	if err != nil {
 		return nil, err
@@ -214,28 +218,36 @@ func (e *segmented) keyLanes(r *passRunner) {
 	}
 }
 
-// nextBlocks writes the next len(dst)/SegmentBytes segments into dst, a
-// whole number of segments, letting whole passes land directly in dst
-// (the zero-copy fast path).
-func (e *segmented) nextBlocks(dst []byte) {
-	for len(dst) > 0 {
-		if e.emit == passLanes {
+// read fills p with the next len(p) bytes of the emitted segments. A
+// pass that has not run yet aims the lanes whose whole segments land in
+// p straight at p (the zero-copy fast path); every other byte is copied
+// from the runner's private lanes.
+func (e *segmented) read(p []byte) {
+	for len(p) > 0 {
+		if e.pos == passBytes {
 			e.i += passLanes
 			e.keyLanes(e.r)
-			e.emit = -1
+			e.pos, e.ran = 0, false
 		}
-		if e.emit < 0 {
-			k := min(len(dst)/SegmentBytes, passLanes)
-			for l := range k {
-				e.r.aim(l, dst[l*SegmentBytes:(l+1)*SegmentBytes])
+		if !e.ran {
+			lo := (e.pos + SegmentBytes - 1) / SegmentBytes
+			hi := min((e.pos+len(p))/SegmentBytes, passLanes)
+			for l := lo; l < hi; l++ {
+				e.r.aim(l, p[l*SegmentBytes-e.pos:][:SegmentBytes])
 			}
 			e.r.run()
-			e.emit, dst = k, dst[k*SegmentBytes:]
+			e.ran = true
+			if lo < hi {
+				// At most a mid-segment head precedes the aimed lanes.
+				copy(p[:lo*SegmentBytes-e.pos], e.r.priv[e.pos/SegmentBytes][e.pos%SegmentBytes:])
+				p = p[hi*SegmentBytes-e.pos:]
+				e.pos = hi * SegmentBytes
+				continue
+			}
 		}
-		for ; e.emit < passLanes && len(dst) > 0; e.emit++ {
-			copy(dst, e.r.priv[e.emit])
-			dst = dst[SegmentBytes:]
-		}
+		k := copy(p, e.r.priv[e.pos/SegmentBytes][e.pos%SegmentBytes:])
+		e.pos += k
+		p = p[k:]
 	}
 }
 
@@ -243,10 +255,8 @@ func (e *segmented) nextBlocks(dst []byte) {
 // 64-lane bitsliced engine behind an io.Reader. The byte stream depends
 // only on (algorithm, seed).
 type Generator struct {
+	*segmented
 	alg Algorithm
-	eng *segmented
-	buf []byte
-	pos int // unread offset into buf; len(buf) when empty
 }
 
 // NewGenerator builds a seeded generator: the domain-0 stream of seed.
@@ -265,30 +275,17 @@ func NewGeneratorLanes(alg Algorithm, seed uint64, lanes int) (*Generator, error
 // Algorithm reports which engine backs the generator.
 func (g *Generator) Algorithm() Algorithm { return g.alg }
 
-// Read fills p with pseudo-random bytes; it never fails. Whole segments
-// are generated directly into p — only a sub-segment head or tail passes
-// through the generator's one-block buffer.
+// Read fills p with pseudo-random bytes; it never fails. The whole
+// segments of a pass that has not run yet are generated directly into
+// p; every other byte is copied out of the engine's lane buffers.
 func (g *Generator) Read(p []byte) (int, error) {
-	n := len(p)
-	if g.pos < len(g.buf) {
-		k := copy(p, g.buf[g.pos:])
-		g.pos += k
-		p = p[k:]
-	}
-	if aligned := len(p) - len(p)%len(g.buf); aligned > 0 {
-		g.eng.nextBlocks(p[:aligned])
-		p = p[aligned:]
-	}
-	if len(p) > 0 {
-		g.eng.nextBlocks(g.buf)
-		g.pos = copy(p, g.buf)
-	}
-	return n, nil
+	g.read(p)
+	return len(p), nil
 }
 
 // Uint64 returns the next 8 output bytes as a little-endian word.
 func (g *Generator) Uint64() uint64 {
 	var b [8]byte
-	g.Read(b[:])
+	g.read(b[:])
 	return binary.LittleEndian.Uint64(b[:])
 }

@@ -74,7 +74,7 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		return nil, err
 	}
 	r.stale = false // the constructor loaded what keyLanes derived
-	backing := make([]byte, passLanes*SegmentBytes)
+	backing := make([]byte, passBytes)
 	for l := range r.priv {
 		r.priv[l] = backing[l*SegmentBytes : (l+1)*SegmentBytes]
 	}

@@ -25,8 +25,8 @@ const maxSegmentIndex = uint64(1) << 52
 //
 // The reader's engine is keyed once, directly for the pass starting at
 // segment offset/SegmentBytes — no bytes before the offset are generated
-// — so positioning costs one keying plus, for a mid-segment offset, one
-// segment of keystream.
+// — and its cursor starts offset%SegmentBytes bytes into that pass, so
+// positioning costs one keying.
 //
 // lanes is checked (0, 64, 256 or 512) and otherwise ignored: every
 // reader runs the 64-lane datapath. The parameter stays only for
@@ -44,13 +44,6 @@ func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{alg: alg, eng: eng, buf: make([]byte, SegmentBytes), pos: SegmentBytes}
-	if skip != 0 {
-		// Generate the offset's segment into the one-block buffer and
-		// leave the cursor mid-segment; aligned reads continue in place
-		// from the next segment on.
-		eng.nextBlocks(g.buf)
-		g.pos = int(skip)
-	}
-	return g, nil
+	eng.pos = int(skip)
+	return &Generator{segmented: eng, alg: alg}, nil
 }

@@ -120,6 +120,46 @@ func TestSegmentReaderFarSeekConsistency(t *testing.T) {
 	}
 }
 
+// FuzzSegmentReaderPieces holds a positioned reader's cursor to its one
+// byte sequence: for any served algorithm, domain and offset up to
+// three passes in (mid-segment or not), reading NewSegmentReader in
+// pieces of 0 bytes to just over one pass yields exactly what one
+// io.ReadFull of the same length from a fresh reader does.
+//
+// pieces is a list of 3-byte records, each a little-endian piece size
+// modulo passBytes+SegmentBytes+1.
+func FuzzSegmentReaderPieces(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, algSel byte, domain uint64, offset uint32, pieces []byte) {
+		alg := ServedAlgorithms[int(algSel)%len(ServedAlgorithms)]
+		off := uint64(offset) % (3 * passBytes)
+		var sizes []int
+		total := 0
+		for ; len(pieces) >= 3 && len(sizes) < 8; pieces = pieces[3:] {
+			n := int(pieces[0]) | int(pieces[1])<<8 | int(pieces[2])<<16
+			n %= passBytes + SegmentBytes + 1
+			sizes = append(sizes, n)
+			total += n
+		}
+		want := segmentReaderWindow(t, alg, seed, domain, off, total)
+
+		r, err := NewSegmentReader(alg, seed, domain, 0, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, total)
+		at := 0
+		for _, n := range sizes {
+			if k, err := r.Read(got[at : at+n]); k != n || err != nil {
+				t.Fatalf("Read of %d bytes returned %d, %v", n, k, err)
+			}
+			at += n
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v, domain %d, offset %d, pieces %v: pieced reads diverge from one read", alg, domain, off, sizes)
+		}
+	})
+}
+
 func TestSegmentReaderOffsetOutOfRange(t *testing.T) {
 	if _, err := NewSegmentReader(MICKEY, 1, 0, 0, ^uint64(0)); err == nil {
 		t.Fatal("astronomical offset accepted")

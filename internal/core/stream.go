@@ -20,8 +20,9 @@ var ErrClosed = errors.New("core: stream closed")
 // NewSegmentReader of domain 1 reads from offset 0 — cut into staging
 // chunks of spc = max(StagingBytes/SegmentBytes, 1) segments: chunk c
 // holds segments [c·spc, (c+1)·spc). Worker w produces the chunks
-// c ≡ w (mod W) in private staging buffers (the shared-memory staging of
-// §4.5), and the consumer reads the chunks in order of c. So the bytes
+// c ≡ w (mod W) into its own stagingChunks fixed staging buffers (the
+// shared-memory staging of §4.5), and the consumer reads the chunks in
+// order of c. So the bytes
 // are deterministic for (algorithm, seed), whatever the worker count,
 // staging size, read sizes or scheduling.
 type Stream struct {
@@ -29,7 +30,6 @@ type Stream struct {
 	health  func(seg []byte) error
 
 	chunks []chan chunk // per-worker ordered chunk delivery
-	free   chan []byte  // recycled buffers
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	once   sync.Once
@@ -91,6 +91,15 @@ type StreamConfig struct {
 	Health func(seg []byte) error
 }
 
+// stagingChunks is the number of staging buffers each worker cycles
+// through, allocated once in NewStream. A worker's chunk channel holds
+// stagingChunks-2 chunks, so the worker refills a buffer only after the
+// consumer has received the chunk that follows it — by then the
+// consumer is done with the buffer — and an idle worker stays
+// stagingChunks-1 chunks ahead. Two buffers lost about a fifth of
+// 2-worker throughput to the lost overlap.
+const stagingChunks = 3
+
 // maxCondemnedRun is the bound on a broken hook. Healthy output trips
 // the default health tests far less than once in 2^40 segments
 // (DESIGN.md §8), so this many consecutive condemned segments from one
@@ -127,7 +136,6 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 		workers: cfg.Workers,
 		health:  cfg.Health,
 		chunks:  make([]chan chunk, cfg.Workers),
-		free:    make(chan []byte, 4*cfg.Workers),
 		stop:    make(chan struct{}),
 	}
 	spc := max(cfg.StagingBytes/SegmentBytes, 1)
@@ -138,34 +146,28 @@ func NewStream(alg Algorithm, seed uint64, cfg StreamConfig) (*Stream, error) {
 			return nil, err
 		}
 		engines[w] = eng
-		s.chunks[w] = make(chan chunk, 2)
+		s.chunks[w] = make(chan chunk, stagingChunks-2)
 	}
+	chunkLen := spc * SegmentBytes
 	for w, eng := range engines {
 		s.wg.Add(1)
-		go s.run(w, eng, spc*SegmentBytes)
+		go s.run(w, eng, make([]byte, stagingChunks*chunkLen), chunkLen)
 	}
 	return s, nil
 }
 
-// run is one worker: generate a chunk into a staging buffer, screen it,
-// deliver, repeat. The engine writes segments straight into the staging
-// chunk (nextBlocks aims the cipher's lane buffers at it), so in steady
-// state each output byte is produced in place and copied at most once
-// more, by the consumer. A worker whose chunk carries an error stops.
-func (s *Stream) run(w int, eng *segmented, chunkLen int) {
+// run is one worker: generate a chunk into the next of the
+// stagingChunks chunkLen-byte buffers in staging, screen it, deliver,
+// repeat. The engine writes segments straight into the staging buffer
+// (read aims the cipher's lane buffers at it), so in steady state each
+// output byte is produced in place and copied at most once more, by the
+// consumer. A worker whose chunk carries an error stops.
+func (s *Stream) run(w int, eng *segmented, staging []byte, chunkLen int) {
 	defer s.wg.Done()
 	condemned := 0 // consecutive condemned segments, across chunks
-	for {
-		var buf []byte
-		select {
-		case buf = <-s.free:
-		default:
-		}
-		if cap(buf) < chunkLen {
-			buf = make([]byte, chunkLen)
-		}
-		buf = buf[:chunkLen]
-		eng.nextBlocks(buf)
+	for k := 0; ; k = (k + 1) % stagingChunks {
+		buf := staging[k*chunkLen : (k+1)*chunkLen]
+		eng.read(buf)
 		c := chunk{b: buf}
 		if s.health != nil {
 			var n int
@@ -247,19 +249,13 @@ func (s *Stream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// advance recycles the consumed chunk and receives the next non-empty
-// one in the fixed worker-round-robin order. It returns ErrClosed once
-// Close has been observed, and a worker's health error once the chunk
-// that carried it is consumed.
+// advance receives the next non-empty chunk in the fixed
+// worker-round-robin order; receiving a worker's chunk frees the buffer
+// of its previous one for refilling (see stagingChunks). It returns
+// ErrClosed once Close has been observed, and a worker's health error
+// once the chunk that carried it is consumed.
 func (s *Stream) advance() error {
 	for {
-		if s.cur != nil {
-			select {
-			case s.free <- s.cur:
-			default:
-			}
-			s.cur = nil
-		}
 		if s.err != nil {
 			return s.err
 		}
@@ -320,13 +316,6 @@ func (s *Stream) WriteTo(w io.Writer) (int64, error) {
 func (s *Stream) Close() {
 	s.once.Do(func() {
 		close(s.stop)
-		// Drain so workers blocked on delivery observe the stop.
-		for _, c := range s.chunks {
-			select {
-			case <-c:
-			default:
-			}
-		}
 		s.wg.Wait()
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // Hammer a Stream with a reader racing Close (run under -race in CI):
@@ -127,6 +129,42 @@ func TestFillMatchesStreamWorkerRegions(t *testing.T) {
 			if !bytes.Equal(streamed, want) {
 				t.Errorf("%v: %d-worker Stream diverges from the domain-1 stream", alg, workers)
 			}
+		}
+	}
+}
+
+// An idle worker stays exactly stagingChunks-1 chunks ahead of the
+// consumer: it fills one chunk into its channel, fills the next and
+// waits to deliver it, and fills no further chunk until the consumer
+// receives one. The counting hook sees every segment a worker produces.
+func TestStreamStagingBound(t *testing.T) {
+	const spc = 4 // segments per staging chunk
+	for _, workers := range []int{1, 3} {
+		var produced atomic.Int64
+		s, err := NewStream(TRIVIUM, 3, StreamConfig{
+			Workers: workers, StagingBytes: spc * SegmentBytes,
+			Health: func([]byte) error { produced.Add(1); return nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Poll until the count stops moving, at or past the bound: a
+		// worker descheduled before its first chunks must not pass for
+		// an idle one.
+		want := int64(workers * (stagingChunks - 1) * spc)
+		last := int64(-1)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			time.Sleep(50 * time.Millisecond)
+			n := produced.Load()
+			if n == last && n >= want {
+				break
+			}
+			last = n
+		}
+		s.Close()
+		if last != want {
+			t.Errorf("%d idle workers produced %d segments, want %d (%d chunks of %d each)",
+				workers, last, want, stagingChunks-1, spc)
 		}
 	}
 }

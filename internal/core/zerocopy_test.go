@@ -131,8 +131,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 				buf := make([]byte, 64<<10)
-				// Warm up: populate the free list and retire the
-				// constructor's lazily-allocated first chunks.
+				// Warm up: run every worker through its staging
+				// chunks.
 				for i := 0; i < 16; i++ {
 					if _, err := io.ReadFull(s, buf); err != nil {
 						t.Fatal(err)

@@ -45,7 +45,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/metrics"
 )
 
@@ -76,9 +75,6 @@ type Config struct {
 	// default: healthy engines never trip the cutoffs, so the served
 	// bytes are unchanged.
 	DisableHealth bool
-	// Health overrides the per-test cutoffs (zero fields = defaults,
-	// negative fields are rejected; see health.Config).
-	Health health.Config
 }
 
 // Server owns the served algorithms' engines, the metrics registry and
@@ -163,20 +159,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxLeaseSegments < 1 || uint64(cfg.MaxLeaseSegments) > maxLeaseSegmentsHard {
 		return nil, fmt.Errorf("server: max lease segments %d out of range", cfg.MaxLeaseSegments)
-	}
-	for _, h := range []struct {
-		name string
-		v    int
-	}{
-		{"rct cutoff", cfg.Health.RCTCutoff},
-		{"apt window", cfg.Health.APTWindow},
-		{"apt cutoff", cfg.Health.APTCutoff},
-		{"monobit slack", cfg.Health.MonobitSlack},
-		{"longrun bits", cfg.Health.LongRunBits},
-	} {
-		if h.v < 0 {
-			return nil, fmt.Errorf("server: health %s %d out of range", h.name, h.v)
-		}
 	}
 
 	s := &Server{

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/health"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -261,14 +260,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Algorithms: []core.Algorithm{core.Algorithm(99)}}); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-	for _, h := range []health.Config{
-		{RCTCutoff: -1}, {APTWindow: -1}, {APTCutoff: -1}, {MonobitSlack: -1}, {LongRunBits: -1},
-	} {
-		_, err := New(Config{Health: h})
-		if err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("negative health cutoff %+v: got %v, want out of range", h, err)
-		}
 	}
 }
 

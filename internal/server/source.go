@@ -69,7 +69,7 @@ func newSource(s *Server, alg core.Algorithm, ws *core.WindowSource) *source {
 		degraded:  s.healthDegraded.With(algL),
 	}
 	if !s.cfg.DisableHealth {
-		src.checker = health.NewChecker(s.cfg.Health)
+		src.checker = health.NewChecker(health.Config{})
 	}
 	return src
 }

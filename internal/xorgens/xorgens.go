@@ -141,12 +141,16 @@ func (g *Ref) NextWord() uint64 {
 }
 
 // Keystream fills dst with keystream bytes — successive words written
-// little-endian. len(dst) must be a multiple of 8.
+// little-endian. A length that is not a multiple of 8 ends with the low
+// bytes of one more word.
 func (g *Ref) Keystream(dst []byte) {
-	if len(dst)%8 != 0 {
-		panic("xorgens: keystream length must be a multiple of 8")
+	o := 0
+	for ; o+8 <= len(dst); o += 8 {
+		binary.LittleEndian.PutUint64(dst[o:], g.NextWord())
 	}
-	for o := 0; o < len(dst); o += 8 {
-		binary.LittleEndian.PutUint64(dst[o:o+8], g.NextWord())
+	if o < len(dst) {
+		for w := g.NextWord(); o < len(dst); o, w = o+1, w>>8 {
+			dst[o] = byte(w)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package xorgens
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"testing"
 
@@ -84,15 +85,24 @@ func TestRefRejectsBadMaterial(t *testing.T) {
 	}
 }
 
+// Keystream of any length is a prefix of the little-endian words
+// NextWord emits: a length that is not a multiple of 8 ends with the low
+// bytes of one more word.
 func TestRefKeystreamAlignment(t *testing.T) {
 	key, iv := testMaterial(4)
 	g, _ := NewRef(key, iv)
-	defer func() {
-		if recover() == nil {
-			t.Error("unaligned keystream length accepted")
+	var words []byte
+	for range 2 {
+		words = binary.LittleEndian.AppendUint64(words, g.NextWord())
+	}
+	for _, n := range []int{1, 13, 16} {
+		g, _ := NewRef(key, iv)
+		got := make([]byte, n)
+		g.Keystream(got)
+		if !bytes.Equal(got, words[:n]) {
+			t.Errorf("%d-byte Keystream = %x, want the NextWord bytes %x", n, got, words[:n])
 		}
-	}()
-	g.Keystream(make([]byte, 7))
+	}
 }
 
 // Golden keystream: pins the scalar reference (and with it, through the
