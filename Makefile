@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: verify fmt-check vet cross lint lint-test escape-gate build test race bench-smoke bench bench-compare layers certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
+.PHONY: verify fmt-check vet cross lint lint-test escape-gate build test race bench-module bench-smoke bench bench-compare layers certify certify-smoke loadtest loadtest-cluster fuzz fuzz-corpus fmt generate serve cover nofaultinject
 
-verify: fmt-check vet cross lint lint-test escape-gate build test race certify-smoke loadtest loadtest-cluster bench-smoke
+verify: fmt-check vet cross lint lint-test escape-gate build test race bench-module certify-smoke loadtest loadtest-cluster bench-smoke
 	@echo "verify: all checks passed"
 
 fmt-check:
@@ -51,6 +51,12 @@ test:
 
 race:
 	$(GO) test -race -short ./...
+
+# The repository benchmark (bench/) is its own module, so the root
+# build never compiles it: vet and test it here, or a change to an API
+# it calls breaks only when the benchmark runs.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # The production configuration: the failpoint registry compiled to
 # no-ops. Chaos tests skip themselves via faultinject.Available().

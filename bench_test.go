@@ -53,10 +53,12 @@ func BenchmarkFig11Normalized(b *testing.B) {
 // analogue of the paper's multi-GPU experiment; the modeled version is
 // cmd/experiments -exp multigpu).
 func BenchmarkMultiDeviceScaling(b *testing.B) {
+	seen := map[int]bool{}
 	for _, workers := range []int{1, 2, 4, runtime.NumCPU()} {
-		if workers > runtime.NumCPU() {
-			continue
+		if workers > runtime.NumCPU() || seen[workers] {
+			continue // each worker count runs once, named once
 		}
+		seen[workers] = true
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			s, err := NewStream(GRAIN, 1, StreamConfig{Workers: workers})
 			if err != nil {

@@ -147,16 +147,12 @@ func Fill(alg Algorithm, seed uint64, workers int, dst []byte) error {
 	return core.Fill(alg, seed, workers, dst)
 }
 
-// HealthConfig sets the cutoffs of the continuous online health tests
-// (zero values = the documented defaults; see internal/health).
-type HealthConfig = health.Config
-
 // HealthChecker runs SP 800-90B-style (RCT, APT) and FIPS 140-2-style
 // (monobit, long-run) continuous tests against 2048-byte segments. Its
 // Check method is safe for concurrent use and plugs directly into
 // StreamConfig.Health:
 //
-//	checker := bsrng.NewHealthChecker(bsrng.HealthConfig{})
+//	checker := bsrng.NewHealthChecker()
 //	s, _ := bsrng.NewStream(bsrng.MICKEY, 42, bsrng.StreamConfig{Health: checker.Check})
 //
 // A condemned segment is skipped, never delivered, and counted in
@@ -169,9 +165,11 @@ type HealthChecker = health.Checker
 // segment, naming the tripped test and the observed statistic.
 type HealthFailure = health.Failure
 
-// NewHealthChecker builds a checker with the given cutoffs.
-func NewHealthChecker(cfg HealthConfig) *HealthChecker {
-	return health.NewChecker(cfg)
+// NewHealthChecker builds a checker. Its cutoffs are fixed: each sits
+// where a healthy segment fails with probability below 2^-45 (see
+// internal/health).
+func NewHealthChecker() *HealthChecker {
+	return health.NewChecker(health.Config{})
 }
 
 // Source64 adapts a Generator to math/rand.Source64.

@@ -63,8 +63,8 @@ func readUntilDead(resp *http.Response) []byte {
 func TestLeaseFailoverExactContinuation(t *testing.T) {
 	const seed = 4242
 	https, nodes := bootNodes(t, 3, nodeCfg(seed))
-	rt, rts := bootRouter(t, nodes, func(c *RouterConfig) {
-		c.Transport = throttledTransport{base: http.DefaultTransport}
+	rt, rts := bootRouter(t, nodes, func(rt *Router) {
+		rt.transport = throttledTransport{base: http.DefaultTransport}
 	})
 
 	// A 4 MiB window behind the throttled transport: ~400ms of transfer,
@@ -182,10 +182,7 @@ func TestAllNodesDownExhausts(t *testing.T) {
 		ts.CloseClientConnections()
 		ts.Close()
 	}
-	_, rts := bootRouter(t, nodes, func(c *RouterConfig) {
-		c.RetryBackoff = time.Millisecond
-		c.RetryBudget = time.Second
-	})
+	_, rts := bootRouter(t, nodes, nil)
 
 	status, body, _ := get(t, rts.URL+"/bytes?alg=grain&n=64")
 	if status != http.StatusBadGateway {

@@ -16,6 +16,11 @@
 // rebalance semantics: adding or removing a node remaps only the keys
 // whose ring arc the change touches (≈1/N of the space), never keys
 // between two surviving nodes.
+//
+// The router's only settings are the ring and its file. Its timings are
+// constants: a failing request moves through every node of its ring,
+// 25ms apart, for at most 10s, and each node's /healthz is probed every
+// 2s with a 1s timeout.
 package cluster
 
 import (

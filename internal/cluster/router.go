@@ -30,10 +30,11 @@ import (
 //
 // Failure handling: a forward attempt that dies on transport error or a
 // retryable status (502/503/504) moves to the next candidate after
-// RetryBackoff, bounded by MaxAttempts and the RetryBudget — but only
-// until the first response byte has been forwarded; an interrupted
-// stream is the client's to resume (lease tokens + off= make that
-// exact, see DESIGN.md §13). A background prober polls every node's
+// retryBackoff (25ms), one attempt per node of the ring the request
+// routes on, within retryBudget (10s) — but only until the first
+// response byte has been forwarded; an interrupted stream is the
+// client's to resume (lease tokens + off= make that exact, see
+// DESIGN.md §13). A background prober polls every node's
 // /healthz so dead nodes are demoted to last-resort candidates between
 // failures. Everything is counted in the bsrngd_cluster_* metric
 // family.
@@ -42,13 +43,17 @@ import (
 // in flight keep the ring they started with, and the reload's probe-key
 // movement estimate is exported so operators see the rebalance cost.
 type Router struct {
-	cfg  RouterConfig
-	ring atomic.Pointer[Ring]
-	reg  *metrics.Registry
-	mux  *http.ServeMux
+	ring     atomic.Pointer[Ring]
+	ringPath string
+	reg      *metrics.Registry
+	mux      *http.ServeMux
 
-	transport http.RoundTripper
-	rr        atomic.Uint64 // pooled-spread rotation cursor
+	// The timings start as the package constants and the transport as
+	// NewRouter's; in-package tests shorten or replace them before
+	// serving.
+	backoff, probeEvery, probeTimeout time.Duration
+	transport                         http.RoundTripper
+	rr                                atomic.Uint64 // pooled-spread rotation cursor
 
 	mu    sync.Mutex // guards states map mutation (reload adds nodes)
 	state map[string]*nodeState
@@ -82,29 +87,27 @@ type nodeState struct {
 	down atomic.Bool // optimistic: nodes start up
 }
 
-// RouterConfig tunes the router; zero values select the documented
-// defaults.
+// RouterConfig names the router's membership.
 type RouterConfig struct {
 	// Ring is the initial membership (required).
 	Ring *Ring
 	// RingPath, when set, is the config file ReloadFromFile re-reads
 	// (cmd/bsrngd wires SIGHUP to it).
 	RingPath string
-	// MaxAttempts caps forward attempts per request (default: one per
-	// ring node).
-	MaxAttempts int
-	// RetryBackoff is the delay between forward attempts (default 25ms).
-	RetryBackoff time.Duration
-	// RetryBudget bounds the total time spent failing over one request
-	// before giving up with 502 (default 10s).
-	RetryBudget time.Duration
-	// ProbeInterval is the node health poll period (default 2s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 1s).
-	ProbeTimeout time.Duration
-	// Transport overrides the outbound HTTP transport (tests).
-	Transport http.RoundTripper
 }
+
+// The router's timings.
+const (
+	// retryBackoff is the delay between forward attempts.
+	retryBackoff = 25 * time.Millisecond
+	// retryBudget bounds the total time spent failing over one request
+	// before giving up with 502.
+	retryBudget = 10 * time.Second
+	// probeInterval is the node health poll period.
+	probeInterval = 2 * time.Second
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = time.Second
+)
 
 // probeSampleKeys sizes the deterministic key sample behind the
 // rebalance and ring-share accounting.
@@ -120,42 +123,24 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.Ring == nil {
 		return nil, fmt.Errorf("cluster: router needs a ring")
 	}
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = len(cfg.Ring.Nodes())
-	}
-	if cfg.MaxAttempts < 1 {
-		return nil, fmt.Errorf("cluster: max attempts %d out of range", cfg.MaxAttempts)
-	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 10 * time.Second
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 2 * time.Second
-	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = time.Second
-	}
 	rt := &Router{
-		cfg:       cfg,
-		reg:       metrics.NewRegistry(),
-		mux:       http.NewServeMux(),
-		state:     make(map[string]*nodeState),
-		stop:      make(chan struct{}),
-		transport: cfg.Transport,
-	}
-	rt.baseCtx, rt.baseCancel = context.WithCancel(context.Background())
-	if rt.transport == nil {
-		rt.transport = &http.Transport{
+		ringPath:     cfg.RingPath,
+		reg:          metrics.NewRegistry(),
+		mux:          http.NewServeMux(),
+		state:        make(map[string]*nodeState),
+		stop:         make(chan struct{}),
+		backoff:      retryBackoff,
+		probeEvery:   probeInterval,
+		probeTimeout: probeTimeout,
+		transport: &http.Transport{
 			DialContext:           (&net.Dialer{Timeout: 2 * time.Second}).DialContext,
 			MaxIdleConns:          256,
 			MaxIdleConnsPerHost:   64,
 			IdleConnTimeout:       30 * time.Second,
 			ResponseHeaderTimeout: 30 * time.Second,
-		}
+		},
 	}
+	rt.baseCtx, rt.baseCancel = context.WithCancel(context.Background())
 
 	rt.forwarded = rt.reg.NewLabeledCounter("bsrngd_cluster_forwarded_total",
 		"Requests forwarded to a node, by node and endpoint.", "node", "endpoint")
@@ -233,10 +218,10 @@ func (rt *Router) SetRing(nr *Ring) {
 // ReloadFromFile re-reads RingPath and applies the ring (the SIGHUP
 // handler of bsrngd -router).
 func (rt *Router) ReloadFromFile() error {
-	if rt.cfg.RingPath == "" {
+	if rt.ringPath == "" {
 		return fmt.Errorf("cluster: router has no ring path to reload from")
 	}
-	nr, err := LoadRing(rt.cfg.RingPath)
+	nr, err := LoadRing(rt.ringPath)
 	if err != nil {
 		return err
 	}
@@ -295,11 +280,11 @@ func (rt *Router) markUp(name string) {
 	rt.nodeUp.With(name).Set(1)
 }
 
-// probeLoop polls every ring node's /healthz on ProbeInterval until
+// probeLoop polls every ring node's /healthz every probeEvery until
 // Close.
 func (rt *Router) probeLoop() {
 	defer rt.probes.Done()
-	tick := time.NewTicker(rt.cfg.ProbeInterval)
+	tick := time.NewTicker(rt.probeEvery)
 	defer tick.Stop()
 	for {
 		select {
@@ -316,7 +301,7 @@ func (rt *Router) probeLoop() {
 // last-resort candidate until it recovers.
 func (rt *Router) probeAll() {
 	for _, n := range rt.ring.Load().Nodes() {
-		ctx, cancel := context.WithTimeout(rt.baseCtx, rt.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(rt.baseCtx, rt.probeTimeout)
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.URL+"/healthz", http.NoBody)
 		if err != nil {
 			cancel()
@@ -424,27 +409,22 @@ func (rt *Router) proxy(endpoint string) http.HandlerFunc {
 		if key != nil {
 			owner = ring.Owner(*key).Name
 		}
-		attempts := rt.cfg.MaxAttempts
-		if attempts > len(cands) {
-			attempts = len(cands)
-		}
-		deadline := time.Now().Add(rt.cfg.RetryBudget)
+		deadline := time.Now().Add(retryBudget)
 
 		var lastErr error
-		for i := 0; i < attempts; i++ {
+		for i, node := range cands {
 			if i > 0 {
 				rt.retries.Inc()
 				select {
 				case <-r.Context().Done():
 					rt.requests.With(endpoint, "499").Inc()
 					return
-				case <-time.After(rt.cfg.RetryBackoff):
+				case <-time.After(rt.backoff):
 				}
 				if time.Now().After(deadline) {
 					break
 				}
 			}
-			node := cands[i]
 			resp, err := rt.attempt(node, endpoint, r)
 			if err != nil {
 				rt.failures.With(node.Name).Inc()
@@ -454,7 +434,7 @@ func (rt *Router) proxy(endpoint string) http.HandlerFunc {
 				lastErr = fmt.Errorf("node %s: %w", node.Name, err)
 				continue
 			}
-			if retryableStatus(resp.StatusCode) && i+1 < attempts && time.Now().Before(deadline) {
+			if retryableStatus(resp.StatusCode) && i+1 < len(cands) && time.Now().Before(deadline) {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 				rt.failures.With(node.Name).Inc()

@@ -51,21 +51,22 @@ func bootNodes(t *testing.T, n int, cfg server.Config) ([]*httptest.Server, []No
 	return https, nodes
 }
 
-// bootRouter builds a router over the nodes and serves it. The prober
-// is not started — tests drive probeAll directly where they need it.
-func bootRouter(t *testing.T, nodes []Node, mod func(*RouterConfig)) (*Router, *httptest.Server) {
+// bootRouter builds a router over the nodes, with a 1ms retry backoff
+// and then mod's changes, and serves it. The prober is not started —
+// tests drive probeAll directly where they need it.
+func bootRouter(t *testing.T, nodes []Node, mod func(*Router)) (*Router, *httptest.Server) {
 	t.Helper()
 	ring, err := NewRing(RingConfig{VirtualNodes: 32, SegmentWindow: 1024, Nodes: nodes})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := RouterConfig{Ring: ring, RetryBackoff: time.Millisecond}
-	if mod != nil {
-		mod(&cfg)
-	}
-	rt, err := NewRouter(cfg)
+	rt, err := NewRouter(RouterConfig{Ring: ring})
 	if err != nil {
 		t.Fatal(err)
+	}
+	rt.backoff = time.Millisecond
+	if mod != nil {
+		mod(rt)
 	}
 	ts := httptest.NewServer(rt.Handler())
 	t.Cleanup(func() {
@@ -421,7 +422,7 @@ func TestRingReload(t *testing.T) {
 	}
 	writeRing(nodes[:2])
 
-	rt, rts := bootRouter(t, nodes[:2], func(c *RouterConfig) { c.RingPath = path })
+	rt, rts := bootRouter(t, nodes[:2], func(rt *Router) { rt.ringPath = path })
 	if got := routerMetric(t, rts.URL, "bsrngd_cluster_ring_nodes"); got != 2 {
 		t.Fatalf("ring_nodes %v, want 2", got)
 	}
@@ -468,6 +469,28 @@ func TestRingReload(t *testing.T) {
 	}
 }
 
+// A router built on one node and grown to three by SetRing fails over
+// across all three. Regression: the attempt count was fixed to the ring
+// size at NewRouter, so the grown router relayed a node's 503.
+func TestRouterAttemptsFollowReloadedRing(t *testing.T) {
+	https, nodes := bootNodes(t, 3, nodeCfg(1))
+	https[0].Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	})
+	rt, rts := bootRouter(t, nodes[:1], nil)
+	ring, err := NewRing(RingConfig{VirtualNodes: 32, SegmentWindow: 1024, Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetRing(ring)
+	// The pooled rotation starts once at every node, n0 included.
+	for i := range nodes {
+		if status, body, _ := get(t, rts.URL+"/bytes?alg=grain&n=64"); status != http.StatusOK {
+			t.Fatalf("request %d: status %d, want 200 (%s)", i, status, body)
+		}
+	}
+}
+
 // Invalid requests still produce the serving node's canonical errors
 // through the router (the router never masks a 4xx).
 func TestRouterRelaysNodeErrors(t *testing.T) {
@@ -502,15 +525,15 @@ func (bt *blockingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // TestCloseCancelsInflightProbe is the regression test for the probe
 // context fix (flagged by the context-propagation analyzer): probes
 // used to root their context in context.Background(), so a probe stuck
-// in a slow dial could delay Close by the full ProbeTimeout. Probes now
+// in a slow dial could delay Close by the full probe timeout. Probes now
 // derive from the router's base context, which Close cancels.
 func TestCloseCancelsInflightProbe(t *testing.T) {
 	_, nodes := bootNodes(t, 1, nodeCfg(1))
 	bt := &blockingTransport{entered: make(chan struct{}, 1)}
-	rt, _ := bootRouter(t, nodes, func(cfg *RouterConfig) {
-		cfg.ProbeInterval = time.Millisecond
-		cfg.ProbeTimeout = time.Minute // only cancellation can unblock
-		cfg.Transport = bt
+	rt, _ := bootRouter(t, nodes, func(rt *Router) {
+		rt.probeEvery = time.Millisecond
+		rt.probeTimeout = time.Minute // only cancellation can unblock
+		rt.transport = bt
 	})
 	rt.Start()
 	select {
@@ -526,7 +549,7 @@ func TestCloseCancelsInflightProbe(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not cancel the in-flight probe (stuck behind ProbeTimeout)")
+		t.Fatal("Close did not cancel the in-flight probe (stuck behind the probe timeout)")
 	}
 }
 

@@ -15,9 +15,8 @@
 // Check runs in two tiers. A word-wise screen reads the segment as
 // little-endian uint64 words and tests a necessary condition for each
 // failure; a segment that meets none is healthy and is cleared without
-// further work. Any other segment, and every config for which a
-// condition is vacuous, goes to the exact byte- and bit-level scan,
-// which alone decides the verdict and builds the *Failure.
+// further work. Any other segment goes to the exact byte- and bit-level
+// scan, which alone decides the verdict and builds the *Failure.
 package health
 
 import (
@@ -67,63 +66,39 @@ func (t Test) String() string {
 type Failure struct {
 	Test     Test
 	Observed int // the statistic that tripped (run length, count, |bias|)
-	Limit    int // the configured cutoff it violated
+	Limit    int // the cutoff it violated
 }
 
 func (f *Failure) Error() string {
 	return fmt.Sprintf("health: segment failed %s: observed %d, limit %d", f.Test, f.Observed, f.Limit)
 }
 
-// Config sets the per-test cutoffs; zero values select the documented
-// defaults. All defaults assume the 2048-byte core segment; they scale
-// conservatively for other segment sizes.
-type Config struct {
-	// RCTCutoff is the failing run length of identical bytes (default
-	// 8: P ≈ 2^-45 per healthy segment).
-	RCTCutoff int
-	// APTWindow is the APT window size in bytes (default 512).
-	APTWindow int
-	// APTCutoff is the failing occurrence count of a window's first
-	// byte (default 48: the binomial tail P(X ≥ 48 | n=512, p=1/256) is
-	// far below 2^-100).
-	APTCutoff int
-	// MonobitSlack is the allowed |ones − bits/2| (default 1024 — ±16σ
-	// for a 16384-bit segment, unreachable by chance, tripped instantly
-	// by a zeroed or heavily biased segment).
-	MonobitSlack int
-	// LongRunBits is the failing run length of identical bits (default
-	// 64 — a whole stuck output word; P ≈ 2^-50 per healthy segment).
-	LongRunBits int
-}
+// Config is empty: the cutoffs are the package constants below. It
+// stays only as NewChecker's argument, which the benchmark module
+// (bench/) passes.
+type Config struct{}
 
-// Default cutoffs; see the Config field docs and DESIGN.md §8.
+// The cutoffs. Each is fixed where a healthy 2048-byte segment fails it
+// with a probability below 2^-45, so none is a tuning value; DESIGN.md
+// §8 derives them.
 const (
-	DefaultRCTCutoff    = 8
-	DefaultAPTWindow    = 512
-	DefaultAPTCutoff    = 48
-	DefaultMonobitSlack = 1024
-	DefaultLongRunBits  = 64
+	// RCTCutoff is the failing run length of identical bytes
+	// (P ≈ 2^-45 per healthy segment).
+	RCTCutoff = 8
+	// APTWindow is the APT window size in bytes.
+	APTWindow = 512
+	// APTCutoff is the failing occurrence count of a window's first
+	// byte: the binomial tail P(X ≥ 48 | n=512, p=1/256) is far below
+	// 2^-100.
+	APTCutoff = 48
+	// MonobitSlack is the allowed |ones − bits/2|: ±16σ for a
+	// 16384-bit segment, unreachable by chance, tripped instantly by a
+	// zeroed or heavily biased segment.
+	MonobitSlack = 1024
+	// LongRunBits is the failing run length of identical bits: a whole
+	// stuck output word (P ≈ 2^-50 per healthy segment).
+	LongRunBits = 64
 )
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.RCTCutoff == 0 {
-		c.RCTCutoff = DefaultRCTCutoff
-	}
-	if c.APTWindow == 0 {
-		c.APTWindow = DefaultAPTWindow
-	}
-	if c.APTCutoff == 0 {
-		c.APTCutoff = DefaultAPTCutoff
-	}
-	if c.MonobitSlack == 0 {
-		c.MonobitSlack = DefaultMonobitSlack
-	}
-	if c.LongRunBits == 0 {
-		c.LongRunBits = DefaultLongRunBits
-	}
-	return c
-}
 
 // Stats is a snapshot of a Checker's counters.
 type Stats struct {
@@ -142,22 +117,16 @@ func (s Stats) Total() uint64 {
 	return t
 }
 
-// Checker evaluates segments against the configured cutoffs. Check is
+// Checker evaluates segments against the cutoffs. Check is
 // stateless per segment (no state carries across calls), so a Checker
 // is safe for concurrent use from many generator workers.
 type Checker struct {
-	cfg      Config
 	segments atomic.Uint64
 	failures [numTests]atomic.Uint64
 }
 
-// NewChecker builds a checker; zero-value cfg selects the defaults.
-func NewChecker(cfg Config) *Checker {
-	return &Checker{cfg: cfg.withDefaults()}
-}
-
-// Config reports the resolved cutoffs.
-func (c *Checker) Config() Config { return c.cfg }
+// NewChecker builds a checker.
+func NewChecker(Config) *Checker { return &Checker{} }
 
 // Stats snapshots the counters; safe to call concurrently with Check.
 func (c *Checker) Stats() Stats {
@@ -176,18 +145,18 @@ func (c *Checker) Stats() Stats {
 // the screen cannot clear pays for the exact byte- and bit-level scan.
 func (c *Checker) Check(seg []byte) error {
 	c.segments.Add(1)
-	if f := c.check(seg); f != nil {
+	if f := check(seg); f != nil {
 		c.failures[f.Test].Add(1)
 		return f
 	}
 	return nil
 }
 
-func (c *Checker) check(seg []byte) *Failure {
-	if c.screen(seg) {
+func check(seg []byte) *Failure {
+	if screen(seg) {
 		return nil
 	}
-	return c.scan(seg)
+	return scan(seg)
 }
 
 // SWAR (byte-parallel arithmetic inside a uint64) constants.
@@ -234,6 +203,12 @@ func runs8(g uint8, run int) (open, longest int) {
 	return bits.LeadingZeros8(^g), max(longest, n)
 }
 
+// The screen's run limits (see screen).
+const (
+	eqLimit    = RCTCutoff - 1         // adjacent-equal bytes in a failing byte run
+	wholeLimit = (LongRunBits - 7) / 8 // whole 0x00/0xFF bytes in a failing bit run
+)
+
 // byteRuns holds the runs the screen tracks across words, each the run
 // still open at the last byte screened: adjacent-equal bytes, 0x00
 // bytes and 0xFF bytes.
@@ -242,7 +217,7 @@ type byteRuns struct{ eq, zero, full int }
 // step extends the runs through word w, whose adjacent-equal flags are
 // eq and whose existing bytes are flagged in valid, and reports whether
 // a run reached its limit.
-func (r *byteRuns) step(w, eq, valid uint64, eqLimit, wholeLimit int) bool {
+func (r *byteRuns) step(w, eq, valid uint64) bool {
 	var longest int
 	if r.eq, longest = runs8(gather(eq), r.eq); longest >= eqLimit {
 		return true
@@ -264,19 +239,11 @@ func (r *byteRuns) step(w, eq, valid uint64, eqLimit, wholeLimit int) bool {
 //     covers ⌊(L−7)/8⌋ consecutive whole 0x00 or 0xFF bytes.
 //   - Monobit: the ones count is exact.
 //   - APT: each window's count of its first byte is exact (aptClear).
-//
-// Configs for which a condition is vacuous (RCTCutoff < 2,
-// APTCutoff < 2, LongRunBits < 15) are never screened.
-func (c *Checker) screen(seg []byte) bool {
+func screen(seg []byte) bool {
 	n := len(seg)
 	if n == 0 {
 		return true
 	}
-	if c.cfg.RCTCutoff < 2 || c.cfg.APTCutoff < 2 || c.cfg.LongRunBits < 15 {
-		return false
-	}
-	eqLimit := c.cfg.RCTCutoff - 1            // adjacent-equal bytes in a failing byte run
-	wholeLimit := (c.cfg.LongRunBits - 7) / 8 // whole 0x00/0xFF bytes in a failing bit run
 	var runs byteRuns
 	ones, rest := 0, seg
 	for ; len(rest) > 8; rest = rest[8:] {
@@ -285,7 +252,7 @@ func (c *Checker) screen(seg []byte) bool {
 		eq := zeroBytes(w ^ binary.LittleEndian.Uint64(rest[1:]))
 		if eq|uniformBytes(w) == 0 {
 			runs = byteRuns{} // nothing flagged: every run is closed
-		} else if runs.step(w, eq, highBits, eqLimit, wholeLimit) {
+		} else if runs.step(w, eq, highBits) {
 			return false
 		}
 	}
@@ -297,31 +264,27 @@ func (c *Checker) screen(seg []byte) bool {
 	}
 	ones += bits.OnesCount64(w)
 	valid := uint64(highBits) >> (8 * (8 - len(rest)))
-	if runs.step(w, zeroBytes(w^w>>8)&(valid>>8), valid, eqLimit, wholeLimit) {
+	if runs.step(w, zeroBytes(w^w>>8)&(valid>>8), valid) {
 		return false
 	}
 	bias := ones - n*4
 	if bias < 0 {
 		bias = -bias
 	}
-	if bias > c.cfg.MonobitSlack {
+	if bias > MonobitSlack {
 		return false
 	}
-	return c.aptClear(seg)
+	return aptClear(seg)
 }
 
 // aptClear reports whether every APT window's count of its first byte
 // stays below APTCutoff. It counts eight bytes at a time: the window
 // byte is broadcast to every byte lane, and the matches are the zero
 // bytes of the XOR.
-func (c *Checker) aptClear(seg []byte) bool {
+func aptClear(seg []byte) bool {
 	n := len(seg)
-	win := c.cfg.APTWindow
-	if win <= 0 || win > n {
-		win = n // the exact scan never closes a window this long
-	}
-	for s := 0; s < n; s += win {
-		rest := seg[s:min(s+win, n)]
+	for s := 0; s < n; s += APTWindow {
+		rest := seg[s:min(s+APTWindow, n)]
 		first := rest[0]
 		target := uint64(first) * lowBytes
 		count := 0
@@ -333,7 +296,7 @@ func (c *Checker) aptClear(seg []byte) bool {
 				count++
 			}
 		}
-		if count >= c.cfg.APTCutoff {
+		if count >= APTCutoff {
 			return false
 		}
 	}
@@ -342,7 +305,7 @@ func (c *Checker) aptClear(seg []byte) bool {
 
 // scan is the exact byte- and bit-level scan: it decides every segment
 // the screen does not clear and builds the *Failure.
-func (c *Checker) scan(seg []byte) *Failure {
+func scan(seg []byte) *Failure {
 	if len(seg) == 0 {
 		return nil
 	}
@@ -356,23 +319,23 @@ func (c *Checker) scan(seg []byte) *Failure {
 		if i > 0 {
 			if b == prev {
 				run++
-				if run >= c.cfg.RCTCutoff {
-					return &Failure{Test: RCT, Observed: run, Limit: c.cfg.RCTCutoff}
+				if run >= RCTCutoff {
+					return &Failure{Test: RCT, Observed: run, Limit: RCTCutoff}
 				}
 			} else {
 				run = 1
 				prev = b
 			}
 		}
-		if i-winStart == c.cfg.APTWindow {
+		if i-winStart == APTWindow {
 			winStart = i
 			winByte = b
 			winCount = 0
 		}
 		if b == winByte {
 			winCount++
-			if winCount >= c.cfg.APTCutoff {
-				return &Failure{Test: APT, Observed: winCount, Limit: c.cfg.APTCutoff}
+			if winCount >= APTCutoff {
+				return &Failure{Test: APT, Observed: winCount, Limit: APTCutoff}
 			}
 		}
 	}
@@ -393,13 +356,16 @@ func (c *Checker) scan(seg []byte) *Failure {
 	if bias < 0 {
 		bias = -bias
 	}
-	if bias > c.cfg.MonobitSlack {
-		return &Failure{Test: Monobit, Observed: bias, Limit: c.cfg.MonobitSlack}
+	if bias > MonobitSlack {
+		return &Failure{Test: Monobit, Observed: bias, Limit: MonobitSlack}
 	}
 
 	// LongRun: longest run of identical bits. Whole 0x00/0xFF bytes
 	// extend runs eight bits at a time; mixed bytes are scanned bitwise
-	// (LSB-first, matching the engines' byte packing).
+	// (LSB-first, matching the engines' byte packing). A run open at a
+	// byte's end reaches LongRunBits only across RCTCutoff identical
+	// whole bytes, which RCT has already failed, so the longest run is
+	// compared once, at the end.
 	longest, cur := 0, 0
 	curBit := uint8(2) // sentinel: no run yet
 	for _, b := range seg {
@@ -422,15 +388,10 @@ func (c *Checker) scan(seg []byte) *Failure {
 				}
 			}
 		}
-		if cur >= c.cfg.LongRunBits {
-			return &Failure{Test: LongRun, Observed: cur, Limit: c.cfg.LongRunBits}
-		}
 	}
-	if cur > longest {
-		longest = cur
-	}
-	if longest >= c.cfg.LongRunBits {
-		return &Failure{Test: LongRun, Observed: longest, Limit: c.cfg.LongRunBits}
+	longest = max(longest, cur)
+	if longest >= LongRunBits {
+		return &Failure{Test: LongRun, Observed: longest, Limit: LongRunBits}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package health
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -26,21 +27,6 @@ func TestHealthySegmentsPass(t *testing.T) {
 	st := c.Stats()
 	if st.Segments != 200 || st.Total() != 0 {
 		t.Fatalf("stats %+v, want 200 segments, 0 failures", st)
-	}
-}
-
-func TestDefaultsResolved(t *testing.T) {
-	c := NewChecker(Config{})
-	cfg := c.Config()
-	if cfg.RCTCutoff != DefaultRCTCutoff || cfg.APTWindow != DefaultAPTWindow ||
-		cfg.APTCutoff != DefaultAPTCutoff || cfg.MonobitSlack != DefaultMonobitSlack ||
-		cfg.LongRunBits != DefaultLongRunBits {
-		t.Fatalf("defaults not resolved: %+v", cfg)
-	}
-	// Explicit values survive.
-	c2 := NewChecker(Config{RCTCutoff: 5, APTWindow: 256})
-	if c2.Config().RCTCutoff != 5 || c2.Config().APTWindow != 256 || c2.Config().APTCutoff != DefaultAPTCutoff {
-		t.Fatalf("explicit config clobbered: %+v", c2.Config())
 	}
 }
 
@@ -87,19 +73,34 @@ func TestAPTCatchesBiasedWindow(t *testing.T) {
 	}
 }
 
-func TestMonobitCatchesBias(t *testing.T) {
-	seg := randSegment(4)
-	// Set every other byte of the first half to 0x01 (one bit set each,
-	// no byte or bit runs): ~1500 one-bits gone, far past the slack.
-	// The 0x01s also pile up in the APT windows, so APT is relaxed to
-	// let monobit be the test that fires.
-	for i := 0; i < 1024; i += 2 {
-		seg[i] = 0x01
-		if seg[i+1] == 0x01 {
-			seg[i+1] = 0x23
+// pop2Segment cycles through the 28 bytes with exactly two bits set: a
+// quarter of the bits are ones, far past MonobitSlack, yet no two
+// adjacent bytes are equal, no window's first byte recurs more than 19
+// times and no bit run spans two bytes' worth of bits, so Monobit is the
+// only test it fails.
+func pop2Segment() []byte {
+	var pop2 []byte
+	for b := 0; b < 256; b++ {
+		if bits.OnesCount8(uint8(b)) == 2 {
+			pop2 = append(pop2, byte(b))
 		}
 	}
-	err := NewChecker(Config{APTCutoff: 1 << 30}).Check(seg)
+	seg := make([]byte, 2048)
+	for i := range seg {
+		seg[i] = pop2[i%len(pop2)]
+	}
+	return seg
+}
+
+func TestMonobitCatchesBias(t *testing.T) {
+	// Clearing the top two bits of every byte removes ~2048 one-bits,
+	// twice the slack, and leaves 64 byte values: too many for a byte
+	// run or an APT count to come near its cutoff.
+	seg := randSegment(4)
+	for i := range seg {
+		seg[i] &= 0x3F
+	}
+	err := NewChecker(Config{}).Check(seg)
 	var f *Failure
 	if !errors.As(err, &f) || f.Test != Monobit {
 		t.Fatalf("got %v, want Monobit failure", err)
@@ -107,14 +108,7 @@ func TestMonobitCatchesBias(t *testing.T) {
 }
 
 func TestMonobitAlone(t *testing.T) {
-	// A segment engineered to be heavily biased with no long byte or bit
-	// runs and no repeated window byte: alternate 0x11 0x22 0x44 …
-	seg := make([]byte, 2048)
-	pats := []byte{0x11, 0x22, 0x44, 0x88, 0x12, 0x24, 0x48, 0x81}
-	for i := range seg {
-		seg[i] = pats[i%len(pats)]
-	}
-	err := NewChecker(Config{APTCutoff: 1 << 30, RCTCutoff: 1 << 30}).Check(seg)
+	err := NewChecker(Config{}).Check(pop2Segment())
 	var f *Failure
 	if !errors.As(err, &f) || f.Test != Monobit {
 		t.Fatalf("got %v, want Monobit failure", err)
@@ -122,13 +116,15 @@ func TestMonobitAlone(t *testing.T) {
 }
 
 func TestLongRunCatchesStuckBits(t *testing.T) {
-	// 64 one-bits in a row, embedded inside otherwise-healthy bytes and
-	// with RCT relaxed so the bit test is what fires.
+	// 64 one-bits in a row from bit 3 of a byte: only 7 whole 0xFF
+	// bytes, one short of the RCT cutoff, so the bit test is what fires.
 	seg := randSegment(5)
-	for i := 500; i < 508; i++ {
-		seg[i] = 0xFF
+	for p := 8*500 + 3; p < 8*500+3+64; p++ {
+		seg[p/8] |= 1 << (p % 8)
 	}
-	err := NewChecker(Config{RCTCutoff: 100, APTCutoff: 1 << 30}).Check(seg)
+	seg[500] &^= 1 << 2 // the bits on either side differ, so the run is exactly 64
+	seg[508] &^= 1 << 3
+	err := NewChecker(Config{}).Check(seg)
 	var f *Failure
 	if !errors.As(err, &f) || f.Test != LongRun {
 		t.Fatalf("got %v, want LongRun failure", err)
@@ -155,13 +151,8 @@ func TestStatsCountPerTest(t *testing.T) {
 	c := NewChecker(Config{})
 	c.Check(randSegment(6))     // pass
 	c.Check(make([]byte, 2048)) // all-zero: RCT fires first
-	seg := make([]byte, 2048)   // monobit-only failure
-	pats := []byte{0x11, 0x22, 0x44, 0x88, 0x12, 0x24, 0x48, 0x81}
-	for i := range seg {
-		seg[i] = pats[i%len(pats)]
-	}
-	c2 := NewChecker(Config{APTCutoff: 1 << 30, RCTCutoff: 1 << 30})
-	c2.Check(seg)
+	c2 := NewChecker(Config{})
+	c2.Check(pop2Segment()) // monobit-only failure
 	if st := c.Stats(); st.Segments != 2 || st.Failures[RCT] != 1 || st.Total() != 1 {
 		t.Fatalf("checker stats %+v", st)
 	}

@@ -7,9 +7,9 @@ import (
 
 // sameVerdict fails the test unless Check and the exact scan agree on
 // seg: both nil, or equal Failure values.
-func sameVerdict(t *testing.T, c *Checker, seg []byte) {
+func sameVerdict(t *testing.T, seg []byte) {
 	t.Helper()
-	got, want := c.check(seg), c.scan(seg)
+	got, want := check(seg), scan(seg)
 	if (got == nil) != (want == nil) || (got != nil && *got != *want) {
 		t.Fatalf("check = %v, exact scan = %v", got, want)
 	}
@@ -19,7 +19,7 @@ func sameVerdict(t *testing.T, c *Checker, seg []byte) {
 // when pass is set; Check must also agree with the exact scan.
 func wantVerdict(t *testing.T, c *Checker, seg []byte, pass bool, tst Test) {
 	t.Helper()
-	sameVerdict(t, c, seg)
+	sameVerdict(t, seg)
 	err := c.Check(seg)
 	var f *Failure
 	switch {
@@ -54,57 +54,58 @@ func setBitRun(seg []byte, at, n int, v byte) {
 	put(at+n, v^1)
 }
 
-// TestScreenRCTBoundary puts a run of exactly cutoff−1 identical bytes
-// (which passes) and of cutoff bytes (which fails RCT) at every start
-// offset mod 8, so the run crosses byte and word edges everywhere.
+// TestScreenRCTBoundary puts a run of exactly RCTCutoff−1 identical
+// bytes (which passes) and of RCTCutoff bytes (which fails RCT) at every
+// start offset mod 8, so the run crosses byte and word edges everywhere.
 func TestScreenRCTBoundary(t *testing.T) {
-	for _, cutoff := range []int{DefaultRCTCutoff, 5, 13} {
-		c := NewChecker(Config{RCTCutoff: cutoff})
-		for off := 0; off < 8; off++ {
-			for _, n := range []int{cutoff - 1, cutoff} {
-				seg := randSegment(int64(10 + off))
-				setByteRun(seg, 1000+off, n, 0x5A)
-				wantVerdict(t, c, seg, n < cutoff, RCT)
-			}
-		}
-	}
-}
-
-// TestScreenLongRunBoundary puts a run of exactly L−1 identical bits
-// (which passes) and of L bits (which fails LongRun) at every bit
-// offset across a word, for both bit values.
-func TestScreenLongRunBoundary(t *testing.T) {
-	for _, L := range []int{DefaultLongRunBits, 31, 15} {
-		// Byte runs and window counts are relaxed so the bit test fires.
-		c := NewChecker(Config{LongRunBits: L, RCTCutoff: 1 << 20, APTCutoff: 1 << 20})
-		for off := 0; off < 64; off++ {
-			for _, v := range []byte{0, 1} {
-				for _, n := range []int{L - 1, L} {
-					seg := randSegment(int64(20 + off))
-					// Break up any other run as long as the injected one.
-					for i := range seg {
-						if seg[i] == 0x00 || seg[i] == 0xFF {
-							seg[i] = 0x5A
-						}
-					}
-					setBitRun(seg, 8*1000+off, n, v)
-					wantVerdict(t, c, seg, n < L, LongRun)
-				}
-			}
-		}
-	}
-}
-
-// TestScreenAPTBoundary puts cutoff−1 (passes) and cutoff (fails APT)
-// copies of the window's first byte into a partial last window that
-// starts at every offset mod 8.
-func TestScreenAPTBoundary(t *testing.T) {
+	c := NewChecker(Config{})
 	for off := 0; off < 8; off++ {
-		win := 600 + off // windows start at 0, win, 2win, 3win; the last is partial
-		c := NewChecker(Config{APTWindow: win})
-		last := 3 * win
-		for _, count := range []int{DefaultAPTCutoff - 1, DefaultAPTCutoff} {
-			seg := randSegment(int64(30 + off))
+		for _, n := range []int{RCTCutoff - 1, RCTCutoff} {
+			seg := randSegment(int64(10 + off))
+			setByteRun(seg, 1000+off, n, 0x5A)
+			wantVerdict(t, c, seg, n < RCTCutoff, RCT)
+		}
+	}
+}
+
+// TestScreenLongRunBoundary puts a run of exactly LongRunBits−1
+// identical bits (which passes) and of LongRunBits bits at every bit
+// offset across a word, for both bit values. The full run fails
+// LongRun, except where it starts on a byte edge: there it is also
+// RCTCutoff identical whole bytes, and RCT runs first.
+func TestScreenLongRunBoundary(t *testing.T) {
+	c := NewChecker(Config{})
+	for off := 0; off < 64; off++ {
+		want := LongRun
+		if off%8 == 0 {
+			want = RCT
+		}
+		for _, v := range []byte{0, 1} {
+			for _, n := range []int{LongRunBits - 1, LongRunBits} {
+				seg := randSegment(int64(20 + off))
+				// Break up any other run as long as the injected one.
+				for i := range seg {
+					if seg[i] == 0x00 || seg[i] == 0xFF {
+						seg[i] = 0x5A
+					}
+				}
+				setBitRun(seg, 8*1000+off, n, v)
+				wantVerdict(t, c, seg, n < LongRunBits, want)
+			}
+		}
+	}
+}
+
+// TestScreenAPTBoundary puts APTCutoff−1 (passes) and APTCutoff (fails
+// APT) copies of the window's first byte into a partial last window
+// whose length takes every value mod 8, so the word-wise count ends on
+// every tail length.
+func TestScreenAPTBoundary(t *testing.T) {
+	c := NewChecker(Config{})
+	last := 3 * APTWindow
+	for off := 0; off < 8; off++ {
+		for _, count := range []int{APTCutoff - 1, APTCutoff} {
+			seg := randSegment(int64(30 + off))[:last+200+off]
 			first := seg[last]
 			if seg[last-1] == first {
 				seg[last-1] = first ^ 0x81
@@ -120,40 +121,28 @@ func TestScreenAPTBoundary(t *testing.T) {
 					seg[i] += 0x3B
 				}
 			}
-			wantVerdict(t, c, seg, count < DefaultAPTCutoff, APT)
+			wantVerdict(t, c, seg, count < APTCutoff, APT)
 		}
 	}
 }
 
-// TestScreenEdgeConfigs covers the configs the screen never clears
-// (RCTCutoff < 2, APTCutoff < 2, LongRunBits < 15), the segment tails
-// that are not whole words, and windows longer than the segment or
-// shorter than a word: Check must agree with the exact scan throughout.
-func TestScreenEdgeConfigs(t *testing.T) {
-	cfgs := []Config{
-		{}, {RCTCutoff: 1}, {RCTCutoff: -3}, {APTCutoff: 1}, {APTCutoff: -1},
-		{LongRunBits: 14}, {LongRunBits: 15}, {LongRunBits: -64},
-		{APTWindow: -5}, {APTWindow: 1}, {APTWindow: 7, APTCutoff: 3},
-		{APTWindow: 1 << 20}, {MonobitSlack: -1}, {MonobitSlack: 1},
-	}
-	for _, cfg := range cfgs {
-		c := NewChecker(cfg)
-		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 2047, 2048} {
-			for seed := int64(0); seed < 4; seed++ {
-				sameVerdict(t, c, randSegment(40 + seed)[:n])
-			}
-			sameVerdict(t, c, make([]byte, n))
+// TestScreenEdgeLengths covers the segment tails that are not whole
+// words and segments shorter than one APT window: Check must agree with
+// the exact scan throughout.
+func TestScreenEdgeLengths(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 511, 513, 2047, 2048} {
+		for seed := int64(0); seed < 4; seed++ {
+			sameVerdict(t, randSegment(40 + seed)[:n])
 		}
+		sameVerdict(t, make([]byte, n))
 	}
 }
 
-// TestScreenClearsHealthySegments pins the fast path: at the default
-// config the screen alone must clear healthy segments, or Check would
+// TestScreenClearsHealthySegments pins the fast path: the screen alone must clear healthy segments, or Check would
 // silently fall back to the exact scan on every call.
 func TestScreenClearsHealthySegments(t *testing.T) {
-	c := NewChecker(Config{})
 	for seed := int64(0); seed < 200; seed++ {
-		if !c.screen(randSegment(seed)) {
+		if !screen(randSegment(seed)) {
 			t.Fatalf("screen did not clear healthy segment (seed %d)", seed)
 		}
 	}

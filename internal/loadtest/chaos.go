@@ -47,11 +47,11 @@ func (r *runner) runChaos() (*ChaosReport, error) {
 	for cyc := 0; cyc < cc.Cycles; cyc++ {
 		// The seeded draw places the cycle's first condemned check; every
 		// check from there on is corrupted.
-		nth := faultinject.ArmSeeded(fp, cc.FailpointSeed+uint64(cyc), cc.Window)
+		nth := faultinject.ArmSeeded(fp, cc.FailpointSeed+uint64(cyc), chaosWindow)
 		faultinject.ArmRange(fp, nth, math.MaxUint64)
 		r.cfg.Logf("loadtest: chaos cycle %d: %s corrupting from hit %d", cyc, fp, nth)
 
-		err := r.waitHealthz(cc.PhaseTimeout, r.prime, func(hz healthzDoc) bool {
+		err := r.waitHealthz(phaseTimeout, r.prime, func(hz healthzDoc) bool {
 			return hz.Pools[alg.String()].Degraded
 		})
 		if err != nil {
@@ -60,7 +60,7 @@ func (r *runner) runChaos() (*ChaosReport, error) {
 		r.cfg.Logf("loadtest: chaos cycle %d: %s degraded, healing", cyc, alg)
 
 		faultinject.Disarm(fp)
-		err = r.waitHealthz(cc.PhaseTimeout, nil, func(hz healthzDoc) bool {
+		err = r.waitHealthz(phaseTimeout, nil, func(hz healthzDoc) bool {
 			return hz.Status == "ok" && !hz.Pools[alg.String()].Degraded
 		})
 		if err != nil {

@@ -2,7 +2,6 @@ package loadtest
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -27,13 +26,8 @@ func TestChaosSoak(t *testing.T) {
 		Clients:           6,
 		RequestsPerClient: 8,
 		Verify:            true,
-		Chaos: &ChaosConfig{
-			FailpointSeed: 11,
-			Window:        8,
-			Cycles:        2,
-			PhaseTimeout:  20 * time.Second,
-		},
-		Logf: t.Logf,
+		Chaos:             &ChaosConfig{FailpointSeed: 11, Cycles: 2},
+		Logf:              t.Logf,
 	}
 	run := func() *Result {
 		t.Helper()

@@ -21,13 +21,9 @@ import (
 // single-node ones — the cluster soak proves the router tier preserves
 // the determinism contract end to end. Boot mode only.
 type ClusterConfig struct {
-	// Nodes is the cluster size (default 3).
+	// Nodes is the cluster size (default 3). The ring takes the
+	// cluster package's default virtual nodes and segment window.
 	Nodes int
-	// VirtualNodes per ring node (default cluster.DefaultVirtualNodes).
-	VirtualNodes int
-	// SegmentWindow is the ownership granularity in segments
-	// (default cluster.DefaultSegmentWindow).
-	SegmentWindow uint64
 	// ForwardChaos, when non-nil, pulses router forward-failure
 	// failpoints while the load runs.
 	ForwardChaos *ForwardChaosConfig
@@ -42,15 +38,21 @@ type ClusterConfig struct {
 // any bytes but would be pointless noise in the allocation path.
 type ForwardChaosConfig struct {
 	// FailpointSeed makes the trigger hits reproducible; pulse i derives
-	// its trigger from FailpointSeed+i.
+	// its trigger from FailpointSeed+i, drawn from the first
+	// forwardChaosWindow hits.
 	FailpointSeed uint64
-	// Window is the hit window the trigger is drawn from (default 8).
-	Window uint64
 	// Pulses is how many single-shot forward faults to fire (default 4).
 	Pulses int
-	// PulseTimeout bounds the wait for each pulse to fire (default 30s).
-	PulseTimeout time.Duration
 }
+
+// The forward chaos driver's timing.
+const (
+	// forwardChaosWindow is the hit window each pulse's trigger is drawn
+	// from.
+	forwardChaosWindow = 8
+	// pulseTimeout bounds the wait for each pulse to fire.
+	pulseTimeout = 30 * time.Second
+)
 
 // ClusterReport accounts one cluster run from the router's
 // bsrngd_cluster_* metrics.
@@ -105,11 +107,7 @@ func (r *runner) bootCluster() (func(), error) {
 		nodes[i] = cluster.Node{Name: fmt.Sprintf("n%d", i), URL: "http://" + ln.Addr().String()}
 	}
 
-	ring, err := cluster.NewRing(cluster.RingConfig{
-		VirtualNodes:  cc.VirtualNodes,
-		SegmentWindow: cc.SegmentWindow,
-		Nodes:         nodes,
-	})
+	ring, err := cluster.NewRing(cluster.RingConfig{Nodes: nodes})
 	if err != nil {
 		shutdown()
 		return nil, fmt.Errorf("loadtest: %w", err)
@@ -150,11 +148,11 @@ func (r *runner) runForwardChaos() (int, error) {
 	defer faultinject.Disarm(forwardFailpoint)
 
 	for p := 0; p < fc.Pulses; p++ {
-		nth := faultinject.ArmSeeded(forwardFailpoint, fc.FailpointSeed+uint64(p), fc.Window)
+		nth := faultinject.ArmSeeded(forwardFailpoint, fc.FailpointSeed+uint64(p), forwardChaosWindow)
 		r.cfg.Logf("loadtest: forward chaos pulse %d: %s armed at hit %d", p, forwardFailpoint, nth)
 		// Re-arming reset the point's counters: this pulse has fired once
 		// Fired ticks to 1.
-		deadline := time.Now().Add(fc.PulseTimeout)
+		deadline := time.Now().Add(pulseTimeout)
 		for faultinject.Fired(forwardFailpoint) == 0 {
 			if time.Now().After(deadline) {
 				return p, fmt.Errorf("loadtest: forward chaos pulse %d never fired", p)

@@ -19,7 +19,11 @@
 // algorithm's pooled source until the skipped segments degrade it, then
 // heals so the source recovers — repeated for a configured number of
 // cycles, with every phase transition observed through /healthz and
-// /metrics.
+// /metrics. Through a cluster (ClusterConfig.ForwardChaos) it instead
+// pulses single forward faults inside the router. The only settings of
+// either driver are its seed and its count of cycles or pulses: a cycle
+// draws its trigger from the first 32 failpoint hits and waits at most
+// 30s per phase, a pulse from the first 8 and at most 30s to fire.
 package loadtest
 
 import (
@@ -59,16 +63,21 @@ func (m Mix) total() int { return m.Bytes + m.Stream + m.Lease }
 // runs. Boot mode only: failpoints are process-local.
 type ChaosConfig struct {
 	// FailpointSeed makes the trigger hits reproducible; cycle i derives
-	// its trigger from FailpointSeed+i.
+	// its trigger from FailpointSeed+i, drawn from the first chaosWindow
+	// hits.
 	FailpointSeed uint64
-	// Window is the hit window the trigger is drawn from (default 32).
-	Window uint64
 	// Cycles is how many corrupt → degrade → heal → recover cycles to
 	// drive to completion (default 1).
 	Cycles int
-	// PhaseTimeout bounds each phase transition wait (default 30s).
-	PhaseTimeout time.Duration
 }
+
+// The segment chaos driver's timing.
+const (
+	// chaosWindow is the hit window each cycle's trigger is drawn from.
+	chaosWindow = 32
+	// phaseTimeout bounds each phase transition wait.
+	phaseTimeout = 30 * time.Second
+)
 
 // Config tunes one load run; zero values select the documented defaults.
 type Config struct {
@@ -105,10 +114,9 @@ type Config struct {
 	WorkloadSeed uint64
 	// Timeout bounds each HTTP request (default 30s).
 	Timeout time.Duration
-	// Tolerate503 excludes 503s from the non-OK count — expected while a
-	// chaos cycle holds a pooled source degraded. Chaos implies it.
-	Tolerate503 bool
 	// Chaos, when non-nil, drives fault-injection cycles during the run.
+	// Its 503s, expected while a cycle holds a pooled source degraded,
+	// are excluded from the non-OK count.
 	Chaos *ChaosConfig
 	// Cluster, when non-nil, boots an N-node cluster behind an
 	// in-process consistent-hash router (internal/cluster) and drives
@@ -129,7 +137,7 @@ type Result struct {
 	// under "error".
 	Statuses map[string]int64 `json:"statuses"`
 	// NonOK counts non-2xx responses excluding intended sheds: 429
-	// always, 503 when Tolerate503.
+	// always, 503 in a chaos run.
 	NonOK int64 `json:"non_ok"`
 	// Rejected429 counts admission-control sheds.
 	Rejected429 int64 `json:"rejected_429"`
@@ -246,17 +254,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Chaos != nil {
-		cfg.Tolerate503 = true
-		if cfg.Chaos.Window == 0 {
-			cfg.Chaos.Window = 32
-		}
-		if cfg.Chaos.Cycles == 0 {
-			cfg.Chaos.Cycles = 1
-		}
-		if cfg.Chaos.PhaseTimeout == 0 {
-			cfg.Chaos.PhaseTimeout = 30 * time.Second
-		}
+	if cfg.Chaos != nil && cfg.Chaos.Cycles == 0 {
+		cfg.Chaos.Cycles = 1
 	}
 	if cfg.Cluster != nil {
 		if cfg.Chaos != nil {
@@ -268,16 +267,8 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Cluster.Nodes < 1 {
 			return nil, fmt.Errorf("loadtest: cluster nodes %d out of range", cfg.Cluster.Nodes)
 		}
-		if fc := cfg.Cluster.ForwardChaos; fc != nil {
-			if fc.Window == 0 {
-				fc.Window = 8
-			}
-			if fc.Pulses == 0 {
-				fc.Pulses = 4
-			}
-			if fc.PulseTimeout == 0 {
-				fc.PulseTimeout = 30 * time.Second
-			}
+		if fc := cfg.Cluster.ForwardChaos; fc != nil && fc.Pulses == 0 {
+			fc.Pulses = 4
 		}
 	}
 
@@ -444,7 +435,7 @@ func (r *runner) record(shape string, status int, d time.Duration, n int64) {
 		r.rej429.Add(1)
 	case status == http.StatusServiceUnavailable:
 		r.un503.Add(1)
-		if !r.cfg.Tolerate503 {
+		if r.cfg.Chaos == nil {
 			r.nonOK.Add(1)
 		}
 	case status < 200 || status > 299:
