@@ -69,8 +69,9 @@ var hotFuncs = map[string][]string{
 		// Generator/engine steady state: the index rule, the per-pass
 		// keying and the pass runner's key, aim and run (listed above).
 		"segment", "keyLanes", "read", "key", "aim",
-		// Gathered-pass window source steady state.
-		"ReadWindow", "pass", "gather",
+		// Gathered-pass window source steady state, and its one-lane
+		// helper for sparse batches.
+		"ReadWindow", "pass", "gather", "runOne",
 		// Per-segment material derivation (in place by design).
 		"deriveLane", "next", "fill", "chaoticX0",
 	},
@@ -102,6 +103,8 @@ var hotFuncs = map[string][]string{
 	"internal/trivium": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "rebase", "Reseed",
 		"Rekey", "load", "Fill", "fill", "blocks",
+		// The one-lane segment of a sparse window batch.
+		"Segment", "tap",
 	},
 	"internal/aes": {
 		// PackBlocks allocates by contract and only serves the
@@ -112,10 +115,18 @@ var hotFuncs = map[string][]string{
 		"EncryptBlocks", "subShiftP", "subShiftXorP", "mixColumnsARKP",
 		"addRoundKeyFromP", "bpSbox", "Reseed",
 		"Rekey", "rekey", "Fill", "fill", "blocks",
+		// The one-lane segment of a sparse window batch: the key
+		// schedule and the CTR block kernels. The AES-NI kernel is
+		// assembly; the scalar fallback runs the reference cipher,
+		// whose Encrypt panics with a message on a short block and is
+		// deliberately absent.
+		"Segment", "expandKey128", "ctrBlocks", "ctrBlocksGeneric",
 	},
 	"internal/xorgens": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
 		"Rekey", "Fill", "fill", "blocks",
+		// The one-lane segment of a sparse window batch.
+		"Segment", "expand",
 	},
 	"internal/chaotic": {
 		"Post", "Unpost",

@@ -42,3 +42,8 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 //
 //go:noescape
 func xgetbv() (eax, edx uint32)
+
+// CPUID executes CPUID with EAX = eaxArg and ECX = ecxArg. It is the
+// stub behind the start-up gates of the repository's other assembly
+// kernels (internal/aes's AES-NI CTR kernel).
+func CPUID(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32) { return cpuid(eaxArg, ecxArg) }

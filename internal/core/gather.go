@@ -21,6 +21,12 @@ import (
 // caller's buffer, and under the lock again releases its slots, marks
 // itself done and broadcasts to every waiter. No goroutine, timer or
 // batching delay is involved: a lone caller runs its passes immediately.
+//
+// A sparse batch runs one lane at a time. When a gathered batch holds at
+// most the engine's oneMax demands, each demand's segment is generated alone, by
+// the engine's one-lane function from the segment's own material, and
+// the 64-lane pass is skipped: the bytes are the same, since every lane
+// is an independent instance keyed by PRF(seed, domain, segment).
 
 // WindowSource serves byte windows of the canonical (seed, domain)
 // streams of one algorithm through one pass runner. ReadWindow returns
@@ -28,7 +34,7 @@ import (
 // use, and concurrent callers share passes.
 type WindowSource struct {
 	seed   uint64
-	onPass func(lanes int) // nil-able; lanes = segments the pass served
+	onPass func(n int, oneLane bool) // nil-able; n = segments the batch served
 
 	// The running pass's: one pass runs at a time, so the source's own
 	// runner and slots are all the scratch a pass needs.
@@ -69,9 +75,10 @@ type windowSlot struct {
 var errWindowRange = errors.New("core: window reaches past the last addressable segment")
 
 // NewWindowSource builds the gathered-pass source of alg's streams under
-// seed. onPass, when non-nil, is called after every pass with the number
-// of lanes that served a demand.
-func NewWindowSource(alg Algorithm, seed uint64, onPass func(lanes int)) (*WindowSource, error) {
+// seed. onPass, when non-nil, is called after every gathered batch with
+// the number of segment demands it served, and whether it served them
+// one lane at a time (oneLane) or as the lanes of one 64-lane pass.
+func NewWindowSource(alg Algorithm, seed uint64, onPass func(n int, oneLane bool)) (*WindowSource, error) {
 	// Construction keys lane l for segment l of domain 0; every pass
 	// rekeys the lanes it uses.
 	r, err := newPassRunner(alg, func(r *passRunner) {
@@ -120,9 +127,10 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 	return nil
 }
 
-// pass runs one pass over the oldest ≤64 pending demands, which need
-// not be the caller's own. Called with ws.mu held and no pass running;
-// it unlocks while the pass runs and returns with ws.mu held again.
+// pass serves the oldest ≤64 pending demands, which need not be the
+// caller's own: one lane at a time if they are at most r.oneMax, else
+// by one 64-lane pass. Called with ws.mu held and no pass running; it
+// unlocks while the pass runs and returns with ws.mu held again.
 func (ws *WindowSource) pass() {
 	ws.running = true
 	if ws.testHookPass != nil {
@@ -133,23 +141,31 @@ func (ws *WindowSource) pass() {
 	n := ws.gather()
 	ws.mu.Unlock()
 
-	// Lane l serves slot l: a slot covering a whole segment is filled
-	// in place in its caller's buffer, the rest are copied out of the
-	// private buffers. Lanes past n keep stale material, and their
-	// output is discarded.
-	for l := range ws.slots[:n] {
-		s := &ws.slots[l]
-		ws.r.key(l, ws.seed, s.req.domain, s.seg)
-		ws.r.aim(l, s.dst)
-	}
-	ws.r.run()
-	for l := range ws.slots[:n] {
-		if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
-			copy(s.dst, ws.r.priv[l][s.within:])
+	oneLane := n <= ws.r.oneMax
+	if oneLane {
+		for l := range ws.slots[:n] {
+			s := &ws.slots[l]
+			ws.r.runOne(ws.seed, s.req.domain, s.seg, s.within, s.dst)
+		}
+	} else {
+		// Lane l serves slot l: a slot covering a whole segment is
+		// filled in place in its caller's buffer, the rest are copied
+		// out of the private buffers. Lanes past n keep stale material,
+		// and their output is discarded.
+		for l := range ws.slots[:n] {
+			s := &ws.slots[l]
+			ws.r.key(l, ws.seed, s.req.domain, s.seg)
+			ws.r.aim(l, s.dst)
+		}
+		ws.r.run()
+		for l := range ws.slots[:n] {
+			if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
+				copy(s.dst, ws.r.priv[l][s.within:])
+			}
 		}
 	}
 	if ws.onPass != nil {
-		ws.onPass(n)
+		ws.onPass(n, oneLane)
 	}
 
 	// The slots are released in the critical section that ends the

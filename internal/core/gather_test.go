@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -96,7 +98,7 @@ func TestWindowSourceRejectsOutOfRange(t *testing.T) {
 func TestWindowSourceSharesPasses(t *testing.T) {
 	const callers = 8
 	var passes, lanes atomic.Int64
-	ws, err := NewWindowSource(TRIVIUM, 4, func(n int) {
+	ws, err := NewWindowSource(TRIVIUM, 4, func(n int, _ bool) {
 		passes.Add(1)
 		lanes.Add(int64(n))
 	})
@@ -192,26 +194,173 @@ func TestWindowSourceLeaderTurnover(t *testing.T) {
 	wg.Wait()
 }
 
-// A warm 8 KiB window read allocates nothing: the request record comes
-// from the source's free list, the pass runs in the source's own lane
-// buffers, and keying a lane derives its material in place.
+// A warm window read allocates nothing: the request record comes from
+// the source's free list, a pass runs in the source's own lane buffers,
+// a one-lane segment runs on the stack, and keying a lane derives its
+// material in place. An 8 KiB window is one sparse batch (one lane at a
+// time where the engine has a one-lane function); a 65-segment window
+// fills a 64-lane batch, which trivium serves by the pass.
 func TestWindowSourceReadAllocs(t *testing.T) {
 	for _, alg := range ServedAlgorithms {
 		t.Run(alg.String(), func(t *testing.T) {
-			ws, err := NewWindowSource(alg, 8, nil)
+			for _, n := range []int{8 << 10, 65 * SegmentBytes} {
+				t.Run(fmt.Sprint(n), func(t *testing.T) {
+					ws, err := NewWindowSource(alg, 8, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					buf := make([]byte, n)
+					off := uint64(3*SegmentBytes + 5)
+					if err := ws.ReadWindow(buf, 1, off); err != nil {
+						t.Fatal(err)
+					}
+					if avg := testing.AllocsPerRun(10, func() {
+						off += uint64(len(buf))
+						ws.ReadWindow(buf, 1, off)
+					}); avg != 0 {
+						t.Fatalf("warm %d-byte window read allocates %.1f times, want 0", n, avg)
+					}
+				})
+			}
+		})
+	}
+}
+
+// oneLaneAlgs are the algorithms whose engine has a one-lane function:
+// AES-CTR, trivium and xorgens, and their chaotic modes.
+var oneLaneAlgs = []Algorithm{AESCTR, TRIVIUM, XORGENS, Chaotic(AESCTR), Chaotic(TRIVIUM), Chaotic(XORGENS)}
+
+// Exactly the oneLaneAlgs have a one-lane function, and a batch takes
+// the one-lane path exactly when it holds at most oneMax demands:
+// a 4 KiB window (3 segments) and a 70-segment window (a full batch of
+// 64, then 6) are served as the engine's crossover says, and both come
+// back byte-identical.
+func TestWindowSourceOneLaneRule(t *testing.T) {
+	for _, base := range Algorithms {
+		for _, alg := range []Algorithm{base, Chaotic(base)} {
+			t.Run(alg.String(), func(t *testing.T) {
+				var batches []bool
+				ws, err := NewWindowSource(alg, 12, func(_ int, oneLane bool) { batches = append(batches, oneLane) })
+				if err != nil {
+					t.Fatal(err)
+				}
+				if has := ws.r.one != nil; has != slices.Contains(oneLaneAlgs, alg) {
+					t.Fatalf("one-lane function present = %v", has)
+				}
+				if ws.r.oneMax > 0 && ws.r.one == nil {
+					t.Fatalf("oneMax %d without a one-lane function", ws.r.oneMax)
+				}
+				for _, w := range []struct {
+					offset uint64
+					n      int
+					want   []bool
+				}{
+					{777, 4096, []bool{3 <= ws.r.oneMax}},
+					{5*SegmentBytes + 1, 69*SegmentBytes + 1, []bool{64 <= ws.r.oneMax, 6 <= ws.r.oneMax}},
+				} {
+					batches = nil
+					p := make([]byte, w.n)
+					if err := ws.ReadWindow(p, 2, w.offset); err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(batches, w.want) {
+						t.Errorf("window at %d, n %d: one-lane batches %v, want %v", w.offset, w.n, batches, w.want)
+					}
+					if !bytes.Equal(p, segmentReaderWindow(t, alg, 12, 2, w.offset, w.n)) {
+						t.Errorf("window at %d, n %d diverges from NewSegmentReader", w.offset, w.n)
+					}
+				}
+			})
+		}
+	}
+}
+
+// With the one-lane path turned off, AES-CTR windows run the 64-lane
+// bitsliced pass: what a CPU without AES-NI serves. It stays byte-
+// identical, so the fallback keeps its coverage on AES-NI hosts.
+func TestWindowSourceAESPassFallback(t *testing.T) {
+	for _, alg := range []Algorithm{AESCTR, Chaotic(AESCTR)} {
+		passes := 0
+		ws, err := NewWindowSource(alg, 14, func(_ int, oneLane bool) {
+			if oneLane {
+				t.Errorf("%v: a batch ran one lane at a time with the one-lane path off", alg)
+			}
+			passes++
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws.r.oneMax = 0
+		for _, w := range []struct {
+			offset uint64
+			n      int
+		}{{0, 1}, {777, 4096}, {3 * SegmentBytes, 64 * SegmentBytes}} {
+			p := make([]byte, w.n)
+			if err := ws.ReadWindow(p, 5, w.offset); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(p, segmentReaderWindow(t, alg, 14, 5, w.offset, w.n)) {
+				t.Errorf("%v: pass-path window at %d, n %d diverges from NewSegmentReader", alg, w.offset, w.n)
+			}
+		}
+		if passes != 3 {
+			t.Errorf("%v: %d passes, want 3", alg, passes)
+		}
+	}
+}
+
+// FuzzOneLaneMatchesPass holds every one-lane function, chaotic modes
+// included, to the pass: for a fuzzer-chosen seed, domain and segment,
+// the whole segment and a part of it written one lane at a time equal
+// the lane bytes NewSegmentReader reads.
+func FuzzOneLaneMatchesPass(f *testing.F) {
+	f.Add(uint64(1), uint64(0), uint64(0), uint16(0), uint16(2048))
+	f.Add(uint64(0xDEADBEEF), uint64(7), uint64(1<<40), uint16(777), uint16(100))
+	f.Add(^uint64(0), ^uint64(0), maxSegmentIndex-1, uint16(2047), uint16(1))
+	runners := make([]*passRunner, len(oneLaneAlgs))
+	for i, alg := range oneLaneAlgs {
+		ws, err := NewWindowSource(alg, 0, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		runners[i] = ws.r
+	}
+	f.Fuzz(func(t *testing.T, seed, domain, seg uint64, within, n uint16) {
+		seg %= maxSegmentIndex
+		w := int(within) % SegmentBytes
+		k := 1 + int(n)%(SegmentBytes-w)
+		whole, part := make([]byte, SegmentBytes), make([]byte, k)
+		for i, alg := range oneLaneAlgs {
+			runners[i].runOne(seed, domain, seg, 0, whole)
+			runners[i].runOne(seed, domain, seg, w, part)
+			want := segmentReaderWindow(t, alg, seed, domain, seg*SegmentBytes, SegmentBytes)
+			if !bytes.Equal(whole, want) {
+				t.Fatalf("%v: one-lane segment %d (seed %#x, domain %d) diverges from the pass", alg, seg, seed, domain)
+			}
+			if !bytes.Equal(part, want[w:w+k]) {
+				t.Fatalf("%v: one-lane bytes [%d, %d) of segment %d diverge from the pass", alg, w, w+k, seg)
+			}
+		}
+	})
+}
+
+// BenchmarkReadWindow times one warm 4 KiB window per algorithm: three
+// segment demands, served one lane at a time where the engine has a
+// one-lane function and the crossover admits it, else by a 64-lane
+// pass.
+func BenchmarkReadWindow(b *testing.B) {
+	for _, alg := range ServedAlgorithms {
+		b.Run(alg.String(), func(b *testing.B) {
+			ws, err := NewWindowSource(alg, 1, nil)
 			if err != nil {
-				t.Fatal(err)
+				b.Fatal(err)
 			}
-			buf := make([]byte, 8<<10)
-			off := uint64(3*SegmentBytes + 5)
-			if err := ws.ReadWindow(buf, 1, off); err != nil {
-				t.Fatal(err)
-			}
-			if avg := testing.AllocsPerRun(10, func() {
-				off += uint64(len(buf))
-				ws.ReadWindow(buf, 1, off)
-			}); avg != 0 {
-				t.Fatalf("warm 8 KiB window read allocates %.1f times, want 0", avg)
+			p := make([]byte, 4<<10)
+			b.SetBytes(int64(len(p)))
+			off := uint64(777)
+			for b.Loop() {
+				ws.ReadWindow(p, 3, off)
+				off += 1 << 20
 			}
 		})
 	}

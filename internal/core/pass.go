@@ -37,6 +37,12 @@ type passRunner struct {
 	stale bool              // some lane was keyed since eng last loaded mat
 	priv  [passLanes][]byte // SegmentBytes each, one backing array
 	dst   [passLanes][]byte // next pass's destination per lane: priv[l] or caller memory
+
+	// one is the engine's one-lane function, nil if it has none; oneMax
+	// is the largest batch of segment demands a WindowSource serves one
+	// lane at a time with it instead of by a pass (0 without one).
+	one    func(key, iv, dst []byte)
+	oneMax int
 }
 
 // newPassRunner builds the pass runner of alg with the material keyLanes
@@ -54,6 +60,13 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		keyLanes(r)
 		return r.mat.keys, r.mat.ivs
 	}
+	// The one-lane rule follows the measured costs (DESIGN.md §12.5): an
+	// AES-NI segment costs under 1 µs and a scalar xorgens segment under
+	// 2 µs, so even 64 of them cost less than one pass (0.8–0.9 ms and
+	// 90–130 µs), and those two take every batch. A 64-clock trivium
+	// segment costs 2.3–3.6 µs against a 60–100 µs pass: trivium crosses
+	// over at about 16–24 demands. Grain's and MICKEY's scalar segments
+	// cost about a whole pass, and AES-CTR without AES-NI keeps the pass.
 	var err error
 	switch alg.Base() {
 	case MICKEY:
@@ -63,10 +76,16 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		r.eng, err = grain.NewSlicedVec[bitslice.V64](material(grain.KeySize, grain.IVSize))
 	case AESCTR:
 		r.eng, err = aes.NewSlicedCTRVec[bitslice.V64](material(16, 8))
+		r.one = aes.Segment
+		if aes.HasAESNI {
+			r.oneMax = passLanes
+		}
 	case TRIVIUM:
 		r.eng, err = trivium.NewSlicedVec[bitslice.V64](material(trivium.KeySize, trivium.IVSize))
+		r.one, r.oneMax = trivium.Segment, 16
 	case XORGENS:
 		r.eng, err = xorgens.NewSlicedVec[bitslice.V64](material(xorgens.KeySize, xorgens.IVSize))
+		r.one, r.oneMax = xorgens.Segment, passLanes
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}
@@ -114,4 +133,26 @@ func (r *passRunner) run() {
 		chaotic.Post(r.dst[l], x0)
 	}
 	r.dst = r.priv
+}
+
+// runOne writes bytes [within, within+len(dst)) of segment seg of
+// (seed, domain) with the engine's one-lane function: one cipher
+// instance keyed from the segment's own material, run only as far as
+// the demand reaches. A whole segment is written in place; a part goes
+// through lane 0's private buffer. The material is derived into lane 0,
+// which no pass notices: every pass keys lane 0 before it loads the
+// material.
+func (r *passRunner) runOne(seed, domain, seg uint64, within int, dst []byte) {
+	r.mat.deriveLane(0, seed, domain, seg)
+	out := dst
+	if len(dst) != SegmentBytes {
+		out = r.priv[0][:(within+len(dst)+7)&^7] // chaotic.Post takes whole words
+	}
+	r.one(r.mat.keys[0], r.mat.ivs[0], out)
+	if r.x0s != nil {
+		chaotic.Post(out, chaoticX0(seed, domain, seg))
+	}
+	if len(dst) != SegmentBytes {
+		copy(dst, out[within:])
+	}
 }

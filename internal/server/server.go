@@ -111,8 +111,9 @@ type Server struct {
 	healthDegraded    *metrics.LabeledGauge
 	admissionRejected *metrics.Counter
 
-	windowPasses *metrics.LabeledCounter
-	windowLanes  *metrics.LabeledCounter
+	windowPasses  *metrics.LabeledCounter
+	windowLanes   *metrics.LabeledCounter
+	windowOneLane *metrics.LabeledCounter
 
 	// respBufs is the free list of per-request chunk buffers of /bytes
 	// and /stream responses, at most maxFreeRespBufs long. (A free list
@@ -211,9 +212,11 @@ func New(cfg Config) (*Server, error) {
 	s.respBufReused = s.reg.NewCounter("bsrngd_response_buffers_reused_total",
 		"Per-request response buffers reused from the free list instead of freshly allocated.")
 	s.windowPasses = s.reg.NewLabeledCounter("bsrngd_window_passes_total",
-		"64-lane passes run by the algorithm's engine, its window source: pooled refills and addressed and lease /stream windows, by algorithm.", "alg")
+		"Bitsliced 64-lane passes run by the algorithm's engine, its window source: pooled refills and addressed and lease /stream windows, by algorithm.", "alg")
 	s.windowLanes = s.reg.NewLabeledCounter("bsrngd_window_lanes_total",
-		"Lanes of the algorithm's engine passes that served a segment demand (64 per pooled refill), by algorithm; lanes / (64 × passes) is the lane occupancy.", "alg")
+		"Lanes of the algorithm's bitsliced passes that served a segment demand, by algorithm; lanes / (64 × passes) is the lane occupancy.", "alg")
+	s.windowOneLane = s.reg.NewLabeledCounter("bsrngd_window_one_lane_segments_total",
+		"Segment demands the algorithm's window source served one lane at a time instead of by a bitsliced pass, by algorithm; lanes plus these are the segments served.", "alg")
 	s.reg.NewGaugeFunc("bsrngd_inflight_requests",
 		"Concurrent /bytes and /stream requests currently being served.",
 		func() float64 { return float64(s.inflightNow.Load()) })
@@ -223,8 +226,12 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: algorithm %v configured twice", alg)
 		}
 		algL := alg.String()
-		passes, lanes := s.windowPasses.With(algL), s.windowLanes.With(algL)
-		ws, err := core.NewWindowSource(alg, cfg.Seed, func(n int) {
+		passes, lanes, oneLane := s.windowPasses.With(algL), s.windowLanes.With(algL), s.windowOneLane.With(algL)
+		ws, err := core.NewWindowSource(alg, cfg.Seed, func(n int, single bool) {
+			if single {
+				oneLane.Add(uint64(n))
+				return
+			}
 			passes.Inc()
 			lanes.Add(uint64(n))
 		})

@@ -154,3 +154,15 @@ func (g *Ref) Keystream(dst []byte) {
 		}
 	}
 }
+
+// Segment writes the keystream of one (key, iv) instance into dst: the
+// bytes NewRef(key, iv) and Keystream produce, run over a state on the
+// stack. It is the one-lane form of Sliced's per-lane output, for a
+// caller that needs a single lane's segment and not a 64-lane pass.
+// The material must have KeySize and IVSize bytes; Segment checks
+// nothing and allocates nothing.
+func Segment(key, iv, dst []byte) {
+	g := Ref{i: r - 1}
+	expand(key, iv, g.x[:])
+	g.Keystream(dst)
+}
