@@ -13,8 +13,12 @@
 //	curl 'localhost:8080/stream?lease=<id>&off=65536'                # resume mid-lease
 //	curl 'localhost:8080/metrics'
 //
-// SIGINT/SIGTERM drains gracefully: /healthz flips to 503 and in-flight
-// requests complete (bounded by -drain-timeout).
+// The startup log names the address bound, so -addr 127.0.0.1:0 shows
+// its port. SIGINT/SIGTERM drains gracefully: the listener closes,
+// requests that still reach a handler on an open connection get 503
+// (/healthz says "draining"), in-flight requests complete and an open
+// /stream ends at its next chunk boundary; -drain-timeout bounds the
+// wait.
 //
 // Pooled requests (/bytes, and /stream without an address) are served
 // from one pooled source per algorithm: the domain-1 segment stream of
@@ -46,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -96,10 +101,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("bsrngd: listen: %v", err)
+	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("bsrngd listening on %s (seed=%d)", *addr, *seed)
+	go func() { errc <- srv.Serve(ln) }()
+	log.Printf("bsrngd listening on %s (seed=%d)", ln.Addr(), *seed)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -107,14 +115,11 @@ func main() {
 	case sig := <-sigc:
 		log.Printf("bsrngd: %v, draining", sig)
 	case err := <-errc:
-		log.Fatalf("bsrngd: listen: %v", err)
+		log.Fatalf("bsrngd: serve: %v", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("bsrngd: http shutdown: %v", err)
-	}
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("bsrngd: drain: %v", err)
 	}
@@ -138,11 +143,15 @@ func runRouter(addr, ringPath string, drainTimeout time.Duration) error {
 	rt.Start()
 	defer rt.Close()
 
-	hs := &http.Server{Addr: addr, Handler: rt.Handler()}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	hs := &http.Server{Handler: rt.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	log.Printf("bsrngd router listening on %s (%d nodes, ring %s)",
-		addr, len(ring.Nodes()), ringPath)
+		ln.Addr(), len(ring.Nodes()), ringPath)
 
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
@@ -166,7 +175,7 @@ func runRouter(addr, ringPath string, drainTimeout time.Duration) error {
 			log.Print("bsrngd router: drained, bye")
 			return nil
 		case err := <-errc:
-			return fmt.Errorf("listen: %w", err)
+			return fmt.Errorf("serve: %w", err)
 		}
 	}
 }

@@ -91,18 +91,18 @@ func main() {
 func table3(streams, bits int) error {
 	fmt.Printf("Paper Table 3: NIST SP 800-22 on bitsliced MICKEY output (%d x %d bits)\n", streams, bits)
 	byteLen := (bits + 7) / 8
-	results := make([][]sp80022.Result, streams)
-	for i := range results {
+	streamBits := make([][]uint8, streams)
+	for i := range streamBits {
 		g, err := bsrng.New(bsrng.MICKEY, uint64(1000+i))
 		if err != nil {
 			return err
 		}
 		buf := make([]byte, byteLen)
 		g.Read(buf)
-		results[i] = sp80022.RunAll(sp80022.BitsFromBytes(buf)[:bits], sp80022.Params{})
+		streamBits[i] = sp80022.BitsFromBytes(buf)[:bits]
 	}
 	fmt.Printf("%-24s %-10s %-10s %s\n", "Test", "P-value", "Proportion", "Result")
-	for _, s := range sp80022.Summarize(results) {
+	for _, s := range sp80022.Summarize(sp80022.RunStreams(streamBits, sp80022.Params{})) {
 		fmt.Println(s.String())
 	}
 	return nil

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"sync"
 
 	bsrng "repro"
 	"repro/internal/sp80022"
@@ -83,20 +81,7 @@ func report(w io.Writer, algName, file string, streams, bits int, seed uint64, s
 		}
 	}
 
-	// Run streams across all cores.
-	results := make([][]sp80022.Result, streams)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i := range streamBits {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = sp80022.RunAll(streamBits[i], params)
-		}(i)
-	}
-	wg.Wait()
+	results := sp80022.RunStreams(streamBits, params)
 
 	source := file
 	if source == "" {

@@ -25,8 +25,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -144,15 +142,12 @@ func bootServer(cfg *Config) (baseURL string, shutdown func(), err error) {
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		srv.Shutdown(context.Background())
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
+	go srv.Serve(ln)
 	shutdown = func() {
 		ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 		defer cancel()
-		hs.Shutdown(ctx)
 		srv.Shutdown(ctx)
 	}
 	return "http://" + ln.Addr().String(), shutdown, nil
@@ -336,19 +331,11 @@ func runBattery(cfg *Config, served []byte) ([]TestResult, []string) {
 	bits := sp80022.BitsFromBytes(served)
 	per := len(bits) / cfg.Streams
 	params := sp80022.Params{SkipExpensiveTests: cfg.SkipExpensive}
-	results := make([][]sp80022.Result, cfg.Streams)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.NumCPU())
-	for i := 0; i < cfg.Streams; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			results[i] = sp80022.RunAll(bits[i*per:(i+1)*per], params)
-		}(i)
+	streams := make([][]uint8, cfg.Streams)
+	for i := range streams {
+		streams[i] = bits[i*per : (i+1)*per]
 	}
-	wg.Wait()
+	results := sp80022.RunStreams(streams, params)
 
 	var tests []TestResult
 	ran := map[string]bool{}

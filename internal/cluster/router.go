@@ -59,14 +59,12 @@ type Router struct {
 	state map[string]*nodeState
 
 	// baseCtx is the root of every router-originated request (health
-	// probes); baseCancel aborts them all on Close, so a probe stuck in
-	// a slow dial cannot delay shutdown by its full timeout.
+	// probes) and the prober's stop signal; baseCancel, on Close, stops
+	// the prober and aborts any probe in flight, so a probe stuck in a
+	// slow dial cannot delay shutdown by its full timeout.
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
-
-	stop     chan struct{}
-	stopOnce sync.Once
-	probes   sync.WaitGroup
+	probes     sync.WaitGroup
 
 	forwarded   *metrics.LabeledCounter
 	requests    *metrics.LabeledCounter
@@ -128,7 +126,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		reg:          metrics.NewRegistry(),
 		mux:          http.NewServeMux(),
 		state:        make(map[string]*nodeState),
-		stop:         make(chan struct{}),
 		backoff:      retryBackoff,
 		probeEvery:   probeInterval,
 		probeTimeout: probeTimeout,
@@ -196,10 +193,7 @@ func (rt *Router) Start() {
 // Close stops the prober, cancelling any probe already in flight.
 // Idempotent.
 func (rt *Router) Close() {
-	rt.stopOnce.Do(func() {
-		close(rt.stop)
-		rt.baseCancel()
-	})
+	rt.baseCancel()
 	rt.probes.Wait()
 }
 
@@ -288,7 +282,7 @@ func (rt *Router) probeLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-rt.stop:
+		case <-rt.baseCtx.Done():
 			return
 		case <-tick.C:
 			rt.probeAll()

@@ -94,16 +94,11 @@ func (r *runner) bootCluster() (func(), error) {
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			srv.Shutdown(context.Background())
 			shutdown()
 			return nil, fmt.Errorf("loadtest: %w", err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		shutdowns = append(shutdowns, func(ctx context.Context) {
-			hs.Shutdown(ctx)
-			srv.Shutdown(ctx)
-		})
+		go srv.Serve(ln)
+		shutdowns = append(shutdowns, func(ctx context.Context) { srv.Shutdown(ctx) })
 		nodes[i] = cluster.Node{Name: fmt.Sprintf("n%d", i), URL: "http://" + ln.Addr().String()}
 	}
 

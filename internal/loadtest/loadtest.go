@@ -295,15 +295,12 @@ func Run(cfg Config) (*Result, error) {
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			srv.Shutdown(context.Background())
 			return nil, fmt.Errorf("loadtest: %w", err)
 		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
+		go srv.Serve(ln)
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 			defer cancel()
-			hs.Shutdown(ctx)
 			srv.Shutdown(ctx)
 		}()
 		r.base = "http://" + ln.Addr().String()

@@ -3,7 +3,6 @@ package loadtest
 import (
 	"context"
 	"net"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -84,11 +83,11 @@ func TestRunBootDeterministic(t *testing.T) {
 	}
 }
 
-// Dial mode drives an externally-booted daemon; with a lease-free mix
-// the digest is reproducible even against one long-lived process, and
-// VerifySeed stands in for the server seed.
-func TestRunDialMode(t *testing.T) {
-	srv, err := server.New(smallServer(91, core.GRAIN))
+// serveDaemon serves a daemon of cfg on a loopback listener until the
+// test ends and returns its base URL.
+func serveDaemon(t *testing.T, cfg server.Config) string {
+	t.Helper()
+	srv, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +95,21 @@ func TestRunDialMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
+	go srv.Serve(ln)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		hs.Shutdown(ctx)
 		srv.Shutdown(ctx)
 	})
+	return "http://" + ln.Addr().String()
+}
 
+// Dial mode drives an externally-booted daemon; with a lease-free mix
+// the digest is reproducible even against one long-lived process, and
+// VerifySeed stands in for the server seed.
+func TestRunDialMode(t *testing.T) {
 	cfg := Config{
-		BaseURL:           "http://" + ln.Addr().String(),
+		BaseURL:           serveDaemon(t, smallServer(91, core.GRAIN)),
 		Clients:           4,
 		RequestsPerClient: 5,
 		Mix:               Mix{Bytes: 1, Stream: 2}, // no leases: domains stay fixed
@@ -159,24 +162,8 @@ func TestRunVerifyCatchesWrongSeed(t *testing.T) {
 	}
 
 	// Same daemon seed, poisoned verification seed via dial-mode plumbing.
-	srv, err := server.New(smallServer(7, core.MICKEY))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		hs.Shutdown(ctx)
-		srv.Shutdown(ctx)
-	})
 	res, err = Run(Config{
-		BaseURL:           "http://" + ln.Addr().String(),
+		BaseURL:           serveDaemon(t, smallServer(7, core.MICKEY)),
 		Clients:           2,
 		RequestsPerClient: 6,
 		Mix:               Mix{Stream: 1},

@@ -66,11 +66,10 @@ func (s *Server) serve(endpoint string) http.HandlerFunc {
 			s.fail(w, endpoint, &q, herr)
 			return
 		}
-		if !s.enter() {
+		if s.draining.Load() {
 			s.fail(w, endpoint, &q, &httpError{http.StatusServiceUnavailable, "draining"})
 			return
 		}
-		defer s.inflight.Done()
 
 		// Admission control: when the in-flight budget is spent, shed
 		// the request at once instead of queueing it on a source. A
@@ -271,7 +270,7 @@ func (cw *chunkWriter) Write(p []byte) (int, error) {
 	if err := cw.ctx.Err(); err != nil {
 		return 0, err
 	}
-	if cw.s.isDraining() {
+	if cw.s.draining.Load() {
 		return 0, errStreamDraining
 	}
 	k, err := cw.w.Write(p)
@@ -291,11 +290,4 @@ func flusherFor(w io.Writer) func() {
 		return f.Flush
 	}
 	return nil
-}
-
-// isDraining reports whether Shutdown has begun.
-func (s *Server) isDraining() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.draining
 }

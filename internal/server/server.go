@@ -18,6 +18,10 @@
 // clean. Optional admission control (MaxInflight) sheds load with 429 +
 // Retry-After.
 //
+// Serve runs the service on a listener, and Shutdown drains it through
+// the same http.Server: one drain, in which new requests get 503 and
+// an open /stream ends at its next chunk boundary.
+//
 // Endpoints:
 //
 //	GET /bytes?alg=mickey&n=1024[&hex=1]  — n pseudo-random bytes
@@ -40,6 +44,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -77,8 +82,8 @@ type Config struct {
 	DisableHealth bool
 }
 
-// Server owns the served algorithms' engines, the metrics registry and
-// the HTTP mux.
+// Server owns the served algorithms' engines, the metrics registry,
+// the HTTP mux and the http.Server that Serve runs it on.
 type Server struct {
 	cfg    Config
 	limits Limits // the bounds ParseQuery enforces for this server
@@ -87,10 +92,9 @@ type Server struct {
 	engines map[core.Algorithm]*engine
 	reg     *metrics.Registry
 	mux     *http.ServeMux
+	hs      *http.Server
 
-	mu       sync.RWMutex // guards draining against inflight.Add
-	draining bool
-	inflight sync.WaitGroup
+	draining atomic.Bool // set by Shutdown
 
 	bytesServed  *metrics.Counter
 	requests     *metrics.LabeledCounter
@@ -256,48 +260,28 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /lease/{id}", s.handleLeaseGet)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s.hs = &http.Server{Handler: s.mux}
 	return s, nil
 }
 
-// Handler returns the service's HTTP handler.
+// Handler returns the service's HTTP handler, for callers that serve
+// it on an http.Server of their own. Shutdown does not wait for the
+// requests such a server is serving; Serve is the usual way.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// enter registers an in-flight request unless the server is draining.
-func (s *Server) enter() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.draining {
-		return false
-	}
-	s.inflight.Add(1)
-	return true
-}
+// Serve accepts connections on ln and serves the service until
+// Shutdown, when it returns http.ErrServerClosed.
+func (s *Server) Serve(ln net.Listener) error { return s.hs.Serve(ln) }
 
-// Shutdown drains the service: new /bytes, /stream and /healthz
-// requests get 503 and in-flight requests run to completion (an open
-// /stream ends at its next chunk boundary). If ctx expires first,
-// Shutdown returns the context error without waiting further. Shutdown
-// is idempotent.
+// Shutdown drains the service: it marks the server draining, so
+// requests that reach a handler get 503 and an open /stream ends at
+// its next chunk boundary, then closes Serve's listener and waits for
+// the in-flight requests to complete. If ctx expires first, Shutdown
+// returns the context error without waiting further. Shutdown is
+// idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	already := s.draining
-	s.draining = true
-	s.mu.Unlock()
-	if already {
-		return nil
-	}
-	done := make(chan struct{})
-	//bsrng:lint-ignore goroutine-hygiene WaitGroup-to-channel adapter: Wait cannot select, and the goroutine's lifetime is bounded by the in-flight requests Shutdown is draining
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return nil
+	s.draining.Store(true)
+	return s.hs.Shutdown(ctx)
 }
 
 // healthzResponse is the /healthz document: overall status plus the
@@ -311,10 +295,6 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-
 	resp := healthzResponse{Status: "ok", Pools: make(map[string]sourceHealth, len(s.engines))}
 	for alg, e := range s.engines {
 		e.pooled.probe()
@@ -324,7 +304,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	if draining {
+	if s.draining.Load() {
 		resp.Status = "draining"
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/hex"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -171,18 +173,13 @@ func TestAlgorithmNotServed(t *testing.T) {
 	}
 }
 
-// Shutdown must 503 new work and wait for in-flight requests — the
-// SIGTERM drain path of cmd/bsrngd.
-func TestShutdownDrainsInFlight(t *testing.T) {
-	cfg := Config{Seed: 3}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	// Set before NewServer spawns the accept loop so handler goroutines
-	// observe the hook without a data race.
+// freezeServing makes the first pooled request that starts serving
+// signal entered and wait for release. Set it before the server
+// accepts connections, so handler goroutines see the hook without a
+// data race.
+func freezeServing(s *Server) (entered chan struct{}, release chan struct{}) {
+	entered = make(chan struct{}, 1)
+	release = make(chan struct{})
 	s.testHookServing = func() {
 		select {
 		case entered <- struct{}{}:
@@ -190,51 +187,86 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		}
 		<-release
 	}
+	return entered, release
+}
+
+// getAsync GETs url in the background and sends the status and body
+// length on the returned channel (status -1 on a transport error).
+func getAsync(url string) <-chan [2]int {
+	done := make(chan [2]int, 1)
+	go func() {
+		resp, err := http.Get(url)
+		if err != nil {
+			done <- [2]int{-1, 0}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		done <- [2]int{resp.StatusCode, len(body)}
+	}()
+	return done
+}
+
+// Once Shutdown begins, /healthz reports draining and new work gets 503
+// on connections that are still open, while a request already in
+// flight runs to a full 200. The handler is served by httptest here, so
+// Shutdown has no listener of its own to wait for.
+func TestShutdownDrainsInFlight(t *testing.T) {
+	s, err := New(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := freezeServing(s)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Shutdown(context.Background())
 	})
 
-	type result struct {
-		status int
-		n      int
+	reqDone := getAsync(ts.URL + "/bytes?alg=mickey&n=2048")
+	<-entered // request is in flight
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
 	}
-	reqDone := make(chan result, 1)
-	go func() {
-		resp, err := http.Get(ts.URL + "/bytes?alg=mickey&n=2048")
-		if err != nil {
-			reqDone <- result{-1, 0}
-			return
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		reqDone <- result{resp.StatusCode, len(body)}
-	}()
+
+	status, body, _ := get(t, ts.URL+"/healthz")
+	if status != http.StatusServiceUnavailable || !bytes.Contains(body, []byte(`"draining"`)) {
+		t.Fatalf("healthz during drain: %d %s, want 503 draining", status, body)
+	}
+	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=16"); status != http.StatusServiceUnavailable {
+		t.Fatalf("request during drain got %d, want 503", status)
+	}
+
+	close(release)
+	if res := <-reqDone; res != [2]int{http.StatusOK, 2048} {
+		t.Fatalf("in-flight request: status %d, %d bytes; want full 200", res[0], res[1])
+	}
+}
+
+// Shutdown of a server running Serve — the SIGTERM drain path of
+// cmd/bsrngd — closes the listener, waits for the in-flight request to
+// complete in full, and makes Serve return http.ErrServerClosed.
+func TestShutdownWaitsForInFlight(t *testing.T) {
+	s, err := New(Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := freezeServing(s)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+
+	reqDone := getAsync("http://" + ln.Addr().String() + "/bytes?alg=mickey&n=2048")
 	<-entered // request is in flight
 
 	shutDone := make(chan error, 1)
 	go func() { shutDone <- s.Shutdown(context.Background()) }()
-
-	// healthz flips to draining promptly, while the request is still open.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if status, _, _ := get(t, ts.URL+"/healthz"); status == http.StatusServiceUnavailable {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("healthz never reported draining")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	// New byte requests are refused during the drain.
-	if status, _, _ := get(t, ts.URL+"/bytes?alg=mickey&n=16"); status != http.StatusServiceUnavailable {
-		t.Fatalf("request during drain got %d, want 503", status)
-	}
-	// Shutdown must still be blocked on the in-flight request.
 	select {
-	case <-shutDone:
-		t.Fatal("Shutdown returned before in-flight request finished")
+	case err := <-shutDone:
+		t.Fatalf("Shutdown returned before in-flight request finished: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -242,9 +274,11 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := <-shutDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	res := <-reqDone
-	if res.status != http.StatusOK || res.n != 2048 {
-		t.Fatalf("in-flight request: status %d, %d bytes; want full 200", res.status, res.n)
+	if res := <-reqDone; res != [2]int{http.StatusOK, 2048} {
+		t.Fatalf("in-flight request: status %d, %d bytes; want full 200", res[0], res[1])
+	}
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
 	}
 }
 

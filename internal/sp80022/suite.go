@@ -3,7 +3,9 @@ package sp80022
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Result is one test's outcome on one bit stream. Tests that emit several
@@ -129,6 +131,25 @@ func RunAll(bits []uint8, params Params) []Result {
 		add("RandomExcursionsVariant", ps, nil)
 	}
 	return out
+}
+
+// RunStreams runs the battery on every stream, at most runtime.NumCPU()
+// streams at a time, and returns their results in stream order.
+func RunStreams(streams [][]uint8, params Params) [][]Result {
+	results := make([][]Result, len(streams))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, runtime.NumCPU())
+	for i, bits := range streams {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			results[i] = RunAll(bits, params)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	return results
 }
 
 // Summary aggregates one test's p-values across many streams the way the

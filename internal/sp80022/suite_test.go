@@ -2,6 +2,8 @@ package sp80022
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/curand"
@@ -93,6 +95,25 @@ func TestRunAllSkipExpensive(t *testing.T) {
 	}
 	if len(results) != len(TestNames)-1 {
 		t.Errorf("got %d results, want %d", len(results), len(TestNames)-1)
+	}
+}
+
+// RunStreams returns, in stream order, what RunAll returns for each
+// stream, with more streams than CPUs so some wait for a slot.
+func TestRunStreamsMatchesRunAll(t *testing.T) {
+	streams := make([][]uint8, runtime.NumCPU()+3)
+	for i := range streams {
+		streams[i] = randomBits(1<<13, uint32(i)+1)
+	}
+	params := Params{SkipExpensiveTests: true}
+	got := RunStreams(streams, params)
+	if len(got) != len(streams) {
+		t.Fatalf("got %d result sets, want %d", len(got), len(streams))
+	}
+	for i, bits := range streams {
+		if want := RunAll(bits, params); !reflect.DeepEqual(got[i], want) {
+			t.Errorf("stream %d: RunStreams and RunAll disagree", i)
+		}
 	}
 }
 
