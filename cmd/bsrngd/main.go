@@ -41,7 +41,10 @@
 // node owning the request's (alg, domain, segment-window) address, with
 // health-aware failover to any replica — every node sharing the seed
 // serves addressed windows byte-identically, so failover never changes
-// the bytes. See internal/cluster and DESIGN.md §13.
+// the bytes. It drains on SIGINT/SIGTERM as a node does: a relayed
+// /stream ends after its current upstream read with a clean end of
+// body, and the client resumes it with off=. See internal/cluster and
+// DESIGN.md §13.
 package main
 
 import (
@@ -51,7 +54,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -147,9 +149,8 @@ func runRouter(addr, ringPath string, drainTimeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: rt.Handler()}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
+	go func() { errc <- rt.Serve(ln) }()
 	log.Printf("bsrngd router listening on %s (%d nodes, ring %s)",
 		ln.Addr(), len(ring.Nodes()), ringPath)
 
@@ -169,8 +170,8 @@ func runRouter(addr, ringPath string, drainTimeout time.Duration) error {
 			log.Printf("bsrngd router: %v, draining", sig)
 			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
-			if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("bsrngd router: http shutdown: %v", err)
+			if err := rt.Shutdown(ctx); err != nil {
+				log.Printf("bsrngd router: drain: %v", err)
 			}
 			log.Print("bsrngd router: drained, bye")
 			return nil

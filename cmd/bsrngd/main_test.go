@@ -3,17 +3,49 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/server"
 )
+
+// childArgsEnv carries, newline-separated, the bsrngd arguments of a
+// child process that childCmd started from this test binary.
+const childArgsEnv = "BSRNGD_TEST_MAIN"
+
+// TestMain runs bsrngd's main instead of the tests in a child process:
+// main parses flags and exits, so the tests that drive it run it apart.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(childArgsEnv); ok {
+		os.Args = append([]string{"bsrngd"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// childCmd is bsrngd with args, run as a child of this test binary; the
+// timeout bounds a child that would serve instead of exiting.
+func childCmd(t *testing.T, args ...string) *exec.Cmd {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	t.Cleanup(cancel)
+	cmd := exec.CommandContext(ctx, os.Args[0])
+	cmd.Env = append(os.Environ(), childArgsEnv+"="+strings.Join(args, "\n"))
+	return cmd
+}
 
 func TestRunRouterUsage(t *testing.T) {
 	if err := runRouter(":0", "", 0); err == nil {
@@ -24,20 +56,9 @@ func TestRunRouterUsage(t *testing.T) {
 	}
 }
 
-// The -lanes flag is gone: main refuses it like any unknown flag. The
-// test runs main in a child process, since flag.Parse exits; the
-// timeout bounds a child that would start serving instead.
+// The -lanes flag is gone: main refuses it like any unknown flag.
 func TestMainRejectsLanes(t *testing.T) {
-	if os.Getenv("BSRNGD_TEST_MAIN") == "1" {
-		os.Args = []string{"bsrngd", "-lanes", "64", "-addr", "127.0.0.1:0"}
-		main()
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMainRejectsLanes$")
-	cmd.Env = append(os.Environ(), "BSRNGD_TEST_MAIN=1")
-	out, err := cmd.CombinedOutput()
+	out, err := childCmd(t, "-lanes", "64", "-addr", "127.0.0.1:0").CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 ||
 		!strings.Contains(string(out), "flag provided but not defined: -lanes") {
@@ -47,19 +68,43 @@ func TestMainRejectsLanes(t *testing.T) {
 
 // SIGTERM with an open /stream drains rather than waits: the stream
 // ends at its next chunk boundary with a clean end of body, short of
-// its byte budget, and bsrngd exits 0 well inside -drain-timeout. The
-// child process runs main; the parent reads the bound address from its
-// log, reads the stream slowly and signals the child mid-stream.
+// its byte budget, and bsrngd exits 0 well inside -drain-timeout.
 func TestMainDrainsStreamOnSIGTERM(t *testing.T) {
-	if os.Getenv("BSRNGD_TEST_MAIN") == "1" {
-		os.Args = []string{"bsrngd", "-algs", "grain", "-drain-timeout", "10s", "-addr", "127.0.0.1:0"}
-		main()
-		return
+	drainsStreamOnSIGTERM(t, "-algs", "grain", "-drain-timeout", "10s", "-addr", "127.0.0.1:0")
+}
+
+// The router tier drains the same way: SIGTERM on bsrngd -router with
+// a relayed /stream open ends the relay after its current upstream read
+// with a clean end of body, and the router exits 0 well inside
+// -drain-timeout. Its one node is a grain server in this process.
+func TestRouterDrainsStreamOnSIGTERM(t *testing.T) {
+	srv, err := server.New(server.Config{Seed: 1, Algorithms: []core.Algorithm{core.GRAIN}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^TestMainDrainsStreamOnSIGTERM$")
-	cmd.Env = append(os.Environ(), "BSRNGD_TEST_MAIN=1")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	ring, err := json.Marshal(cluster.RingConfig{Nodes: []cluster.Node{{Name: "n0", URL: "http://" + ln.Addr().String()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringPath := filepath.Join(t.TempDir(), "ring.json")
+	if err := os.WriteFile(ringPath, ring, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	drainsStreamOnSIGTERM(t, "-router", "-ring", ringPath, "-drain-timeout", "10s", "-addr", "127.0.0.1:0")
+}
+
+// drainsStreamOnSIGTERM starts bsrngd with args in a child process,
+// reads the bound address from its log, reads a grain /stream from it
+// slowly and signals the child mid-stream. The stream must end with a
+// clean EOF short of its budget, and the child must exit 0 within 3 s.
+func drainsStreamOnSIGTERM(t *testing.T, args ...string) {
+	cmd := childCmd(t, args...)
 	logs, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +121,7 @@ func TestMainDrainsStreamOnSIGTERM(t *testing.T) {
 	var addr string
 	for addr == "" && sc.Scan() {
 		childLog.WriteString(sc.Text() + "\n")
-		if _, rest, ok := strings.Cut(sc.Text(), "bsrngd listening on "); ok {
+		if _, rest, ok := strings.Cut(sc.Text(), " listening on "); ok {
 			addr, _, _ = strings.Cut(rest, " ")
 		}
 	}

@@ -99,6 +99,8 @@ var hotFuncs = map[string][]string{
 		"Keystream", "keystreamBlock", "KeystreamBlockVec",
 		"ClockVec", "clock", "output", "push", "rebase", "Reseed",
 		"Rekey", "Fill", "fill", "blocks",
+		// The one-lane segment of a sparse window batch.
+		"Segment",
 	},
 	"internal/trivium": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "rebase", "Reseed",

@@ -108,3 +108,16 @@ func BenchmarkSegment(b *testing.B) {
 		Segment(key, nonce, dst)
 	}
 }
+
+// BenchmarkSegmentGeneric times Segment's 2 KiB segment on the scalar
+// cipher, the one-lane path of a CPU without AES-NI: key expansion and
+// 128 counter blocks through ctrBlocksGeneric.
+func BenchmarkSegmentGeneric(b *testing.B) {
+	key, nonce, dst := make([]byte, 16), make([]byte, 8), make([]byte, 2048)
+	b.SetBytes(int64(len(dst)))
+	for b.Loop() {
+		var rk [11][16]byte
+		expandKey128(key, &rk)
+		ctrBlocksGeneric(&rk, binary.LittleEndian.Uint64(nonce), 0, dst)
+	}
+}

@@ -42,11 +42,20 @@ import (
 // The ring is swappable at runtime (SIGHUP → ReloadFromFile): requests
 // in flight keep the ring they started with, and the reload's probe-key
 // movement estimate is exported so operators see the rebalance cost.
+//
+// Serve and Shutdown run the router on its own http.Server with the
+// node's drain (server.Server): Shutdown marks the router draining, so
+// routed requests that reach it get 503, /healthz says "draining" and a
+// relayed /stream ends after its current upstream read with a clean end
+// of body (the client resumes with off=), then closes the listener and
+// waits out the requests in flight.
 type Router struct {
 	ring     atomic.Pointer[Ring]
 	ringPath string
 	reg      *metrics.Registry
 	mux      *http.ServeMux
+	hs       *http.Server
+	draining atomic.Bool // set by Shutdown
 
 	// The timings start as the package constants and the transport as
 	// NewRouter's; in-package tests shorten or replace them before
@@ -175,11 +184,29 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	rt.mux.HandleFunc("GET /lease/{id}", rt.proxy(server.EndpointLease))
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
+	rt.hs = &http.Server{Handler: rt.mux}
 	return rt, nil
 }
 
-// Handler returns the router's HTTP handler.
+// Handler returns the router's HTTP handler, for callers that serve it
+// on an http.Server of their own. Shutdown does not wait for the
+// requests such a server has in flight.
 func (rt *Router) Handler() http.Handler { return rt.mux }
+
+// Serve accepts connections on ln until Shutdown, and then returns
+// http.ErrServerClosed.
+func (rt *Router) Serve(ln net.Listener) error { return rt.hs.Serve(ln) }
+
+// Shutdown drains the router: it marks the router draining, so routed
+// requests that reach it get 503 and a relayed /stream ends after its
+// current upstream read, then closes Serve's listener and waits for the
+// requests in flight. If ctx expires first, Shutdown returns the
+// context error without waiting further. It does not stop the prober
+// (Close does). Shutdown is idempotent.
+func (rt *Router) Shutdown(ctx context.Context) error {
+	rt.draining.Store(true)
+	return rt.hs.Shutdown(ctx)
+}
 
 // Ring returns the active ring.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
@@ -396,6 +423,11 @@ func retryableStatus(code int) bool {
 // proxy builds the forwarding handler for one endpoint family.
 func (rt *Router) proxy(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if rt.draining.Load() {
+			rt.requests.With(endpoint, strconv.Itoa(http.StatusServiceUnavailable)).Inc()
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		}
 		ring := rt.ring.Load()
 		key := rt.routeKey(r, endpoint, ring)
 		cands := rt.candidates(ring, key)
@@ -471,6 +503,8 @@ func (rt *Router) attempt(node Node, endpoint string, r *http.Request) (*http.Re
 
 // relay copies the node response to the client, flushing per read so
 // /stream chunks keep their as-generated delivery through the router.
+// A body of unknown length (a /stream) ends after the current read once
+// the router is draining; a body with a Content-Length runs to its end.
 func (rt *Router) relay(w http.ResponseWriter, r *http.Request, resp *http.Response, node Node) {
 	defer resp.Body.Close()
 	h := w.Header()
@@ -500,13 +534,17 @@ func (rt *Router) relay(w http.ResponseWriter, r *http.Request, resp *http.Respo
 		if err != nil {
 			return // io.EOF, node died mid-body, or client ctx canceled
 		}
+		if resp.ContentLength < 0 && rt.draining.Load() {
+			return
+		}
 	}
 }
 
 // routerHealthz is the router's /healthz document.
 type routerHealthz struct {
 	// Status is "ok" (all nodes up), "degraded" (some down, still
-	// serving) or "down" (no node up; responds 503).
+	// serving), "down" (no node up) or "draining" (shutdown in
+	// progress). "down" and "draining" respond 503.
 	Status string              `json:"status"`
 	Nodes  []routerHealthzNode `json:"nodes"`
 	Ring   routerHealthzRing   `json:"ring"`
@@ -550,8 +588,11 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	case up < len(nodes):
 		doc.Status = "degraded"
 	}
+	if rt.draining.Load() {
+		doc.Status = "draining"
+	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	if doc.Status == "down" {
+	if doc.Status == "down" || doc.Status == "draining" {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	enc := json.NewEncoder(w)

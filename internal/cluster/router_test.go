@@ -403,6 +403,50 @@ func TestRouterHealthz(t *testing.T) {
 	}
 }
 
+// Shutdown drains the router: a relayed /stream open when it starts
+// ends after the current upstream read with a clean end of body, short
+// of its budget, and then /healthz answers 503 "draining" and a new
+// routed request 503. With the handler served by a server of the test's
+// own, Shutdown marks the router and returns at once.
+func TestRouterShutdownDraining(t *testing.T) {
+	_, nodes := bootNodes(t, 1, nodeCfg(1))
+	rt, rts := bootRouter(t, nodes, nil)
+
+	const budget = 16 << 20
+	resp, err := http.Get(fmt.Sprintf("%s/stream?alg=grain&n=%d", rts.URL, budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.CopyN(io.Discard, resp.Body, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	n, err := io.Copy(io.Discard, resp.Body)
+	if err != nil {
+		t.Fatalf("relayed stream ended with %v after the drain began, want a clean EOF", err)
+	}
+	if 64<<10+n >= budget {
+		t.Errorf("relayed stream served its full %d-byte budget despite the drain", budget)
+	}
+
+	status, body, _ := get(t, rts.URL+"/healthz")
+	var doc struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if status != http.StatusServiceUnavailable || doc.Status != "draining" {
+		t.Errorf("draining healthz: status %d, %q; want 503 and draining", status, doc.Status)
+	}
+	if status, _, _ := get(t, rts.URL+"/bytes?alg=grain&n=16"); status != http.StatusServiceUnavailable {
+		t.Errorf("routed request while draining: status %d, want 503", status)
+	}
+}
+
 // Ring reload: SetRing swaps membership minimally and the rebalance
 // cost shows up on /metrics; ReloadFromFile applies an edited ring file
 // (the SIGHUP path) and rejects a broken one without losing the ring.

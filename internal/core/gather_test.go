@@ -227,8 +227,11 @@ func TestWindowSourceReadAllocs(t *testing.T) {
 }
 
 // oneLaneAlgs are the algorithms whose engine has a one-lane function:
-// AES-CTR, trivium and xorgens, and their chaotic modes.
-var oneLaneAlgs = []Algorithm{AESCTR, TRIVIUM, XORGENS, Chaotic(AESCTR), Chaotic(TRIVIUM), Chaotic(XORGENS)}
+// every engine but MICKEY's, and their chaotic modes.
+var oneLaneAlgs = []Algorithm{
+	GRAIN, AESCTR, TRIVIUM, XORGENS,
+	Chaotic(GRAIN), Chaotic(AESCTR), Chaotic(TRIVIUM), Chaotic(XORGENS),
+}
 
 // Exactly the oneLaneAlgs have a one-lane function, and a batch takes
 // the one-lane path exactly when it holds at most oneMax demands:
@@ -275,9 +278,38 @@ func TestWindowSourceOneLaneRule(t *testing.T) {
 	}
 }
 
+// The one-lane rule per engine: every engine with a one-lane function
+// has a crossover between 1 and 64 demands, chaotic modes share their
+// base's, and only AES-CTR's depends on the CPU. With AES-NI it takes
+// every batch; on the scalar cipher it has its own, smaller crossover.
+// MICKEY always runs the pass.
+func TestOneMaxFor(t *testing.T) {
+	for _, base := range Algorithms {
+		for _, alg := range []Algorithm{base, Chaotic(base)} {
+			hw, sw := oneMaxFor(alg, true), oneMaxFor(alg, false)
+			if hw != oneMaxFor(base, true) || sw != oneMaxFor(base, false) {
+				t.Errorf("%v: crossover %d/%d differs from its base's", alg, hw, sw)
+			}
+			if hw < 0 || hw > passLanes || sw < 0 || sw > passLanes {
+				t.Errorf("%v: crossover %d/%d outside [0, %d]", alg, hw, sw, passLanes)
+			}
+			if has := slices.Contains(oneLaneAlgs, alg); has != (hw > 0) || has != (sw > 0) {
+				t.Errorf("%v: crossover %d/%d, want positive exactly for the one-lane engines", alg, hw, sw)
+			}
+			if base != AESCTR && hw != sw {
+				t.Errorf("%v: crossover depends on AES-NI (%d/%d)", alg, hw, sw)
+			}
+		}
+	}
+	if hw, sw := oneMaxFor(AESCTR, true), oneMaxFor(AESCTR, false); hw != passLanes || sw >= passLanes {
+		t.Errorf("aes-ctr crossover %d with AES-NI and %d without, want %d and a smaller one", hw, sw, passLanes)
+	}
+}
+
 // With the one-lane path turned off, AES-CTR windows run the 64-lane
-// bitsliced pass: what a CPU without AES-NI serves. It stays byte-
-// identical, so the fallback keeps its coverage on AES-NI hosts.
+// bitsliced pass: what a CPU without AES-NI serves for batches above
+// its crossover. It stays byte-identical, so the pass keeps its
+// coverage on AES-NI hosts.
 func TestWindowSourceAESPassFallback(t *testing.T) {
 	for _, alg := range []Algorithm{AESCTR, Chaotic(AESCTR)} {
 		passes := 0
@@ -348,12 +380,22 @@ func FuzzOneLaneMatchesPass(f *testing.F) {
 // segment demands, served one lane at a time where the engine has a
 // one-lane function and the crossover admits it, else by a 64-lane
 // pass.
-func BenchmarkReadWindow(b *testing.B) {
+func BenchmarkReadWindow(b *testing.B) { benchReadWindow(b, true) }
+
+// BenchmarkReadWindowPass times the same window with the one-lane path
+// off, so every read runs one 64-lane pass: the cost a one-lane
+// crossover (oneMaxFor) is set against.
+func BenchmarkReadWindowPass(b *testing.B) { benchReadWindow(b, false) }
+
+func benchReadWindow(b *testing.B, oneLane bool) {
 	for _, alg := range ServedAlgorithms {
 		b.Run(alg.String(), func(b *testing.B) {
 			ws, err := NewWindowSource(alg, 1, nil)
 			if err != nil {
 				b.Fatal(err)
+			}
+			if !oneLane {
+				ws.r.oneMax = 0
 			}
 			p := make([]byte, 4<<10)
 			b.SetBytes(int64(len(p)))

@@ -60,13 +60,6 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		keyLanes(r)
 		return r.mat.keys, r.mat.ivs
 	}
-	// The one-lane rule follows the measured costs (DESIGN.md §12.5): an
-	// AES-NI segment costs under 1 µs and a scalar xorgens segment under
-	// 2 µs, so even 64 of them cost less than one pass (0.8–0.9 ms and
-	// 90–130 µs), and those two take every batch. A 64-clock trivium
-	// segment costs 2.3–3.6 µs against a 60–100 µs pass: trivium crosses
-	// over at about 16–24 demands. Grain's and MICKEY's scalar segments
-	// cost about a whole pass, and AES-CTR without AES-NI keeps the pass.
 	var err error
 	switch alg.Base() {
 	case MICKEY:
@@ -74,24 +67,23 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		r.eng, err = mickey.NewSlicedVec[bitslice.V64](keys, ivs, mickey.MaxIVBits)
 	case GRAIN:
 		r.eng, err = grain.NewSlicedVec[bitslice.V64](material(grain.KeySize, grain.IVSize))
+		r.one = grain.Segment
 	case AESCTR:
 		r.eng, err = aes.NewSlicedCTRVec[bitslice.V64](material(16, 8))
 		r.one = aes.Segment
-		if aes.HasAESNI {
-			r.oneMax = passLanes
-		}
 	case TRIVIUM:
 		r.eng, err = trivium.NewSlicedVec[bitslice.V64](material(trivium.KeySize, trivium.IVSize))
-		r.one, r.oneMax = trivium.Segment, 16
+		r.one = trivium.Segment
 	case XORGENS:
 		r.eng, err = xorgens.NewSlicedVec[bitslice.V64](material(xorgens.KeySize, xorgens.IVSize))
-		r.one, r.oneMax = xorgens.Segment, passLanes
+		r.one = xorgens.Segment
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
 	}
 	if err != nil {
 		return nil, err
 	}
+	r.oneMax = oneMaxFor(alg, aes.HasAESNI)
 	r.stale = false // the constructor loaded what keyLanes derived
 	backing := make([]byte, passBytes)
 	for l := range r.priv {
@@ -99,6 +91,30 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 	}
 	r.dst = r.priv
 	return r, nil
+}
+
+// oneMaxFor is the one-lane rule (DESIGN.md §12.5): the largest batch
+// of segment demands alg's engine serves one lane at a time instead of
+// by a 64-lane pass, 0 for none. Each is set from measured costs so that
+// that many one-lane segments cost less than one pass (go test -bench
+// 'Segment' in the engine's package against -bench ReadWindowPass in
+// this one). aesni says whether aes.Segment runs on AES-NI or on the
+// scalar cipher.
+func oneMaxFor(alg Algorithm, aesni bool) int {
+	switch alg.Base() {
+	case AESCTR:
+		if aesni {
+			return passLanes // under 1 µs a segment against a 0.8–1.1 ms pass
+		}
+		return 13 // scalar cipher: about 87 µs a segment against 1.15 ms
+	case XORGENS:
+		return passLanes // under 2 µs against 90–130 µs
+	case TRIVIUM:
+		return 16 // 64-clock steps: 2.3–3.6 µs against 60–100 µs
+	case GRAIN:
+		return 9 // 16-clock steps: about 34 µs against 320 µs
+	}
+	return 0 // MICKEY: a scalar segment costs about a whole pass
 }
 
 // key derives lane l's material for segment seg of (seed, domain); the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -119,10 +118,9 @@ func (r *runner) bootCluster() (func(), error) {
 		shutdown()
 		return nil, fmt.Errorf("loadtest: %w", err)
 	}
-	rhs := &http.Server{Handler: rt.Handler()}
-	go rhs.Serve(rln)
+	go rt.Serve(rln)
 	shutdowns = append(shutdowns, func(ctx context.Context) {
-		rhs.Shutdown(ctx)
+		rt.Shutdown(ctx)
 		rt.Close()
 	})
 

@@ -92,7 +92,8 @@ func TestWindowPassMetrics(t *testing.T) {
 // Each algorithm has one engine. New builds exactly one window source
 // per served algorithm, and the pooled source refills through it, so a
 // grain pooled refill counts as one full pass of the window counters
-// and no one-lane segment (grain has no one-lane path). A lease
+// and no one-lane segment: its 64 demands are above grain's one-lane
+// crossover. A lease
 // stream for an algorithm the server does not serve is refused with 400
 // and builds no engine: the table New fills is never written again.
 func TestOneEnginePerAlgorithm(t *testing.T) {
@@ -129,6 +130,34 @@ func TestOneEnginePerAlgorithm(t *testing.T) {
 	}
 	if len(s.engines) != len(algs) || s.engines[core.MICKEY] != nil {
 		t.Errorf("after the unserved lease stream: %d engines, want %d and none for mickey", len(s.engines), len(algs))
+	}
+}
+
+// A 4 KiB addressed grain window at a segment boundary is one batch of
+// two demands, below grain's one-lane crossover: it counts two one-lane
+// segments and no pass, and comes back byte-identical to the library.
+func TestGrainWindowOneLane(t *testing.T) {
+	const seed = 11
+	_, ts := newTestServer(t, Config{Seed: seed, Algorithms: []core.Algorithm{core.GRAIN}})
+	status, body, _ := get(t, ts.URL+"/stream?alg=grain&domain=3&segment=16&n=4096")
+	if status != http.StatusOK {
+		t.Fatalf("4 KiB grain window: status %d", status)
+	}
+	r, err := core.NewSegmentReader(core.GRAIN, seed, 3, 0, 16*core.SegmentBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 4096)
+	if _, err := io.ReadFull(r, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatal("4 KiB grain window diverges from NewSegmentReader")
+	}
+	_, mbody, _ := get(t, ts.URL+"/metrics")
+	if p, o := metricValue(t, mbody, `bsrngd_window_passes_total{alg="grain"}`),
+		metricValue(t, mbody, `bsrngd_window_one_lane_segments_total{alg="grain"}`); p != 0 || o != 2 {
+		t.Errorf("4 KiB grain window counted %v passes and %v one-lane segments, want 0 and 2", p, o)
 	}
 }
 
