@@ -37,9 +37,8 @@ lint:
 lint-test:
 	$(GO) test ./internal/lint ./cmd/bsrnglint
 
-# Compiler-assisted allocation gate (DESIGN.md §14): every heap-escape
-# diagnostic in a hot-path function must carry a reasoned waiver in the
-# committed .escapeallow file.
+# Compiler-assisted allocation gate (DESIGN.md §14): any heap-escape
+# diagnostic in a hot-path function fails it (there are no waivers).
 escape-gate:
 	$(GO) run ./cmd/escapecheck
 

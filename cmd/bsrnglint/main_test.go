@@ -54,13 +54,14 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestRunJSONFindings pins the -json output shape on a module with one
-// deliberate finding (a malformed suppression directive needs no
-// analyzer configuration to fire).
+// deliberate finding (error-conventions checks every package, so it
+// needs no analyzer configuration to fire).
 func TestRunJSONFindings(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"go.mod": "module demo\n\ngo 1.22\n",
-		"demo.go": "// Package demo has one malformed lint-ignore directive.\n" +
-			"package demo\n\n//bsrng:lint-ignore\nfunc demo() {}\n",
+		"demo.go": "// Package demo formats an error with %v instead of %w.\n" +
+			"package demo\n\nimport \"fmt\"\n\n" +
+			"func demo(err error) error {\n\treturn fmt.Errorf(\"%v\", err)\n}\n",
 	})
 	var out, errw bytes.Buffer
 	if code := run(dir, true, &out, &errw); code != 1 {
@@ -74,9 +75,9 @@ func TestRunJSONFindings(t *testing.T) {
 		t.Fatalf("findings = %+v, want exactly 1", findings)
 	}
 	f := findings[0]
-	if f.File != "demo.go" || f.Line != 4 || f.Rule != "lint-ignore" ||
-		!strings.Contains(f.Message, "malformed suppression") {
-		t.Errorf("finding = %+v, want demo.go:4 lint-ignore malformed suppression", f)
+	if f.File != "demo.go" || f.Line != 7 || f.Rule != "error-conventions" ||
+		!strings.Contains(f.Message, "%w") {
+		t.Errorf("finding = %+v, want demo.go:7 error-conventions %%w finding", f)
 	}
 }
 

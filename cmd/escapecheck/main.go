@@ -2,23 +2,17 @@
 // (DESIGN.md §14): it runs `go build -gcflags=-m` over the hot-path
 // packages, maps every "escapes to heap"/"moved to heap" diagnostic to
 // its enclosing function, and fails when one lands in a function on
-// the segment fill/transpose/WriteTo path that is not waived in the
-// committed .escapeallow file.
+// the segment fill/transpose/WriteTo path. There are no waivers: a hot
+// function that allocates is a finding, and so is a hot-function name
+// that matches no function declaration in its package, so a rename
+// cannot drop a function out of the gate.
 //
 // The AllocsPerRun tests pin a handful of sampled paths at runtime;
 // this gate covers every hot function at compile time, so an
 // accidental heap allocation introduced by a kernel rewrite fails CI
 // before a benchmark ever runs.
 //
-// Waiver file format (.escapeallow at the module root), one entry per
-// line, pipe-separated, # comments:
-//
-//	file|function|message-substring|reason
-//
-// Every field is mandatory — a waiver without a reason is a finding,
-// and so is a waiver that matches nothing (mirroring bsrnglint's
-// //bsrng:lint-ignore auditing), and so is a hot-function name that
-// matches no function declaration in its package. Exit codes: 0 clean,
+// Run it from the module root, with no arguments. Exit codes: 0 clean,
 // 1 findings, 2 tool/build failure.
 package main
 
@@ -41,7 +35,7 @@ import (
 
 // hotPackages are the packages whose kernels carry the paper's
 // throughput claim, plus the health screen every served segment passes
-// through and the server's serving datapath — the default -pkgs value.
+// through and the server's serving datapath.
 var hotPackages = []string{
 	"internal/core",
 	"internal/bitslice",
@@ -149,48 +143,17 @@ var hotFuncs = map[string][]string{
 }
 
 func main() {
-	opts := options{}
-	var pkgs, hot string
-	flag.StringVar(&opts.dir, "dir", ".", "module root to analyze")
-	flag.StringVar(&pkgs, "pkgs", strings.Join(hotPackages, ","), "comma-separated package dirs to gate")
-	flag.StringVar(&opts.allowPath, "allow", "", "waiver file (default <dir>/.escapeallow)")
-	flag.BoolVar(&opts.emit, "emit-allow", false, "print waiver-format lines for unwaived findings and exit")
-	flag.StringVar(&opts.raw, "raw", "", "parse saved compiler -m output from this file instead of running go build")
-	flag.StringVar(&hot, "hot", "", "override the hot-function table: pkg=fn,fn;pkg2=fn (tests/tuning)")
 	flag.Parse()
-	opts.pkgs = strings.Split(pkgs, ",")
-	var err error
-	if opts.hot, err = parseHot(hot); err != nil {
-		fmt.Fprintln(os.Stderr, "escapecheck:", err)
-		os.Exit(2)
-	}
-	os.Exit(run(opts, os.Stdout, os.Stderr))
+	os.Exit(run(options{dir: ".", pkgs: hotPackages}, os.Stdout, os.Stderr))
 }
 
-// parseHot parses the -hot override ("pkg=fn,fn;pkg2=fn"). An empty
-// string keeps the built-in table (nil map).
-func parseHot(hot string) (map[string][]string, error) {
-	if hot == "" {
-		return nil, nil
-	}
-	table := map[string][]string{}
-	for _, ent := range strings.Split(hot, ";") {
-		k, v, ok := strings.Cut(ent, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -hot entry %q (want pkg=fn,fn)", ent)
-		}
-		table[k] = strings.Split(v, ",")
-	}
-	return table, nil
-}
-
+// options aims the gate; main gates this module's hot packages, and
+// tests point it at throwaway modules and canned compiler output.
 type options struct {
-	dir       string
-	pkgs      []string
-	allowPath string
-	emit      bool
-	raw       string
-	hot       map[string][]string // nil: use the built-in hotFuncs table
+	dir  string              // module root
+	pkgs []string            // package dirs to build and gate
+	raw  string              // non-empty: parse this saved -gcflags=-m output instead of building
+	hot  map[string][]string // nil: use the built-in hotFuncs table
 }
 
 // diag is one deduplicated compiler escape diagnostic, resolved to its
@@ -200,13 +163,6 @@ type diag struct {
 	line int
 	fn   string
 	msg  string
-}
-
-// allowEntry is one parsed .escapeallow waiver.
-type allowEntry struct {
-	file, fn, substr, reason string
-	line                     int
-	used                     bool
 }
 
 var diagRE = regexp.MustCompile(`^(.+\.go):(\d+):(?:\d+:)? (.*)$`)
@@ -252,62 +208,28 @@ func run(opts options, out, errw io.Writer) int {
 		}
 	}
 
-	allowPath := opts.allowPath
-	if allowPath == "" {
-		allowPath = filepath.Join(root, ".escapeallow")
-	}
-	allows, bad, err := loadAllow(allowPath)
-	if err != nil {
-		fmt.Fprintln(errw, "escapecheck:", err)
-		return 2
-	}
-
 	stale, err := staleHotFuncs(root, opts.pkgs, hot)
 	if err != nil {
 		fmt.Fprintln(errw, "escapecheck:", err)
 		return 2
 	}
 
-	findings := 0
 	for _, d := range gated {
-		if waiverFor(allows, d) != nil {
-			continue
-		}
-		if opts.emit {
-			fmt.Fprintf(out, "%s|%s|%s|TODO: justify this allocation\n", d.file, d.fn, d.msg)
-			findings++
-			continue
-		}
-		fmt.Fprintf(out, "%s:%d: [escape-gate] %s: %s (waive in .escapeallow with a reason if intended)\n", d.file, d.line, d.fn, d.msg)
-		findings++
+		fmt.Fprintf(out, "%s:%d: [escape-gate] %s: %s (hot functions may not allocate)\n", d.file, d.line, d.fn, d.msg)
 	}
-	if !opts.emit {
-		for _, st := range stale {
-			fmt.Fprintf(out, "%s: [escape-gate] hot function %s matches no function declaration (renamed or deleted? update hotFuncs)\n", st.pkg, st.fn)
-			findings++
-		}
-		allowName := filepath.Base(allowPath)
-		for _, b := range bad {
-			fmt.Fprintf(out, "%s:%d: [escape-gate] malformed waiver: %s\n", allowName, b.line, b.reason)
-			findings++
-		}
-		for _, a := range allows {
-			if !a.used {
-				fmt.Fprintf(out, "%s:%d: [escape-gate] unused waiver %s|%s|%s (nothing matches — delete it)\n", allowName, a.line, a.file, a.fn, a.substr)
-				findings++
-			}
-		}
+	for _, st := range stale {
+		fmt.Fprintf(out, "%s: [escape-gate] hot function %s matches no function declaration (renamed or deleted? update hotFuncs)\n", st.pkg, st.fn)
 	}
-	if findings > 0 {
+	if findings := len(gated) + len(stale); findings > 0 {
 		fmt.Fprintf(errw, "escapecheck: %d finding(s) over %d hot-path escape diagnostic(s)\n", findings, len(gated))
 		return 1
 	}
-	fmt.Fprintf(errw, "escapecheck: clean (%d hot-path escape diagnostic(s), all waived with reasons)\n", len(gated))
+	fmt.Fprintln(errw, "escapecheck: clean (0 hot-path escape diagnostics)")
 	return 0
 }
 
 // compilerOutput returns the -gcflags=-m diagnostics, either replayed
-// from -raw or by building the gated packages (the build cache replays
+// from opts.raw or by building the gated packages (the build cache replays
 // compiler output, so warm runs are cheap).
 func compilerOutput(opts options, root string, errw io.Writer) (string, int) {
 	if opts.raw != "" {
@@ -452,51 +374,4 @@ func staleHotFuncs(root string, pkgs []string, hot map[string][]string) ([]stale
 		}
 	}
 	return stale, nil
-}
-
-// loadAllow parses the waiver file; a missing file is an empty set.
-func loadAllow(path string) (entries []*allowEntry, malformed []*allowEntry, err error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		parts := strings.Split(line, "|")
-		if len(parts) != 4 {
-			malformed = append(malformed, &allowEntry{line: i + 1,
-				reason: fmt.Sprintf("want file|function|message-substring|reason, got %d field(s)", len(parts))})
-			continue
-		}
-		e := &allowEntry{
-			file: strings.TrimSpace(parts[0]), fn: strings.TrimSpace(parts[1]),
-			substr: strings.TrimSpace(parts[2]), reason: strings.TrimSpace(parts[3]),
-			line: i + 1,
-		}
-		if e.file == "" || e.fn == "" || e.substr == "" || e.reason == "" {
-			malformed = append(malformed, &allowEntry{line: i + 1,
-				reason: "empty field (every waiver carries file, function, substring and a reason)"})
-			continue
-		}
-		entries = append(entries, e)
-	}
-	return entries, malformed, nil
-}
-
-// waiverFor finds the first waiver covering a diagnostic and marks it
-// used.
-func waiverFor(allows []*allowEntry, d diag) *allowEntry {
-	for _, a := range allows {
-		if a.file == d.file && a.fn == d.fn && strings.Contains(d.msg, a.substr) {
-			a.used = true
-			return a
-		}
-	}
-	return nil
 }

@@ -18,9 +18,15 @@ import (
 // window is written; whenever no pass is running, the waiting caller
 // that takes the lock runs the next one. A pass takes the oldest ≤64
 // pending demands, runs unlocked, copies each lane's slice into its
-// caller's buffer, and under the lock again releases its slots, marks
-// itself done and broadcasts to every waiter. No goroutine, timer or
-// batching delay is involved: a lone caller runs its passes immediately.
+// caller's buffer, and under the lock again releases its slots, counts
+// its demands served and broadcasts to every waiter. No goroutine,
+// timer or batching delay is involved: a lone caller runs its passes
+// immediately.
+//
+// Passes run one at a time and gather oldest first, so demands are
+// served in the order they were queued: a caller's window is written
+// once the served count reaches the queued count its own demands
+// brought it to. No call needs a completion record of its own.
 //
 // A sparse batch runs one lane at a time. When a gathered batch holds at
 // most the engine's oneMax demands, each demand's segment is generated alone, by
@@ -42,29 +48,27 @@ type WindowSource struct {
 	slots [passLanes]windowSlot // the demand each lane of the pass serves
 
 	mu      sync.Mutex
-	done    sync.Cond    // on mu; broadcast when a pass ends
-	pending []*windowReq // callers with demands not yet in a pass, oldest first
-	running bool         // a pass is running: it owns r and slots
-	free    []*windowReq // request records of finished calls, for reuse
+	done    sync.Cond   // on mu; broadcast when a pass ends
+	pending []windowReq // callers with demands not yet in a pass, oldest first
+	running bool        // a pass is running: it owns r and slots
+	queued  uint64      // segment demands ever queued
+	served  uint64      // segment demands ever served: the oldest ones
 
 	// testHookPass, when set, runs unlocked before each pass gathers.
 	testHookPass func()
 }
 
-// windowReq is one ReadWindow call: the bytes [next, end) of the
-// (domain) stream are not yet in a pass; left segments are not yet
-// written into p.
+// windowReq is what a ReadWindow call has not yet put in a pass: the
+// bytes [next, next+len(p)) of the domain stream, which go to p.
 type windowReq struct {
-	p              []byte
-	domain, offset uint64
-	next, end      uint64
-	left           int
+	p            []byte
+	domain, next uint64
 }
 
 // windowSlot is the demand lane l of a pass serves: bytes
-// [within, within+len(dst)) of segment seg of the req's domain.
+// [within, within+len(dst)) of segment seg of the domain stream.
 type windowSlot struct {
-	req    *windowReq
+	domain uint64
 	seg    uint64
 	within int
 	dst    []byte
@@ -89,7 +93,7 @@ func NewWindowSource(alg Algorithm, seed uint64, onPass func(n int, oneLane bool
 	if err != nil {
 		return nil, err
 	}
-	ws := &WindowSource{seed: seed, r: r, onPass: onPass}
+	ws := &WindowSource{seed: seed, r: r, onPass: onPass, pending: make([]windowReq, 0, passLanes)}
 	ws.done.L = &ws.mu
 	return ws, nil
 }
@@ -105,24 +109,15 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 		return errWindowRange
 	}
 	ws.mu.Lock()
-	var r *windowReq
-	if n := len(ws.free); n > 0 {
-		r, ws.free = ws.free[n-1], ws.free[:n-1]
-	} else {
-		r = &windowReq{}
-	}
-	r.p, r.domain, r.offset, r.next, r.end = p, domain, offset, offset, end
-	r.left = int((end-1)/SegmentBytes - offset/SegmentBytes + 1)
-	ws.pending = append(ws.pending, r)
-	for r.left > 0 {
+	ws.pending = append(ws.pending, windowReq{p: p, domain: domain, next: offset})
+	ws.queued += (end-1)/SegmentBytes - offset/SegmentBytes + 1
+	for mine := ws.queued; ws.served < mine; {
 		if ws.running {
 			ws.done.Wait()
 		} else {
 			ws.pass()
 		}
 	}
-	r.p = nil
-	ws.free = append(ws.free, r)
 	ws.mu.Unlock()
 	return nil
 }
@@ -145,7 +140,7 @@ func (ws *WindowSource) pass() {
 	if oneLane {
 		for l := range ws.slots[:n] {
 			s := &ws.slots[l]
-			ws.r.runOne(ws.seed, s.req.domain, s.seg, s.within, s.dst)
+			ws.r.runOne(ws.seed, s.domain, s.seg, s.within, s.dst)
 		}
 	} else {
 		// Lane l serves slot l: a slot covering a whole segment is
@@ -154,7 +149,7 @@ func (ws *WindowSource) pass() {
 		// and their output is discarded.
 		for l := range ws.slots[:n] {
 			s := &ws.slots[l]
-			ws.r.key(l, ws.seed, s.req.domain, s.seg)
+			ws.r.key(l, ws.seed, s.domain, s.seg)
 			ws.r.aim(l, s.dst)
 		}
 		ws.r.run()
@@ -171,10 +166,8 @@ func (ws *WindowSource) pass() {
 	// The slots are released in the critical section that ends the
 	// pass, so the next pass never gathers into slots still in use.
 	ws.mu.Lock()
-	for l := range ws.slots[:n] {
-		ws.slots[l].req.left--
-		ws.slots[l] = windowSlot{}
-	}
+	clear(ws.slots[:n])
+	ws.served += uint64(n)
 	ws.running = false
 	ws.done.Broadcast()
 }
@@ -184,16 +177,16 @@ func (ws *WindowSource) pass() {
 // leave the pending queue. Called with ws.mu held.
 func (ws *WindowSource) gather() int {
 	n, done := 0, 0
-	for _, r := range ws.pending {
-		for r.next < r.end && n < passLanes {
+	for i := range ws.pending {
+		r := &ws.pending[i]
+		for len(r.p) > 0 && n < passLanes {
 			seg, within := r.next/SegmentBytes, r.next%SegmentBytes
-			k := min(r.end-r.next, SegmentBytes-within)
-			o := r.next - r.offset
-			ws.slots[n] = windowSlot{req: r, seg: seg, within: int(within), dst: r.p[o : o+k]}
-			r.next += k
+			k := min(len(r.p), SegmentBytes-int(within))
+			ws.slots[n] = windowSlot{domain: r.domain, seg: seg, within: int(within), dst: r.p[:k]}
+			r.p, r.next = r.p[k:], r.next+uint64(k)
 			n++
 		}
-		if r.next < r.end {
+		if len(r.p) > 0 {
 			break
 		}
 		done++

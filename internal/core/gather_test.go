@@ -194,10 +194,10 @@ func TestWindowSourceLeaderTurnover(t *testing.T) {
 	wg.Wait()
 }
 
-// A warm window read allocates nothing: the request record comes from
-// the source's free list, a pass runs in the source's own lane buffers,
-// a one-lane segment runs on the stack, and keying a lane derives its
-// material in place. An 8 KiB window is one sparse batch (one lane at a
+// A warm window read allocates nothing: the call is queued by value in
+// the source's pending queue, a pass runs in the source's own lane
+// buffers, a one-lane segment runs on the stack, and keying a lane
+// derives its material in place. An 8 KiB window is one sparse batch (one lane at a
 // time where the engine has a one-lane function); a 65-segment window
 // fills a 64-lane batch, which trivium serves by the pass.
 func TestWindowSourceReadAllocs(t *testing.T) {
@@ -223,6 +223,129 @@ func TestWindowSourceReadAllocs(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// A cold window read allocates nothing either: the first read on a
+// fresh source finds the pending queue built with room for a pass's
+// worth of callers, and completion is counted, not recorded per call.
+// AllocsPerRun warms up with one run of its own, so each run reads
+// through its own prebuilt fresh source.
+func TestWindowSourceColdReadAllocs(t *testing.T) {
+	const runs = 4
+	for _, alg := range ServedAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			for _, n := range []int{8 << 10, 65 * SegmentBytes} {
+				t.Run(fmt.Sprint(n), func(t *testing.T) {
+					fresh := make([]*WindowSource, runs+1)
+					for i := range fresh {
+						ws, err := NewWindowSource(alg, 8, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fresh[i] = ws
+					}
+					buf := make([]byte, n)
+					if avg := testing.AllocsPerRun(runs, func() {
+						fresh[0].ReadWindow(buf, 1, 3*SegmentBytes+5)
+						fresh = fresh[1:]
+					}); avg != 0 {
+						t.Fatalf("cold %d-byte window read allocates %.1f times, want 0", n, avg)
+					}
+				})
+			}
+		})
+	}
+}
+
+// Demands are served in the order they were queued, which is what lets
+// a caller count its window complete: with the first pass held until
+// both are queued, caller A's 70 segments and then caller B's one take
+// two batches, A's first 64 demands and then A's last 6 followed by B's.
+// B does not return before the second batch ends.
+func TestWindowSourceServesInQueueOrder(t *testing.T) {
+	type demand struct{ domain, seg uint64 }
+	var (
+		mu      sync.Mutex
+		batches [][]demand
+		events  []string
+	)
+	logEvent := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	var ws *WindowSource
+	ws, err := NewWindowSource(GRAIN, 6, func(n int, _ bool) {
+		// The pass owns the slots until it ends, so they still name the
+		// batch's demands here.
+		var b []demand
+		for _, s := range ws.slots[:n] {
+			b = append(b, demand{s.domain, s.seg})
+		}
+		mu.Lock()
+		batches = append(batches, b)
+		mu.Unlock()
+		logEvent(fmt.Sprint("batch ", len(batches)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(chan struct{})
+	var once sync.Once
+	ws.testHookPass = func() {
+		once.Do(func() {
+			close(held)
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				ws.mu.Lock()
+				queued := len(ws.pending)
+				ws.mu.Unlock()
+				if queued == 2 || time.Now().After(deadline) {
+					return
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+
+	a, b := make([]byte, 70*SegmentBytes), make([]byte, 100)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		if err := ws.ReadWindow(a, 1, 0); err != nil {
+			t.Error(err)
+		}
+		logEvent("A returned")
+	}()
+	<-held
+	go func() {
+		defer wg.Done()
+		if err := ws.ReadWindow(b, 2, 5*SegmentBytes+7); err != nil {
+			t.Error(err)
+		}
+		logEvent("B returned")
+	}()
+	wg.Wait()
+
+	var want1, want2 []demand
+	for seg := range uint64(64) {
+		want1 = append(want1, demand{1, seg})
+	}
+	for seg := uint64(64); seg < 70; seg++ {
+		want2 = append(want2, demand{1, seg})
+	}
+	want2 = append(want2, demand{2, 5})
+	if len(batches) != 2 || !slices.Equal(batches[0], want1) || !slices.Equal(batches[1], want2) {
+		t.Fatalf("batches %v, want A's segments 0..63, then A's 64..69 and B's", batches)
+	}
+	if i := slices.Index(events, "B returned"); i < slices.Index(events, "batch 2") {
+		t.Errorf("events %v: B returned before the batch that serves it ended", events)
+	}
+	if !bytes.Equal(a, segmentReaderWindow(t, GRAIN, 6, 1, 0, len(a))) ||
+		!bytes.Equal(b, segmentReaderWindow(t, GRAIN, 6, 2, 5*SegmentBytes+7, len(b))) {
+		t.Error("a window diverges from NewSegmentReader")
 	}
 }
 

@@ -62,10 +62,7 @@ type want struct {
 var wantLineRE = regexp.MustCompile("//\\s*want\\s+((?:(?:\"(?:[^\"\\\\]|\\\\.)*\"|`[^`]*`)\\s*)+)$")
 
 // collectWants scans every fixture source file for want comments. A
-// want comment sharing its line with code asserts about that line; a
-// want comment alone on its line asserts about the line below (needed
-// for directive-related findings, where the directive comment itself
-// runs to end of line).
+// want comment asserts about the line it ends.
 func collectWants(t *testing.T, m *Module) []*want {
 	t.Helper()
 	var wants []*want
@@ -87,16 +84,12 @@ func collectWants(t *testing.T, m *Module) []*want {
 				if mm == nil {
 					continue
 				}
-				target := i + 1 // 1-based line of this comment
-				if strings.TrimSpace(line[:mm[0]]) == "" {
-					target++ // standalone want comment: asserts about the next line
-				}
 				for _, pat := range splitWantPatterns(line[mm[2]:mm[3]]) {
 					re, err := regexp.Compile(pat)
 					if err != nil {
 						t.Fatalf("%s:%d: bad want pattern %q: %v", name, i+1, pat, err)
 					}
-					wants = append(wants, &want{file: name, line: target, re: re})
+					wants = append(wants, &want{file: name, line: i + 1, re: re})
 				}
 			}
 		}
@@ -196,23 +189,6 @@ func TestEachAnalyzerFires(t *testing.T) {
 		if !fired {
 			t.Errorf("analyzer %s produced no findings on the fixture module", a.Name)
 		}
-	}
-}
-
-// TestSuppressionIsAudited pins the directive failure modes: three
-// malformed variants (no rule, unknown rule, no reason) plus one unused
-// directive, all surfaced as lint-ignore findings.
-func TestSuppressionIsAudited(t *testing.T) {
-	m, cfg := loadFixture(t)
-	diags := Run(m, cfg, Analyzers)
-	counts := map[string]int{}
-	for _, d := range diags {
-		if d.Rule == "lint-ignore" {
-			counts[d.Message]++
-		}
-	}
-	if len(counts) != 4 {
-		t.Errorf("want 4 distinct lint-ignore findings (3 malformed + 1 unused), got %d: %v", len(counts), counts)
 	}
 }
 

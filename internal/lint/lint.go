@@ -8,7 +8,6 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Diagnostic is one finding, rendered by the driver as
@@ -20,7 +19,7 @@ type Diagnostic struct {
 }
 
 // String renders the diagnostic without its position — the part a
-// suppression or a golden `// want` assertion matches against.
+// golden `// want` assertion matches against.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("[%s] %s", d.Rule, d.Message)
 }
@@ -116,18 +115,9 @@ var Analyzers = []*Analyzer{
 	BoundedRetry,
 }
 
-// IgnoreDirective is the comment prefix that suppresses a diagnostic on
-// the same line or the line directly below:
-//
-//	//bsrng:lint-ignore <rule> <reason>
-//
-// The reason is mandatory; a malformed or unused directive is itself a
-// diagnostic (rule "lint-ignore").
-const IgnoreDirective = "//bsrng:lint-ignore"
-
-// Run executes the analyzers over the module and returns the surviving
-// diagnostics, sorted by position. Suppression directives are applied
-// (and audited) here.
+// Run executes the analyzers over the module and returns their
+// diagnostics, sorted by position. Nothing suppresses a finding: code
+// that trips a rule is changed, or the rule is.
 func Run(m *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -140,11 +130,6 @@ func Run(m *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 			})
 		})
 	}
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name] = true
-	}
-	diags = applySuppressions(m, diags, known)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -168,79 +153,6 @@ func Run(m *Module, cfg *Config, analyzers []*Analyzer) []Diagnostic {
 			continue
 		}
 		out = append(out, d)
-	}
-	return out
-}
-
-// directive is one parsed //bsrng:lint-ignore comment.
-type directive struct {
-	rule   string
-	reason string
-	pos    token.Position
-	used   bool
-	bad    string // non-empty when malformed
-}
-
-// applySuppressions drops diagnostics covered by a well-formed
-// directive on the same or previous line, and reports malformed or
-// unused directives.
-func applySuppressions(m *Module, diags []Diagnostic, known map[string]bool) []Diagnostic {
-	var dirs []*directive
-	for _, pkg := range m.Packages {
-		for _, f := range append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...) {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, IgnoreDirective) {
-						continue
-					}
-					d := &directive{pos: m.Fset.Position(c.Pos())}
-					rest := strings.TrimPrefix(c.Text, IgnoreDirective)
-					fields := strings.Fields(rest)
-					switch {
-					case len(fields) == 0:
-						d.bad = "missing rule and reason"
-					case !known[fields[0]]:
-						d.bad = fmt.Sprintf("unknown rule %q", fields[0])
-					case len(fields) < 2:
-						d.rule = fields[0]
-						d.bad = "missing reason (a justification is mandatory)"
-					default:
-						d.rule = fields[0]
-						d.reason = strings.Join(fields[1:], " ")
-					}
-					dirs = append(dirs, d)
-				}
-			}
-		}
-	}
-	covered := func(diag Diagnostic) *directive {
-		for _, d := range dirs {
-			if d.bad != "" || d.rule != diag.Rule || d.pos.Filename != diag.Pos.Filename {
-				continue
-			}
-			if diag.Pos.Line == d.pos.Line || diag.Pos.Line == d.pos.Line+1 {
-				return d
-			}
-		}
-		return nil
-	}
-	var out []Diagnostic
-	for _, diag := range diags {
-		if d := covered(diag); d != nil {
-			d.used = true
-			continue
-		}
-		out = append(out, diag)
-	}
-	for _, d := range dirs {
-		switch {
-		case d.bad != "":
-			out = append(out, Diagnostic{Rule: "lint-ignore", Pos: d.pos,
-				Message: "malformed suppression: " + d.bad})
-		case !d.used:
-			out = append(out, Diagnostic{Rule: "lint-ignore", Pos: d.pos,
-				Message: fmt.Sprintf("unused suppression for rule %q (nothing to suppress here)", d.rule)})
-		}
 	}
 	return out
 }

@@ -2,7 +2,9 @@
 // suite (go/ast + go/parser + go/types with the source importer — no
 // x/tools) that loads every package in the module and enforces the
 // repo's load-bearing invariants. DESIGN.md §9 specifies each rule;
-// cmd/bsrnglint is the driver.
+// cmd/bsrnglint is the driver. There is no suppression directive:
+// every finding fails the gate, and code that trips a rule is changed,
+// or the rule is.
 //
 // The engine deliberately re-implements the sliver of go/packages it
 // needs: the repo's tier-1 gate is stdlib-only, and the loader doubles

@@ -25,9 +25,3 @@ func Sum(m map[string]int) int {
 	}
 	return total
 }
-
-func Allowed() time.Duration {
-	//bsrng:lint-ignore determinism fixture: demonstrates a reasoned suppression on the line below
-	d := time.Since(time.Time{})
-	return d
-}
