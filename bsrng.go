@@ -29,7 +29,7 @@
 //
 // Stream and Fill produce one byte sequence for a given algorithm and
 // seed, whatever their worker count: the domain-1 segment stream,
-// NewSegmentReader(alg, seed, 1, 0, 0). So output made on
+// NewSegmentReader(alg, seed, 1, 0). So output made on
 // many cores can be regenerated, or resumed at any offset, on one.
 //
 // Stream's datapath is zero-copy: each worker's engine writes segments
@@ -87,10 +87,6 @@ var ServedAlgorithms = core.ServedAlgorithms
 // "trivium", "xorgens" or "chaotic(<name>)" to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
-// DefaultLanes is the width of the one datapath: 64 lanes, one per bit
-// of a uint64 plane.
-const DefaultLanes = core.DefaultLanes
-
 // Generator is a deterministic single-engine generator (a 64-lane
 // bitsliced cipher bank behind an io.Reader).
 type Generator = core.Generator
@@ -110,11 +106,9 @@ const SegmentBytes = core.SegmentBytes
 // returns a Generator positioned there. The bytes are a pure function
 // of (alg, seed, domain, offset), which is what makes bsrngd's addressed
 // /stream windows and lease resume verifiable offline: any holder of
-// the seed can re-derive a served window byte-for-byte. lanes is
-// checked (0, 64, 256 or 512) and otherwise ignored; it stays only for
-// bench/, and ROADMAP item 5 removes it together with its bench/ change.
-func NewSegmentReader(alg Algorithm, seed, domain uint64, lanes int, offset uint64) (*Generator, error) {
-	return core.NewSegmentReader(alg, seed, domain, lanes, offset)
+// the seed can re-derive a served window byte-for-byte.
+func NewSegmentReader(alg Algorithm, seed, domain, offset uint64) (*Generator, error) {
+	return core.NewSegmentReader(alg, seed, domain, core.DefaultLanes, offset)
 }
 
 // Stream is the multi-core generator: one bitsliced engine per worker,

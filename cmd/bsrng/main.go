@@ -7,7 +7,7 @@
 //	bsrng -alg 'chaotic(xorgens)' -n 16 -hex
 //
 // The output is the seed's domain-1 segment stream (the bytes of
-// bsrng.NewSegmentReader(alg, seed, 1, 0, 0)) at every -workers.
+// bsrng.NewSegmentReader(alg, seed, 1, 0)) at every -workers.
 package main
 
 import (

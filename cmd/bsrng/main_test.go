@@ -19,7 +19,7 @@ func TestRunRawMatchesLibrary(t *testing.T) {
 	if err := run(&out, "grain", 5, 1000, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	g, _ := bsrng.NewSegmentReader(bsrng.GRAIN, 5, 1, 64, 0)
+	g, _ := bsrng.NewSegmentReader(bsrng.GRAIN, 5, 1, 0)
 	want := make([]byte, 1000)
 	g.Read(want)
 	if !bytes.Equal(out.Bytes(), want) {

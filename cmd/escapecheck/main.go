@@ -82,35 +82,33 @@ var hotFuncs = map[string][]string{
 		"Transpose64", "transpose64Generic", "Store", "TransposeVec",
 		"PackWords", "PackBytes", "Broadcast", "SetLaneBit", "LaneBit",
 	},
-	// Every engine's per-pass contract: Rekey and Fill (and the fill,
-	// block source and load helpers behind them) run on every segment
-	// pass.
+	// Every engine's per-pass contract: Rekey and Fill (and the block
+	// source, block loops and load helpers behind them) run on every
+	// segment pass.
 	"internal/mickey": {
-		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "clockKG", "Reseed",
-		"Rekey", "load", "Fill", "fill", "blocks",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockKG", "Reseed",
+		"Rekey", "load", "Fill", "blocks",
 	},
 	"internal/grain": {
-		"Keystream", "keystreamBlock", "KeystreamBlockVec",
-		"ClockVec", "clock", "output", "push", "rebase", "Reseed",
-		"Rekey", "Fill", "fill", "blocks",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "initBlock", "Reseed",
+		"Rekey", "Fill", "blocks",
 		// The one-lane segment of a sparse window batch.
 		"Segment",
 	},
 	"internal/trivium": {
-		"Keystream", "keystreamBlock", "KeystreamBlockVec", "ClockVec", "rebase", "Reseed",
-		"Rekey", "load", "Fill", "fill", "blocks",
+		"Keystream", "keystreamBlock", "KeystreamBlockVec", "block", "Reseed",
+		"Rekey", "load", "Fill", "blocks",
 		// The one-lane segment of a sparse window batch.
 		"Segment", "tap",
 	},
 	"internal/aes": {
-		// PackBlocks allocates by contract and only serves the
-		// reference/test path; Keystream's steady state goes through
-		// nextBlockPlanes → the fused Boyar–Peralta round kernels and
-		// the in-plane counter increment, none of which may allocate.
+		// Keystream's steady state goes through nextBlockPlanes → the
+		// fused Boyar–Peralta round kernels and the in-plane counter
+		// increment, none of which may allocate.
 		"Keystream", "NextBatch", "nextBlockPlanes", "incCounterPlanes",
 		"EncryptBlocks", "subShiftP", "subShiftXorP", "mixColumnsARKP",
 		"addRoundKeyFromP", "bpSbox", "Reseed",
-		"Rekey", "rekey", "Fill", "fill", "blocks",
+		"Rekey", "rekey", "Fill", "blocks",
 		// The one-lane segment of a sparse window batch: the key
 		// schedule and the CTR block kernels. The AES-NI kernel is
 		// assembly; the scalar fallback runs the reference cipher,
@@ -120,7 +118,7 @@ var hotFuncs = map[string][]string{
 	},
 	"internal/xorgens": {
 		"Keystream", "keystreamBlock", "KeystreamBlockVec", "clockPlanes", "NextWord", "step", "mix64", "Reseed",
-		"Rekey", "Fill", "fill", "blocks",
+		"Rekey", "Fill", "blocks",
 		// The one-lane segment of a sparse window batch.
 		"Segment", "expand",
 	},

@@ -3,6 +3,7 @@ package aes
 import (
 	"bytes"
 	stdaes "crypto/aes"
+	"encoding/binary"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -104,7 +105,7 @@ func TestGFInverse(t *testing.T) {
 func TestSlicedMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	keys := make([][]byte, 64)
-	blocks := make([][16]byte, 64)
+	var blocks [64][16]byte
 	for l := range keys {
 		keys[l] = make([]byte, 16)
 		rng.Read(keys[l])
@@ -114,9 +115,9 @@ func TestSlicedMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := PackBlocks(blocks)
+	st := packBlocks(&blocks)
 	sl.EncryptBlocks(&st)
-	out := UnpackBlocks(&st, 64)
+	out := unpackBlocks(&st)
 	for l := 0; l < 64; l++ {
 		c, _ := NewCipher(keys[l])
 		want := make([]byte, 16)
@@ -127,10 +128,12 @@ func TestSlicedMatchesScalar(t *testing.T) {
 	}
 }
 
+// A bank of 64 lanes refuses keys for a partial one, and the refused
+// Reseed leaves every lane's round keys where they were.
 func TestSlicedPartialLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	keys := make([][]byte, 3)
-	blocks := make([][16]byte, 3)
+	keys := make([][]byte, 64)
+	var blocks [64][16]byte
 	for l := range keys {
 		keys[l] = make([]byte, 16)
 		rng.Read(keys[l])
@@ -140,15 +143,21 @@ func TestSlicedPartialLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := PackBlocks(blocks)
+	if _, err := NewSliced(keys[:3]); err == nil {
+		t.Error("3 lanes accepted")
+	}
+	if err := sl.Reseed(keys[:3]); err == nil {
+		t.Error("Reseed accepted 3 lanes")
+	}
+	st := packBlocks(&blocks)
 	sl.EncryptBlocks(&st)
-	out := UnpackBlocks(&st, 3)
-	for l := 0; l < 3; l++ {
+	out := unpackBlocks(&st)
+	for l := range keys {
 		c, _ := NewCipher(keys[l])
 		want := make([]byte, 16)
 		c.Encrypt(want, blocks[l][:])
 		if !bytes.Equal(out[l][:], want) {
-			t.Fatalf("lane %d mismatch", l)
+			t.Fatalf("lane %d diverges from the scalar cipher after a refused Reseed", l)
 		}
 	}
 }
@@ -157,13 +166,15 @@ func TestSlicedValidation(t *testing.T) {
 	if _, err := NewSliced(nil); err == nil {
 		t.Error("zero lanes accepted")
 	}
-	if _, err := NewSliced(make([][]byte, 65)); err == nil {
+	keys := make([][]byte, 65)
+	for l := range keys {
+		keys[l] = make([]byte, 16)
+	}
+	if _, err := NewSliced(keys); err == nil {
 		t.Error("65 lanes accepted")
 	}
-	if _, err := NewSliced([][]byte{make([]byte, 15)}); err == nil {
-		t.Error("bad key size accepted")
-	}
-	keys := [][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16), make([]byte, 15)}
+	keys = keys[:64]
+	keys[3] = make([]byte, 15)
 	if _, err := NewSliced(keys); err == nil || err.Error() != "aes: lane 3: key must be 16 bytes" {
 		t.Errorf("short lane-3 key: err = %v, want %q", err, "aes: lane 3: key must be 16 bytes")
 	}
@@ -262,27 +273,52 @@ func TestSlicedCTRMatchesScalar(t *testing.T) {
 }
 
 func TestSlicedCTRValidation(t *testing.T) {
-	keys := [][]byte{make([]byte, 16)}
+	keys, nonces := make([][]byte, 64), make([][]byte, 64)
+	for l := range keys {
+		keys[l], nonces[l] = make([]byte, 16), make([]byte, 8)
+	}
 	if _, err := NewSlicedCTRVec[bitslice.V64](keys, nil); err == nil {
 		t.Error("nonce count mismatch accepted")
 	}
-	if _, err := NewSlicedCTRVec[bitslice.V64](keys, [][]byte{make([]byte, 7)}); err == nil {
+	nonces[0] = make([]byte, 7)
+	if _, err := NewSlicedCTRVec[bitslice.V64](keys, nonces); err == nil {
 		t.Error("bad nonce accepted")
 	}
 }
 
+// packBlocks converts one 16-byte block per lane into plane form.
+func packBlocks(blocks *[64][16]byte) [128]uint64 {
+	var los, his [64]uint64
+	for l := range blocks {
+		los[l] = binary.LittleEndian.Uint64(blocks[l][0:8])
+		his[l] = binary.LittleEndian.Uint64(blocks[l][8:16])
+	}
+	var st [128]uint64
+	*(*[64]uint64)(st[0:64]) = bitslice.PackWords(&los)
+	*(*[64]uint64)(st[64:128]) = bitslice.PackWords(&his)
+	return st
+}
+
+// unpackBlocks converts plane form back to one block per lane.
+func unpackBlocks(st *[128]uint64) (out [64][16]byte) {
+	lo := bitslice.UnpackWords((*[64]uint64)(st[0:64]), 64)
+	hi := bitslice.UnpackWords((*[64]uint64)(st[64:128]), 64)
+	for l := range out {
+		binary.LittleEndian.PutUint64(out[l][0:8], lo[l])
+		binary.LittleEndian.PutUint64(out[l][8:16], hi[l])
+	}
+	return out
+}
+
 func TestPackUnpackBlocksRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
-	blocks := make([][16]byte, 64)
+	var blocks [64][16]byte
 	for l := range blocks {
 		rng.Read(blocks[l][:])
 	}
-	st := PackBlocks(blocks)
-	back := UnpackBlocks(&st, 64)
-	for l := range blocks {
-		if blocks[l] != back[l] {
-			t.Fatalf("lane %d round trip failed", l)
-		}
+	st := packBlocks(&blocks)
+	if back := unpackBlocks(&st); back != blocks {
+		t.Fatal("round trip failed")
 	}
 }
 

@@ -45,7 +45,7 @@ func setCtrPlanes(g *SlicedCTR, vals []uint64) {
 // ctrPlaneValues reads every lane's counter value back out of the
 // counter planes.
 func ctrPlaneValues(g *SlicedCTR) []uint64 {
-	out := bitslice.UnpackWords(&g.ctrPl, g.aes.lanes)
+	out := bitslice.UnpackWords(&g.ctrPl, bitslice.W)
 	for l := range out {
 		out[l] = bits.ReverseBytes64(out[l])
 	}
@@ -111,7 +111,7 @@ func ctrIncrement(t *testing.T, instances int) {
 // bit j of block byte 8+i.
 func TestCounterPlaneLayout(t *testing.T) {
 	g := ctrMaterial(t, 62)
-	lanes := g.Lanes()
+	const lanes = bitslice.W
 	vals := make([]uint64, lanes)
 	rng := rand.New(rand.NewSource(63))
 	for l := range vals {
@@ -146,7 +146,7 @@ func TestCounterReseedResetsPlanes(t *testing.T) {
 
 func ctrReseed(t *testing.T, instances int) {
 	g := ctrMaterial(t, 64)
-	lanes := g.Lanes()
+	const lanes = bitslice.W
 	dst := make([]byte, lanes*BlockSize)
 	rng := rand.New(rand.NewSource(int64(65 + instances)))
 	// since counts the batches since the last (re)key: the post-Reseed

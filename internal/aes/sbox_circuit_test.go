@@ -59,12 +59,12 @@ func TestSboxCircuitExhaustive(t *testing.T) {
 }
 
 // randomState is one random 16-byte block per lane, plus its plane form.
-func randomState(rng *rand.Rand) ([][16]byte, [128]uint64) {
-	blocks := make([][16]byte, bitslice.W)
+func randomState(rng *rand.Rand) (*[64][16]byte, [128]uint64) {
+	var blocks [64][16]byte
 	for l := range blocks {
 		rng.Read(blocks[l][:])
 	}
-	return blocks, PackBlocks(blocks)
+	return &blocks, packBlocks(&blocks)
 }
 
 // subShiftP must equal scalar SubBytes followed by scalar ShiftRows:
@@ -74,7 +74,7 @@ func TestSubShiftRenaming(t *testing.T) {
 	blocks, st := randomState(rng)
 	var dst [128]uint64
 	subShiftP(&dst, &st)
-	out := UnpackBlocks(&dst, len(blocks))
+	out := unpackBlocks(&dst)
 	for l, blk := range blocks {
 		var want [16]byte
 		copy(want[:], blk[:])
@@ -94,7 +94,7 @@ func TestSubShiftXorWhitening(t *testing.T) {
 	rkBlocks, rk := randomState(rng)
 	var dst [128]uint64
 	subShiftXorP(&dst, &st, &rk)
-	out := UnpackBlocks(&dst, len(blocks))
+	out := unpackBlocks(&dst)
 	for l, blk := range blocks {
 		var want [16]byte
 		for i := range want {
@@ -115,7 +115,7 @@ func TestMixColumnsARK(t *testing.T) {
 	rkBlocks, rk := randomState(rng)
 	var dst [128]uint64
 	mixColumnsARKP(&dst, &st, &rk)
-	out := UnpackBlocks(&dst, len(blocks))
+	out := unpackBlocks(&dst)
 	for l, blk := range blocks {
 		var want [16]byte
 		copy(want[:], blk[:])

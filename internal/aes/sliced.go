@@ -11,8 +11,7 @@ import (
 // EncryptBlocks call performs 64 independent block encryptions, each lane
 // under its own key.
 type Sliced struct {
-	rk    [11][128]uint64 // plane-form round keys
-	lanes int
+	rk [11][128]uint64 // plane-form round keys
 
 	// sb is the double-buffer for the fused SubBytes+ShiftRows pass:
 	// each round writes S-box output planes into sb at their
@@ -32,21 +31,21 @@ type Sliced struct {
 // keys, 8-byte CTR nonces, one block per lane.
 var shape = bitslice.Shape{Pkg: "aes", Key: 16, IV: 8, Block: BlockSize}
 
-// NewSliced expands one 16-byte AES-128 key per lane (1..64 lanes).
+// NewSliced expands one 16-byte AES-128 key per lane, 64 lanes.
 func NewSliced(keys [][]byte) (*Sliced, error) {
-	if err := shape.CheckKeys(len(keys), keys); err != nil {
+	if err := shape.CheckKeys(keys); err != nil {
 		return nil, err
 	}
-	s := &Sliced{lanes: len(keys)}
+	s := &Sliced{}
 	s.rekey(keys)
 	return s, nil
 }
 
 // Reseed replaces every lane's key, re-running the key schedule in place.
-// The lane count must match the one the engine was built with. Reseed is
-// allocation-free: the key material lands in scratch owned by the engine.
+// Reseed is allocation-free: the key material lands in scratch owned by
+// the engine.
 func (s *Sliced) Reseed(keys [][]byte) error {
-	if err := shape.CheckKeys(s.lanes, keys); err != nil {
+	if err := shape.CheckKeys(keys); err != nil {
 		return err
 	}
 	s.rekey(keys)
@@ -70,9 +69,6 @@ func (s *Sliced) rekey(keys [][]byte) {
 	}
 }
 
-// Lanes returns the number of active lanes.
-func (s *Sliced) Lanes() int { return s.lanes }
-
 // EncryptBlocks encrypts the lane blocks held in plane form in st. The
 // round loop is two fused passes per round — SubBytes+ShiftRows (S-box
 // planes written at their post-rotation byte positions, so ShiftRows is
@@ -92,34 +88,6 @@ func (s *Sliced) EncryptBlocks(st *[128]uint64) {
 	addRoundKeyFromP(st, sb, &s.rk[10])
 }
 
-// PackBlocks converts 1..64 16-byte blocks (one per lane) into plane form.
-func PackBlocks(blocks [][16]byte) [128]uint64 {
-	if len(blocks) > bitslice.W {
-		panic("aes: more blocks than lanes")
-	}
-	var los, his [64]uint64
-	for l := range blocks {
-		los[l] = binary.LittleEndian.Uint64(blocks[l][0:8])
-		his[l] = binary.LittleEndian.Uint64(blocks[l][8:16])
-	}
-	var st [128]uint64
-	*(*[64]uint64)(st[0:64]) = bitslice.PackWords(&los)
-	*(*[64]uint64)(st[64:128]) = bitslice.PackWords(&his)
-	return st
-}
-
-// UnpackBlocks converts plane form back to per-lane blocks.
-func UnpackBlocks(st *[128]uint64, lanes int) [][16]byte {
-	loW := bitslice.UnpackWords((*[64]uint64)(st[0:64]), lanes)
-	hiW := bitslice.UnpackWords((*[64]uint64)(st[64:128]), lanes)
-	out := make([][16]byte, lanes)
-	for l := 0; l < lanes; l++ {
-		binary.LittleEndian.PutUint64(out[l][0:8], loW[l])
-		binary.LittleEndian.PutUint64(out[l][8:16], hiW[l])
-	}
-	return out
-}
-
 // SlicedCTR is the bitsliced AES-128-CTR generator of paper Fig. 3: every
 // lane runs its own nonce‖counter stream under its own key, and one
 // batch encrypts one block per lane at once.
@@ -131,7 +99,7 @@ func UnpackBlocks(st *[128]uint64, lanes int) [][16]byte {
 // ripple-carry add (incCounterPlanes). Planes are re-derived from scalar
 // material only on Reseed.
 type SlicedCTR struct {
-	aes     *Sliced
+	aes     Sliced
 	noncePl [64]uint64 // planes of block bytes 0..7: the per-lane nonces
 	ctrPl   [64]uint64 // planes of block bytes 8..15: the big-endian counters
 	st      [128]uint64
@@ -141,24 +109,23 @@ type SlicedCTR struct {
 // BatchSize is the output of one SlicedCTR batch: 64 lanes × 16 bytes.
 const BatchSize = 64 * BlockSize
 
-// NewSlicedCTRVec builds a generator of 1..64 lanes; keys[L] and
-// nonces[L] (8 bytes each) belong to lane L. Lane counters start at
-// zero. The type parameter admits only bitslice.V64; it stays because
-// the bench/ module instantiates NewSlicedCTRVec[bitslice.V64].
+// NewSlicedCTRVec builds the 64-lane generator; keys[L] and nonces[L]
+// (8 bytes each) belong to lane L. Lane counters start at zero. The type
+// parameter admits only bitslice.V64; it stays because the bench/ module
+// instantiates NewSlicedCTRVec[bitslice.V64].
 func NewSlicedCTRVec[_ bitslice.V64](keys [][]byte, nonces [][]byte) (*SlicedCTR, error) {
-	if err := shape.Check(len(keys), keys, nonces); err != nil {
+	if err := shape.Check(keys, nonces); err != nil {
 		return nil, err
 	}
-	g := &SlicedCTR{aes: &Sliced{lanes: len(keys)}}
+	g := &SlicedCTR{}
 	g.Rekey(keys, nonces)
 	return g, nil
 }
 
 // Reseed checks fresh per-lane keys and nonces and rekeys every lane
-// with them. The lane count must match the one the generator was built
-// with.
+// with them.
 func (g *SlicedCTR) Reseed(keys [][]byte, nonces [][]byte) error {
-	if err := shape.Check(g.aes.lanes, keys, nonces); err != nil {
+	if err := shape.Check(keys, nonces); err != nil {
 		return err
 	}
 	g.Rekey(keys, nonces)
@@ -178,9 +145,6 @@ func (g *SlicedCTR) Rekey(keys, nonces [][]byte) {
 	g.noncePl = bitslice.PackWords(&words)
 	clear(g.ctrPl[:])
 }
-
-// Lanes returns the number of active lanes.
-func (g *SlicedCTR) Lanes() int { return g.aes.lanes }
 
 // ctrPlane maps counter bit p (0 = least significant) to its index in
 // ctrPl: block byte 8+i holds big-endian counter byte 7-i, and plane
@@ -220,40 +184,38 @@ func (g *SlicedCTR) nextBlockPlanes() {
 	bitslice.Transpose64((*[64]uint64)(st[64:128]))
 }
 
-// NextBatch writes lanes×16 bytes into dst (lane L's block at offset
+// NextBatch writes BatchSize bytes into dst (lane L's block at offset
 // 16·L, identical bytes to lane L's scalar CTR stream) and advances every
-// lane counter. len(dst) must be at least Lanes()×16; NextBatch panics
+// lane counter. len(dst) must be at least BatchSize; NextBatch panics
 // otherwise.
 func (g *SlicedCTR) NextBatch(dst []byte) {
-	if err := shape.CheckBatch(g.aes.lanes, dst); err != nil {
+	if err := shape.CheckBatch(dst); err != nil {
 		panic(err)
 	}
 	g.nextBlockPlanes()
-	for l := 0; l < g.aes.lanes; l++ {
+	for l := range bitslice.W {
 		binary.LittleEndian.PutUint64(dst[16*l:], g.st[l])
 		binary.LittleEndian.PutUint64(dst[16*l+8:], g.st[64+l])
 	}
 }
 
-// Keystream fills one equal-length buffer per lane with that lane's CTR
-// keystream — the same bytes NextBatch would deliver, written straight
-// into the per-lane destinations with no intermediate batch buffer.
-// len(bufs) must equal Lanes() and every buffer length must be the same
-// multiple of BlockSize. The fill is allocation-free.
+// Keystream fills one buffer per lane with that lane's CTR keystream —
+// the same bytes NextBatch would deliver, written straight into the
+// per-lane destinations with no intermediate batch buffer. bufs holds 64
+// buffers of one length, a multiple of BlockSize. The fill is
+// allocation-free.
 func (g *SlicedCTR) Keystream(bufs [][]byte) error {
-	if err := shape.CheckBuffers(g.aes.lanes, bufs); err != nil {
+	if err := shape.CheckBuffers(bufs); err != nil {
 		return err
 	}
-	g.fill(bufs)
+	g.Fill((*[bitslice.W][]byte)(bufs))
 	return nil
 }
 
-// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
-// lane of the generator. The buffers must have one equal length, a
-// multiple of BlockSize; Fill checks nothing.
-func (g *SlicedCTR) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.aes.lanes]) }
-
-func (g *SlicedCTR) fill(bufs [][]byte) { g.tile.Store(bufs, g.blocks) }
+// Fill is the per-pass fill: lane L's keystream into bufs[L]. The
+// buffers must have one equal length, a multiple of BlockSize; Fill
+// checks nothing.
+func (g *SlicedCTR) Fill(bufs *[bitslice.W][]byte) { g.tile.Store(bufs[:], g.blocks) }
 
 // blocks is the lane store's block source. One CTR block per lane is
 // two consecutive 8-byte rows: its low words (g.st[0:64]) and then its

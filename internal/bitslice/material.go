@@ -7,9 +7,11 @@ import (
 
 // Shape is one bitsliced engine's material and buffer contract: the one
 // set of checks its byte-string front doors (constructors, Reseed,
-// Keystream, batch reads) run before they touch any state. Per-pass
-// rekeys and fills read material and buffers whose shape was checked
-// once, at construction, and run no checks of their own.
+// Keystream, batch reads) run before they touch any state. Every engine
+// is a bank of exactly W lanes, so every check wants W strings or
+// buffers. Per-pass rekeys and fills read material and buffers whose
+// shape was checked once, at construction, and run no checks of their
+// own.
 type Shape struct {
 	Pkg   string // error prefix: the engine's package name
 	Key   int    // key bytes per lane
@@ -18,14 +20,10 @@ type Shape struct {
 	Block int    // keystream buffers are equal multiples of Block bytes
 }
 
-// CheckKeys validates one key per lane for an engine of lanes lanes
-// (1..W).
-func (s Shape) CheckKeys(lanes int, keys [][]byte) error {
-	if lanes < 1 || lanes > W {
-		return fmt.Errorf("%s: lane count %d out of range [1,%d]", s.Pkg, lanes, W)
-	}
-	if len(keys) != lanes {
-		return fmt.Errorf("%s: %d keys for %d lanes", s.Pkg, len(keys), lanes)
+// CheckKeys validates one key per lane, W lanes.
+func (s Shape) CheckKeys(keys [][]byte) error {
+	if len(keys) != W {
+		return fmt.Errorf("%s: %d keys for %d lanes", s.Pkg, len(keys), W)
 	}
 	for l, k := range keys {
 		if len(k) != s.Key {
@@ -35,14 +33,13 @@ func (s Shape) CheckKeys(lanes int, keys [][]byte) error {
 	return nil
 }
 
-// Check validates one key and one IV per lane for an engine of lanes
-// lanes (1..W).
-func (s Shape) Check(lanes int, keys, ivs [][]byte) error {
-	if err := s.CheckKeys(lanes, keys); err != nil {
+// Check validates one key and one IV per lane, W lanes.
+func (s Shape) Check(keys, ivs [][]byte) error {
+	if err := s.CheckKeys(keys); err != nil {
 		return err
 	}
-	if len(ivs) != lanes {
-		return fmt.Errorf("%s: %d ivs for %d lanes", s.Pkg, len(ivs), lanes)
+	if len(ivs) != W {
+		return fmt.Errorf("%s: %d ivs for %d lanes", s.Pkg, len(ivs), W)
 	}
 	for l, iv := range ivs {
 		switch {
@@ -55,28 +52,28 @@ func (s Shape) Check(lanes int, keys, ivs [][]byte) error {
 	return nil
 }
 
-// CheckBuffers validates one keystream buffer per lane: equal lengths,
-// a multiple of Block bytes.
-func (s Shape) CheckBuffers(lanes int, bufs [][]byte) error {
-	if len(bufs) != lanes {
-		return fmt.Errorf("%s: %d buffers for %d lanes", s.Pkg, len(bufs), lanes)
+// CheckBuffers validates one keystream buffer per lane, W buffers of
+// one length, a multiple of Block bytes.
+func (s Shape) CheckBuffers(bufs [][]byte) error {
+	if len(bufs) != W {
+		return fmt.Errorf("%s: %d buffers for %d lanes", s.Pkg, len(bufs), W)
 	}
 	for _, b := range bufs {
 		if len(b) != len(bufs[0]) {
 			return fmt.Errorf("%s: ragged keystream buffers", s.Pkg)
 		}
 	}
-	if len(bufs) > 0 && len(bufs[0])%s.Block != 0 {
+	if len(bufs[0])%s.Block != 0 {
 		return fmt.Errorf("%s: buffer length must be a multiple of %d", s.Pkg, s.Block)
 	}
 	return nil
 }
 
 // CheckBatch validates a batch buffer that holds Block bytes for each of
-// lanes lanes.
-func (s Shape) CheckBatch(lanes int, dst []byte) error {
-	if len(dst) < lanes*s.Block {
-		return fmt.Errorf("%s: batch buffer of %d bytes, want at least %d", s.Pkg, len(dst), lanes*s.Block)
+// the W lanes.
+func (s Shape) CheckBatch(dst []byte) error {
+	if len(dst) < W*s.Block {
+		return fmt.Errorf("%s: batch buffer of %d bytes, want at least %d", s.Pkg, len(dst), W*s.Block)
 	}
 	return nil
 }

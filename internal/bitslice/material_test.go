@@ -35,36 +35,50 @@ func TestPackBytesMatchesBitDefinition(t *testing.T) {
 
 func TestShapeErrors(t *testing.T) {
 	s := Shape{Pkg: "demo", Key: 4, IV: 2, Block: 8}
-	keys := [][]byte{make([]byte, 4), make([]byte, 4)}
-	ivs := [][]byte{make([]byte, 2), make([]byte, 2)}
-	if err := s.Check(2, keys, ivs); err != nil {
+	keys, ivs, bufs := zeroStrings(W, 4), zeroStrings(W, 2), zeroStrings(W, 8)
+	if err := s.Check(keys, ivs); err != nil {
 		t.Fatalf("valid material refused: %v", err)
 	}
+	if err := s.CheckBuffers(bufs); err != nil {
+		t.Fatalf("valid buffers refused: %v", err)
+	}
+	shortKey := append(zeroStrings(1, 4), zeroStrings(W-1, 3)...)
+	longIV := append(zeroStrings(1, 2), zeroStrings(W-1, 3)...)
+	noIV := append(zeroStrings(1, 2), make([][]byte, W-1)...)
+	ragged := append(zeroStrings(1, 8), make([][]byte, W-1)...)
 	for _, c := range []struct {
 		name string
 		err  error
 		want string
 	}{
-		{"zero lanes", s.Check(0, nil, nil), "demo: lane count 0 out of range [1,64]"},
-		{"65 lanes", s.CheckKeys(65, nil), "demo: lane count 65 out of range [1,64]"},
-		{"key count", s.Check(2, keys[:1], ivs), "demo: 1 keys for 2 lanes"},
-		{"iv count", s.Check(2, keys, ivs[:1]), "demo: 1 ivs for 2 lanes"},
-		{"short key", s.Check(2, [][]byte{keys[0], make([]byte, 3)}, ivs), "demo: lane 1: key must be 4 bytes"},
-		{"long iv", s.Check(2, keys, [][]byte{ivs[0], make([]byte, 3)}), "demo: lane 1: iv must be 2 bytes"},
-		{"min iv", Shape{Pkg: "demo", Key: 4, IV: 2, MinIV: true}.Check(2, keys, [][]byte{ivs[0], nil}), "demo: lane 1: iv must be at least 2 bytes"},
-		{"buffer count", s.CheckBuffers(2, [][]byte{nil}), "demo: 1 buffers for 2 lanes"},
-		{"ragged", s.CheckBuffers(2, [][]byte{make([]byte, 8), nil}), "demo: ragged keystream buffers"},
-		{"block", s.CheckBuffers(2, [][]byte{make([]byte, 4), make([]byte, 4)}), "demo: buffer length must be a multiple of 8"},
-		{"batch", s.CheckBatch(2, make([]byte, 15)), "demo: batch buffer of 15 bytes, want at least 16"},
+		{"zero lanes", s.Check(nil, nil), "demo: 0 keys for 64 lanes"},
+		{"65 lanes", s.CheckKeys(zeroStrings(W+1, 4)), "demo: 65 keys for 64 lanes"},
+		{"iv count", s.Check(keys, ivs[:1]), "demo: 1 ivs for 64 lanes"},
+		{"short key", s.Check(shortKey, ivs), "demo: lane 1: key must be 4 bytes"},
+		{"long iv", s.Check(keys, longIV), "demo: lane 1: iv must be 2 bytes"},
+		{"min iv", Shape{Pkg: "demo", Key: 4, IV: 2, MinIV: true}.Check(keys, noIV), "demo: lane 1: iv must be at least 2 bytes"},
+		{"buffer count", s.CheckBuffers(bufs[:63]), "demo: 63 buffers for 64 lanes"},
+		{"ragged", s.CheckBuffers(ragged), "demo: ragged keystream buffers"},
+		{"block", s.CheckBuffers(zeroStrings(W, 4)), "demo: buffer length must be a multiple of 8"},
+		{"batch", s.CheckBatch(make([]byte, 511)), "demo: batch buffer of 511 bytes, want at least 512"},
 	} {
 		if c.err == nil || c.err.Error() != c.want {
 			t.Errorf("%s: err = %v, want %q", c.name, c.err, c.want)
 		}
 	}
-	if err := (Shape{Pkg: "demo", IV: 2, MinIV: true}).Check(1, [][]byte{{}}, [][]byte{make([]byte, 5)}); err != nil {
+	if err := (Shape{Pkg: "demo", IV: 2, MinIV: true}).Check(zeroStrings(W, 0), zeroStrings(W, 5)); err != nil {
 		t.Errorf("longer iv refused under MinIV: %v", err)
 	}
-	if err := s.CheckBatch(2, make([]byte, 16)); err != nil {
+	if err := s.CheckBatch(make([]byte, 512)); err != nil {
 		t.Errorf("exact batch refused: %v", err)
 	}
+}
+
+// zeroStrings returns n zero strings of size bytes each.
+func zeroStrings(n, size int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, size)
+	}
+	return out
 }

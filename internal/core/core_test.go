@@ -116,8 +116,9 @@ func TestSeedDomainSeparation(t *testing.T) {
 // segmentMaterial derives the key and IV strings of segments
 // base..base+lanes-1 of (seed, domain), lane l for segment base+l.
 func segmentMaterial(seed, domain, base uint64, lanes, keyLen, ivLen int) (keys, ivs [][]byte) {
-	m := newLaneMaterial(lanes, keyLen, ivLen)
+	m := &laneMaterial{keys: make([][]byte, lanes), ivs: make([][]byte, lanes)}
 	for l := range lanes {
+		m.keys[l], m.ivs[l] = make([]byte, keyLen), make([]byte, ivLen)
 		m.deriveLane(l, seed, domain, base+uint64(l))
 	}
 	return m.keys, m.ivs

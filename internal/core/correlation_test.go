@@ -16,12 +16,12 @@ import (
 // and distant lane keystreams of every bitsliced engine must show no
 // cross-correlation, and each lane must be autocorrelation-clean.
 func TestLaneDecorrelation(t *testing.T) {
-	const lanes = 16
+	const lanes = 16 // checked lanes of the 64-lane bank
 	const bytesPerLane = 8192
 	laneStreams := func(alg Algorithm) [][]uint8 {
 		t.Helper()
-		keys, ivs := segmentMaterial(4242, 0, 0, lanes, 10, 10)
-		bufs := make([][]byte, lanes)
+		keys, ivs := segmentMaterial(4242, 0, 0, passLanes, 10, 10)
+		bufs := make([][]byte, passLanes)
 		for l := range bufs {
 			bufs[l] = make([]byte, bytesPerLane)
 		}
@@ -55,7 +55,7 @@ func TestLaneDecorrelation(t *testing.T) {
 			}
 		}
 		out := make([][]uint8, lanes)
-		for l := range bufs {
+		for l := range out {
 			out[l] = bitslice.BytesToBits(bufs[l])
 		}
 		return out

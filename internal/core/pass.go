@@ -56,7 +56,7 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 		r.x0s = make([]uint64, passLanes)
 	}
 	material := func(keyLen, ivLen int) (keys, ivs [][]byte) {
-		r.mat = newLaneMaterial(passLanes, keyLen, ivLen)
+		r.mat = newLaneMaterial(keyLen, ivLen)
 		keyLanes(r)
 		return r.mat.keys, r.mat.ivs
 	}

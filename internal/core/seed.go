@@ -45,10 +45,10 @@ type laneMaterial struct {
 	keys, ivs [][]byte
 }
 
-func newLaneMaterial(lanes, keyLen, ivLen int) *laneMaterial {
-	m := &laneMaterial{keys: make([][]byte, lanes), ivs: make([][]byte, lanes)}
-	backing := make([]byte, lanes*(keyLen+ivLen))
-	for l := 0; l < lanes; l++ {
+func newLaneMaterial(keyLen, ivLen int) *laneMaterial {
+	m := &laneMaterial{keys: make([][]byte, passLanes), ivs: make([][]byte, passLanes)}
+	backing := make([]byte, passLanes*(keyLen+ivLen))
+	for l := range passLanes {
 		o := l * (keyLen + ivLen)
 		m.keys[l] = backing[o : o+keyLen]
 		m.ivs[l] = backing[o+keyLen : o+keyLen+ivLen]

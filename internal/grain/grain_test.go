@@ -2,6 +2,7 @@ package grain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -57,55 +58,51 @@ func TestSlicedMatchesRef(t *testing.T) {
 	}
 }
 
+// A bank of 64 lanes refuses material for a partial one, and the refused
+// Reseed leaves every lane's keystream where it was.
 func TestSlicedPartialLanes(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	const lanes = 5
-	keys := make([][]byte, lanes)
-	ivs := make([][]byte, lanes)
-	for l := 0; l < lanes; l++ {
-		keys[l], ivs[l] = randKeyIV(rng)
-	}
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(22)), 64)
 	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := make([][]byte, lanes)
-	for l := range bufs {
-		bufs[l] = make([]byte, 24)
+	if _, err := NewSlicedVec[bitslice.V64](keys[:3], ivs[:3]); err == nil {
+		t.Error("3 lanes accepted")
 	}
+	if err := sl.Reseed(keys[:3], ivs[:3]); err == nil {
+		t.Error("Reseed accepted 3 lanes")
+	}
+	bufs := laneBufs(16)
 	if err := sl.Keystream(bufs); err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < lanes; l++ {
-		ref, _ := NewRef(keys[l], ivs[l])
-		want := make([]byte, 24)
-		ref.Keystream(want)
-		if !bytes.Equal(bufs[l], want) {
-			t.Fatalf("lane %d mismatch", l)
+	for l := range keys {
+		if want := refKeystream(t, keys[l], ivs[l], 16); !bytes.Equal(bufs[l], want) {
+			t.Fatalf("lane %d diverges from Ref after a refused Reseed", l)
 		}
 	}
 }
 
-// Window rebase must be seamless: generate across many windows and
-// compare word-by-word against a fresh engine.
+// Keystream calls of uneven lengths cross many block rebases and each
+// pick up where the last one stopped.
 func TestSlicedWindowRebaseSeamless(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	keys := make([][]byte, 3)
-	ivs := make([][]byte, 3)
-	for l := range keys {
-		keys[l], ivs[l] = randKeyIV(rng)
-	}
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(23)), 64)
 	sl, _ := NewSlicedVec[bitslice.V64](keys, ivs)
-	refs := make([]*Ref, len(keys))
-	for l := range refs {
-		refs[l], _ = NewRef(keys[l], ivs[l])
+	got := laneBufs(128) // 1024 clocks: 16 rebases
+	off := 0
+	for _, n := range []int{8, 24, 16, 80} {
+		part := make([][]byte, 64)
+		for l := range part {
+			part[l] = got[l][off : off+n]
+		}
+		if err := sl.Keystream(part); err != nil {
+			t.Fatal(err)
+		}
+		off += n
 	}
-	for i := 0; i < 1000; i++ { // crosses ~15 window rebases
-		z := sl.ClockVec()
-		for l, ref := range refs {
-			if uint8(z>>uint(l)&1) != ref.KeystreamBit() {
-				t.Fatalf("clock %d lane %d diverges from Ref across rebases", i, l)
-			}
+	for l := range keys {
+		if want := refKeystream(t, keys[l], ivs[l], 128); !bytes.Equal(got[l], want) {
+			t.Fatalf("lane %d diverges from Ref across rebases", l)
 		}
 	}
 }
@@ -114,38 +111,34 @@ func TestSlicedValidation(t *testing.T) {
 	if _, err := NewSlicedVec[bitslice.V64](nil, nil); err == nil {
 		t.Error("zero lanes accepted")
 	}
-	keys := make([][]byte, 65)
-	ivs := make([][]byte, 65)
-	for i := range keys {
-		keys[i] = make([]byte, KeySize)
-		ivs[i] = make([]byte, IVSize)
-	}
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(66)), 65)
 	if _, err := NewSlicedVec[bitslice.V64](keys, ivs); err == nil {
 		t.Error("65 lanes accepted")
 	}
-	if _, err := NewSlicedVec[bitslice.V64](keys[:2], ivs[:1]); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](keys[:64], ivs[:63]); err == nil {
 		t.Error("count mismatch accepted")
 	}
-	if _, err := NewSlicedVec[bitslice.V64]([][]byte{make([]byte, 9)}, ivs[:1]); err == nil {
-		t.Error("short key accepted")
-	}
-	if _, err := NewSlicedVec[bitslice.V64](keys[:1], [][]byte{make([]byte, 7)}); err == nil {
-		t.Error("short iv accepted")
-	}
-	short := append([][]byte{}, keys[:4]...)
+	short := append([][]byte{}, keys[:64]...)
 	short[3] = make([]byte, KeySize-1)
-	if _, err := NewSlicedVec[bitslice.V64](short, ivs[:4]); err == nil ||
+	if _, err := NewSlicedVec[bitslice.V64](short, ivs[:64]); err == nil ||
 		err.Error() != "grain: lane 3: key must be 10 bytes" {
 		t.Errorf("short lane-3 key: err = %v, want %q", err, "grain: lane 3: key must be 10 bytes")
 	}
-	sl, _ := NewSlicedVec[bitslice.V64](keys[:2], ivs[:2])
-	if err := sl.Keystream(make([][]byte, 1)); err == nil {
+	shortIV := append([][]byte{}, ivs[:64]...)
+	shortIV[0] = make([]byte, IVSize-1)
+	if _, err := NewSlicedVec[bitslice.V64](keys[:64], shortIV); err == nil {
+		t.Error("short iv accepted")
+	}
+	sl, _ := NewSlicedVec[bitslice.V64](keys[:64], ivs[:64])
+	if err := sl.Keystream(laneBufs(8)[:1]); err == nil {
 		t.Error("wrong buffer count accepted")
 	}
-	if err := sl.Keystream([][]byte{make([]byte, 8), make([]byte, 16)}); err == nil {
+	ragged := laneBufs(8)
+	ragged[1] = make([]byte, 16)
+	if err := sl.Keystream(ragged); err == nil {
 		t.Error("ragged buffers accepted")
 	}
-	if err := sl.Keystream([][]byte{make([]byte, 9), make([]byte, 9)}); err == nil {
+	if err := sl.Keystream(laneBufs(9)); err == nil {
 		t.Error("length not multiple of 8 accepted")
 	}
 }
@@ -205,88 +198,93 @@ func BenchmarkRefKeystream(b *testing.B) {
 }
 
 func BenchmarkSlicedKeystream64Lanes(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	keys := make([][]byte, 64)
-	ivs := make([][]byte, 64)
-	for l := range keys {
-		keys[l], ivs[l] = randKeyIV(rng)
-	}
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(1)), 64)
 	g, _ := NewSlicedVec[bitslice.V64](keys, ivs)
-	dst := make([]uint64, 512)
+	var out [64]uint64
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range dst {
-			dst[j] = g.ClockVec()
+		for range 8 {
+			g.keystreamBlock(&out)
 		}
 	}
 }
 
-// clockBlock is what keystreamBlock must equal: 64 ClockVec calls, clock
-// i's plane moved bit by bit into bit i^7 of every lane's word (bytes
-// MSB-first), with no transpose kernel involved.
-func clockBlock(g *Sliced) (out [64]uint64) {
-	for i := 0; i < 64; i++ {
-		z := g.ClockVec()
-		for l := range out {
-			out[l] |= (z >> uint(l) & 1) << uint(i^7)
-		}
+// laneBufs returns 64 zero buffers of n bytes.
+func laneBufs(n int) [][]byte {
+	bufs := make([][]byte, 64)
+	for l := range bufs {
+		bufs[l] = make([]byte, n)
 	}
-	return out
+	return bufs
 }
 
-// The block kernel rebases a window that ClockVec calls left at any
-// origin, and leaves the engine in step with one that only clocks.
-func TestKeystreamBlockMatchesClockVec(t *testing.T) {
-	keys, ivs := diffMaterial(rand.New(rand.NewSource(71)), 64)
-	for k := 0; k < 64; k++ {
-		got, err := NewSlicedVec[bitslice.V64](keys, ivs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _ := NewSlicedVec[bitslice.V64](keys, ivs)
-		for i := 0; i < k; i++ {
-			got.ClockVec()
-			want.ClockVec()
-		}
-		for blk := 0; blk < 2; blk++ {
-			var out [64]uint64
-			got.keystreamBlock(&out)
-			if out != clockBlock(want) {
-				t.Fatalf("after %d ClockVec calls, block %d differs from 64 ClockVec calls", k, blk)
-			}
-		}
-		if got.ClockVec() != want.ClockVec() {
-			t.Fatalf("after %d ClockVec calls and two blocks, the engines are out of step", k)
-		}
-	}
-}
-
-func TestKeystreamBlockVecAfterReseed(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	keys, ivs := diffMaterial(rng, 64)
-	got, err := NewSlicedVec[bitslice.V64](keys, ivs)
+// refKeystream is Ref's first n keystream bytes under (key, iv).
+func refKeystream(t *testing.T, key, iv []byte, n int) []byte {
+	t.Helper()
+	ref, err := NewRef(key, iv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := NewSlicedVec[bitslice.V64](keys, ivs)
-	got.ClockVec() // leave the old window off origin 0
-	keys, ivs = diffMaterial(rng, 64)
-	if err := got.Reseed(keys, ivs); err != nil {
-		t.Fatal(err)
-	}
-	if err := want.Reseed(keys, ivs); err != nil {
-		t.Fatal(err)
-	}
-	// Grain's 160 init clocks end mid-window: the block must rebase first.
-	if got.pos != initClocks%window {
-		t.Fatalf("Reseed left pos %d, want %d", got.pos, initClocks%window)
-	}
-	var out [64]bitslice.V64
-	got.KeystreamBlockVec(&out)
-	for l, w := range clockBlock(want) {
-		if out[l][0] != w {
-			t.Fatalf("lane %d: block after Reseed differs from 64 ClockVec calls", l)
+	out := make([]byte, n)
+	ref.Keystream(out)
+	return out
+}
+
+// checkBlocks holds the block words out, block k of a run (out[L]
+// little-endian is lane L's 8 bytes), to each lane's Ref keystream.
+func checkBlocks(t *testing.T, out *[64]uint64, want [][]byte, k int) {
+	t.Helper()
+	for l, w := range out {
+		if got := binary.LittleEndian.AppendUint64(nil, w); !bytes.Equal(got, want[l][8*k:8*k+8]) {
+			t.Fatalf("block %d, lane %d: %x, want Ref's %x", k, l, got, want[l][8*k:8*k+8])
 		}
 	}
+}
+
+// The block kernel, run k blocks in a row straight after Rekey, emits
+// every lane's Ref keystream block by block.
+func TestKeystreamBlockMatchesRef(t *testing.T) {
+	keys, ivs := diffMaterial(rand.New(rand.NewSource(71)), 64)
+	const k = 20
+	want := make([][]byte, 64)
+	for l := range want {
+		want[l] = refKeystream(t, keys[l], ivs[l], 8*k)
+	}
+	g, err := NewSlicedVec[bitslice.V64](keys, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for blk := range k {
+		var out [64]uint64
+		g.keystreamBlock(&out)
+		checkBlocks(t, &out, want, blk)
+	}
+}
+
+// A block after a Reseed that follows earlier output is the new
+// material's first Ref block.
+func TestKeystreamBlockVecAfterReseed(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	keys, ivs := diffMaterial(rng, 64)
+	g, err := NewSlicedVec[bitslice.V64](keys, ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Keystream(laneBufs(24)); err != nil {
+		t.Fatal(err)
+	}
+	keys, ivs = diffMaterial(rng, 64)
+	if err := g.Reseed(keys, ivs); err != nil {
+		t.Fatal(err)
+	}
+	var vec [64]bitslice.V64
+	g.KeystreamBlockVec(&vec)
+	var out [64]uint64
+	want := make([][]byte, 64)
+	for l := range out {
+		out[l] = vec[l][0]
+		want[l] = refKeystream(t, keys[l], ivs[l], 8)
+	}
+	checkBlocks(t, &out, want, 0)
 }

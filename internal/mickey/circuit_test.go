@@ -39,7 +39,8 @@ func TestCircuitMatchesHandEngine(t *testing.T) {
 		in[200] = 0 // keystream mode input
 		prog.Run(in, out, scratch)
 
-		z := sl.ClockVec()
+		z := sl.r[0] ^ sl.s[0]
+		sl.clockKG(false, 0)
 		if out[200] != z {
 			t.Fatalf("step %d: circuit z %x, hand z %x", step, out[200], z)
 		}
@@ -110,7 +111,7 @@ func BenchmarkCircuitVsHand(b *testing.B) {
 		sl, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 		b.SetBytes(8) // 64 bits per clock
 		for i := 0; i < b.N; i++ {
-			sl.ClockVec()
+			sl.clockKG(false, 0)
 		}
 	})
 	b.Run("circuit", func(b *testing.B) {

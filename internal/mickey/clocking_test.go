@@ -59,7 +59,7 @@ func TestLanesDivergeUnderIrregularClocking(t *testing.T) {
 		if c := bits.OnesCount64(ctrlR); c > 4 && c < 60 {
 			mixed++
 		}
-		sl.ClockVec()
+		sl.clockKG(false, 0)
 	}
 	if mixed < clocks/2 {
 		t.Errorf("control word mixed in only %d of %d clocks", mixed, clocks)

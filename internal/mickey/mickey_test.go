@@ -111,12 +111,13 @@ func TestSlicedMatchesRef(t *testing.T) {
 	}
 }
 
+// A bank of 64 lanes refuses material for a partial one, and the refused
+// Reseed leaves every lane's keystream where it was.
 func TestSlicedPartialLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	const lanes = 7
-	keys := make([][]byte, lanes)
-	ivs := make([][]byte, lanes)
-	for l := 0; l < lanes; l++ {
+	keys := make([][]byte, 64)
+	ivs := make([][]byte, 64)
+	for l := range keys {
 		keys[l] = make([]byte, KeySize)
 		ivs[l] = make([]byte, 4)
 		rng.Read(keys[l])
@@ -126,19 +127,25 @@ func TestSlicedPartialLanes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := make([][]byte, lanes)
+	if _, err := NewSlicedVec[bitslice.V64](keys[:7], ivs[:7], 32); err == nil {
+		t.Error("7 lanes accepted")
+	}
+	if err := sl.Reseed(keys[:7], ivs[:7], 80); err == nil {
+		t.Error("Reseed accepted 7 lanes")
+	}
+	bufs := make([][]byte, 64)
 	for l := range bufs {
 		bufs[l] = make([]byte, 16)
 	}
 	if err := sl.Keystream(bufs); err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < lanes; l++ {
+	for l := range keys {
 		ref, _ := NewRef(keys[l], ivs[l], 32)
 		want := make([]byte, 16)
 		ref.Keystream(want)
 		if !bytes.Equal(bufs[l], want) {
-			t.Fatalf("lane %d mismatch", l)
+			t.Fatalf("lane %d diverges from Ref after a refused Reseed", l)
 		}
 	}
 }
@@ -228,7 +235,7 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	// One error shape across engines: "<pkg>: lane L: ...".
 	keys[3] = key[:9]
-	if _, err := NewSlicedVec[bitslice.V64](keys[:4], ivs[:4], 80); err == nil ||
+	if _, err := NewSlicedVec[bitslice.V64](keys[:64], ivs[:64], 80); err == nil ||
 		err.Error() != "mickey: lane 3: key must be 10 bytes" {
 		t.Errorf("sliced: short lane-3 key: err = %v, want %q", err, "mickey: lane 3: key must be 10 bytes")
 	}
@@ -236,17 +243,30 @@ func TestConstructorValidation(t *testing.T) {
 
 func TestKeystreamBufferValidation(t *testing.T) {
 	key, iv := testKey(2)
-	sl, err := NewSlicedVec[bitslice.V64]([][]byte{key, key}, [][]byte{iv, iv}, 80)
+	keys, ivs := make([][]byte, 64), make([][]byte, 64)
+	for l := range keys {
+		keys[l], ivs[l] = key, iv
+	}
+	sl, err := NewSlicedVec[bitslice.V64](keys, ivs, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.Keystream(make([][]byte, 1)); err == nil {
+	bufs := func(n int) [][]byte {
+		out := make([][]byte, 64)
+		for l := range out {
+			out[l] = make([]byte, n)
+		}
+		return out
+	}
+	if err := sl.Keystream(bufs(8)[:1]); err == nil {
 		t.Error("wrong buffer count accepted")
 	}
-	if err := sl.Keystream([][]byte{make([]byte, 8), make([]byte, 16)}); err == nil {
+	ragged := bufs(8)
+	ragged[1] = make([]byte, 16)
+	if err := sl.Keystream(ragged); err == nil {
 		t.Error("ragged buffers accepted")
 	}
-	if err := sl.Keystream([][]byte{make([]byte, 7), make([]byte, 7)}); err == nil {
+	if err := sl.Keystream(bufs(7)); err == nil {
 		t.Error("non multiple-of-8 length accepted")
 	}
 }
@@ -301,12 +321,12 @@ func BenchmarkSlicedKeystream64Lanes(b *testing.B) {
 		rng.Read(ivs[l])
 	}
 	m, _ := NewSlicedVec[bitslice.V64](keys, ivs, 80)
-	dst := make([]uint64, 512) // 512*64 bits = 4096 bytes
+	var out [64]uint64 // 8 blocks of 64 lanes × 8 bytes = 4096 bytes
 	b.SetBytes(4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range dst {
-			dst[j] = m.ClockVec()
+		for range 8 {
+			m.keystreamBlock(&out)
 		}
 	}
 }

@@ -4,8 +4,8 @@ import "repro/internal/bitslice"
 
 // Sliced is the bitsliced MICKEY 2.0 engine of paper §4.4 (Fig. 9): the
 // two 100-bit registers become 200 uint64 planes (plane i, bit L = state
-// bit i of lane L), so one ClockVec advances 64 independent cipher
-// instances and emits as many keystream bits.
+// bit i of lane L), so one clockKG advances 64 independent cipher
+// instances and one keystreamBlock emits 64 keystream bits of each.
 //
 // Everything data-dependent in the spec becomes branch-free here:
 //
@@ -21,9 +21,8 @@ type Sliced struct {
 	// provably in range, so the hot loop runs without bounds checks.
 	r, s   *[regBits]uint64 // current planes
 	nr, ns *[regBits]uint64 // scratch planes (swapped in after every clock)
-	lanes  int
-	ivBits int           // IV bits every Rekey loads, fixed by the front doors
-	tile   bitslice.Tile // lane store staging, reused by every fill
+	ivBits int              // IV bits every Rekey loads, fixed by the front doors
+	tile   bitslice.Tile    // lane store staging, reused by every fill
 }
 
 // shape is the engine's material contract under an IV of ivBits bits:
@@ -32,27 +31,28 @@ func shape(ivBits int) bitslice.Shape {
 	return bitslice.Shape{Pkg: "mickey", Key: KeySize, IV: (ivBits + 7) / 8, MinIV: true, Block: 8}
 }
 
-// check validates front-door material for an engine of lanes lanes.
-func check(lanes int, keys, ivs [][]byte, ivBits int) error {
+// check validates front-door material: 64 lanes under an IV of ivBits
+// bits.
+func check(keys, ivs [][]byte, ivBits int) error {
 	if ivBits < 0 || ivBits > MaxIVBits {
 		return errIVSize
 	}
-	return shape(ivBits).Check(lanes, keys, ivs)
+	return shape(ivBits).Check(keys, ivs)
 }
 
-// NewSlicedVec builds an engine of 1..64 lanes. keys[L] is lane L's
+// NewSlicedVec builds the 64-lane engine. keys[L] is lane L's
 // 10-byte key; ivs[L] its IV (ivBits bits, MSB-first). All lanes are
 // initialized in lock-step, exactly mirroring the reference schedule.
 // The type parameter admits only bitslice.V64; it stays because the
 // bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys [][]byte, ivs [][]byte, ivBits int) (*Sliced, error) {
-	if err := check(len(keys), keys, ivs, ivBits); err != nil {
+	if err := check(keys, ivs, ivBits); err != nil {
 		return nil, err
 	}
 	m := &Sliced{
 		r: new([regBits]uint64), s: new([regBits]uint64),
 		nr: new([regBits]uint64), ns: new([regBits]uint64),
-		lanes: len(keys), ivBits: ivBits,
+		ivBits: ivBits,
 	}
 	m.Rekey(keys, ivs)
 	return m, nil
@@ -60,9 +60,8 @@ func NewSlicedVec[_ bitslice.V64](keys [][]byte, ivs [][]byte, ivBits int) (*Sli
 
 // Reseed checks fresh per-lane key/IV material and rekeys every lane
 // with it; ivBits becomes the IV length of this and every later Rekey.
-// The lane count must match the one the engine was built with.
 func (m *Sliced) Reseed(keys [][]byte, ivs [][]byte, ivBits int) error {
-	if err := check(m.lanes, keys, ivs, ivBits); err != nil {
+	if err := check(keys, ivs, ivBits); err != nil {
 		return err
 	}
 	m.ivBits = ivBits
@@ -96,26 +95,17 @@ func (m *Sliced) load(src [][]byte, n int) {
 	}
 }
 
-// ClockVec emits one keystream plane (bit L = lane L's next keystream
-// bit) and advances the generator.
-func (m *Sliced) ClockVec() uint64 {
-	z := m.r[0] ^ m.s[0]
-	m.clockKG(false, 0)
-	return z
-}
-
-// Lanes returns the number of active lanes.
-func (m *Sliced) Lanes() int { return m.lanes }
-
 // keystreamBlock runs 64 clocks and transposes the result so that
 // out[L], written little-endian, is 8 keystream bytes of lane L with the
 // cipher's MSB-first bit packing (byte-compatible with Ref.Keystream /
 // Packed.Keystream).
 func (m *Sliced) keystreamBlock(out *[64]uint64) {
-	// Placing clock t at index (t&^7)|(7-t&7) makes the post-transpose
+	// Clock t's keystream plane (bit L = lane L's bit, taken before
+	// the clock) goes to row t^7, which makes the post-transpose
 	// little-endian byte image MSB-first per byte.
 	for t := 0; t < 64; t++ {
-		out[(t&^7)|(7-t&7)] = m.ClockVec()
+		out[(t^7)&63] = m.r[0] ^ m.s[0]
+		m.clockKG(false, 0)
 	}
 	bitslice.Transpose64(out)
 }
@@ -130,23 +120,20 @@ func (m *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 	}
 }
 
-// Keystream fills one equal-length buffer per lane with that lane's
-// keystream bytes. len(bufs) must equal Lanes() and every buffer length
-// must be the same multiple of 8.
+// Keystream fills one buffer per lane with that lane's keystream bytes:
+// 64 buffers of one length, a multiple of 8.
 func (m *Sliced) Keystream(bufs [][]byte) error {
-	if err := shape(m.ivBits).CheckBuffers(m.lanes, bufs); err != nil {
+	if err := shape(m.ivBits).CheckBuffers(bufs); err != nil {
 		return err
 	}
-	m.fill(bufs)
+	m.Fill((*[bitslice.W][]byte)(bufs))
 	return nil
 }
 
-// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
-// lane of the engine. The buffers must have one equal length, a multiple
-// of 8; Fill checks nothing.
-func (m *Sliced) Fill(bufs *[bitslice.W][]byte) { m.fill(bufs[:m.lanes]) }
-
-func (m *Sliced) fill(bufs [][]byte) { m.tile.Store(bufs, m.blocks) }
+// Fill is the per-pass fill: lane L's keystream into bufs[L]. The
+// buffers must have one equal length, a multiple of 8; Fill checks
+// nothing.
+func (m *Sliced) Fill(bufs *[bitslice.W][]byte) { m.tile.Store(bufs[:], m.blocks) }
 
 // blocks is the lane store's block source: the next keystream block
 // into each row.

@@ -2,7 +2,8 @@ package trivium
 
 import "repro/internal/bitslice"
 
-// window is the number of clocks between buffer rebases (the same
+// window is the number of clocks in one block: the block loop appends
+// window planes to each register's log and then rebases it (the same
 // append-and-rebase scheme as the bitsliced Grain engine).
 const window = 64
 
@@ -14,66 +15,62 @@ const (
 )
 
 // Sliced is the bitsliced Trivium engine: one uint64 plane per state
-// bit, 64 independent cipher instances per plane. Each plane buffer is an
-// age-ordered append log — plane buf[pos-j] holds the register's bit
-// s_j — so the per-clock rotation is a single append and the paper's
-// shift elimination applies unchanged.
+// bit, 64 independent cipher instances per plane. Each register is an
+// age-ordered append log — plane buf[len-j] holds the register's bit
+// s_j between blocks — so the per-clock rotation is a single append and
+// the paper's shift elimination applies unchanged. The engine clocks
+// only in blocks of window clocks, initialization included, and every
+// log sits at origin 0 between blocks.
 type Sliced struct {
-	a, b, c []uint64
-	pos     int
-	lanes   int
-	tile    bitslice.Tile // lane store staging, reused by every fill
+	a    [lenA + window]uint64
+	b    [lenB + window]uint64
+	c    [lenC + window]uint64
+	tile bitslice.Tile // lane store staging, reused by every fill
 }
 
 // shape is the engine's material and buffer contract.
 var shape = bitslice.Shape{Pkg: "trivium", Key: KeySize, IV: IVSize, Block: 8}
 
-// NewSlicedVec builds an engine of 1..64 lanes; keys[L]/ivs[L] belong to
-// lane L. The type parameter admits only bitslice.V64; it stays because
-// the bench/ module instantiates NewSlicedVec[bitslice.V64].
+// NewSlicedVec builds the 64-lane engine; keys[L]/ivs[L] belong to lane
+// L. The type parameter admits only bitslice.V64; it stays because the
+// bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys, ivs [][]byte) (*Sliced, error) {
-	if err := shape.Check(len(keys), keys, ivs); err != nil {
+	if err := shape.Check(keys, ivs); err != nil {
 		return nil, err
 	}
-	t := &Sliced{
-		a:     make([]uint64, lenA+window),
-		b:     make([]uint64, lenB+window),
-		c:     make([]uint64, lenC+window),
-		lanes: len(keys),
-	}
+	t := &Sliced{}
 	t.Rekey(keys, ivs)
 	return t, nil
 }
 
 // Reseed checks fresh per-lane key/IV material and rekeys every lane
-// with it. The lane count must match the one the engine was built with.
+// with it.
 func (t *Sliced) Reseed(keys, ivs [][]byte) error {
-	if err := shape.Check(t.lanes, keys, ivs); err != nil {
+	if err := shape.Check(keys, ivs); err != nil {
 		return err
 	}
 	t.Rekey(keys, ivs)
 	return nil
 }
 
-// Rekey reloads fresh per-lane key/IV material and re-runs the spec's
-// initialization clocks, reusing the engine's buffers. It checks
-// nothing: the material must have the shape the engine's front doors
-// accepted (one KeySize key and one IVSize IV per lane).
+// Rekey reloads fresh per-lane key/IV material and runs the spec's
+// initialization clocks as initClocks/window blocks whose output is
+// dropped. It checks nothing: the material must have the shape the
+// engine's front doors accepted (one KeySize key and one IVSize IV per
+// lane).
 func (t *Sliced) Rekey(keys, ivs [][]byte) {
-	clear(t.a)
-	clear(t.b)
-	clear(t.c)
+	clear(t.a[:])
+	clear(t.b[:])
+	clear(t.c[:])
 	// buf[len-j] = s_j: key bit i is s_{i+1} of register A, IV bit i
 	// is s_{i+1} of register B (i.e. spec bit s_{94+i}).
 	load(t.a[:lenA], keys)
 	load(t.b[:lenB], ivs)
-	// s286..s288 = 1 in the active lanes → register C bits s_109,
-	// s_110, s_111.
-	ones := ^uint64(0) >> (bitslice.W - t.lanes)
-	t.c[lenC-109], t.c[lenC-110], t.c[lenC-111] = ones, ones, ones
-	t.pos = 0
-	for i := 0; i < initClocks; i++ {
-		t.ClockVec()
+	// s286..s288 = 1 → register C bits s_109, s_110, s_111.
+	t.c[lenC-109], t.c[lenC-110], t.c[lenC-111] = ^uint64(0), ^uint64(0), ^uint64(0)
+	var z [64]uint64
+	for range initClocks / window {
+		t.block(&z)
 	}
 }
 
@@ -89,67 +86,20 @@ func load(reg []uint64, src [][]byte) {
 	}
 }
 
-// Lanes returns the number of active lanes.
-func (t *Sliced) Lanes() int { return t.lanes }
-
-// ClockVec advances all lanes one step and returns the keystream plane
-// (bit L = lane L's output bit).
-func (t *Sliced) ClockVec() uint64 {
-	// s_j of register A lives at a[pos+lenA-j]; likewise for B and C.
-	// Indexing the planes directly folds everything into two-operand ALU
-	// ops and lets the scheduler keep all taps in flight.
-	p := t.pos
-	a, b, c := t.a, t.b, t.c
-	t1 := a[p+lenA-66] ^ a[p+lenA-93]
-	t2 := b[p+lenB-69] ^ b[p+lenB-84]  // spec s162=s_{B69}, s177=s_{B84}
-	t3 := c[p+lenC-66] ^ c[p+lenC-111] // spec s243=s_{C66}, s288=s_{C111}
-	z := t1 ^ t2 ^ t3
-	n1 := t1 ^ a[p+lenA-91]&a[p+lenA-92] ^ b[p+lenB-78] // s171 = s_{B78}
-	n2 := t2 ^ b[p+lenB-82]&b[p+lenB-83] ^ c[p+lenC-87] // s264 = s_{C87}
-	n3 := t3 ^ c[p+lenC-109]&c[p+lenC-110] ^ a[p+lenA-69]
-	a[p+lenA] = n3
-	b[p+lenB] = n1
-	c[p+lenC] = n2
-	t.pos++
-	if t.pos == window {
-		t.rebase()
-	}
-	return z
-}
-
-// rebase moves every register's live window to origin 0: s_j moves
-// from buf[pos+len-j] to buf[len-j], so no state bit changes, only the
-// buffer index of the origin.
-func (t *Sliced) rebase() {
-	copy(t.a[:lenA], t.a[t.pos:])
-	copy(t.b[:lenB], t.b[t.pos:])
-	copy(t.c[:lenC], t.c[t.pos:])
-	t.pos = 0
-}
-
-// keystreamBlock runs 64 clocks and transposes so that out[L], written
-// little-endian, is 8 keystream bytes of lane L, MSB-first per byte
-// (byte-compatible with Ref.Keystream).
-//
-// It is the block kernel: ClockVec's body inlined into one loop over
-// the registers as fixed-size arrays, so no tap index is bounds checked
-// and the append log is rebased once, after the block. A window that
-// ClockVec calls left off origin 0 is rebased first; that moves no
-// state bit, so the block runs the same clocks in the same order as 64
-// ClockVec calls.
-func (t *Sliced) keystreamBlock(out *[64]uint64) {
-	if t.pos != 0 {
-		t.rebase()
-	}
-	a := (*[lenA + window]uint64)(t.a)
-	b := (*[lenB + window]uint64)(t.b)
-	c := (*[lenC + window]uint64)(t.c)
+// block is the engine's one clock loop: it runs window clocks, writes
+// clock p's keystream plane (bit L = lane L's bit) to out[p^7], and
+// rebases the logs to origin 0. Within the block s_j of register A
+// lives at a[p+lenA-j], likewise for B and C; indexing the planes
+// directly folds everything into two-operand ALU ops and lets the
+// scheduler keep all taps in flight.
+func (t *Sliced) block(out *[64]uint64) {
+	a, b, c := &t.a, &t.b, &t.c
 	for p := 0; p < window; p++ {
 		t1 := a[p+lenA-66] ^ a[p+lenA-93]
-		t2 := b[p+lenB-69] ^ b[p+lenB-84]
-		t3 := c[p+lenC-66] ^ c[p+lenC-111]
-		n1 := t1 ^ a[p+lenA-91]&a[p+lenA-92] ^ b[p+lenB-78]
-		n2 := t2 ^ b[p+lenB-82]&b[p+lenB-83] ^ c[p+lenC-87]
+		t2 := b[p+lenB-69] ^ b[p+lenB-84]                   // spec s162=s_{B69}, s177=s_{B84}
+		t3 := c[p+lenC-66] ^ c[p+lenC-111]                  // spec s243=s_{C66}, s288=s_{C111}
+		n1 := t1 ^ a[p+lenA-91]&a[p+lenA-92] ^ b[p+lenB-78] // s171 = s_{B78}
+		n2 := t2 ^ b[p+lenB-82]&b[p+lenB-83] ^ c[p+lenC-87] // s264 = s_{C87}
 		n3 := t3 ^ c[p+lenC-109]&c[p+lenC-110] ^ a[p+lenA-69]
 		a[p+lenA] = n3
 		b[p+lenB] = n1
@@ -157,8 +107,18 @@ func (t *Sliced) keystreamBlock(out *[64]uint64) {
 		// Clock p's plane goes to row p^7: MSB-first bits per byte.
 		out[(p^7)&63] = t1 ^ t2 ^ t3
 	}
-	t.pos = window
-	t.rebase()
+	// s_j moves from buf[window+len-j] to buf[len-j]: no state bit
+	// changes, only the buffer index of the origin.
+	copy(a[:lenA], a[window:])
+	copy(b[:lenB], b[window:])
+	copy(c[:lenC], c[window:])
+}
+
+// keystreamBlock runs one block and transposes so that out[L], written
+// little-endian, is 8 keystream bytes of lane L, MSB-first per byte
+// (byte-compatible with Ref.Keystream).
+func (t *Sliced) keystreamBlock(out *[64]uint64) {
+	t.block(out)
 	bitslice.Transpose64(out)
 }
 
@@ -172,22 +132,20 @@ func (t *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 	}
 }
 
-// Keystream fills one equal-length buffer per lane; lengths must be equal
-// multiples of 8.
+// Keystream fills one buffer per lane, 64 buffers of one length, a
+// multiple of 8.
 func (t *Sliced) Keystream(bufs [][]byte) error {
-	if err := shape.CheckBuffers(t.lanes, bufs); err != nil {
+	if err := shape.CheckBuffers(bufs); err != nil {
 		return err
 	}
-	t.fill(bufs)
+	t.Fill((*[bitslice.W][]byte)(bufs))
 	return nil
 }
 
-// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
-// lane of the engine. The buffers must have one equal length, a multiple
-// of 8; Fill checks nothing.
-func (t *Sliced) Fill(bufs *[bitslice.W][]byte) { t.fill(bufs[:t.lanes]) }
-
-func (t *Sliced) fill(bufs [][]byte) { t.tile.Store(bufs, t.blocks) }
+// Fill is the per-pass fill: lane L's keystream into bufs[L]. The
+// buffers must have one equal length, a multiple of 8; Fill checks
+// nothing.
+func (t *Sliced) Fill(bufs *[bitslice.W][]byte) { t.tile.Store(bufs[:], t.blocks) }
 
 // blocks is the lane store's block source: the next keystream block
 // into each row.

@@ -81,21 +81,17 @@ func diffInstances(t *testing.T, instances int) {
 // block — this exercises the circular tap indexing.
 func TestDifferentialLongStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(7777))
-	const lanes = 3
-	keys, ivs := diffMaterial(rng, lanes)
+	keys, ivs := diffMaterial(rng, bitslice.W)
 	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const n = 8 * 4 * r // four full ring rotations per lane
-	bufs := make([][]byte, lanes)
-	for l := range bufs {
-		bufs[l] = make([]byte, n)
-	}
+	bufs := diffKeys(rng, bitslice.W, n)
 	if err := sl.Keystream(bufs); err != nil {
 		t.Fatal(err)
 	}
-	for l := 0; l < lanes; l++ {
+	for l := range bufs {
 		ref, _ := NewRef(keys[l], ivs[l])
 		want := make([]byte, n)
 		ref.Keystream(want)
@@ -107,43 +103,40 @@ func TestDifferentialLongStream(t *testing.T) {
 
 func TestSlicedRejectsBadConfig(t *testing.T) {
 	rng := rand.New(rand.NewSource(7001))
-	keys, ivs := diffMaterial(rng, 2)
+	keys, ivs := diffMaterial(rng, bitslice.W)
 	if _, err := NewSlicedVec[bitslice.V64](nil, nil); err == nil {
 		t.Error("zero lanes accepted")
 	}
 	if _, err := NewSlicedVec[bitslice.V64](diffKeys(rng, 65, KeySize), diffKeys(rng, 65, IVSize)); err == nil {
-		t.Error("65 lanes accepted at width 64")
+		t.Error("65 lanes accepted")
 	}
 	if _, err := NewSlicedVec[bitslice.V64](keys, ivs[:1]); err == nil {
 		t.Error("key/iv count mismatch accepted")
 	}
-	if _, err := NewSlicedVec[bitslice.V64](diffKeys(rng, 2, KeySize-1), ivs); err == nil {
+	if _, err := NewSlicedVec[bitslice.V64](diffKeys(rng, bitslice.W, KeySize-1), ivs); err == nil {
 		t.Error("short keys accepted")
 	}
-	k4, iv4 := diffMaterial(rng, 4)
-	k4[3] = k4[3][:KeySize-1]
-	if _, err := NewSlicedVec[bitslice.V64](k4, iv4); err == nil || err.Error() != "xorgens: lane 3: key must be 32 bytes" {
+	short := append([][]byte{}, keys...)
+	short[3] = short[3][:KeySize-1]
+	if _, err := NewSlicedVec[bitslice.V64](short, ivs); err == nil || err.Error() != "xorgens: lane 3: key must be 32 bytes" {
 		t.Errorf("short lane-3 key: err = %v, want %q", err, "xorgens: lane 3: key must be 32 bytes")
 	}
 	sl, err := NewSlicedVec[bitslice.V64](keys, ivs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sl.Lanes() != 2 {
-		t.Errorf("Lanes() = %d, want 2", sl.Lanes())
-	}
 	if err := sl.Reseed(keys[:1], ivs[:1]); err == nil {
 		t.Error("Reseed with wrong lane count accepted")
 	}
-	if err := sl.Keystream(make([][]byte, 1)); err == nil {
+	if err := sl.Keystream(diffKeys(rng, 1, 8)); err == nil {
 		t.Error("Keystream with wrong buffer count accepted")
 	}
-	bufs := [][]byte{make([]byte, 8), make([]byte, 16)}
+	bufs := diffKeys(rng, bitslice.W, 8)
+	bufs[1] = make([]byte, 16)
 	if err := sl.Keystream(bufs); err == nil {
 		t.Error("ragged buffers accepted")
 	}
-	bufs = [][]byte{make([]byte, 7), make([]byte, 7)}
-	if err := sl.Keystream(bufs); err == nil {
+	if err := sl.Keystream(diffKeys(rng, bitslice.W, 7)); err == nil {
 		t.Error("unaligned buffers accepted")
 	}
 }

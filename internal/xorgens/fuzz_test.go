@@ -9,17 +9,17 @@ import (
 
 // FuzzSlicedMatchesRef drives the 64-lane sliced engine and the scalar
 // reference from identical fuzz-chosen material and demands identical
-// keystreams — the differential contract under adversarial inputs.
+// keystreams in all 64 lanes — the differential contract under
+// adversarial inputs.
 func FuzzSlicedMatchesRef(f *testing.F) {
-	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba9876543210"), uint8(2), uint8(3))
-	f.Add(make([]byte, KeySize), make([]byte, IVSize), uint8(1), uint8(1))
-	f.Add(bytes.Repeat([]byte{0xFF}, KeySize), bytes.Repeat([]byte{0xAA}, IVSize), uint8(5), uint8(8))
-	f.Fuzz(func(t *testing.T, keySeed, ivSeed []byte, lanesRaw, words uint8) {
-		lanes := int(lanesRaw%8) + 1
+	f.Add([]byte("0123456789abcdef0123456789abcdef"), []byte("fedcba9876543210"), uint8(3))
+	f.Add(make([]byte, KeySize), make([]byte, IVSize), uint8(1))
+	f.Add(bytes.Repeat([]byte{0xFF}, KeySize), bytes.Repeat([]byte{0xAA}, IVSize), uint8(8))
+	f.Fuzz(func(t *testing.T, keySeed, ivSeed []byte, words uint8) {
 		n := (int(words%8) + 1) * 8
-		keys := make([][]byte, lanes)
-		ivs := make([][]byte, lanes)
-		for l := 0; l < lanes; l++ {
+		keys := make([][]byte, bitslice.W)
+		ivs := make([][]byte, bitslice.W)
+		for l := range keys {
 			keys[l] = make([]byte, KeySize)
 			ivs[l] = make([]byte, IVSize)
 			for i := range keys[l] {
@@ -39,14 +39,14 @@ func FuzzSlicedMatchesRef(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bufs := make([][]byte, lanes)
+		bufs := make([][]byte, bitslice.W)
 		for l := range bufs {
 			bufs[l] = make([]byte, n)
 		}
 		if err := sl.Keystream(bufs); err != nil {
 			t.Fatal(err)
 		}
-		for l := 0; l < lanes; l++ {
+		for l := range bufs {
 			ref, err := NewRef(keys[l], ivs[l])
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +54,7 @@ func FuzzSlicedMatchesRef(f *testing.F) {
 			want := make([]byte, n)
 			ref.Keystream(want)
 			if !bytes.Equal(bufs[l], want) {
-				t.Fatalf("lane %d/%d diverges from scalar reference", l, lanes)
+				t.Fatalf("lane %d diverges from scalar reference", l)
 			}
 		}
 	})

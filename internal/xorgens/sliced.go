@@ -13,44 +13,36 @@ import "repro/internal/bitslice"
 // 64× fewer clock iterations per output byte than the bit-serial cipher
 // engines need.
 type Sliced struct {
-	x     []uint64 // r*64 planes: plane w*64+n = bit n of ring word w
-	i     int      // ring slot of the most recently produced word
-	lanes int
+	x [r * 64]uint64 // plane w*64+n = bit n of ring word w
+	i int            // ring slot of the most recently produced word
 
 	// Reusable scratch, so keystream generation and Rekey allocate
 	// nothing in steady state (the engine rekeys at every segment-pass
 	// boundary).
 	t, v, vals [64]uint64
-	st         []uint64      // lanes × r expanded state words (Rekey)
-	tile       bitslice.Tile // lane store staging
+	st         [bitslice.W * r]uint64 // every lane's r expanded state words (Rekey)
+	tile       bitslice.Tile          // lane store staging
 }
 
 // shape is the engine's material and buffer contract.
 var shape = bitslice.Shape{Pkg: "xorgens", Key: KeySize, IV: IVSize, Block: 8}
 
-// NewSlicedVec builds an engine of 1..64 lanes; keys[L]/ivs[L] belong to
-// lane L. The type parameter admits only bitslice.V64; it stays because
-// the bench/ module instantiates NewSlicedVec[bitslice.V64].
+// NewSlicedVec builds the 64-lane engine; keys[L]/ivs[L] belong to lane
+// L. The type parameter admits only bitslice.V64; it stays because the
+// bench/ module instantiates NewSlicedVec[bitslice.V64].
 func NewSlicedVec[_ bitslice.V64](keys, ivs [][]byte) (*Sliced, error) {
-	if err := shape.Check(len(keys), keys, ivs); err != nil {
+	if err := shape.Check(keys, ivs); err != nil {
 		return nil, err
 	}
-	g := &Sliced{
-		x:     make([]uint64, r*64),
-		lanes: len(keys),
-		st:    make([]uint64, len(keys)*r),
-	}
+	g := &Sliced{}
 	g.Rekey(keys, ivs)
 	return g, nil
 }
 
-// Lanes returns the number of active lanes.
-func (g *Sliced) Lanes() int { return g.lanes }
-
 // Reseed checks fresh per-lane key/IV material and rekeys every lane
-// with it. The lane count must match the one the engine was built with.
+// with it.
 func (g *Sliced) Reseed(keys, ivs [][]byte) error {
-	if err := shape.Check(g.lanes, keys, ivs); err != nil {
+	if err := shape.Check(keys, ivs); err != nil {
 		return err
 	}
 	g.Rekey(keys, ivs)
@@ -65,11 +57,11 @@ func (g *Sliced) Reseed(keys, ivs [][]byte) error {
 // must have the shape the engine's front doors accepted (one KeySize key
 // and one IVSize IV per lane).
 func (g *Sliced) Rekey(keys, ivs [][]byte) {
-	for l := 0; l < g.lanes; l++ {
+	for l := range bitslice.W {
 		expand(keys[l], ivs[l], g.st[l*r:(l+1)*r])
 	}
-	for w := 0; w < r; w++ {
-		for l := 0; l < g.lanes; l++ {
+	for w := range r {
+		for l := range bitslice.W {
 			g.vals[l] = g.st[l*r+w]
 		}
 		*(*[64]uint64)(g.x[w*64 : (w+1)*64]) = bitslice.PackWords(&g.vals)
@@ -128,22 +120,20 @@ func (g *Sliced) KeystreamBlockVec(out *[64]bitslice.V64) {
 	}
 }
 
-// Keystream fills one equal-length buffer per lane; lengths must be
-// equal multiples of 8.
+// Keystream fills one buffer per lane, 64 buffers of one length, a
+// multiple of 8.
 func (g *Sliced) Keystream(bufs [][]byte) error {
-	if err := shape.CheckBuffers(g.lanes, bufs); err != nil {
+	if err := shape.CheckBuffers(bufs); err != nil {
 		return err
 	}
-	g.fill(bufs)
+	g.Fill((*[bitslice.W][]byte)(bufs))
 	return nil
 }
 
-// Fill is the per-pass fill: lane L's keystream into bufs[L], for every
-// lane of the engine. The buffers must have one equal length, a multiple
-// of 8; Fill checks nothing.
-func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.fill(bufs[:g.lanes]) }
-
-func (g *Sliced) fill(bufs [][]byte) { g.tile.Store(bufs, g.blocks) }
+// Fill is the per-pass fill: lane L's keystream into bufs[L]. The
+// buffers must have one equal length, a multiple of 8; Fill checks
+// nothing.
+func (g *Sliced) Fill(bufs *[bitslice.W][]byte) { g.tile.Store(bufs[:], g.blocks) }
 
 // blocks is the lane store's block source: the next keystream block
 // into each row.
