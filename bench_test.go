@@ -179,11 +179,13 @@ func BenchmarkCRCNaiveVsBitsliced(b *testing.B) {
 }
 
 // E9 — measured CPU throughput of every generator (the honest CPU-port
-// numbers; cmd/experiments -exp cpu prints them as a table), each
-// engine on the 64-lane datapath.
+// numbers; cmd/experiments -exp cpu prints them as a table). A library
+// row reads through New, so it runs whichever kernel the one-lane rule
+// picks (AES-NI CTR and scalar xorgens where they are cheaper); a
+// bitsliced row times the engine's 64-lane Rekey + Fill itself.
 func BenchmarkCPUThroughput(b *testing.B) {
 	for _, alg := range Algorithms {
-		b.Run(alg.String()+"-bitsliced", func(b *testing.B) {
+		b.Run(alg.String()+"-library", func(b *testing.B) {
 			g, err := New(alg, 1)
 			if err != nil {
 				b.Fatal(err)
@@ -193,6 +195,17 @@ func BenchmarkCPUThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				g.Read(buf)
+			}
+		})
+		b.Run(alg.String()+"-bitsliced", func(b *testing.B) {
+			pass, n, err := core.EnginePass(alg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pass()
 			}
 		})
 	}

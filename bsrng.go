@@ -61,13 +61,16 @@ const (
 	MICKEY = core.MICKEY
 	// GRAIN is the bitsliced Grain v1 engine.
 	GRAIN = core.GRAIN
-	// AESCTR is the bitsliced AES-128 counter-mode engine.
+	// AESCTR is the AES-128 counter-mode engine: AES-NI CTR, one lane
+	// at a time, on CPUs that have AES-NI, and the bitsliced cipher on
+	// the rest. The bytes are the same on both.
 	AESCTR = core.AESCTR
 	// TRIVIUM is the bitsliced Trivium engine (extension beyond the
 	// paper's three ciphers; fastest in this repository).
 	TRIVIUM = core.TRIVIUM
-	// XORGENS is the bitsliced xorgens-style F₂-linear engine (Brent's
-	// xorgens4096 recurrence).
+	// XORGENS is the xorgens-style F₂-linear engine (Brent's xorgens4096
+	// recurrence). It runs the scalar recurrence one lane at a time,
+	// which on a CPU costs less than its bitsliced form.
 	XORGENS = core.XORGENS
 )
 
@@ -87,8 +90,9 @@ var ServedAlgorithms = core.ServedAlgorithms
 // "trivium", "xorgens" or "chaotic(<name>)" to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return core.ParseAlgorithm(s) }
 
-// Generator is a deterministic single-engine generator (a 64-lane
-// bitsliced cipher bank behind an io.Reader).
+// Generator is a deterministic single-engine generator: 64 cipher
+// instances behind an io.Reader, run as one 64-lane bitsliced pass or
+// one lane at a time, whichever the engine's one-lane rule picks.
 type Generator = core.Generator
 
 // New builds a seeded Generator: the domain-0 stream of seed.

@@ -63,24 +63,21 @@ var hotFuncs = map[string][]string{
 		// Generator/engine steady state: the index rule, the per-pass
 		// keying and the pass runner's key, aim and run (listed above).
 		"segment", "keyLanes", "read", "key", "aim",
-		// Gathered-pass window source steady state, and its one-lane
-		// helper for sparse batches.
-		"ReadWindow", "pass", "gather", "runOne",
+		// Gathered-pass window source steady state.
+		"ReadWindow", "pass", "gather",
 		// Per-segment material derivation (in place by design).
 		"deriveLane", "next", "fill", "chaoticX0",
 	},
 	"internal/bitslice": {
-		// PackBits/UnpackBits/UnpackWords/ExtractLane allocate their
-		// result by contract and are deliberately absent: the
-		// steady-state kernels use Transpose64 in place (its dispatch
+		// The steady-state kernels: Transpose64 in place (its dispatch
 		// and its generated Go kernel; the vector kernel is assembly),
 		// the tiled lane store every engine's fill writes through
 		// (Store), PackWords, which returns a fixed-size array by
-		// value, and the key/IV packer PackBytes. Shape's checks run
-		// only at the engines' front doors and are deliberately absent
-		// too.
+		// value, the key/IV packer PackBytes and the single-bit lane
+		// accessors. Shape's checks run only at the engines' front
+		// doors and are deliberately absent.
 		"Transpose64", "transpose64Generic", "Store", "TransposeVec",
-		"PackWords", "PackBytes", "Broadcast", "SetLaneBit", "LaneBit",
+		"PackWords", "PackBytes", "SetLaneBit", "LaneBit",
 	},
 	// Every engine's per-pass contract: Rekey and Fill (and the block
 	// source, block loops and load helpers behind them) run on every

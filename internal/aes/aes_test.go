@@ -301,8 +301,9 @@ func packBlocks(blocks *[64][16]byte) [128]uint64 {
 
 // unpackBlocks converts plane form back to one block per lane.
 func unpackBlocks(st *[128]uint64) (out [64][16]byte) {
-	lo := bitslice.UnpackWords((*[64]uint64)(st[0:64]), 64)
-	hi := bitslice.UnpackWords((*[64]uint64)(st[64:128]), 64)
+	lo, hi := *(*[64]uint64)(st[0:64]), *(*[64]uint64)(st[64:128])
+	bitslice.Transpose64(&lo)
+	bitslice.Transpose64(&hi)
 	for l := range out {
 		binary.LittleEndian.PutUint64(out[l][0:8], lo[l])
 		binary.LittleEndian.PutUint64(out[l][8:16], hi[l])

@@ -45,11 +45,12 @@ func setCtrPlanes(g *SlicedCTR, vals []uint64) {
 // ctrPlaneValues reads every lane's counter value back out of the
 // counter planes.
 func ctrPlaneValues(g *SlicedCTR) []uint64 {
-	out := bitslice.UnpackWords(&g.ctrPl, bitslice.W)
+	out := g.ctrPl
+	bitslice.Transpose64(&out)
 	for l := range out {
 		out[l] = bits.ReverseBytes64(out[l])
 	}
-	return out
+	return out[:]
 }
 
 // widths are the public lane widths. Every width runs the 64-lane
@@ -179,8 +180,9 @@ func ctrReseed(t *testing.T, instances int) {
 				t.Fatalf("pass %d: lane %d counter %d after Reseed, want 0", pass, l, v)
 			}
 		}
-		gotNonces := bitslice.UnpackWords(&g.noncePl, lanes)
-		for l := range gotNonces {
+		gotNonces := g.noncePl
+		bitslice.Transpose64(&gotNonces)
+		for l := range lanes {
 			if gotNonces[l] != nonceWords[l] {
 				t.Fatalf("pass %d: lane %d nonce planes %#x, material %#x", pass, l, gotNonces[l], nonceWords[l])
 			}

@@ -1,28 +1,15 @@
 package bitslice
 
 import (
-	"bytes"
 	"encoding/binary"
 	"testing"
 )
 
 // Native fuzz targets for the representation-change kernels: layout
 // rewrites are exactly where silent keystream corruption sneaks in, so
-// the pack/unpack/transpose round-trip laws are pinned by fuzzing in
+// the pack/transpose round-trip laws are pinned by fuzzing in
 // addition to the unit tests. Seed corpora live under testdata/fuzz; CI
 // runs each target briefly with -fuzz.
-
-// fuzzBits expands fuzz bytes into n bit values.
-func fuzzBits(data []byte, n int) []uint8 {
-	bits := make([]uint8, n)
-	for i := range bits {
-		if len(data) == 0 {
-			break
-		}
-		bits[i] = (data[i%len(data)] >> uint(i&7)) & 1
-	}
-	return bits
-}
 
 // fuzzWords expands fuzz bytes into n uint64 words.
 func fuzzWords(data []byte, n int) []uint64 {
@@ -39,39 +26,8 @@ func fuzzWords(data []byte, n int) []uint64 {
 	return words
 }
 
-// FuzzPackBitsRoundTrip checks UnpackBits ∘ PackBits = id and that
-// PackBits agrees with the single-bit accessors.
-func FuzzPackBitsRoundTrip(f *testing.F) {
-	f.Add([]byte{0x00}, uint8(1), uint8(1))
-	f.Add([]byte{0xFF, 0x0F, 0xA5}, uint8(64), uint8(40))
-	f.Add([]byte("pack bits round trip"), uint8(17), uint8(9))
-	f.Fuzz(func(t *testing.T, data []byte, lanesRaw, nRaw uint8) {
-		lanes := int(lanesRaw)%W + 1
-		n := int(nRaw)%96 + 1
-		bits := make([][]uint8, lanes)
-		for l := range bits {
-			bits[l] = fuzzBits(append([]byte{byte(l)}, data...), n)
-		}
-		planes := PackBits(bits)
-		if len(planes) != n {
-			t.Fatalf("PackBits returned %d planes, want %d", len(planes), n)
-		}
-		back := UnpackBits(planes, lanes)
-		for l := range bits {
-			if !bytes.Equal(bits[l], back[l]) {
-				t.Fatalf("lane %d: round trip mismatch", l)
-			}
-			for i := range bits[l] {
-				if LaneBit(planes, i, l) != bits[l][i] {
-					t.Fatalf("LaneBit(%d, %d) disagrees with input", i, l)
-				}
-			}
-		}
-	})
-}
-
-// FuzzPackWordsRoundTrip checks UnpackWords ∘ PackWords = id for every
-// lane count.
+// FuzzPackWordsRoundTrip checks that Transpose64 inverts PackWords for
+// every count of lanes that carry a value.
 func FuzzPackWordsRoundTrip(f *testing.F) {
 	f.Add([]byte{0x01}, uint8(64))
 	f.Add([]byte("pack words"), uint8(3))
@@ -81,8 +37,8 @@ func FuzzPackWordsRoundTrip(f *testing.F) {
 		vals := fuzzWords(data, lanes)
 		var in [64]uint64
 		copy(in[:], vals)
-		planes := PackWords(&in)
-		back := UnpackWords(&planes, lanes)
+		back := PackWords(&in)
+		Transpose64(&back)
 		for l := range vals {
 			if back[l] != vals[l] {
 				t.Fatalf("lane %d: %x != %x", l, back[l], vals[l])

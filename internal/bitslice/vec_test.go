@@ -21,20 +21,6 @@ func runWidths(t *testing.T, name string, check func(t *testing.T, rng *rand.Ran
 	}
 }
 
-// Broadcast looks only at the low bit of its argument.
-func TestBroadcastVec(t *testing.T) {
-	runWidths(t, "broadcast", func(t *testing.T, rng *rand.Rand, block int) {
-		b := uint8(rng.Intn(256))
-		want := uint64(0)
-		if b&1 == 1 {
-			want = ^uint64(0)
-		}
-		if got := Broadcast(b); got != want {
-			t.Fatalf("block %d: Broadcast(%#x) = %x, want %x", block, b, got, want)
-		}
-	})
-}
-
 func TestLaneBitsVec(t *testing.T) {
 	runWidths(t, "lanebits", func(t *testing.T, rng *rand.Rand, block int) {
 		planes := make([]uint64, 37)
@@ -50,35 +36,6 @@ func TestLaneBitsVec(t *testing.T) {
 				t.Fatalf("block %d: bit (%d, lane %d) = %d, want %d", block, p.i, p.l, got, b)
 			}
 		}
-		// ExtractLane must agree with LaneBit.
-		for l := 0; l < W; l += 7 {
-			bits := ExtractLane(planes, l)
-			for i := range bits {
-				if bits[i] != LaneBit(planes, i, l) {
-					t.Fatalf("block %d: ExtractLane disagrees at (%d, lane %d)", block, i, l)
-				}
-			}
-		}
-	})
-}
-
-func TestPackBitsVecRoundTrip(t *testing.T) {
-	runWidths(t, "packbits", func(t *testing.T, rng *rand.Rand, block int) {
-		bits := make([][]uint8, W)
-		for l := range bits {
-			bits[l] = make([]uint8, 53)
-			for i := range bits[l] {
-				bits[l][i] = uint8(rng.Intn(2))
-			}
-		}
-		back := UnpackBits(PackBits(bits), W)
-		for l := range bits {
-			for i := range bits[l] {
-				if bits[l][i] != back[l][i] {
-					t.Fatalf("block %d: lane %d bit %d: round trip broke", block, l, i)
-				}
-			}
-		}
 	})
 }
 
@@ -91,7 +48,8 @@ func TestPackWordsVecRoundTrip(t *testing.T) {
 				vals[i] = rng.Uint64()
 			}
 			planes := PackWords(&in)
-			back := UnpackWords(&planes, n)
+			back := planes
+			Transpose64(&back)
 			for i := range vals {
 				if back[i] != vals[i] {
 					t.Fatalf("block %d n=%d lane %d: %x != %x", block, n, i, back[i], vals[i])

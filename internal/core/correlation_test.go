@@ -56,7 +56,7 @@ func TestLaneDecorrelation(t *testing.T) {
 		}
 		out := make([][]uint8, lanes)
 		for l := range out {
-			out[l] = bitslice.BytesToBits(bufs[l])
+			out[l] = sp80022.BitsFromBytes(bufs[l])
 		}
 		return out
 	}

@@ -28,11 +28,12 @@ import (
 // once the served count reaches the queued count its own demands
 // brought it to. No call needs a completion record of its own.
 //
-// A sparse batch runs one lane at a time. When a gathered batch holds at
-// most the engine's oneMax demands, each demand's segment is generated alone, by
-// the engine's one-lane function from the segment's own material, and
-// the 64-lane pass is skipped: the bytes are the same, since every lane
-// is an independent instance keyed by PRF(seed, domain, segment).
+// A batch is one run of the pass runner, which picks its kernel by the
+// one-lane rule it applies to every owner (oneMaxFor): a sparse batch
+// runs one lane at a time, each demand's segment generated alone by the
+// engine's one-lane function, and a fuller one runs one 64-lane pass.
+// The bytes are the same either way, since every lane is an independent
+// instance keyed by PRF(seed, domain, segment).
 
 // WindowSource serves byte windows of the canonical (seed, domain)
 // streams of one algorithm through one pass runner. ReadWindow returns
@@ -123,9 +124,9 @@ func (ws *WindowSource) ReadWindow(p []byte, domain, offset uint64) error {
 }
 
 // pass serves the oldest ≤64 pending demands, which need not be the
-// caller's own: one lane at a time if they are at most r.oneMax, else
-// by one 64-lane pass. Called with ws.mu held and no pass running; it
-// unlocks while the pass runs and returns with ws.mu held again.
+// caller's own, through one run of the pass runner. Called with ws.mu
+// held and no pass running; it unlocks while the pass runs and returns
+// with ws.mu held again.
 func (ws *WindowSource) pass() {
 	ws.running = true
 	if ws.testHookPass != nil {
@@ -136,27 +137,18 @@ func (ws *WindowSource) pass() {
 	n := ws.gather()
 	ws.mu.Unlock()
 
-	oneLane := n <= ws.r.oneMax
-	if oneLane {
-		for l := range ws.slots[:n] {
-			s := &ws.slots[l]
-			ws.r.runOne(ws.seed, s.domain, s.seg, s.within, s.dst)
-		}
-	} else {
-		// Lane l serves slot l: a slot covering a whole segment is
-		// filled in place in its caller's buffer, the rest are copied
-		// out of the private buffers. Lanes past n keep stale material,
-		// and their output is discarded.
-		for l := range ws.slots[:n] {
-			s := &ws.slots[l]
-			ws.r.key(l, ws.seed, s.domain, s.seg)
-			ws.r.aim(l, s.dst)
-		}
-		ws.r.run()
-		for l := range ws.slots[:n] {
-			if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
-				copy(s.dst, ws.r.priv[l][s.within:])
-			}
+	// Lane l serves slot l: a slot covering a whole segment is written
+	// in place in its caller's buffer, the rest are copied out of the
+	// private buffers.
+	for l := range ws.slots[:n] {
+		s := &ws.slots[l]
+		ws.r.key(l, ws.seed, s.domain, s.seg)
+		ws.r.aim(l, s.dst, s.within)
+	}
+	oneLane := ws.r.run(n)
+	for l := range ws.slots[:n] {
+		if s := &ws.slots[l]; len(s.dst) != SegmentBytes {
+			copy(s.dst, ws.r.priv[l][s.within:])
 		}
 	}
 	if ws.onPass != nil {

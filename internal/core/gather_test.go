@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/aes"
 )
 
 // segmentReaderWindow is the reference for every gathered window: the
@@ -429,12 +431,13 @@ func TestOneMaxFor(t *testing.T) {
 	}
 }
 
-// With the one-lane path turned off, AES-CTR windows run the 64-lane
-// bitsliced pass: what a CPU without AES-NI serves for batches above
-// its crossover. It stays byte-identical, so the pass keeps its
-// coverage on AES-NI hosts.
+// With the one-lane path turned off, AES-CTR and xorgens windows run the
+// 64-lane bitsliced pass: what a CPU without AES-NI serves for AES-CTR
+// batches above its crossover, and what no datapath serves for xorgens.
+// It stays byte-identical to the library's one-lane reads, so the pass
+// keeps its coverage on AES-NI hosts.
 func TestWindowSourceAESPassFallback(t *testing.T) {
-	for _, alg := range []Algorithm{AESCTR, Chaotic(AESCTR)} {
+	for _, alg := range []Algorithm{AESCTR, Chaotic(AESCTR), XORGENS, Chaotic(XORGENS)} {
 		passes := 0
 		ws, err := NewWindowSource(alg, 14, func(_ int, oneLane bool) {
 			if oneLane {
@@ -464,10 +467,75 @@ func TestWindowSourceAESPassFallback(t *testing.T) {
 	}
 }
 
+// fillCounter counts the bitsliced passes of the engine it wraps.
+type fillCounter struct {
+	cipher
+	fills int
+}
+
+func (c *fillCounter) Fill(bufs *[passLanes][]byte) {
+	c.fills++
+	c.cipher.Fill(bufs)
+}
+
+// The library obeys the one-lane rule the window source does: a
+// Generator read of a whole pass and the first chunk of a 1-worker
+// Stream run the bitsliced pass exactly when the engine's crossover is
+// below a full pass (MICKEY, grain, trivium, and AES-CTR without
+// AES-NI), and one lane at a time otherwise. The chunk is read from the
+// engine a 1-worker Stream's worker drives, and its bytes are the
+// Stream's.
+func TestLibraryFollowsOneLaneRule(t *testing.T) {
+	for _, alg := range ServedAlgorithms {
+		t.Run(alg.String(), func(t *testing.T) {
+			wantFills := 0
+			if oneMaxFor(alg, aes.HasAESNI) < passLanes {
+				wantFills = 1
+			}
+			g, err := NewGenerator(alg, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gc := &fillCounter{cipher: g.r.eng}
+			g.r.eng = gc
+			g.Read(make([]byte, passBytes))
+			if gc.fills != wantFills {
+				t.Errorf("Generator read of one pass: %d bitsliced fills, want %d", gc.fills, wantFills)
+			}
+
+			const staging = 16 * SegmentBytes
+			e, err := newSegmented(alg, 3, 1, 0, staging/SegmentBytes, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ec := &fillCounter{cipher: e.r.eng}
+			e.r.eng = ec
+			chunk := make([]byte, staging)
+			e.read(chunk)
+			if ec.fills != wantFills {
+				t.Errorf("Stream chunk: %d bitsliced fills, want %d", ec.fills, wantFills)
+			}
+			s, err := NewStream(alg, 3, StreamConfig{Workers: 1, StagingBytes: staging})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := make([]byte, staging)
+			if _, err := io.ReadFull(s, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(chunk, want) {
+				t.Error("the worker engine's chunk diverges from the Stream's")
+			}
+		})
+	}
+}
+
 // FuzzOneLaneMatchesPass holds every one-lane function, chaotic modes
-// included, to the pass: for a fuzzer-chosen seed, domain and segment,
-// the whole segment and a part of it written one lane at a time equal
-// the lane bytes NewSegmentReader reads.
+// included, to the 64-lane bitsliced pass: for a fuzzer-chosen seed,
+// domain and segment, the whole segment and a part of it served by a
+// one-lane run equal the lane bytes a NewSegmentReader forced onto the
+// pass reads.
 func FuzzOneLaneMatchesPass(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), uint16(0), uint16(2048))
 	f.Add(uint64(0xDEADBEEF), uint64(7), uint64(1<<40), uint16(777), uint16(100))
@@ -486,9 +554,24 @@ func FuzzOneLaneMatchesPass(f *testing.F) {
 		k := 1 + int(n)%(SegmentBytes-w)
 		whole, part := make([]byte, SegmentBytes), make([]byte, k)
 		for i, alg := range oneLaneAlgs {
-			runners[i].runOne(seed, domain, seg, 0, whole)
-			runners[i].runOne(seed, domain, seg, w, part)
-			want := segmentReaderWindow(t, alg, seed, domain, seg*SegmentBytes, SegmentBytes)
+			r := runners[i]
+			r.key(0, seed, domain, seg)
+			r.aim(0, whole, 0)
+			if !r.run(1) {
+				t.Fatalf("%v: a run of one lane took the pass", alg)
+			}
+			r.key(0, seed, domain, seg)
+			r.aim(0, part, w)
+			r.run(1)
+			copy(part, r.priv[0][w:])
+
+			pass, err := NewSegmentReader(alg, seed, domain, 0, seg*SegmentBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pass.r.oneMax = 0
+			want := make([]byte, SegmentBytes)
+			pass.Read(want)
 			if !bytes.Equal(whole, want) {
 				t.Fatalf("%v: one-lane segment %d (seed %#x, domain %d) diverges from the pass", alg, seg, seed, domain)
 			}

@@ -17,15 +17,18 @@ const (
 	MICKEY Algorithm = iota
 	// GRAIN is the bitsliced Grain v1 engine.
 	GRAIN
-	// AESCTR is the bitsliced AES-128 counter-mode engine.
+	// AESCTR is the AES-128 counter-mode engine: AES-NI CTR one lane at
+	// a time where the CPU has AES-NI, the bitsliced cipher elsewhere.
 	AESCTR
 	// TRIVIUM is the bitsliced Trivium engine — an extension beyond the
 	// paper's three ciphers (the remaining eSTREAM hardware-profile
 	// winner), and the fastest engine in this repository.
 	TRIVIUM
-	// XORGENS is the bitsliced xorgens-style F₂-linear engine (Brent's
+	// XORGENS is the xorgens-style F₂-linear engine (Brent's
 	// xorgens4096 recurrence) — a fifth family whose state update is pure
 	// word-XOR circuitry, following Nandapalan & Brent's line of work.
+	// It is word-oriented, so it runs the scalar recurrence one lane at a
+	// time, which on a CPU costs less than its bitsliced form.
 	XORGENS
 )
 
@@ -233,9 +236,9 @@ func (e *segmented) read(p []byte) {
 			lo := (e.pos + SegmentBytes - 1) / SegmentBytes
 			hi := min((e.pos+len(p))/SegmentBytes, passLanes)
 			for l := lo; l < hi; l++ {
-				e.r.aim(l, p[l*SegmentBytes-e.pos:][:SegmentBytes])
+				e.r.aim(l, p[l*SegmentBytes-e.pos:][:SegmentBytes], 0)
 			}
-			e.r.run()
+			e.r.run(passLanes)
 			e.ran = true
 			if lo < hi {
 				// At most a mid-segment head precedes the aimed lanes.
@@ -252,8 +255,9 @@ func (e *segmented) read(p []byte) {
 }
 
 // Generator is a deterministic single-engine BSRNG byte stream: one
-// 64-lane bitsliced engine behind an io.Reader. The byte stream depends
-// only on (algorithm, seed).
+// pass runner behind an io.Reader, whose 64 lanes run as one bitsliced
+// pass or one at a time as the engine's one-lane rule says (oneMaxFor).
+// The byte stream depends only on (algorithm, seed).
 type Generator struct {
 	*segmented
 	alg Algorithm

@@ -22,25 +22,26 @@ type cipher interface {
 	Fill(bufs *[passLanes][]byte)
 }
 
-// passRunner is the one place a pass is produced: a keyed 64-lane
-// cipher, its 64 private SegmentBytes lane buffers and each lane's
-// destination in the next pass. Lanes are independent cipher instances,
-// so the owner (segmented, WindowSource) keys each lane for any
-// (domain, segment), aims the lanes whose segment lands whole in caller
-// memory at that memory, and runs the pass; it copies the other lanes
-// out of their private buffers. Chaotic modes carry a per-lane orbit
-// start x0 and post-process every lane's segment after the fill.
+// passRunner is the one place a pass is produced, and the one place the
+// one-lane rule is applied: a keyed 64-lane cipher, the engine's
+// one-lane function, 64 private SegmentBytes lane buffers and each
+// lane's destination in the next run. Lanes are independent cipher
+// instances, so the owner (segmented, WindowSource) keys each lane for
+// any (domain, segment), aims each lane at the bytes it wants and runs
+// the lanes it keyed; it copies the lanes that wrote their private
+// buffers out of them. Chaotic modes carry a per-lane orbit start x0
+// and post-process every served lane's segment after it is written.
 type passRunner struct {
 	mat   *laneMaterial
 	x0s   []uint64 // chaotic modes only
 	eng   cipher
 	stale bool              // some lane was keyed since eng last loaded mat
 	priv  [passLanes][]byte // SegmentBytes each, one backing array
-	dst   [passLanes][]byte // next pass's destination per lane: priv[l] or caller memory
+	dst   [passLanes][]byte // next run's destination per lane: caller memory or (a prefix of) priv[l]
 
 	// one is the engine's one-lane function, nil if it has none; oneMax
-	// is the largest batch of segment demands a WindowSource serves one
-	// lane at a time with it instead of by a pass (0 without one).
+	// is the largest run that serves its lanes one at a time with it
+	// instead of by a 64-lane pass (0 without one).
 	one    func(key, iv, dst []byte)
 	oneMax int
 }
@@ -93,13 +94,14 @@ func newPassRunner(alg Algorithm, keyLanes func(r *passRunner)) (*passRunner, er
 	return r, nil
 }
 
-// oneMaxFor is the one-lane rule (DESIGN.md §12.5): the largest batch
-// of segment demands alg's engine serves one lane at a time instead of
-// by a 64-lane pass, 0 for none. Each is set from measured costs so that
-// that many one-lane segments cost less than one pass (go test -bench
-// 'Segment' in the engine's package against -bench ReadWindowPass in
-// this one). aesni says whether aes.Segment runs on AES-NI or on the
-// scalar cipher.
+// oneMaxFor is the one-lane rule (DESIGN.md §12.5), which run applies
+// on every datapath: the largest run of lanes alg's engine serves one
+// lane at a time instead of by a 64-lane pass, 0 for none; passLanes
+// means every run, library passes included. Each is set from measured
+// costs so that that many one-lane segments cost less than one pass
+// (go test -bench 'Segment' in the engine's package against -bench
+// ReadWindowPass in this one). aesni says whether aes.Segment runs on
+// AES-NI or on the scalar cipher.
 func oneMaxFor(alg Algorithm, aesni bool) int {
 	switch alg.Base() {
 	case AESCTR:
@@ -127,48 +129,69 @@ func (r *passRunner) key(l int, seed, domain, seg uint64) {
 	r.stale = true
 }
 
-// aim points lane l's next segment at dst when dst is one whole segment;
-// a lane not aimed writes its private buffer.
-func (r *passRunner) aim(l int, dst []byte) {
+// aim points lane l's next segment at dst, which takes bytes
+// [within, within+len(dst)) of it. A whole segment is written straight
+// into dst. A part goes to the lane's private buffer, which the owner
+// copies from at within; a one-lane run writes it only as far as dst
+// reaches. A lane not aimed writes its whole private buffer.
+func (r *passRunner) aim(l int, dst []byte, within int) {
 	if len(dst) == SegmentBytes {
 		r.dst[l] = dst
+	} else {
+		r.dst[l] = r.priv[l][:(within+len(dst)+7)&^7] // chaotic.Post takes whole words
 	}
 }
 
-// run runs one pass: it loads the material if a lane was keyed since the
-// last load, fills one segment per lane and aims every lane back at its
-// private buffer. A lane not keyed for this pass repeats stale material;
-// its owner discards the output.
-func (r *passRunner) run() {
-	if r.stale {
-		r.eng.Rekey(r.mat.keys, r.mat.ivs)
-		r.stale = false
+// run serves lanes [0, n), each keyed since the last run, and aims every
+// lane back at its private buffer. It reports whether the lanes ran one
+// at a time: at most oneMax lanes each run the engine's one-lane
+// function on their own material, as far as their destination reaches;
+// more run one 64-lane pass, which loads the material if a lane was
+// keyed since the last load and writes whole segments. Lanes past n
+// repeat stale material in a pass; their output is discarded.
+func (r *passRunner) run(n int) (oneLane bool) {
+	if oneLane = n <= r.oneMax; oneLane {
+		for l := range n {
+			r.one(r.mat.keys[l], r.mat.ivs[l], r.dst[l])
+		}
+	} else {
+		if r.stale {
+			r.eng.Rekey(r.mat.keys, r.mat.ivs)
+			r.stale = false
+		}
+		for l := range n {
+			if len(r.dst[l]) != SegmentBytes {
+				r.dst[l] = r.priv[l]
+			}
+		}
+		r.eng.Fill(&r.dst)
 	}
-	r.eng.Fill(&r.dst)
-	for l, x0 := range r.x0s {
-		chaotic.Post(r.dst[l], x0)
+	if r.x0s != nil {
+		for l := range n {
+			chaotic.Post(r.dst[l], r.x0s[l])
+		}
 	}
 	r.dst = r.priv
+	return oneLane
 }
 
-// runOne writes bytes [within, within+len(dst)) of segment seg of
-// (seed, domain) with the engine's one-lane function: one cipher
-// instance keyed from the segment's own material, run only as far as
-// the demand reaches. A whole segment is written in place; a part goes
-// through lane 0's private buffer. The material is derived into lane 0,
-// which no pass notices: every pass keys lane 0 before it loads the
-// material.
-func (r *passRunner) runOne(seed, domain, seg uint64, within int, dst []byte) {
-	r.mat.deriveLane(0, seed, domain, seg)
-	out := dst
-	if len(dst) != SegmentBytes {
-		out = r.priv[0][:(within+len(dst)+7)&^7] // chaotic.Post takes whole words
+// EnginePass returns one bitsliced pass of alg's engine: each call
+// reloads the 64 lanes' material (Rekey) and fills 64 segments into
+// private buffers (Fill), whatever the one-lane rule says, with no
+// chaotic post-processing. n is the bytes one call writes. E9's
+// bitsliced rows (BenchmarkCPUThroughput, cmd/experiments -exp cpu)
+// time it beside the library rows, which read through a Generator.
+func EnginePass(alg Algorithm) (pass func(), n int, err error) {
+	r, err := newPassRunner(alg, func(r *passRunner) {
+		for l := range passLanes {
+			r.key(l, 1, 0, uint64(l))
+		}
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	r.one(r.mat.keys[0], r.mat.ivs[0], out)
-	if r.x0s != nil {
-		chaotic.Post(out, chaoticX0(seed, domain, seg))
-	}
-	if len(dst) != SegmentBytes {
-		copy(dst, out[within:])
-	}
+	return func() {
+		r.eng.Rekey(r.mat.keys, r.mat.ivs)
+		r.eng.Fill(&r.priv)
+	}, passBytes, nil
 }

@@ -70,6 +70,14 @@ func TestBitsFromWords(t *testing.T) {
 	}
 }
 
+func TestBitsFromBytesOrder(t *testing.T) {
+	bits := BitsFromBytes([]byte{0x01, 0x80})
+	// LSB-first: the first byte contributes 1,0,0,0,0,0,0,0.
+	if len(bits) != 16 || bits[0] != 1 || bits[7] != 0 || bits[8] != 0 || bits[15] != 1 {
+		t.Fatalf("unexpected order %v", bits)
+	}
+}
+
 func TestParamsDefaults(t *testing.T) {
 	var p Params
 	p.defaults()
